@@ -193,6 +193,25 @@ def bench_compose_all_speedup(benchmark):
 # ---------------------------------------------------------------------------
 
 
+def _calibration_seconds(repeats: int = 5) -> float:
+    """Best-of wall time of a fixed pure-Python loop (dict probes,
+    string keys, a sort — the interpreter work a merge is made of).
+
+    Multiplying a throughput by it cancels the speed of the machine
+    that measured it, so a baseline committed from one box gates runs
+    on another."""
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        table: dict = {}
+        for i in range(100_000):
+            key = f"id:{i % 1009}"
+            table[key] = table.get(key, 0) + i
+        sorted(table.items(), key=lambda item: item[1])
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
 def _allpairs_numbers(
     seed: int, stride: int, workers: int, rounds: int = 3
 ) -> dict:
@@ -203,14 +222,20 @@ def _allpairs_numbers(
     measures the machine where the engine's own speed is what the
     repo optimises.  Best-of-``rounds``, matching the strategy rows —
     a single sweep right after the process-pool benchmarks measured
-    pool teardown noise as engine regressions.
+    pool teardown noise as engine regressions.  The calibration loop
+    runs before and after the rounds (best of both), and the row
+    records ``pairs_per_calibration`` = pairs/s × ``calibration_s``:
+    pairs swept in one calibration loop's time, which is what the
+    regression gate compares.
     """
     corpus = corpus_by_size(generate_corpus(seed=seed))[::stride]
+    calibration = _calibration_seconds()
     matrix = match_all(corpus, workers=workers)
     for _ in range(max(0, rounds - 1)):
         candidate = match_all(corpus, workers=workers)
         if candidate.seconds < matrix.seconds:
             matrix = candidate
+    calibration = min(calibration, _calibration_seconds())
     return {
         "engine": "match_all",
         "models": matrix.model_count,
@@ -219,6 +244,10 @@ def _allpairs_numbers(
         "backend": matrix.backend,
         "seconds": round(matrix.seconds, 6),
         "pairs_per_second": round(matrix.pairs_per_second, 2),
+        "calibration_s": round(calibration, 6),
+        "pairs_per_calibration": round(
+            matrix.pairs_per_second * calibration, 3
+        ),
     }
 
 
@@ -324,9 +353,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--gate-allpairs", action="store_true",
-        help="fail (exit 1) when allpairs pairs/sec regresses more "
-             "than 20%% against the committed BENCH_compose.json "
-             "baseline (independent of --smoke)",
+        help="fail (exit 1) when allpairs pairs/sec, normalised by an "
+             "in-process calibration loop, regresses more than 20%% "
+             "against the committed BENCH_compose.json baseline "
+             "(independent of --smoke)",
     )
     args = parser.parse_args(argv)
 
@@ -356,27 +386,34 @@ def main(argv=None) -> int:
         f"{allpairs['pairs']} pairs over {allpairs['models']} models "
         f"in {allpairs['seconds']:.2f}s "
         f"({allpairs['pairs_per_second']:.0f} pairs/s, "
-        f"workers={allpairs['workers']})"
+        f"workers={allpairs['workers']}; calibration loop "
+        f"{allpairs['calibration_s'] * 1000:.1f} ms, "
+        f"{allpairs['pairs_per_calibration']:.1f} pairs per loop)"
     )
 
     path = write_bench_json(rows, allpairs, args.rounds, args.smoke)
     print(f"machine-readable results: {path}")
 
     if args.gate_allpairs:
-        committed = (baseline.get("allpairs") or {}).get("pairs_per_second")
+        committed = (baseline.get("allpairs") or {}).get(
+            "pairs_per_calibration"
+        )
         if not committed:
-            print("allpairs gate: no committed baseline, nothing to gate")
+            print("allpairs gate: no committed calibrated baseline, "
+                  "nothing to gate")
         else:
             floor = 0.8 * float(committed)
-            measured = allpairs["pairs_per_second"]
+            measured = allpairs["pairs_per_calibration"]
             print(
-                f"allpairs gate: {measured:.1f} pairs/s vs committed "
-                f"baseline {committed:.1f} (floor {floor:.1f})"
+                f"allpairs gate: {measured:.1f} pairs per calibration "
+                f"loop vs committed baseline {committed:.1f} "
+                f"(floor {floor:.1f})"
             )
             if measured < floor:
                 print(
                     "FAIL: allpairs throughput regressed more than 20% "
-                    "against the committed BENCH_compose.json baseline",
+                    "against the committed BENCH_compose.json baseline "
+                    "(normalised by the calibration loop)",
                     file=sys.stderr,
                 )
                 return 1

@@ -132,9 +132,9 @@ def bench_fig8_sharded_sweep(benchmark, corpus_sample, tmp_path):
 
 #: PR-4 single-process throughput on the 24-model sampled sweep — the
 #: committed BENCH_compose.json baseline before the per-model
-#: phase-index artifacts (ModelIndexSet + OverlayIndex reuse) and
-#: share-on-no-mutation ephemeral adoption landed.  The acceptance
-#: bar for that work is ≥1.3x this number.
+#: phase-index artifacts (ModelIndexSet + OverlayIndex reuse) landed;
+#: sweeps have since become decide-only (no merged model is built).
+#: The acceptance bar for the index work is ≥1.3x this number.
 _PR4_PAIRS_PER_SECOND = 462.38
 
 

@@ -71,10 +71,11 @@ __all__ = [
 #: format-2 entries still rehydrate (their missing index table is
 #: computed lazily by consumers) instead of being treated as corrupt.
 #: Format 4 added the structural signature
-#: (:class:`~repro.core.signature.ModelSignature`) and the
-#: per-collection id sets — pure additions again, so format-2/3
-#: entries rehydrate with those fields ``None`` and consumers
-#: recompute lazily.  Format 5 added the model's canonical SBML text
+#: (:class:`~repro.core.signature.ModelSignature`) — a pure addition
+#: again, so format-2/3 entries rehydrate with it ``None`` and
+#: consumers recompute lazily (format-4/5 entries may also carry a
+#: per-collection id table that nothing reads any more; it is
+#: ignored).  Format 5 added the model's canonical SBML text
 #: itself (the exact bytes :func:`model_digest` hashes), which is what
 #: lets digest-shipped process workers rehydrate the *model* — not
 #: just its artifacts — from the store; older entries rehydrate with
@@ -161,11 +162,6 @@ class ModelArtifacts:
     #: as ``indexes``: check :meth:`~repro.core.signature.ModelSignature.matches`
     #: and rebuild on mismatch), or ``None`` from older entries.
     signature: Optional["ModelSignature"] = None
-    #: Per-collection id sets (:meth:`~repro.sbml.model.Model.id_set_table`,
-    #: store format 4) seeding ``_check_unique``'s memo on merge
-    #: copies, or ``None`` from older entries — consumers recompute
-    #: from the model then.
-    id_sets: Optional[Dict[str, frozenset]] = None
     #: The model's canonical SBML text (store format 5) — the exact
     #: string :func:`model_digest` hashes, so ``sha256(sbml) ==
     #: digest`` for a healthy entry.  Digest-shipped sweep workers
@@ -197,9 +193,7 @@ def compute_artifacts(
     ``with_sbml=False`` skips the canonical SBML blob — for callers
     who already serialised the model (a manifest build pays
     :func:`write_sbml` once for the digest and attaches that same
-    text) or whose entries never feed digest-shipped workers.  The
-    per-collection id sets are always computed — they are
-    option-independent and cost one pass over the component lists."""
+    text) or whose entries never feed digest-shipped workers."""
     used_ids = set(model.global_ids()) | {
         ud.id for ud in model.unit_definitions if ud.id
     }
@@ -233,7 +227,6 @@ def compute_artifacts(
         patterns=patterns,
         indexes=indexes,
         signature=signature,
-        id_sets=model.id_set_table(),
         sbml=write_sbml(model) if with_sbml else None,
     )
 
@@ -264,8 +257,8 @@ class CorpusManifest:
     Workers resolve each digest against a shared :class:`ArtifactStore`
     on first touch: the format-5 entry carries the model's canonical
     SBML text (parse once per worker) *and* the pattern table, index
-    rows, signature and id sets derived from it, so a rehydrated model
-    is seeded exactly like an in-memory one.
+    rows and signature derived from it, so a rehydrated model is
+    seeded exactly like an in-memory one.
 
     Build with :meth:`build`, which also guarantees the store side of
     the contract: after it returns, every manifest digest resolves to
@@ -455,13 +448,12 @@ class ArtifactStore:
             return fmt, None
         artifacts = payload["artifacts"]
         # Entries written by older formats predate some fields
-        # (format 2: index rows; formats 2–3: signature and id
-        # sets; formats 2–4: the SBML blob).  They are valid hits,
-        # not corrupt entries — the missing fields are normalised to
-        # ``None`` ("absent, compute lazily") so consumers never see
-        # an attribute error from an old pickle's narrower
-        # ``__dict__``.
-        for lazy_field in ("indexes", "signature", "id_sets", "sbml"):
+        # (format 2: index rows; formats 2–3: signature; formats 2–4:
+        # the SBML blob).  They are valid hits, not corrupt entries —
+        # the missing fields are normalised to ``None`` ("absent,
+        # compute lazily") so consumers never see an attribute error
+        # from an old pickle's narrower ``__dict__``.
+        for lazy_field in ("indexes", "signature", "sbml"):
             if getattr(artifacts, lazy_field, None) is None:
                 setattr(artifacts, lazy_field, None)
         return fmt, artifacts

@@ -22,7 +22,12 @@ models and produces one composed model plus a :class:`MergeReport`:
   equality is decidable — the paper's improvement over semanticSBML.
 
 The composed model is always a fresh object; neither input is
-modified.
+modified.  Every phase is split into a *decision* (probe, compare,
+claim an id, record the mapping, insert into the phase's overlay) and
+a *materialisation* (adopt or move the component, rewrite its
+references, append it to the target); decide-only merges — the
+all-pairs sweep, which needs only the report — skip the second half
+and build no model at all.
 """
 
 from __future__ import annotations
@@ -49,13 +54,12 @@ from repro.core.pattern_cache import PatternCache
 from repro.core.report import MergeReport
 from repro.sbml.components import (
     AssignmentRule,
+    Compartment,
     Event,
     KineticLaw,
-    ModifierSpeciesReference,
     RateRule,
     Reaction,
     Species,
-    SpeciesReference,
 )
 from repro.sbml.model import Model
 from repro.units.definitions import UnitDefinition
@@ -131,12 +135,15 @@ class AccumState:
     accumulator on every step of an n-model fold is the remaining
     O(n²) term of session execution.  A step that starts from a
     carried ``AccumState`` skips the rebuild, and every step returns
-    the updated state for the model it produced: ``used_ids`` is
-    extended as ids are claimed, ``registry`` is refreshed by the
+    the updated state for the model it produced: ``used_ids`` absorbs
+    the ids the merge claimed, ``registry`` is refreshed by the
     unit-definition phase, and ``initial`` absorbs the source model's
     environment under the final id mapping (united components keep the
     target's value, exactly as re-collection would read them off the
     merged model, since conflicts keep the first model's attribute).
+    A merge never writes the state while its phases run, so the
+    all-pairs engine hands every decide-only merge an input's
+    precomputed artifacts as they are.
 
     The state is only valid for the exact model object it was produced
     with; it must be dropped when the model is copied or mutated
@@ -220,11 +227,11 @@ class Composer:
         target_state: Optional[AccumState] = None,
         source_state: Optional[AccumState] = None,
         carry_state: bool = True,
-        ephemeral: bool = False,
+        decide_only: bool = False,
         target_indexes: Optional[
             Union["ModelIndexSet", "BoundIndexSet"]
         ] = None,
-    ) -> Tuple[Model, MergeReport, Optional[AccumState]]:
+    ) -> Tuple[Optional[Model], MergeReport, Optional[AccumState]]:
         """One plan-executor merge step, with carried accumulator state.
 
         Beyond :meth:`compose_into`:
@@ -241,13 +248,13 @@ class Composer:
         * ``source_state`` supplies ``second``'s artifacts the same
           way (an executed subtree already knows its registry and
           initial values).
-        * ``ephemeral`` marks the composed model as disposable (the
-          all-pairs engine discards every merged model on the spot):
-          adopted reactions then share their *unmutated* participant
-          objects with the source instead of copying them
-          (copy-on-write).  Never set it when the composed model is
-          handed to a caller — a caller mutating shared participants
-          would corrupt the input model.
+        * ``decide_only`` runs only the decision half of every phase
+          and builds no merged model: neither input is copied or
+          written (beyond the droppable per-object key caches), the
+          returned model and state are ``None`` and only the report
+          means anything.  The all-pairs engine, which discards every
+          merged model anyway, runs this way; ``copy_target``,
+          ``source_owned`` and ``carry_state`` are ignored then.
         * ``target_indexes`` supplies ``first``'s prebuilt phase-index
           artifact (:class:`ModelIndexSet`): phases then probe a
           copy-on-write :class:`~repro.core.index.OverlayIndex` over
@@ -256,22 +263,24 @@ class Composer:
           :class:`ModelIndexSet` and the step binds it to the actual
           target (also across an internal ``copy_target`` deep copy);
           pass a prebound :class:`BoundIndexSet` only when the target
-          as this step sees it *shares component objects* with the
-          model the set was bound to (the all-pairs engine's shallow
-          copies).  Sets built under different key-affecting options
-          are ignored, and phases whose fresh keys would depend on a
-          non-empty id mapping fall back to the fresh build.
+          is the very model the set was bound to (the all-pairs
+          engine's decide-only merges).  Sets built under different
+          key-affecting options are ignored, and phases whose fresh
+          keys would depend on a non-empty id mapping fall back to the
+          fresh build.
 
         Returns ``(model, report, state)`` where ``state`` is the
         updated :class:`AccumState` for the returned model, or ``None``
         when it could not be carried (the caller rebuilds lazily).
-        Callers that discard the state (one-shot pairwise merges, the
-        all-pairs engine) pass ``carry_state=False`` to skip computing
-        it — the update includes an initial-assignment fixed-point
-        pass over the merged model that only chained steps need.
+        Callers that discard the state (one-shot pairwise merges)
+        pass ``carry_state=False`` to skip computing it — the update
+        includes an initial-assignment fixed-point pass over the
+        merged model that only chained steps need.
         """
         report = MergeReport()
         # Figure 5 lines 1-2: an empty model composes to the other.
+        if decide_only and (first.is_empty() or second.is_empty()):
+            return None, report, None
         if first.is_empty():
             if source_owned:
                 return second, report, source_state
@@ -281,6 +290,8 @@ class Composer:
                 return first.copy(), report, None
             return first, report, target_state
 
+        copy_target = copy_target and not decide_only
+        source_owned = source_owned and not decide_only
         target = first.copy() if copy_target else first
         if copy_target:
             # Derived artifacts reference the original's component
@@ -339,7 +350,7 @@ class Composer:
             ),
             pattern_cache=self._cache,
             source_owned=source_owned,
-            ephemeral=ephemeral,
+            decide_only=decide_only,
             indexes=indexes,
         )
 
@@ -347,12 +358,10 @@ class Composer:
         for phase_name, phase in _PHASES:
             started = time.perf_counter()
             phase(state)
-            report.timings[phase_name] = (
-                report.timings.get(phase_name, 0.0)
-                + time.perf_counter()
-                - started
-            )
+            report.timings[phase_name] = time.perf_counter() - started
 
+        if decide_only:
+            return None, report, None
         if target.name and source.name and target.name != source.name:
             target.name = f"{target.name} + {source.name}"
         return (
@@ -365,8 +374,8 @@ class Composer:
     def _carry_state(state: "_MergeState") -> AccumState:
         """The updated accumulator state after a merge.
 
-        ``used_ids`` was extended in place as ids were claimed, and the
-        unit phase refreshed ``target_registry``.  The initial-value
+        ``used_ids`` absorbs the ids this merge claimed, and the unit
+        phase refreshed ``target_registry``.  The initial-value
         environment absorbs the source's values under the final id
         mapping, but only for components this merge *added* — renamed
         or carried over under their final ids.  United symbols are
@@ -389,6 +398,7 @@ class Composer:
             if final in state.added_ids and final not in target_initial:
                 target_initial[final] = value
         _apply_initial_assignments(state.target, target_initial)
+        state.used_ids |= state.added_ids
         return AccumState(
             used_ids=state.used_ids,
             registry=state.target_registry,
@@ -412,7 +422,7 @@ class _MergeState:
         initial_values: Tuple[Dict[str, float], Dict[str, float]],
         pattern_cache: Optional[PatternCache] = None,
         source_owned: bool = False,
-        ephemeral: bool = False,
+        decide_only: bool = False,
         indexes: Optional["BoundIndexSet"] = None,
     ):
         self.target = target
@@ -420,18 +430,30 @@ class _MergeState:
         self.mapping = mapping
         self.report = report
         self.options = options
+        #: Ids of the target before this merge; the phases never write
+        #: it (``added_ids`` collects this merge's claims).
         self.used_ids = used_ids
         self.target_registry = target_registry
         self.source_registry = source_registry
         self.target_initial, self.source_initial = initial_values
         self._pattern_cache = pattern_cache
         self.source_owned = source_owned
-        self.ephemeral = ephemeral
+        self.decide_only = decide_only
         self.indexes = indexes
+        self.match_anything = options.match_anything
         # Ids claimed for components *added* by this merge (as opposed
-        # to united into existing target components) — the carried
+        # to united into existing target components): with
+        # ``used_ids`` they are the merged model's ids, and the carried
         # initial-value env absorbs source values for these only.
         self.added_ids: Set[str] = set()
+        # What a decide-only merge would have appended to the target,
+        # for the reads that must see components adopted earlier in
+        # the same merge (a materialising merge reads the target).
+        self.adopted_functions: Dict[str, Lambda] = {}
+        self.adopted_units: List[UnitDefinition] = []
+        self.adopted_compartments: List[Tuple[Optional[str], Compartment]] = []
+        #: Adopted species id -> its (resolved) compartment.
+        self.adopted_species: Dict[Optional[str], Optional[str]] = {}
         # Bound directly to the mapping: ``resolve_ref`` is the single
         # hottest call of a merge (every reference of every component
         # passes through it), and the instance attribute skips one
@@ -439,47 +461,23 @@ class _MergeState:
         # ``None`` as "no reference".
         self.resolve_ref = mapping.resolve
 
-    def adopt(self, component):
-        """The component to insert into the target: the source's own
-        object when the source is an owned intermediate about to be
+    def adopt(self, component, **fields):
+        """Materialise a source component for the target: the source's
+        own object when the source is an owned intermediate about to be
         discarded (move semantics — no copy), a copy otherwise (input
-        models are never mutated)."""
-        return component if self.source_owned else component.copy()
+        models are never mutated), with ``fields`` (rewritten
+        references) set on it."""
+        duplicate = component if self.source_owned else component.copy()
+        for name, value in fields.items():
+            setattr(duplicate, name, value)
+        return duplicate
 
-    def adopt_ephemeral(self, component) -> Tuple[object, bool]:
-        """Adopt for a phase that would only mutate the duplicate
-        through reference fixups and :meth:`claim_id`.
-
-        Returns ``(component, shared)``.  In an ephemeral merge with
-        an empty mapping table and no id collision, this merge
-        provably never writes the adopted object — every reference
-        resolve is the identity and ``claim_id`` takes its no-rename,
-        no-rewrite branch — so the source's own object is *shared*
-        into the disposable composed model (``shared=True``; the
-        caller must skip its reference fixups, which would be
-        same-value writes on a shared input component).  Everything
-        else falls back to :meth:`adopt`'s copy/move semantics.
-        """
-        if self.can_share_source(component.id):
-            return component, True
-        return self.adopt(component), False
-
-    def can_share_source(self, component_id: Optional[str]) -> bool:
-        """Whether a source component with ``component_id`` can be
-        shared (not copied) into the composed model: the merge is
-        ephemeral, the source is not an owned intermediate (whose
-        adopted components are rewritten in place), the mapping table
-        is empty (every resolve is the identity) and the id cannot
-        collide (so :meth:`claim_id` never renames).  The single
-        predicate behind every share-on-no-mutation fast path — keep
-        new mutation sources reflected here, not at call sites.
-        """
-        return (
-            self.ephemeral
-            and not self.source_owned
-            and not self.mapping._table
-            and (component_id is None or component_id not in self.used_ids)
-        )
+    def append(self, duplicate, source_id: Optional[str], adder) -> None:
+        """Materialise an added component: ``duplicate`` (adopted, its
+        references already rewritten) takes the id :meth:`claim_id`
+        decides for ``source_id`` and is appended through ``adder``."""
+        duplicate.id = self.claim_id(source_id)
+        adder(duplicate)
 
     def phase_index(self, name: str) -> ComponentIndex:
         """The Figure 5 lookup index for one phase's target side.
@@ -520,30 +518,26 @@ class _MergeState:
         """An id not yet used in the composed model."""
         candidate = f"{base}_{self.options.rename_suffix}"
         counter = 2
-        while candidate in self.used_ids:
+        while candidate in self.used_ids or candidate in self.added_ids:
             candidate = f"{base}_{self.options.rename_suffix}{counter}"
             counter += 1
         return candidate
 
-    def claim_id(self, component, component_type: str) -> None:
-        """Rename ``component`` if its (mapped) id collides with an
-        existing id, and register the id as used."""
-        if component.id is None:
-            return
-        current = self.mapping.resolve(component.id)
-        if current in self.used_ids:
+    def claim_id(self, component_id: Optional[str]) -> Optional[str]:
+        """The id an added source component takes in the composed
+        model: its mapped id, or a fresh one (recorded as a rename)
+        when that collides with an existing id.  The id is registered
+        as used; the component itself is not touched."""
+        if component_id is None:
+            return None
+        current = self.resolve_ref(component_id)
+        if current in self.used_ids or current in self.added_ids:
             fresh = self.fresh_id(current)
-            self.report.rename(component.id, fresh)
-            self.mapping.add(component.id, fresh)
-            component.id = fresh
-        else:
-            if current != component.id:
-                component.id = current
-            self.used_ids.add(component.id)
-            self.added_ids.add(component.id)
-            return
-        self.used_ids.add(component.id)
-        self.added_ids.add(component.id)
+            self.report.rename(component_id, fresh)
+            self.mapping.add(component_id, fresh)
+            current = fresh
+        self.added_ids.add(current)
+        return current
 
     def unite(self, component_type: str, first_id: str, second_id: str) -> None:
         """Record that a source component was united with a target one."""
@@ -634,15 +628,35 @@ class _MergeState:
     # ``resolve_ref`` is bound per instance in ``__init__`` (it is an
     # alias of ``self.mapping.resolve``); this stub documents the API.
 
+    # -- reads of the composed model --------------------------------------
+    # A materialising merge has appended every adopted component to the
+    # target; a decide-only merge has recorded them instead, so these
+    # reads consult the target and then those records.
+
+    def target_compartment(self, compartment_id: str) -> Optional[Compartment]:
+        found = self.target.get_compartment(compartment_id)
+        if found is None:
+            for adopted_id, compartment in self.adopted_compartments:
+                if adopted_id == compartment_id:
+                    return compartment
+        return found
+
+    def target_functions(self) -> Dict[str, Lambda]:
+        table = self.target.function_table()
+        table.update(self.adopted_functions)
+        return table
+
     # -- evaluation -------------------------------------------------------
 
     def evaluate_source_math(self, math: MathNode) -> Optional[float]:
         """Numeric value of a source-model expression at time 0, or
         None when it cannot be evaluated."""
-        return _try_evaluate(math, self.source, self.source_initial)
+        return _try_evaluate(
+            math, self.source.function_table(), self.source_initial
+        )
 
     def evaluate_target_math(self, math: MathNode) -> Optional[float]:
-        return _try_evaluate(math, self.target, self.target_initial)
+        return _try_evaluate(math, self.target_functions(), self.target_initial)
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +702,10 @@ def _apply_initial_assignments(model: Model, env: Dict[str, float]) -> None:
 
 
 def _try_evaluate(
-    math: MathNode, model: Model, env: Dict[str, float]
+    math: MathNode, functions: Dict[str, Lambda], env: Dict[str, float]
 ) -> Optional[float]:
     try:
-        return Evaluator(model.function_table()).evaluate(math, env)
+        return Evaluator(functions).evaluate(math, env)
     except MathError:
         return None
 
@@ -717,16 +731,22 @@ def _compose_function_definitions(state: _MergeState) -> None:
         keys = [f"id:{state.resolve_ref(fd.id)}"]
         if fd.math is not None:
             keys.append(state.math_key(fd.math))
-        match = index.find(keys) if state.options.match_anything else None
+        match = index.find(keys) if state.match_anything else None
         if match is not None and state.math_equal(match.math, fd.math):
             state.unite("functionDefinition", match.id, fd.id)
             continue
-        new_fd, shared = state.adopt_ephemeral(fd)
-        if not shared:
-            new_fd.math = _rewrite_lambda(state, new_fd.math)
-        state.claim_id(new_fd, "functionDefinition")
-        state.target.add_function_definition(new_fd)
-        state.report.count_added("functionDefinition")
+        math = _rewrite_lambda(state, fd.math)
+        if state.decide_only:
+            fd_id = state.claim_id(fd.id)
+            if fd_id and math is not None:
+                state.adopted_functions[fd_id] = math
+        else:
+            state.append(
+                state.adopt(fd, math=math),
+                fd.id,
+                state.target.add_function_definition,
+            )
+        state.report.added["functionDefinition"] += 1
 
 
 def _rewrite_lambda(state: _MergeState, math: Optional[Lambda]) -> Optional[Lambda]:
@@ -756,35 +776,28 @@ def _rows_unit_definitions(
 
 def _compose_unit_definitions(state: _MergeState) -> None:
     index = state.phase_index("unitDefinitions")
+    added = False
     for ud in state.source.unit_definitions:
         keys = [f"id:{state.resolve_ref(ud.id)}", _unit_key(ud)]
-        match = index.find(keys) if state.options.match_anything else None
+        match = index.find(keys) if state.match_anything else None
         if match is not None and match.same_unit(ud):
             state.unite("unitDefinition", match.id, ud.id)
             continue
-        new_ud, _ = state.adopt_ephemeral(ud)
-        _claim_unit_id(state, new_ud)
-        state.target.add_unit_definition(new_ud)
-        state.report.count_added("unitDefinition")
-    state.target_registry = state.target.unit_registry()
-
-
-def _claim_unit_id(state: _MergeState, definition: UnitDefinition) -> None:
-    if definition.id is None:
-        return
-    current = state.mapping.resolve(definition.id)
-    taken = current in state.used_ids or any(
-        ud.id == current for ud in state.target.unit_definitions
-    )
-    if taken:
-        fresh = state.fresh_id(current)
-        state.report.rename(definition.id, fresh)
-        state.mapping.add(definition.id, fresh)
-        definition.id = fresh
-    elif current != definition.id:
-        definition.id = current
-    state.used_ids.add(definition.id)
-    state.added_ids.add(definition.id)
+        # ``used_ids`` holds every unit-definition id of the target,
+        # so the generic claim also keeps unit ids unique.
+        if state.decide_only:
+            ud_id = state.claim_id(ud.id)
+            state.adopted_units.append(
+                ud if ud_id == ud.id else state.adopt(ud, id=ud_id)
+            )
+        else:
+            state.append(state.adopt(ud), ud.id, state.target.add_unit_definition)
+        state.report.added["unitDefinition"] += 1
+        added = True
+    if added:
+        state.target_registry = UnitRegistry(
+            [*state.target.unit_definitions, *state.adopted_units]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -821,14 +834,15 @@ def _compose_simple_named(state: _MergeState, kind: str, phase: str, source_list
     index = state.phase_index(phase)
     for component in source_list:
         keys = state.keys_for(component)
-        match = index.find(keys) if state.options.match_anything else None
+        match = index.find(keys) if state.match_anything else None
         if match is not None:
             state.unite(kind, match.id, component.id)
             continue
-        duplicate, _ = state.adopt_ephemeral(component)
-        state.claim_id(duplicate, kind)
-        adder(duplicate)
-        state.report.count_added(kind)
+        if state.decide_only:
+            state.claim_id(component.id)
+        else:
+            state.append(state.adopt(component), component.id, adder)
+        state.report.added[kind] += 1
 
 
 def _compose_compartment_types(state: _MergeState) -> None:
@@ -860,21 +874,25 @@ def _compose_compartments(state: _MergeState) -> None:
     index = state.phase_index("compartments")
     for compartment in state.source.compartments:
         keys = state.keys_for(compartment)
-        match = index.find(keys) if state.options.match_anything else None
+        match = index.find(keys) if state.match_anything else None
         if match is not None:
             state.unite("compartment", match.id, compartment.id)
             _check_compartment_conflicts(state, match, compartment)
             continue
-        duplicate, shared = state.adopt_ephemeral(compartment)
-        if not shared:
-            duplicate.compartment_type = state.resolve_ref(
-                duplicate.compartment_type
+        if state.decide_only:
+            state.adopted_compartments.append(
+                (state.claim_id(compartment.id), compartment)
             )
-            duplicate.outside = state.resolve_ref(duplicate.outside)
-            duplicate.units = state.resolve_ref(duplicate.units)
-        state.claim_id(duplicate, "compartment")
-        state.target.add_compartment(duplicate)
-        state.report.count_added("compartment")
+        else:
+            resolve = state.resolve_ref
+            duplicate = state.adopt(
+                compartment,
+                compartment_type=resolve(compartment.compartment_type),
+                outside=resolve(compartment.outside),
+                units=resolve(compartment.units),
+            )
+            state.append(duplicate, compartment.id, state.target.add_compartment)
+        state.report.added["compartment"] += 1
 
 
 def _check_compartment_conflicts(state: _MergeState, first, second) -> None:
@@ -921,31 +939,33 @@ def _compose_species(state: _MergeState) -> None:
     index = state.phase_index("species")
     for species in state.source.species:
         keys = _species_keys(state, species, mapped=True)
-        match = index.find(keys) if state.options.match_anything else None
+        match = index.find(keys) if state.match_anything else None
         if match is not None and _species_equal(state, match, species):
             state.unite("species", match.id, species.id)
             _check_species_conflicts(state, match, species)
             continue
-        duplicate, shared = state.adopt_ephemeral(species)
-        if not shared:
-            duplicate.compartment = state.resolve_ref(duplicate.compartment)
-            duplicate.species_type = state.resolve_ref(duplicate.species_type)
-            duplicate.substance_units = state.resolve_ref(
-                duplicate.substance_units
+        compartment = state.resolve_ref(species.compartment)
+        if state.decide_only:
+            state.adopted_species[state.claim_id(species.id)] = compartment
+        else:
+            duplicate = state.adopt(
+                species,
+                compartment=compartment,
+                species_type=state.resolve_ref(species.species_type),
+                substance_units=state.resolve_ref(species.substance_units),
             )
-        state.claim_id(duplicate, "species")
-        state.target.add_species(duplicate)
-        state.report.count_added("species")
+            state.append(duplicate, species.id, state.target.add_species)
+        state.report.added["species"] += 1
 
 
 def _species_keys(state: _MergeState, species: Species, mapped: bool) -> List[str]:
-    if state.ephemeral and (not mapped or not state.mapping._table):
+    if state.decide_only and (not mapped or not state.mapping._table):
         # The unmapped keys are a pure function of (species, options) —
         # and the *mapped* keys coincide with them while the mapping
         # table is empty (every recorded entry is non-identity, so an
         # empty table makes resolve the identity).  The all-pairs
-        # engine's shallow copies share species objects across every
-        # pair a model appears in, so *ephemeral* merges cache the
+        # engine's decide-only merges read the input models' own
+        # species in every pair a model appears in, so they cache the
         # keys on the object, tagged by the options that produced
         # them.  ``Species.copy()`` drops the cache, and callers treat
         # the returned list as read-only.  Session merges never cache
@@ -974,7 +994,7 @@ def _build_species_keys(
     if species_id is not None:
         keys.append(f"id:{species_id}")
     label = species.name or species.id
-    if label is not None and state.options.match_anything:
+    if label is not None and state.match_anything:
         if state.options.match_synonyms:
             canonical = state.options.synonyms.canonical(label)
         else:
@@ -998,7 +1018,7 @@ def _species_equal(state: _MergeState, first: Species, second: Species) -> bool:
 
 
 def _check_species_conflicts(state: _MergeState, first: Species, second: Species) -> None:
-    compartment = state.target.get_compartment(first.compartment or "")
+    compartment = state.target_compartment(first.compartment or "")
     volume = compartment.size if compartment is not None else None
     comparison = compare_species_initial(
         first.initial_value(),
@@ -1059,7 +1079,7 @@ def _compose_parameters(state: _MergeState) -> None:
     index = state.phase_index("parameters")
     for parameter in state.source.parameters:
         keys = state.keys_for(parameter)
-        match = index.find(keys) if state.options.match_anything else None
+        match = index.find(keys) if state.match_anything else None
         if match is not None:
             comparison = compare_values(
                 match.value,
@@ -1104,29 +1124,33 @@ def _compose_parameters(state: _MergeState) -> None:
                 )
                 continue
             # Same name, unconfirmed equality: include both, rename.
-            duplicate = state.adopt(parameter)
-            duplicate.units = state.resolve_ref(duplicate.units)
-            state.claim_id_for_parameter_clash(duplicate, match)
-            state.target.add_parameter(duplicate)
-            state.report.count_added("parameter")
+            units = state.resolve_ref(parameter.units)
+            clash_id = _claim_clash_id(state, parameter, match)
+            if not state.decide_only:
+                state.target.add_parameter(
+                    state.adopt(parameter, units=units, id=clash_id)
+                )
+            state.report.added["parameter"] += 1
             continue
-        duplicate, shared = state.adopt_ephemeral(parameter)
-        if not shared:
-            duplicate.units = state.resolve_ref(duplicate.units)
-        state.claim_id(duplicate, "parameter")
-        state.target.add_parameter(duplicate)
-        state.report.count_added("parameter")
+        if state.decide_only:
+            state.claim_id(parameter.id)
+        else:
+            duplicate = state.adopt(
+                parameter, units=state.resolve_ref(parameter.units)
+            )
+            state.append(duplicate, parameter.id, state.target.add_parameter)
+        state.report.added["parameter"] += 1
 
 
-def _claim_id_for_parameter_clash(state: _MergeState, parameter, match) -> None:
+def _claim_clash_id(state: _MergeState, parameter, match) -> str:
+    """Claim a fresh id for a source parameter that matched ``match``
+    by name but not provably by value, and log the clash."""
     original = parameter.id
-    current = state.mapping.resolve(parameter.id) if parameter.id else None
+    current = state.resolve_ref(original) if original else None
     fresh = state.fresh_id(current or "parameter")
     if original is not None:
         state.report.rename(original, fresh)
         state.mapping.add(original, fresh)
-    parameter.id = fresh
-    state.used_ids.add(fresh)
     state.added_ids.add(fresh)
     state.report.warn(
         "parameter-clash",
@@ -1138,14 +1162,7 @@ def _claim_id_for_parameter_clash(state: _MergeState, parameter, match) -> None:
         "parameter",
         fresh,
     )
-
-
-# Bind the clash helper onto the state class (keeps call sites tidy).
-_MergeState.claim_id_for_parameter_clash = (
-    lambda self, parameter, match: _claim_id_for_parameter_clash(
-        self, parameter, match
-    )
-)
+    return fresh
 
 
 # ---------------------------------------------------------------------------
@@ -1166,19 +1183,24 @@ def _compose_initial_assignments(state: _MergeState) -> None:
         symbol = state.resolve_ref(ia.symbol)
         match = (
             index.find([f"symbol:{symbol}"])
-            if state.options.match_anything
+            if state.match_anything
             else None
         )
         if match is not None:
             _merge_initial_assignment(state, match, ia)
             continue
-        duplicate, shared = state.adopt_ephemeral(ia)
-        if not shared:
-            duplicate.symbol = symbol
-            duplicate.math = state.rewrite(duplicate.math)
-        state.target.add_initial_assignment(duplicate)
-        index.add([f"symbol:{duplicate.symbol}"], duplicate)
-        state.report.count_added("initialAssignment")
+        # Later source assignments probe this one through the overlay,
+        # so even a decide-only merge inserts what materialisation
+        # appends: the resolved symbol and the rewritten math.
+        math = state.rewrite(ia.math)
+        if state.decide_only and symbol == ia.symbol and math is ia.math:
+            duplicate = ia
+        else:
+            duplicate = state.adopt(ia, symbol=symbol, math=math)
+            if not state.decide_only:
+                state.target.add_initial_assignment(duplicate)
+        index.add([f"symbol:{symbol}"], duplicate)
+        state.report.added["initialAssignment"] += 1
 
 
 def _merge_initial_assignment(state: _MergeState, first, second) -> None:
@@ -1248,7 +1270,7 @@ def _compose_rules(state: _MergeState) -> None:
     index = state.phase_index("rules")
     for rule in state.source.rules:
         keys = _rule_keys(state, rule, mapped=True)
-        match = index.find(keys) if state.options.match_anything else None
+        match = index.find(keys) if state.match_anything else None
         if match is not None and _rule_kind(match) == _rule_kind(rule):
             if state.math_equal(match.math, rule.math):
                 state.unite(
@@ -1268,31 +1290,33 @@ def _compose_rules(state: _MergeState) -> None:
                 resolution="kept first model's rule",
             )
             continue
-        duplicate, shared = state.adopt_ephemeral(rule)
-        if not shared:
-            if duplicate.variable is not None:
-                duplicate.variable = state.resolve_ref(duplicate.variable)
-            duplicate.math = state.rewrite(duplicate.math)
-        state.target.add_rule(duplicate)
+        # As for initial assignments, the overlay gets what
+        # materialisation appends: resolved variable, rewritten math.
+        math = state.rewrite(rule.math)
+        variable = state.resolve_ref(rule.variable)
+        if state.decide_only and variable == rule.variable and math is rule.math:
+            duplicate = rule
+        else:
+            duplicate = state.adopt(rule, math=math)
+            if variable is not None:
+                duplicate.variable = variable
+            if not state.decide_only:
+                state.target.add_rule(duplicate)
         index.add(_rule_keys(state, duplicate, mapped=False), duplicate)
-        state.report.count_added(_rule_kind(rule))
+        state.report.added[_rule_kind(rule)] += 1
 
 
 def _rule_keys(state: _MergeState, rule, mapped: bool) -> List[str]:
-    if (
-        state.ephemeral
-        and not state.source_owned
-        and not state.mapping._table
-    ):
+    if state.decide_only and not state.mapping._table:
         # With an empty mapping table the mapped and unmapped keys
         # coincide and are a pure function of (rule, options) — the
         # math restriction is empty and every resolve is the identity.
-        # Ephemeral merges cache them on the rule object exactly like
-        # species keys and reaction signatures (shared across every
-        # pair of an all-pairs sweep; constructor-based ``copy()``
-        # starts the duplicate without the cache).  Session merges
-        # never cache: their ``source_owned`` moves rewrite rule
-        # variables in place on objects a later step re-keys.
+        # Decide-only merges cache them on the rule object exactly like
+        # species keys and reaction signatures (read in every pair of
+        # an all-pairs sweep; constructor-based ``copy()`` starts a
+        # duplicate without the cache).  Session merges never cache:
+        # their ``source_owned`` moves rewrite rule variables in place
+        # on objects a later step re-keys.
         cached = rule.__dict__.get("_rule_keys_cache")
         if cached is not None and cached[0] is state.options:
             return cached[1]
@@ -1329,7 +1353,7 @@ def _compose_constraints(state: _MergeState) -> None:
     index = state.phase_index("constraints")
     for constraint in state.source.constraints:
         match = None
-        if constraint.math is not None and state.options.match_anything:
+        if constraint.math is not None and state.match_anything:
             match = index.find([state.math_key(constraint.math)])
         if match is not None:
             state.unite(
@@ -1338,11 +1362,11 @@ def _compose_constraints(state: _MergeState) -> None:
                 constraint.message or "constraint",
             )
             continue
-        duplicate, shared = state.adopt_ephemeral(constraint)
-        if not shared:
-            duplicate.math = state.rewrite(duplicate.math)
-        state.target.add_constraint(duplicate)
-        state.report.count_added("constraint")
+        if not state.decide_only:
+            state.target.add_constraint(
+                state.adopt(constraint, math=state.rewrite(constraint.math))
+            )
+        state.report.added["constraint"] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -1357,19 +1381,19 @@ def _reaction_signature(state: _MergeState, reaction: Reaction, mapped: bool) ->
     equality"; stoichiometry is part of the check.
 
     The *unmapped* signature is a pure function of the reaction, so
-    **ephemeral** merges cache it on the reaction object — the
-    all-pairs engine's shallow target copies share reaction objects
-    across every pair a model appears in, which turns per-pair
-    signature building into a once-per-model cost.  Caching is safe
-    there because ephemeral merges never mutate input components
-    (sources adopt by copy/COW, and ``copy()`` drops the cache).
-    Session merges must NOT cache: their ``source_owned`` moves adopt
-    intermediates *in place* and rewrite participant species on the
-    very objects a later step re-probes, so a cached signature could
-    go stale and make tree plans diverge from the fold.
+    **decide-only** merges cache it on the reaction object — the
+    all-pairs engine reads a model's own reaction objects in every
+    pair the model appears in, which turns per-pair signature
+    building into a once-per-model cost.  Caching is safe there
+    because decide-only merges never mutate any component (and
+    ``copy()`` drops the cache).  Session merges must NOT cache: their
+    ``source_owned`` moves adopt intermediates *in place* and rewrite
+    participant species on the very objects a later step re-probes,
+    so a cached signature could go stale and make tree plans diverge
+    from the fold.
     """
     if not mapped:
-        if not state.ephemeral:
+        if not state.decide_only:
             return _build_reaction_signature(reaction, _same_id)
         cached = reaction.__dict__.get("_unmapped_signature")
         if cached is not None:
@@ -1459,14 +1483,19 @@ def _compose_reactions(state: _MergeState) -> None:
     for reaction in state.source.reactions:
         signature = _reaction_signature(state, reaction, mapped=True)
         keys = [f"id:{state.resolve_ref(reaction.id)}", signature]
-        match = index.find(keys) if state.options.match_anything else None
+        match = index.find(keys) if state.match_anything else None
         if match is not None and _reactions_equal(state, match, reaction, signature):
             state.unite("reaction", match.id, reaction.id)
             continue
-        duplicate = _rewrite_reaction(state, reaction)
-        state.claim_id(duplicate, "reaction")
-        state.target.add_reaction(duplicate)
-        state.report.count_added("reaction")
+        if state.decide_only:
+            state.claim_id(reaction.id)
+        else:
+            state.append(
+                _rewrite_reaction(state, reaction),
+                reaction.id,
+                state.target.add_reaction,
+            )
+        state.report.added["reaction"] += 1
 
 
 def _reactions_equal(
@@ -1497,10 +1526,12 @@ def _reactions_equal(
 
 
 def _mass_action_constant(
-    state: _MergeState, reaction: Reaction, model: Model, env: Dict[str, float]
+    state: _MergeState, reaction: Reaction, evaluate
 ) -> Optional[float]:
     """Numeric rate constant if the reaction's law is mass action
-    (k · Π reactants), else None."""
+    (k · Π reactants), else None; ``evaluate`` is the owning side's
+    :meth:`_MergeState.evaluate_target_math` or
+    :meth:`~_MergeState.evaluate_source_math`."""
     law = reaction.kinetic_law
     if law is None or law.math is None:
         return None
@@ -1538,7 +1569,7 @@ def _mass_action_constant(
     )
     if sorted(species_seen) != expected_multiset or len(remaining) != 1:
         return None
-    return _try_evaluate(remaining[0], model, env)
+    return evaluate(remaining[0])
 
 
 def _rate_constants_reconcile(
@@ -1555,25 +1586,28 @@ def _rate_constants_reconcile(
             return False
     except (TypeError, ValueError):
         return False
-    first_k = _mass_action_constant(
-        state, first, state.target, state.target_initial
-    )
-    second_k = _mass_action_constant(
-        state, second, state.source, state.source_initial
-    )
+    first_k = _mass_action_constant(state, first, state.evaluate_target_math)
+    second_k = _mass_action_constant(state, second, state.evaluate_source_math)
     if first_k is None or second_k is None:
         return False
     volume = None
     if first.reactants:
-        species = state.target.get_species(
-            state.resolve_ref(first.reactants[0].species) or ""
+        # The (mapped) reactant may be a species this merge adopted.
+        species_id = state.resolve_ref(first.reactants[0].species) or ""
+        species = state.target.get_species(species_id)
+        compartment_id = (
+            species.compartment
+            if species is not None
+            else state.adopted_species.get(species_id)
         )
-        if species is not None and species.compartment:
-            compartment = state.target.get_compartment(species.compartment)
+        if compartment_id:
+            compartment = state.target_compartment(compartment_id)
             if compartment is not None:
                 volume = compartment.size
     elif state.target.compartments:
         volume = state.target.compartments[0].size
+    elif state.adopted_compartments:
+        volume = state.adopted_compartments[0][1].size
     comparison = reconcile_rate_constants(
         first_k, second_k, order, volume, max(state.options.value_tolerance, 1e-6)
     )
@@ -1585,18 +1619,6 @@ def _rate_constants_reconcile(
 
 
 def _rewrite_reaction(state: _MergeState, reaction: Reaction) -> Reaction:
-    if state.ephemeral and not state.source_owned:
-        # Share the source's object outright when this merge provably
-        # never writes it (the composed model is disposable).
-        if state.can_share_source(reaction.id):
-            return reaction
-        if not state.mapping._table:
-            # Empty mapping but a colliding id: every participant/law
-            # resolve is still the identity, so only the container
-            # needs to be fresh for claim_id's rename — skip the
-            # participant/law scans entirely.
-            return reaction.copy_shallow()
-        return _rewrite_reaction_cow(state, reaction)
     duplicate = state.adopt(reaction)
     for reference in duplicate.reactants + duplicate.products:
         reference.species = state.resolve_ref(reference.species)
@@ -1623,67 +1645,20 @@ def _rewrite_reaction(state: _MergeState, reaction: Reaction) -> Reaction:
     return duplicate
 
 
-def _rewrite_reaction_cow(state: _MergeState, reaction: Reaction) -> Reaction:
-    """Copy-on-write adoption for disposable merges: the reaction
-    container is fresh (the engine claims its id and the target owns
-    it), but participant and local-parameter objects the id mapping
-    leaves untouched stay shared with the source model.  The composed
-    model must be discarded, never handed out for mutation — exactly
-    the all-pairs engine's contract."""
-    resolve = state.resolve_ref
-    duplicate = reaction.copy_shallow()
-    for references in (duplicate.reactants, duplicate.products):
-        for position, reference in enumerate(references):
-            resolved = resolve(reference.species)
-            if resolved != reference.species:
-                references[position] = SpeciesReference(
-                    resolved, reference.stoichiometry
-                )
-    for position, modifier in enumerate(duplicate.modifiers):
-        resolved = resolve(modifier.species)
-        if resolved != modifier.species:
-            duplicate.modifiers[position] = ModifierSpeciesReference(resolved)
-    law = duplicate.kinetic_law
-    if law is not None:
-        if law.math is not None:
-            flat = state._flat()
-            relevant = {
-                name: flat[name]
-                for name in law.math.referenced_names()
-                if name in flat
-            }
-            if relevant and law.parameters:
-                for local_id in law.local_parameter_ids():
-                    relevant.pop(local_id, None)
-            if relevant:
-                law.math = law.math.rename(relevant)
-        for position, parameter in enumerate(law.parameters):
-            resolved = resolve(parameter.units)
-            if resolved != parameter.units:
-                fresh = parameter.copy()
-                fresh.units = resolved
-                law.parameters[position] = fresh
-    return duplicate
-
-
 # ---------------------------------------------------------------------------
 # Phase: events
 # ---------------------------------------------------------------------------
 
 
 def _event_key(state: _MergeState, event: Event, mapped: bool) -> str:
-    if (
-        state.ephemeral
-        and not state.source_owned
-        and not state.mapping._table
-    ):
+    if state.decide_only and not state.mapping._table:
         # Same discipline as rule keys: while the mapping table is
         # empty the mapped and unmapped event keys coincide and are a
-        # pure function of (event, options), so ephemeral merges cache
-        # them on the event object (``Event.copy()`` builds through
-        # the constructor, so duplicates start clean).  Session merges
-        # never cache — ``source_owned`` moves rewrite assignment
-        # variables and trigger/delay math in place.
+        # pure function of (event, options), so decide-only merges
+        # cache them on the event object (``Event.copy()`` builds
+        # through the constructor, so duplicates start clean).
+        # Session merges never cache — ``source_owned`` moves rewrite
+        # assignment variables and trigger/delay math in place.
         cached = event.__dict__.get("_event_key_cache")
         if cached is not None and cached[0] is state.options:
             return cached[1]
@@ -1733,15 +1708,17 @@ def _compose_events(state: _MergeState) -> None:
             f"id:{state.resolve_ref(event.id)}",
             _event_key(state, event, mapped=True),
         ]
-        match = index.find(keys) if state.options.match_anything else None
+        match = index.find(keys) if state.match_anything else None
         if match is not None and (
             _event_key(state, match, mapped=False)
             == _event_key(state, event, mapped=True)
         ):
             state.unite("event", match.id or "?", event.id or "?")
             continue
-        duplicate, shared = state.adopt_ephemeral(event)
-        if not shared:
+        if state.decide_only:
+            state.claim_id(event.id)
+        else:
+            duplicate = state.adopt(event)
             if duplicate.trigger is not None:
                 duplicate.trigger.math = state.rewrite(duplicate.trigger.math)
             if duplicate.delay is not None:
@@ -1749,9 +1726,8 @@ def _compose_events(state: _MergeState) -> None:
             for assignment in duplicate.assignments:
                 assignment.variable = state.resolve_ref(assignment.variable)
                 assignment.math = state.rewrite(assignment.math)
-        state.claim_id(duplicate, "event")
-        state.target.add_event(duplicate)
-        state.report.count_added("event")
+            state.append(duplicate, event.id, state.target.add_event)
+        state.report.added["event"] += 1
 
 
 # Figure 4's phase order, named for the per-phase timing table.
@@ -1936,7 +1912,7 @@ class ModelIndexSet:
     component order).  :meth:`bind` materialises them against a live
     model as frozen per-phase bases; merges then probe copy-on-write
     overlays so the shared bases — and the backing model — stay
-    bit-identical however many ephemeral merges reuse them.
+    bit-identical however many decide-only merges reuse them.
     """
 
     def __init__(
@@ -1977,11 +1953,11 @@ class ModelIndexSet:
 
         The model must carry the same components, in the same list
         order, as the model the rows were built from — itself, any
-        ``copy()``/``copy_shallow()`` of it, or any model with the
-        same content digest.  The view is *not* memoised here — a
-        memo would pin the bound model (for a session step, the
-        composed result) alive for the artifact's lifetime — so a
-        caller that re-binds the same model repeatedly (the all-pairs
-        engine) must hold on to the returned view itself.
+        ``copy()`` of it, or any model with the same content digest.
+        The view is *not* memoised here — a memo would pin the bound
+        model (for a session step, the composed result) alive for the
+        artifact's lifetime — so a caller that re-binds the same model
+        repeatedly (the all-pairs engine) must hold on to the returned
+        view itself.
         """
         return BoundIndexSet(self.rows, model, options)

@@ -222,7 +222,7 @@ class OverlayIndex(ComponentIndex):
     the model is target of (the per-model index artifacts of
     :class:`~repro.core.compose.ModelIndexSet`).  The overlay keeps
     the shared base immutable: :meth:`add` writes only a private delta
-    index, created lazily on first insert, so an ephemeral sweep merge
+    index, created lazily on first insert, so a decide-only sweep merge
     never writes state another pair (or thread) can observe.
 
     Lookup preserves the first-registration-wins contract exactly:

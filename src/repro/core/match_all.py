@@ -16,11 +16,10 @@ structural identity search batches corpus-scale comparisons instead;
   rehydrated from an on-disk
   :class:`~repro.core.artifact_store.ArtifactStore` so they survive
   across shard runs and resumed sweeps,
-* one :class:`~repro.core.compose.Composer` serves the whole sweep
-  (with ``options.memoize_patterns`` it also carries one
-  :class:`~repro.core.pattern_cache.PatternCache`: model copies share
-  their immutable math nodes, so canonical patterns are computed per
-  expression, not per pair),
+* one :class:`~repro.core.compose.Composer` and one digest-keyed
+  :class:`~repro.core.pattern_cache.PatternCache` serve the whole
+  sweep, so canonical patterns are computed per expression, not per
+  pair,
 * pairs fan out onto a worker pool (``workers``/``backend`` exactly as
   in :meth:`~repro.core.session.ComposeSession.compose_all`),
 * the sweep itself iterates deterministic **shards** of the pair
@@ -32,10 +31,12 @@ structural identity search batches corpus-scale comparisons instead;
   monopolise one box.  The union of the K shard matrices is
   *identical* to the unsharded sweep, pair for pair.
 
-The composed models themselves are discarded — an all-pairs sweep is
-about the matching outcome (what united, what conflicted, how long it
-took), and keeping ``n²/2`` merged models alive would dwarf the corpus.
-Compose the few pairs you care about through a session afterwards.
+The composed models themselves are never built — an all-pairs sweep
+is about the matching outcome (what united, what conflicted, how long
+it took), so each pair runs only the decision half of the Figure 4
+phases (``compose_step(..., decide_only=True)``) against the untouched
+input models.  Compose the few pairs you care about through a session
+afterwards.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -85,7 +85,6 @@ from repro.core.signature import Prescreen
 from repro.errors import ReproError
 from repro.sbml.model import Model
 from repro.sbml.reader import read_sbml
-from repro.units.registry import UnitRegistry
 
 __all__ = [
     "PairOutcome",
@@ -396,25 +395,20 @@ class _PairEngine:
         # One composer — and one pattern cache — for the whole sweep.
         # The cache is always on here (unlike one-shot merges, where
         # ``options.memoize_patterns`` defaults off because small-law
-        # bookkeeping can cost more than it saves): it is *seeded*
-        # from each model's precomputed pattern table the first time
-        # the model's artifacts load, so the empty-restriction case —
-        # the overwhelming majority — never computes a pattern during
-        # a pair merge at all.
+        # bookkeeping can cost more than it saves), so each expression's
+        # pattern is computed once per sweep: on its first probe, or
+        # never for an expression no pair compares.  Engines backed by
+        # a store (or digest shipping) seed the cache from each
+        # model's stored pattern table instead.
         self.pattern_cache = PatternCache()
         self.composer = Composer(
             self.options, pattern_cache=self.pattern_cache
         )
         self.store = ArtifactStore(store_root) if store_root else None
-        self._artifacts: Dict[
-            int,
-            Tuple[
-                Set[str],
-                UnitRegistry,
-                Dict[str, float],
-                Optional[Dict[str, frozenset]],
-            ],
-        ] = {}
+        #: Per-model used ids, unit registry and initial values, handed
+        #: to every decide-only merge as they are (merges never write
+        #: them).
+        self._artifacts: Dict[int, AccumState] = {}
         #: Lazily bound per-model phase indexes — built only when a
         #: model is first used as a pair's *target* (a source-only
         #: model never pays the 12-phase key build).  ``None`` marks
@@ -491,14 +485,7 @@ class _PairEngine:
                 self._rehydrated[index] = model
         return model
 
-    def _model_artifacts(
-        self, index: int
-    ) -> Tuple[
-        Set[str],
-        UnitRegistry,
-        Dict[str, float],
-        Optional[Dict[str, frozenset]],
-    ]:
+    def _model_artifacts(self, index: int) -> AccumState:
         hit = self._artifacts.get(index)
         if hit is not None:
             return hit
@@ -507,15 +494,13 @@ class _PairEngine:
             if hit is None:
                 # Digest-shipped mode reads the manifest entry — the
                 # same store read that rehydrated (or will rehydrate)
-                # the model itself.  Without a store, the pattern
-                # table is only worth computing when this sweep's
-                # options will consult patterns; store-backed
-                # artifacts stay complete regardless, because other
-                # runs (with other semantics) rehydrate the same
-                # entry.  The index rows are likewise only taken from
-                # compute_artifacts when spilling to a store — a
-                # locally built set routes its math keys through the
-                # sweep's own seeded cache.
+                # the model itself.  Store-backed artifacts stay
+                # complete, because other runs (with other semantics)
+                # rehydrate the same entry.  Without a store, neither
+                # a pattern table nor index rows are worth computing
+                # up front: patterns are computed on first probe, and
+                # a locally built index set routes its math keys
+                # through the sweep's own cache.
                 if self.manifest is not None:
                     artifacts = self._manifest_entry(index)
                 elif self.store is not None:
@@ -525,7 +510,7 @@ class _PairEngine:
                 else:
                     artifacts = compute_artifacts(
                         self._model(index),
-                        with_patterns=self.options.use_math_patterns,
+                        with_patterns=False,
                         with_indexes=False,
                         with_sbml=False,
                     )
@@ -533,11 +518,10 @@ class _PairEngine:
                     self.pattern_cache.seed(artifacts.patterns)
                 if self.prebuilt_indexes:
                     self._index_rows[index] = artifacts.indexes
-                hit = (
-                    artifacts.used_ids,
-                    artifacts.registry,
-                    artifacts.initial,
-                    getattr(artifacts, "id_sets", None),
+                hit = AccumState(
+                    used_ids=artifacts.used_ids,
+                    registry=artifacts.registry,
+                    initial=artifacts.initial,
                 )
                 self._artifacts[index] = hit
         return hit
@@ -581,45 +565,20 @@ class _PairEngine:
         chaos.trip("pair-start", i=i, j=j)
         left = self._model(i)
         right = self._model(j)
-        used_ids, registry, initial, id_sets = self._model_artifacts(i)
-        _, source_registry, source_initial, _ = self._model_artifacts(j)
+        target_state = self._model_artifacts(i)
+        source_state = self._model_artifacts(j)
         indexes = self._target_indexes(i)
         size = self._model_size(i) + self._model_size(j)
         started = time.perf_counter()
-        target = left.copy_shallow()
-        if id_sets is not None:
-            # Seed the duplicate-id memos the adders' ``_check_unique``
-            # would otherwise rebuild with an O(collection) scan on the
-            # first add into each collection — per pair, the sweep's
-            # largest remaining per-pair constant.  The seeded sets
-            # are exactly what the scan would derive, so outcomes are
-            # unchanged (the conformance matrix pins this).
-            target.seed_id_sets(id_sets)
-        # The target copy is part of the timed merge (it always was in
-        # the per-pair engines this replaces), but it is *shallow*:
-        # merges never mutate pre-existing target components, and the
-        # composed model is discarded right below, so sharing the
-        # component objects is safe and skips the sweep's largest
-        # per-pair constant cost.  The carried state hands the copy
-        # its precomputed artifacts — ids and values are identical
-        # across a copy, and the registry is only read for unit
-        # conversion until the unit phase rebuilds it.
+        # Decide-only: the merge runs against the untouched left model,
+        # its precomputed artifacts and its bound index bases, and
+        # builds no merged model — a sweep only needs the report.
         _, report, _ = self.composer.compose_step(
-            target,
+            left,
             right,
-            copy_target=False,
-            target_state=AccumState(
-                used_ids=set(used_ids),
-                registry=registry,
-                initial=dict(initial),
-            ),
-            source_registry=source_registry,
-            source_initial=source_initial,
-            carry_state=False,
-            ephemeral=True,
-            # Bound to the *original* left model, whose component
-            # objects the shallow copy above shares — the contract
-            # prebound index sets require.
+            target_state=target_state,
+            source_state=source_state,
+            decide_only=True,
             target_indexes=indexes,
         )
         seconds = time.perf_counter() - started

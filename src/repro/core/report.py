@@ -11,6 +11,7 @@ producing the human-readable file content.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -86,8 +87,9 @@ class MergeReport:
     renamed: Dict[str, str] = field(default_factory=dict)
     #: phase name -> seconds spent (for the Fig 8/9 benchmarks).
     timings: Dict[str, float] = field(default_factory=dict)
-    #: component type -> number of components added from model 2.
-    added: Dict[str, int] = field(default_factory=dict)
+    #: component type -> number of components added from model 2
+    #: (a ``Counter``: merges count with ``added[kind] += 1``).
+    added: Dict[str, int] = field(default_factory=Counter)
 
     def warn(
         self,
@@ -145,7 +147,7 @@ class MergeReport:
         self.map_id(old, new)
 
     def count_added(self, component_type: str) -> None:
-        self.added[component_type] = self.added.get(component_type, 0) + 1
+        self.added[component_type] += 1
 
     @property
     def total_added(self) -> int:

@@ -26,9 +26,16 @@ from repro.mathml.ast import (
     Piecewise,
 )
 
-__all__ = ["MATHML_NS", "parse_mathml", "parse_math_element"]
+__all__ = ["MATHML_NS", "MAX_MATH_DEPTH", "parse_mathml", "parse_math_element"]
 
 MATHML_NS = "http://www.w3.org/1998/Math/MathML"
+
+#: Deepest expression nesting accepted, in levels below the top node.
+#: Deeper math is rejected as malformed instead of being handed to the
+#: recursive passes downstream (digest, pattern, writer, evaluation),
+#: which would exhaust the interpreter stack.  Generated corpora nest
+#: 3 levels deep.
+MAX_MATH_DEPTH = 128
 
 # csymbol definitionURLs defined by the SBML specification.
 _CSYMBOL_URLS = {
@@ -71,14 +78,18 @@ def parse_math_element(element: ET.Element) -> MathNode:
                 f"<math> must contain exactly one child, "
                 f"found {len(children)}"
             )
-        return _parse_node(children[0])
-    return _parse_node(element)
+        return _parse_node(children[0], 0)
+    return _parse_node(element, 0)
 
 
-def _parse_node(element: ET.Element) -> MathNode:
+def _parse_node(element: ET.Element, depth: int) -> MathNode:
+    if depth > MAX_MATH_DEPTH:
+        raise MathParseError(
+            f"math nested deeper than {MAX_MATH_DEPTH} levels"
+        )
     tag = _local(element.tag)
     if tag == "apply":
-        return _parse_apply(element)
+        return _parse_apply(element, depth)
     if tag == "ci":
         return _parse_ci(element)
     if tag == "cn":
@@ -88,9 +99,9 @@ def _parse_node(element: ET.Element) -> MathNode:
     if tag in CONSTANT_NAMES:
         return Constant(tag)
     if tag == "piecewise":
-        return _parse_piecewise(element)
+        return _parse_piecewise(element, depth)
     if tag == "lambda":
-        return _parse_lambda(element)
+        return _parse_lambda(element, depth)
     raise MathParseError(f"unsupported MathML element <{tag}>")
 
 
@@ -155,7 +166,7 @@ def _sep_parts(element: ET.Element) -> List[str]:
     return parts
 
 
-def _parse_apply(element: ET.Element) -> MathNode:
+def _parse_apply(element: ET.Element, depth: int) -> MathNode:
     children = list(element)
     if not children:
         raise MathParseError("empty <apply>")
@@ -164,21 +175,21 @@ def _parse_apply(element: ET.Element) -> MathNode:
 
     # Qualifier-taking operators: root with <degree>, log with <logbase>.
     if head_tag == "root":
-        degree, operands = _split_qualifier(rest, "degree")
+        degree, operands = _split_qualifier(rest, "degree", depth)
         if len(operands) != 1:
             raise MathParseError("<root> takes exactly one operand")
         if degree is None:
             degree = Number(2.0)
         return Apply("root", (degree, operands[0]))
     if head_tag == "log":
-        base, operands = _split_qualifier(rest, "logbase")
+        base, operands = _split_qualifier(rest, "logbase", depth)
         if len(operands) != 1:
             raise MathParseError("<log> takes exactly one operand")
         if base is None:
             base = Number(10.0)
         return Apply("log", (base, operands[0]))
 
-    args = tuple(_parse_node(child) for child in rest)
+    args = tuple(_parse_node(child, depth + 1) for child in rest)
     if head_tag in KNOWN_OPERATORS:
         _check_arity(head_tag, len(args))
         return Apply(head_tag, args)
@@ -194,7 +205,7 @@ def _parse_apply(element: ET.Element) -> MathNode:
     raise MathParseError(f"unsupported operator <{head_tag}>")
 
 
-def _split_qualifier(children, qualifier_tag):
+def _split_qualifier(children, qualifier_tag, depth):
     """Separate a qualifier element (degree/logbase) from operands."""
     qualifier: Optional[MathNode] = None
     operands = []
@@ -205,9 +216,9 @@ def _split_qualifier(children, qualifier_tag):
                 raise MathParseError(
                     f"<{qualifier_tag}> must wrap exactly one element"
                 )
-            qualifier = _parse_node(inner[0])
+            qualifier = _parse_node(inner[0], depth + 1)
         else:
-            operands.append(_parse_node(child))
+            operands.append(_parse_node(child, depth + 1))
     return qualifier, operands
 
 
@@ -257,7 +268,7 @@ def _check_arity(op: str, count: int) -> None:
         )
 
 
-def _parse_piecewise(element: ET.Element) -> Piecewise:
+def _parse_piecewise(element: ET.Element, depth: int) -> Piecewise:
     pieces = []
     otherwise = None
     for child in element:
@@ -266,17 +277,19 @@ def _parse_piecewise(element: ET.Element) -> Piecewise:
         if tag == "piece":
             if len(inner) != 2:
                 raise MathParseError("<piece> must have value and condition")
-            pieces.append((_parse_node(inner[0]), _parse_node(inner[1])))
+            pieces.append(
+                (_parse_node(inner[0], depth + 1), _parse_node(inner[1], depth + 1))
+            )
         elif tag == "otherwise":
             if len(inner) != 1:
                 raise MathParseError("<otherwise> must wrap one element")
-            otherwise = _parse_node(inner[0])
+            otherwise = _parse_node(inner[0], depth + 1)
         else:
             raise MathParseError(f"unexpected <{tag}> inside <piecewise>")
     return Piecewise(tuple(pieces), otherwise)
 
 
-def _parse_lambda(element: ET.Element) -> Lambda:
+def _parse_lambda(element: ET.Element, depth: int) -> Lambda:
     params = []
     body = None
     for child in element:
@@ -289,7 +302,7 @@ def _parse_lambda(element: ET.Element) -> Lambda:
         else:
             if body is not None:
                 raise MathParseError("<lambda> with more than one body")
-            body = _parse_node(child)
+            body = _parse_node(child, depth + 1)
     if body is None:
         raise MathParseError("<lambda> without a body")
     return Lambda(tuple(params), body)

@@ -363,22 +363,6 @@ class Reaction(SBase):
             return pairs
         return 1 if (self.reactants or self.products) else 0
 
-    def copy_shallow(self) -> "Reaction":
-        """Copy the reaction container but share the participant and
-        local-parameter objects (fresh lists, shared elements).  Only
-        safe when the copy's owner upholds copy-on-write discipline —
-        see :func:`repro.core.compose._rewrite_reaction`."""
-        new = _dict_copy(self, Reaction)
-        new.__dict__.pop("_unmapped_signature", None)
-        new.reactants = list(self.reactants)
-        new.products = list(self.products)
-        new.modifiers = list(self.modifiers)
-        if self.kinetic_law is not None:
-            law = _dict_copy(self.kinetic_law, KineticLaw)
-            law.parameters = list(self.kinetic_law.parameters)
-            new.kinetic_law = law
-        return new
-
     def copy(self) -> "Reaction":
         new = _dict_copy(self, Reaction)
         # The composition engine caches the unmapped signature on the

@@ -32,22 +32,6 @@ from repro.units.registry import UnitRegistry
 
 __all__ = ["Model", "Document"]
 
-#: The uniqueness-checked collections: ``_check_unique``'s ``what``
-#: label → the model attribute it guards.  (Initial assignments,
-#: rules and constraints are unchecked — they carry no ids.)
-_ID_SET_COLLECTIONS = (
-    ("function definition", "function_definitions"),
-    ("unit definition", "unit_definitions"),
-    ("compartment type", "compartment_types"),
-    ("species type", "species_types"),
-    ("compartment", "compartments"),
-    ("species", "species"),
-    ("parameter", "parameters"),
-    ("reaction", "reactions"),
-    ("event", "events"),
-)
-
-
 @dataclass
 class Model(SBase):
     """An SBML model: the unit of composition.
@@ -86,7 +70,7 @@ class Model(SBase):
         # preserving in-place edits (index assignment, rewriting a
         # component's id after insertion) would go unnoticed — mutate
         # by rebinding the list instead.
-        cache = self.__dict__.setdefault("_id_sets", {})
+        cache = self.__dict__.setdefault("_unique_ids", {})
         entry = cache.get(what)
         if (
             entry is None
@@ -110,46 +94,6 @@ class Model(SBase):
         # check above stays exact.
         ids.add(component_id)
         cache[what] = (collection, len(collection) + 1, ids)
-
-    def id_set_table(self) -> Dict[str, frozenset]:
-        """Per-collection id sets, keyed as :meth:`_check_unique` keys
-        its memo — the precomputable half of the uniqueness check.
-
-        A pure function of the model's contents, so it can be derived
-        once per model (and spilled to the artifact store) and seeded
-        into every disposable merge copy via :meth:`seed_id_sets`
-        instead of being rebuilt by the first ``add_*`` call of each
-        collection of each pair.
-        """
-        return {
-            what: frozenset(
-                component_id
-                for component in getattr(self, attr)
-                if (component_id := getattr(component, "id", None))
-                is not None
-            )
-            for what, attr in _ID_SET_COLLECTIONS
-        }
-
-    def seed_id_sets(self, table: Dict[str, frozenset]) -> None:
-        """Install precomputed :meth:`_check_unique` memo entries.
-
-        ``table`` must describe exactly this model's current contents
-        (:meth:`id_set_table` of the model itself or of any copy with
-        equal ids — content addressing guarantees that for artifacts
-        rehydrated by digest).  Each entry gets a fresh mutable set,
-        so seeding a shallow merge copy never lets one pair's adds
-        leak into another's.  Entries are validated by ``(collection
-        identity, length)`` exactly like organically grown ones, so a
-        list rebound after seeding simply invalidates its entry.
-        """
-        cache = self.__dict__.setdefault("_id_sets", {})
-        for what, attr in _ID_SET_COLLECTIONS:
-            ids = table.get(what)
-            if ids is None:
-                continue
-            collection = getattr(self, attr)
-            cache[what] = (collection, len(collection), set(ids))
 
     def add_function_definition(self, fd: FunctionDefinition) -> FunctionDefinition:
         """Add a function definition (unique id enforced)."""
@@ -336,35 +280,6 @@ class Model(SBase):
         duplicate.constraints = [c.copy() for c in self.constraints]
         duplicate.reactions = [c.copy() for c in self.reactions]
         duplicate.events = [c.copy() for c in self.events]
-        return duplicate
-
-    def copy_shallow(self) -> "Model":
-        """Copy the model container but *share* the component objects.
-
-        The component lists are fresh (appending to the copy never
-        touches the original), but the components themselves are the
-        original's.  This is only safe under the composition engine's
-        write discipline — pre-existing target components are never
-        mutated by a merge, only freshly adopted copies are — and only
-        when the result is disposable: the all-pairs engine composes
-        ``n²/2`` pairs whose merged models are discarded on the spot,
-        and a deep target copy per pair was its single largest
-        constant cost.  Use :meth:`copy` anywhere the result outlives
-        the merge or may be mutated by the caller.
-        """
-        duplicate = Model(**self._base_copy_kwargs())
-        duplicate.function_definitions = list(self.function_definitions)
-        duplicate.unit_definitions = list(self.unit_definitions)
-        duplicate.compartment_types = list(self.compartment_types)
-        duplicate.species_types = list(self.species_types)
-        duplicate.compartments = list(self.compartments)
-        duplicate.species = list(self.species)
-        duplicate.parameters = list(self.parameters)
-        duplicate.initial_assignments = list(self.initial_assignments)
-        duplicate.rules = list(self.rules)
-        duplicate.constraints = list(self.constraints)
-        duplicate.reactions = list(self.reactions)
-        duplicate.events = list(self.events)
         return duplicate
 
     def all_math(self) -> Iterator[MathNode]:

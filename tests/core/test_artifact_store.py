@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro import ComposeSession, ModelBuilder, read_sbml, write_sbml
+from repro import ComposeSession, ModelBuilder, match_all, read_sbml, write_sbml
 from repro.core.artifact_store import (
     ArtifactStore,
     CorpusManifest,
@@ -171,11 +171,11 @@ class TestCrossFormatRehydration:
 
 
 class TestFormat4Rehydration:
-    """Store format 4 added the model signature and the per-collection
-    id sets, again as pure additions: format-2 *and* format-3 entries
-    must rehydrate as hits with the new fields ``None`` — consumers
-    (the prescreen, the pair engine's seeding) compute them lazily —
-    never as misses that would rewrite an existing store on upgrade."""
+    """Store format 4 added the model signature, again as a pure
+    addition: format-2 *and* format-3 entries must rehydrate as hits
+    with the new field ``None`` — consumers (the prescreen) compute it
+    lazily — never as misses that would rewrite an existing store on
+    upgrade."""
 
     def _write_old_format(self, store, model, version):
         artifacts = compute_artifacts(
@@ -183,8 +183,7 @@ class TestFormat4Rehydration:
             with_indexes=version >= 3,
             with_signature=False,
         )
-        del artifacts.signature  # fields absent before format 4
-        del artifacts.id_sets
+        del artifacts.signature  # field absent before format 4
         if version < 3:
             del artifacts.indexes  # absent before format 3
         digest = model_digest(model)
@@ -204,7 +203,6 @@ class TestFormat4Rehydration:
         rehydrated = store.get(digest)
         assert rehydrated is not None, f"format-{version} entry must hit"
         assert rehydrated.signature is None
-        assert rehydrated.id_sets is None
         assert (rehydrated.indexes is None) == (version == 2)
         assert rehydrated.used_ids == compute_artifacts(model).used_ids
         # Served, not recomputed/overwritten.
@@ -214,12 +212,15 @@ class TestFormat4Rehydration:
     def test_format4_round_trip_carries_signature_and_id_sets(
         self, tmp_path
     ):
+        """Entries written while the store still carried per-collection
+        id sets load as hits with their signature intact; the stale
+        field is simply never read."""
         store = ArtifactStore(tmp_path)
         model = _model()
         digest = model_digest(model)
         computed = compute_artifacts(model)
         assert computed.signature is not None
-        assert computed.id_sets == model.id_set_table()
+        computed.id_sets = {"species": frozenset({"A", "B"})}
         store.put(digest, computed)
         rehydrated = store.get(digest)
         assert rehydrated.signature is not None
@@ -229,7 +230,11 @@ class TestFormat4Rehydration:
         assert list(rehydrated.signature.key_hashes) == list(
             computed.signature.key_hashes
         )
-        assert rehydrated.id_sets == model.id_set_table()
+        assert rehydrated.used_ids == computed.used_ids
+        stored = match_all([model], store=tmp_path)
+        assert [o.key() for o in stored.outcomes] == [
+            o.key() for o in match_all([model]).outcomes
+        ]
 
 
 class TestFormat5Rehydration:
@@ -249,7 +254,6 @@ class TestFormat5Rehydration:
         del artifacts.sbml  # the field did not exist before format 5
         if version < 4:
             del artifacts.signature
-            del artifacts.id_sets
         if version < 3:
             del artifacts.indexes
         digest = model_digest(model)
@@ -356,62 +360,6 @@ class TestCorpusManifest:
         assert model_digest(stray) not in store
         for digest in manifest.digests:
             assert store.get(digest) is not None
-
-
-class TestIdSetSeeding:
-    """The rehydrated id sets seed the uniqueness memo of disposable
-    merge copies, skipping each collection's first O(n) scan."""
-
-    def test_table_matches_organic_memo(self):
-        model = _model()
-        table = model.id_set_table()
-        assert table["species"] == {"A", "B"}
-        assert table["parameter"] == {"k"}
-        assert table["event"] == frozenset()
-
-    def test_seeded_copy_enforces_uniqueness(self):
-        from repro.errors import SBMLError
-        from repro.sbml import Parameter
-
-        model = _model()
-        copy = model.copy_shallow()
-        copy.seed_id_sets(model.id_set_table())
-        with pytest.raises(SBMLError):
-            copy.add_parameter(Parameter(id="k", value=1.0))
-        copy.add_parameter(Parameter(id="k2", value=1.0))
-        # And the seeded memo keeps tracking appends.
-        with pytest.raises(SBMLError):
-            copy.add_parameter(Parameter(id="k2", value=2.0))
-
-    def test_seeding_never_leaks_between_copies(self):
-        from repro.sbml import Parameter
-
-        model = _model()
-        table = model.id_set_table()
-        first = model.copy_shallow()
-        first.seed_id_sets(table)
-        first.add_parameter(Parameter(id="fresh", value=1.0))
-        second = model.copy_shallow()
-        second.seed_id_sets(table)
-        # The sibling copy's add must not poison this one's memo (or
-        # the shared source model's collections).
-        second.add_parameter(Parameter(id="fresh", value=2.0))
-        assert len(model.parameters) == 1
-
-    def test_stale_seed_is_invalidated_by_rebinding(self):
-        from repro.errors import SBMLError
-        from repro.sbml import Parameter
-
-        model = _model()
-        copy = model.copy_shallow()
-        copy.seed_id_sets(model.id_set_table())
-        # Rebinding the list (the documented mutation pattern) drops
-        # the seeded entry; the next add rescans organically.
-        copy.parameters = list(copy.parameters) + [
-            Parameter(id="k9", value=3.0)
-        ]
-        with pytest.raises(SBMLError):
-            copy.add_parameter(Parameter(id="k9", value=4.0))
 
 
 class TestEvictPinning:

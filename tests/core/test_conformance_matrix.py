@@ -379,18 +379,17 @@ def test_prescreen_sweep_conformance(corpus_name, corpora, tmp_path):
 
 def test_prescreen_with_pre_signature_store_entries(corpora, tmp_path):
     """Store format 4 added the model signature as a pure addition:
-    format-3 entries (index rows but no ``signature``/``id_sets``
-    fields) must rehydrate as hits with those fields ``None`` — the
-    prescreen recomputes signatures locally — and the screened sweep
-    must stay byte-identical without rewriting any entry."""
+    format-3 entries (index rows but no ``signature`` field) must
+    rehydrate as hits with that field ``None`` — the prescreen
+    recomputes signatures locally — and the screened sweep must stay
+    byte-identical without rewriting any entry."""
     models = corpora["chain"]
     full = _deterministic_csv(match_all(models))
     store_dir = tmp_path / "format3"
     store = ArtifactStore(store_dir)
     for model in models:
         artifacts = compute_artifacts(model, with_signature=False)
-        del artifacts.signature  # the fields did not exist in format 3
-        del artifacts.id_sets
+        del artifacts.signature  # the field did not exist in format 3
         path = store.path_for(model_digest(model))
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(pickle.dumps({"format": 3, "artifacts": artifacts}))

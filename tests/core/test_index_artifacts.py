@@ -4,9 +4,10 @@ The tentpole guarantees of :class:`~repro.core.compose.ModelIndexSet`:
 
 * rows are a pure, picklable function of ``(model, key options)``,
   bindable to any model with the same component-list content;
-* merges reuse the frozen bases through copy-on-write overlays — an
-  ephemeral merge must leave the shared base *and the backing model*
-  bit-identical (digest-compared) to their pre-merge state;
+* merges reuse the frozen bases through copy-on-write overlays — a
+  sweep's decide-only merges must copy and append to no model, and
+  leave the shared bases *and the backing models* bit-identical
+  (digest-compared) to their pre-merge state;
 * sessions attach rows only to unowned leaf targets; the
   ``source_owned`` move path (owned accumulators, moved intermediates)
   must never see a shared base;
@@ -29,9 +30,11 @@ from repro.core.compose import (
     index_options_key,
 )
 from repro.core.index import HashIndex, OverlayIndex
-from repro.core.match_all import _PairEngine
+from repro.core.match_all import _PairEngine, match_query
 from repro.core.options import ComposeOptions
 from repro.core.session import stable_labels
+from repro.corpus import generate_corpus
+from repro.sbml.model import Model
 
 
 def _model(model_id="m", k=0.5, species=("A", "B")):
@@ -146,38 +149,68 @@ class TestOverlayIsolation:
         # First registration wins across the base/delta boundary.
         assert overlay.find(["id:x"]) == "first"
 
-    def test_ephemeral_sweep_leaves_base_and_model_bit_identical(self):
-        """Digest-compared mutation isolation: shared bases and their
-        backing models are untouched by any number of ephemeral
-        merges run through them."""
-        models = [_model("a"), _model("b", k=0.25, species=("A", "C"))]
-        engine = _PairEngine(None, models, stable_labels(models))
-        # Force artifact + bound-base materialisation, snapshot state.
-        for i in range(2):
-            engine._model_artifacts(i)
-        bounds = [engine._target_indexes(i) for i in range(2)]
+    def test_sweeps_never_copy_or_mutate_inputs(self, monkeypatch):
+        """Sweeps run decide-only merges: during ``match_all`` and
+        ``match_query`` no model is copied or appended to, every input
+        serialises bit-identically afterwards, and every bound base
+        index still holds the same keys bound to the same objects."""
+        renaming = [
+            ModelBuilder("L")
+            .compartment("cell", size=1.0)
+            .species("x", 1.0)
+            .parameter("x_rate", 1.0)
+            .build(),
+            ModelBuilder("R")
+            .compartment("vesicle", size=2.0)
+            .species("x", 3.0)
+            .parameter("x_rate", 4.0)
+            .assignment_rule("x_conc", "x / 2")
+            .event("R_e", "x > 1", {"x": "0"})
+            .build(),
+        ]
+        models = (
+            [_model("a"), _model("b", k=0.25, species=("A", "C"))]
+            + renaming
+            + generate_corpus(count=4, seed=7)
+        )
         digests_before = [model_digest(model) for model in models]
+        calls = []
 
-        def snapshot(bound):
-            # Key → component identity per phase: catches any write
-            # to a shared base (new/lost keys, remapped components).
-            return {
-                name: {
-                    key: id(component)
-                    for key, component in bound.for_phase(name)._table.items()
-                }
-                for name in ("species", "reactions", "parameters", "events")
-            }
+        def spy(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
 
-        rows_before = [snapshot(bound) for bound in bounds]
-        engine.run_pairs([(0, 0), (0, 1), (1, 1), (0, 1)])
-        # The backing models serialise bit-identically (the only
-        # engine-visible writes are the droppable per-object key
-        # caches, which canonical SBML never sees)...
+            return wrapper
+
+        for name in [n for n in vars(Model) if n.startswith("add_")] + ["copy"]:
+            monkeypatch.setattr(Model, name, spy(name, getattr(Model, name)))
+
+        bases = {}
+        for_phase = BoundIndexSet.for_phase
+
+        def snapshot(base):
+            return {key: id(component) for key, component in base._table.items()}
+
+        def recording_for_phase(self, name):
+            base = for_phase(self, name)
+            bases.setdefault(id(base), (base, snapshot(base)))
+            return base
+
+        monkeypatch.setattr(BoundIndexSet, "for_phase", recording_for_phase)
+        sweep = match_all(models)
+        match_all(models, prebuilt_indexes=False)
+        match_query(models[0], models[1:])
+        monkeypatch.undo()
+
+        assert calls == []
+        assert any(o.renamed for o in sweep.outcomes), "must exercise renames"
+        assert bases, "must exercise bound bases"
+        for base, before in bases.values():
+            assert snapshot(base) == before
+        # The only writes sweeps make to inputs are the droppable
+        # per-object key caches, which canonical SBML never sees.
         assert [model_digest(model) for model in models] == digests_before
-        # ...and the shared bases still hold exactly the same keys
-        # bound to exactly the same component objects.
-        assert [snapshot(bound) for bound in bounds] == rows_before
 
     def test_prebuilt_sweep_never_mutates_inputs(self):
         models = [_model("a"), _model("b", k=0.1)]

@@ -145,6 +145,180 @@ class TestMatchAll:
         assert len(ArtifactStore(tmp_path / "artifacts")) == len(corpus)
 
 
+class TestOverlayReads:
+    """Decide-only sweeps never append adopted components to the
+    target, so the reads that must see them go through the merge's
+    records instead.  Each case leaves a dangling reference in the
+    target that only the source fills, and the sweep must agree with
+    the materialising ``compose_all`` — which reads the merged model —
+    on every count, with no conflict."""
+
+    @staticmethod
+    def _assert_sweep_agrees(target, source):
+        report = compose_all([target, source]).report
+        expected = (
+            len(report.duplicates),
+            report.total_added,
+            len(report.renamed),
+            len(report.conflicts),
+        )
+        for prebuilt in (True, False):
+            matrix = match_all([target, source], prebuilt_indexes=prebuilt)
+            cross = next(o for o in matrix.outcomes if (o.i, o.j) == (0, 1))
+            assert (
+                cross.united,
+                cross.added,
+                cross.renamed,
+                cross.conflicts,
+            ) == expected
+        assert report.conflicts == []
+        return report
+
+    def test_species_compartment_declared_only_by_source(self):
+        from repro.units.convert import concentration_to_molecules
+
+        target = (
+            ModelBuilder("t")
+            .compartment("cell", size=1.0)
+            .species(
+                "A",
+                concentration_to_molecules(1e-20, 2.0),
+                compartment="vesicle",
+                amount=True,
+            )
+            .build()
+        )
+        source = (
+            ModelBuilder("s")
+            .compartment("vesicle", size=2.0)
+            .species("A", 1e-20)
+            .build()
+        )
+        # The Figure 6 conversion needs the volume of the compartment
+        # the source adopts.
+        report = self._assert_sweep_agrees(target, source)
+        assert any(w.code == "unit-conversion" for w in report.warnings)
+
+    def test_rate_constant_volume_from_first_adopted_compartment(self):
+        from repro.units.convert import deterministic_to_stochastic
+
+        target = (
+            ModelBuilder("t")
+            .species("B", 0.0, compartment="c")
+            .parameter("k1", 1.0)
+            .reaction("synth", [], ["B"], formula="k1")
+            .build()
+        )
+        assert target.compartments == []
+        source = (
+            ModelBuilder("s")
+            .compartment("c", size=2.0)
+            .species("B", 0.0)
+            .parameter("k2", deterministic_to_stochastic(1.0, 0, 2.0))
+            .reaction("synth", [], ["B"], formula="k2")
+            .build()
+        )
+        report = self._assert_sweep_agrees(target, source)
+        assert any(
+            w.code == "unit-conversion" and w.component_type == "reaction"
+            for w in report.warnings
+        )
+
+    def test_rate_constant_volume_from_adopted_reactant_species(self):
+        from repro.units.convert import deterministic_to_stochastic
+
+        # The target's bimolecular reaction names a reactant only the
+        # source declares, so the volume comes from the compartment of
+        # that adopted species.
+        target = (
+            ModelBuilder("t")
+            .compartment("c", size=2.0)
+            .species("B", 0.0)
+            .parameter("k1", 1.0)
+            .reaction("dimerise", ["A", "A"], ["B"], formula="k1 * A * A")
+            .build()
+        )
+        source = (
+            ModelBuilder("s")
+            .compartment("c", size=2.0)
+            .species("A", 1.0)
+            .species("B", 0.0)
+            .parameter("k2", deterministic_to_stochastic(1.0, 2, 2.0))
+            .reaction("dimerise", ["A", "A"], ["B"], formula="k2 * A * A")
+            .build()
+        )
+        report = self._assert_sweep_agrees(target, source)
+        assert any(
+            w.code == "unit-conversion" and w.component_type == "reaction"
+            for w in report.warnings
+        )
+
+    def test_kinetic_law_calls_function_defined_only_by_source(self):
+        target = (
+            ModelBuilder("t")
+            .compartment("cell", size=1.0)
+            .species("A", 1.0)
+            .species("B", 0.0)
+            .parameter("k1", 1.5)
+            .reaction("r", ["A"], ["B"], formula="f(k1) * A")
+            .build()
+        )
+        source = (
+            ModelBuilder("s")
+            .function("f", ["x"], "2 * x")
+            .compartment("cell", size=1.0)
+            .species("A", 1.0)
+            .species("B", 0.0)
+            .parameter("k2", 3.0)
+            .reaction("r", ["A"], ["B"], formula="k2 * A")
+            .build()
+        )
+        report = self._assert_sweep_agrees(target, source)
+        assert any(d.component_type == "reaction" for d in report.duplicates)
+
+    def test_substance_units_defined_only_by_source(self):
+        target = (
+            ModelBuilder("t")
+            .compartment("cell", size=1.0)
+            .species("A", 1.0, amount=True, substance_units="mmol")
+            .build()
+        )
+        source = (
+            ModelBuilder("s")
+            .unit("mmol", [("mole", 1, -3, 1.0)])
+            .compartment("cell", size=1.0)
+            .species("A", 0.001, amount=True, substance_units="mole")
+            .build()
+        )
+        report = self._assert_sweep_agrees(target, source)
+        assert report.total_added == 1  # the unit definition
+        assert any(w.code == "unit-conversion" for w in report.warnings)
+
+    def test_later_source_assignments_probe_earlier_adopted_ones(self):
+        # Initial assignments and rules are inserted into the phase
+        # overlay as they are adopted, so a second one for the same
+        # symbol meets the first (here: equal by evaluation, and
+        # equal by commutative pattern).
+        target = ModelBuilder("t").compartment("cell", size=1.0).build()
+        source = (
+            ModelBuilder("s")
+            .compartment("cell", size=1.0)
+            .species("A", 1.0)
+            .parameter("p", None, constant=False)
+            .parameter("q", None, constant=False)
+            .initial_assignment("p", "2")
+            .initial_assignment("p", "1 + 1")
+            .assignment_rule("q", "2 * A")
+            .assignment_rule("q", "A * 2")
+            .build()
+        )
+        report = self._assert_sweep_agrees(target, source)
+        assert {d.component_type for d in report.duplicates} >= {
+            "initialAssignment",
+            "assignmentRule",
+        }
+
+
 class TestDigestShipping:
     """The format-5 worker boundary: process workers receive a
     ``(label, digest)`` manifest and rehydrate each model from the

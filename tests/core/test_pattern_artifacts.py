@@ -102,17 +102,41 @@ class TestSeededPatternCache:
 
 
 class TestSweepSeeding:
-    def test_pair_engine_seeds_from_artifacts(self):
+    def test_pair_engine_seeds_from_artifacts(self, tmp_path):
+        # A store-backed engine seeds its cache from the stored
+        # pattern tables.
         models = [
             _model("a"),
             _model("b", k=0.25),
         ]
-        engine = _PairEngine(None, models, stable_labels(models))
+        engine = _PairEngine(
+            None,
+            models,
+            stable_labels(models),
+            store_root=str(tmp_path / "artifacts"),
+        )
         engine.run_pairs([(0, 0), (0, 1), (1, 1)])
         assert engine.pattern_cache.seeded > 0
         # The sweep's empty-restriction probes land on seeded entries:
         # strictly more hits than a cold, unseeded cache would see.
         assert engine.pattern_cache.hits > 0
+
+    def test_storeless_engine_computes_patterns_on_first_probe(self):
+        # Without a store nothing is tabulated up front: each pattern
+        # is computed when a pair first probes it, then reused.
+        models = [_model("a"), _model("b", k=0.25)]
+        engine = _PairEngine(None, models, stable_labels(models))
+        engine.run_pairs([(0, 0), (0, 1), (1, 1)])
+        cache = engine.pattern_cache
+        assert cache.seeded == 0
+        assert cache.misses > 0 and cache.hits > 0
+        # Every entry was computed by a probe: the locals-substituted
+        # law the reaction comparison probes is there, the raw law no
+        # pair compares is not.
+        assert len(cache._patterns) == cache.misses
+        raw = models[0].reactions[0].kinetic_law.math
+        assert (parse_infix("0.5 * A").digest(), ()) in cache._patterns
+        assert (raw.digest(), ()) not in cache._patterns
 
     def test_artifacts_carry_patterns_through_store(self, tmp_path):
         model = _model()

@@ -12,6 +12,7 @@ from repro.mathml import (
     Piecewise,
     parse_mathml,
 )
+from repro.mathml.parser import MAX_MATH_DEPTH
 
 MATH = '<math xmlns="http://www.w3.org/1998/Math/MathML">{}</math>'
 
@@ -178,3 +179,19 @@ def test_parse_relational_chain():
     )
     assert node.op == "lt"
     assert len(node.args) == 3
+
+
+def test_nesting_beyond_the_cap_rejected():
+    def chain(depth):
+        return (
+            '<math xmlns="http://www.w3.org/1998/Math/MathML">'
+            + "<apply><minus/>" * depth
+            + "<ci>x</ci>"
+            + "</apply>" * depth
+            + "</math>"
+        )
+
+    assert parse_mathml(chain(MAX_MATH_DEPTH)).digest()
+    for depth in (MAX_MATH_DEPTH + 1, 5000):
+        with pytest.raises(MathParseError, match="deeper than"):
+            parse_mathml(chain(depth))

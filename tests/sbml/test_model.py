@@ -44,6 +44,19 @@ def test_duplicate_id_rejected():
         model.add_species(Species(id="s", compartment="c"))
 
 
+def test_uniqueness_memo_follows_appends_and_rebinding():
+    # The adders memoise each list's ids: appends keep the memo
+    # current, and rebinding the list (the supported way to edit one)
+    # makes the next add rescan it.
+    model = small_model()
+    model.add_parameter(Parameter(id="k2", value=1.0))
+    with pytest.raises(SBMLError):
+        model.add_parameter(Parameter(id="k2", value=2.0))
+    model.parameters = list(model.parameters) + [Parameter(id="k9", value=3.0)]
+    with pytest.raises(SBMLError):
+        model.add_parameter(Parameter(id="k9", value=4.0))
+
+
 def test_duplicate_across_types_allowed_by_adders():
     # Cross-type collisions are a *validation* error, not an add error:
     # composition must be able to construct them to detect conflicts.

@@ -1,15 +1,20 @@
 """Round-trip and parsing tests for the SBML reader/writer."""
 
+import re
+
 import pytest
 
+from repro import compose_all, match_all
 from repro.errors import SBMLParseError
 from repro.mathml import parse_infix
+from repro.mathml.parser import MAX_MATH_DEPTH
 from repro.sbml import (
     Document,
     ModelBuilder,
     read_sbml,
     write_sbml,
 )
+from repro.sbml.validate import ERROR, validate_model
 
 EXAMPLE = """<?xml version="1.0" encoding="UTF-8"?>
 <sbml xmlns="http://www.sbml.org/sbml/level2/version4" level="2" version="4">
@@ -231,3 +236,68 @@ def test_file_round_trip(tmp_path):
     restored = read_sbml_file(path).model
     assert restored.id == model.id
     assert restored.component_count() == model.component_count()
+
+
+# ---------------------------------------------------------------------------
+# Deep MathML nesting
+# ---------------------------------------------------------------------------
+
+
+def _law_model(model_id="m"):
+    return (
+        ModelBuilder(model_id)
+        .compartment("cell", size=1.0)
+        .species("A", 1.0)
+        .species("B", 0.0)
+        .reaction(
+            "r1", ["A"], ["B"], formula="k * A", local_parameters={"k": 0.5}
+        )
+        .build()
+    )
+
+
+def _deep_law_sbml(depth, model_id="deep"):
+    """SBML whose kinetic law is ``A + 1 + ... + 1``, ``depth`` nested
+    ``<apply>`` levels deep."""
+    chain = "<apply><plus/>" * depth + "<ci>A</ci>" + "<cn>1</cn></apply>" * depth
+    return re.sub(
+        r"(<kineticLaw>.*?<math[^>]*>).*?(</math>)",
+        lambda match: match.group(1) + chain + match.group(2),
+        write_sbml(_law_model(model_id)),
+        count=1,
+        flags=re.DOTALL,
+    )
+
+
+class TestDeepMath:
+    def test_very_deep_math_is_a_parse_error_naming_the_reaction(self):
+        with pytest.raises(SBMLParseError, match="kineticLaw of 'r1'"):
+            read_sbml(_deep_law_sbml(5000))
+
+    def test_depth_cap_boundary(self):
+        read_sbml(_deep_law_sbml(MAX_MATH_DEPTH))
+        with pytest.raises(SBMLParseError, match="deeper than"):
+            read_sbml(_deep_law_sbml(MAX_MATH_DEPTH + 1))
+
+    def test_deepest_accepted_math_survives_compose_sweep_and_write(self):
+        deep = read_sbml(_deep_law_sbml(MAX_MATH_DEPTH)).model
+        shallow = _law_model("shallow")
+        # Same reaction, different law: a logged kineticLaw conflict,
+        # whose report renders the deep expression.
+        result = compose_all([deep, shallow])
+        conflicts = result.report.conflicts
+        assert [c.attribute for c in conflicts] == ["kineticLaw"]
+        assert str(conflicts[0]).startswith("CONFLICT")
+        assert "WARNING (conflict)" in result.report.log_text()
+        matrix = match_all([deep, shallow])
+        cross = next(o for o in matrix.outcomes if (o.i, o.j) == (0, 1))
+        assert cross.conflicts == len(conflicts)
+        text = write_sbml(result.model)
+        assert read_sbml(text).model.reactions[0].kinetic_law.math.digest() == (
+            deep.reactions[0].kinetic_law.math.digest()
+        )
+        assert not [
+            issue
+            for issue in validate_model(result.model)
+            if issue.severity == ERROR
+        ]

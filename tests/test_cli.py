@@ -547,3 +547,30 @@ def test_corpus_query_stale_file_warns(corpus_files, tmp_path, capsys):
          "--index", str(index_file), "--top-k", "0"]
     ) == 0
     assert "stale digest" in capsys.readouterr().err
+
+
+def test_merge_deep_math_is_an_error_not_a_traceback(tmp_path, capsys):
+    from repro import write_sbml
+
+    shallow = (
+        ModelBuilder("shallow")
+        .compartment("cell", size=1.0)
+        .species("A", 1.0)
+        .species("B", 0.0)
+        .mass_action("r1", ["A"], ["B"], "k1")
+        .parameter("k1", 0.5)
+        .build()
+    )
+    text = write_sbml(shallow)
+    chain = "<apply><plus/>" * 5000 + "<ci>A</ci>" + "<cn>1</cn></apply>" * 5000
+    start = text.index("<math", text.index("<kineticLaw"))
+    start = text.index(">", start) + 1
+    end = text.index("</math>", start)
+    deep = tmp_path / "deep.xml"
+    deep.write_text(text[:start] + chain + text[end:], encoding="utf-8")
+    plain = tmp_path / "plain.xml"
+    write_sbml_file(shallow, plain)
+    assert main(["merge", str(deep), str(plain)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "kineticLaw of 'r1'" in err and "deeper than" in err
