@@ -271,6 +271,14 @@ class CorpusManifest:
     entries: Tuple[Tuple[str, str], ...]
     #: :func:`corpus_fingerprint` of the corpus (no extras).
     fingerprint: str
+    #: Each model's artifact signature (``None`` where its entry has
+    #: none), as the build derived or loaded it, so that the sweep's
+    #: prescreen need not derive it again.  Not part of the manifest
+    #: proper: not compared, and not shipped to workers.
+    signatures: Tuple = field(default=(), compare=False, repr=False)
+
+    def __reduce__(self):
+        return (CorpusManifest, (self.entries, self.fingerprint))
 
     @property
     def labels(self) -> Tuple[str, ...]:
@@ -317,6 +325,7 @@ class CorpusManifest:
                 f"{len(models)} models but {len(labels)} labels"
             )
         entries = []
+        signatures = []
         for model, label in zip(models, labels):
             text = write_sbml(model)
             digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -337,11 +346,13 @@ class CorpusManifest:
                 artifacts.sbml = text
                 store.put(digest, artifacts)
             entries.append((label, digest))
+            signatures.append(getattr(artifacts, "signature", None))
         return cls(
             entries=tuple(entries),
             fingerprint=_fingerprint_digests(
                 [digest for _, digest in entries]
             ),
+            signatures=tuple(signatures),
         )
 
 

@@ -829,14 +829,17 @@ def _resolve_prescreen(
     models: Sequence[Model],
     options: Optional[ComposeOptions],
     store: Optional[Union[ArtifactStore, str, Path]],
+    manifest: Optional[CorpusManifest],
 ) -> Optional[Prescreen]:
     """Normalize the ``prescreen=`` argument to a ready instance.
 
-    ``True`` builds one here (store-assisted when the sweep has a
-    store); a caller-supplied :class:`~repro.core.signature.Prescreen`
-    must cover exactly this corpus and have been built under the same
-    key-affecting options as the sweep, or the synthesized outcomes
-    could diverge from what the full matcher would produce.
+    ``True`` builds one here, reusing the signatures the sweep's
+    manifest build derived (when there is a manifest), store-assisted
+    when the sweep has a store; a caller-supplied
+    :class:`~repro.core.signature.Prescreen` must cover exactly this
+    corpus and have been built under the same key-affecting options as
+    the sweep, or the synthesized outcomes could diverge from what the
+    full matcher would produce.
     """
     if prescreen is None or prescreen is False:
         return None
@@ -848,7 +851,12 @@ def _resolve_prescreen(
             if store is not None
             else None
         )
-        return Prescreen.build(models, options, store=store_object)
+        return Prescreen.build(
+            models,
+            options,
+            store=store_object,
+            signatures=manifest.signatures if manifest is not None else None,
+        )
     if not isinstance(prescreen, Prescreen):
         raise TypeError(
             f"prescreen must be None, a bool or a Prescreen, "
@@ -1023,13 +1031,13 @@ def match_all(
     sizes = [model.network_size() for model in models]
     shards = partition_pairs(sizes, 1, include_self=include_self)
     started = time.perf_counter()
-    screen = _resolve_prescreen(prescreen, models, options, store)
     manifest, store_root, temp_root = _prepare_manifest(
         models, labels, _store_root(store), digest_shipping, workers, backend
     )
     outcomes: List[PairOutcome] = []
     pruned = 0
     try:
+        screen = _resolve_prescreen(prescreen, models, options, store, manifest)
         for shard in shards:
             shard_outcomes, shard_pruned = _run_screened(
                 shard.pairs,
@@ -1111,11 +1119,11 @@ def match_all_sharded(
         shard_id
     ]
     started = time.perf_counter()
-    screen = _resolve_prescreen(prescreen, models, options, store)
     manifest, store_root, temp_root = _prepare_manifest(
         models, labels, _store_root(store), digest_shipping, workers, backend
     )
     try:
+        screen = _resolve_prescreen(prescreen, models, options, store, manifest)
         outcomes, pruned = _run_screened(
             shard.pairs,
             screen,
@@ -1175,11 +1183,11 @@ def match_query(
     sizes = [model.network_size() for model in models]
     pairs = [(0, j) for j in range(1, len(models))]
     started = time.perf_counter()
-    screen = _resolve_prescreen(prescreen, models, options, store)
     manifest, store_root, temp_root = _prepare_manifest(
         models, labels, _store_root(store), digest_shipping, workers, backend
     )
     try:
+        screen = _resolve_prescreen(prescreen, models, options, store, manifest)
         outcomes, pruned = _run_screened(
             pairs,
             screen,

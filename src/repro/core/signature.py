@@ -575,6 +575,20 @@ class PackedSignatures:
         )
 
 
+def _usable(
+    signature: Optional[ModelSignature], options: ComposeOptions
+) -> Optional[ModelSignature]:
+    """``signature`` if it is current and built under ``options``' key
+    options, else ``None``."""
+    if (
+        signature is not None
+        and getattr(signature, "key_fingerprints", None) is not None
+        and signature.matches(options)
+    ):
+        return signature
+    return None
+
+
 class Prescreen:
     """Vectorized structural prescreen over one corpus.
 
@@ -622,34 +636,38 @@ class Prescreen:
         options: Optional[ComposeOptions] = None,
         *,
         store=None,
+        signatures: Optional[Sequence[Optional[ModelSignature]]] = None,
     ) -> "Prescreen":
-        """Signatures for a whole corpus, store-assisted when possible.
+        """Signatures for a whole corpus, reusing derived ones when possible.
 
-        With ``store`` (an
+        ``signatures`` holds signatures already derived for ``models``,
+        position for position (a
+        :class:`~repro.core.artifact_store.CorpusManifest` build's, say).
+        Failing that, with ``store`` (an
         :class:`~repro.core.artifact_store.ArtifactStore`), each
         model's signature is rehydrated from its format-4 artifact
-        entry when one exists and matches the key options; anything
-        else — misses, format-2/3 entries, stale options — is computed
-        here (and spilled by the store's own miss path, not by us).
+        entry when one exists.  Either is used only if it matches the
+        key options; anything else — misses, format-2/3 entries, stale
+        options — is computed here (and spilled by the store's own miss
+        path, not by us).
         """
         options = options or ComposeOptions()
-        signatures = []
-        for model in models:
+        if signatures is not None and len(signatures) != len(models):
+            raise ValueError(
+                f"{len(signatures)} signatures for {len(models)} models"
+            )
+        built = []
+        for position, model in enumerate(models):
             signature = None
-            if store is not None:
+            if signatures is not None:
+                signature = _usable(signatures[position], options)
+            if signature is None and store is not None:
                 artifacts = store.get_or_compute(model)
-                candidate = getattr(artifacts, "signature", None)
-                if (
-                    candidate is not None
-                    and getattr(candidate, "key_fingerprints", None)
-                    is not None
-                    and candidate.matches(options)
-                ):
-                    signature = candidate
+                signature = _usable(getattr(artifacts, "signature", None), options)
             if signature is None:
                 signature = ModelSignature.build(model, options)
-            signatures.append(signature)
-        return cls(signatures, options)
+            built.append(signature)
+        return cls(built, options)
 
     def __len__(self) -> int:
         return len(self.signatures)

@@ -25,7 +25,7 @@ from repro.mathml.pattern import (
     math_equivalent,
 )
 from repro.mathml.simplify import simplify
-from repro.mathml.writer import math_to_element, write_mathml
+from repro.mathml.writer import write_mathml
 
 __all__ = [
     "MathNode",
@@ -38,7 +38,6 @@ __all__ = [
     "parse_mathml",
     "parse_math_element",
     "write_mathml",
-    "math_to_element",
     "parse_infix",
     "to_infix",
     "evaluate",

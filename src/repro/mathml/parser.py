@@ -11,7 +11,7 @@ and ``<csymbol>`` for the ``time`` and ``delay`` symbols.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import MathParseError
 from repro.mathml.ast import (
@@ -24,6 +24,7 @@ from repro.mathml.ast import (
     MathNode,
     Number,
     Piecewise,
+    UNARY_FUNCTIONS,
 )
 
 __all__ = ["MATHML_NS", "MAX_MATH_DEPTH", "parse_mathml", "parse_math_element"]
@@ -53,11 +54,22 @@ _SBML_UNITS_ATTRS = (
 )
 
 
-def _local(tag: str) -> str:
+#: Element tag -> local name, shared with the SBML reader so that
+#: each tag string is split once per process, not once per element.
+#: Capped, because hostile input can carry any number of distinct tags;
+#: past the cap names are still split, just not remembered.
+_LOCAL_NAMES: Dict[str, str] = {}
+_LOCAL_NAMES_CAP = 1024
+
+
+def local_name(tag: str) -> str:
     """Strip the XML namespace from an element tag."""
-    if "}" in tag:
-        return tag.split("}", 1)[1]
-    return tag
+    local = _LOCAL_NAMES.get(tag)
+    if local is None:
+        local = tag.split("}", 1)[1] if "}" in tag else tag
+        if len(_LOCAL_NAMES) < _LOCAL_NAMES_CAP:
+            _LOCAL_NAMES[tag] = local
+    return local
 
 
 def parse_mathml(text: str) -> MathNode:
@@ -71,14 +83,13 @@ def parse_mathml(text: str) -> MathNode:
 
 def parse_math_element(element: ET.Element) -> MathNode:
     """Parse a ``<math>`` element (or a bare content element)."""
-    if _local(element.tag) == "math":
-        children = list(element)
-        if len(children) != 1:
+    if local_name(element.tag) == "math":
+        if len(element) != 1:
             raise MathParseError(
                 f"<math> must contain exactly one child, "
-                f"found {len(children)}"
+                f"found {len(element)}"
             )
-        return _parse_node(children[0], 0)
+        return _parse_node(element[0], 0)
     return _parse_node(element, 0)
 
 
@@ -87,32 +98,23 @@ def _parse_node(element: ET.Element, depth: int) -> MathNode:
         raise MathParseError(
             f"math nested deeper than {MAX_MATH_DEPTH} levels"
         )
-    tag = _local(element.tag)
-    if tag == "apply":
-        return _parse_apply(element, depth)
-    if tag == "ci":
-        return _parse_ci(element)
-    if tag == "cn":
-        return _parse_cn(element)
-    if tag == "csymbol":
-        return _parse_csymbol(element)
+    tag = local_name(element.tag)
+    parse = _NODE_PARSERS.get(tag)
+    if parse is not None:
+        return parse(element, depth)
     if tag in CONSTANT_NAMES:
         return Constant(tag)
-    if tag == "piecewise":
-        return _parse_piecewise(element, depth)
-    if tag == "lambda":
-        return _parse_lambda(element, depth)
     raise MathParseError(f"unsupported MathML element <{tag}>")
 
 
-def _parse_ci(element: ET.Element) -> Identifier:
+def _parse_ci(element: ET.Element, depth: int) -> Identifier:
     name = (element.text or "").strip()
     if not name:
         raise MathParseError("<ci> with empty content")
     return Identifier(name)
 
 
-def _parse_csymbol(element: ET.Element) -> Identifier:
+def _parse_csymbol(element: ET.Element, depth: int = 0) -> Identifier:
     url = element.get("definitionURL", "")
     symbol = _CSYMBOL_URLS.get(url)
     if symbol is None:
@@ -123,12 +125,13 @@ def _parse_csymbol(element: ET.Element) -> Identifier:
     return Identifier(symbol)
 
 
-def _parse_cn(element: ET.Element) -> Number:
-    cn_type = element.get("type", "real")
+def _parse_cn(element: ET.Element, depth: int) -> Number:
+    attributes = element.attrib
+    cn_type = attributes.get("type", "real")
     units = None
     for attr in _SBML_UNITS_ATTRS:
-        if element.get(attr) is not None:
-            units = element.get(attr)
+        units = attributes.get(attr)
+        if units is not None:
             break
     text = (element.text or "").strip()
     if cn_type in ("real", "integer", "double"):
@@ -158,20 +161,18 @@ def _sep_parts(element: ET.Element) -> List[str]:
     """Collect the text fragments around ``<sep/>`` children."""
     parts = [(element.text or "").strip()]
     for child in element:
-        if _local(child.tag) != "sep":
-            raise MathParseError(
-                f"unexpected <{_local(child.tag)}> inside <cn>"
-            )
+        tag = local_name(child.tag)
+        if tag != "sep":
+            raise MathParseError(f"unexpected <{tag}> inside <cn>")
         parts.append((child.tail or "").strip())
     return parts
 
 
 def _parse_apply(element: ET.Element, depth: int) -> MathNode:
-    children = list(element)
-    if not children:
+    if not len(element):
         raise MathParseError("empty <apply>")
-    head, *rest = children
-    head_tag = _local(head.tag)
+    head, *rest = element
+    head_tag = local_name(head.tag)
 
     # Qualifier-taking operators: root with <degree>, log with <logbase>.
     if head_tag == "root":
@@ -189,7 +190,8 @@ def _parse_apply(element: ET.Element, depth: int) -> MathNode:
             base = Number(10.0)
         return Apply("log", (base, operands[0]))
 
-    args = tuple(_parse_node(child, depth + 1) for child in rest)
+    depth += 1
+    args = tuple([_parse_node(child, depth) for child in rest])
     if head_tag in KNOWN_OPERATORS:
         _check_arity(head_tag, len(args))
         return Apply(head_tag, args)
@@ -210,13 +212,12 @@ def _split_qualifier(children, qualifier_tag, depth):
     qualifier: Optional[MathNode] = None
     operands = []
     for child in children:
-        if _local(child.tag) == qualifier_tag:
-            inner = list(child)
-            if len(inner) != 1:
+        if local_name(child.tag) == qualifier_tag:
+            if len(child) != 1:
                 raise MathParseError(
                     f"<{qualifier_tag}> must wrap exactly one element"
                 )
-            qualifier = _parse_node(inner[0], depth + 1)
+            qualifier = _parse_node(child[0], depth + 1)
         else:
             operands.append(_parse_node(child, depth + 1))
     return qualifier, operands
@@ -250,8 +251,6 @@ _MAX_ARITY = {
 
 
 def _check_arity(op: str, count: int) -> None:
-    from repro.mathml.ast import UNARY_FUNCTIONS
-
     if op in UNARY_FUNCTIONS and op != "log":
         if count != 1:
             raise MathParseError(f"<{op}> takes exactly one operand, got {count}")
@@ -271,19 +270,19 @@ def _check_arity(op: str, count: int) -> None:
 def _parse_piecewise(element: ET.Element, depth: int) -> Piecewise:
     pieces = []
     otherwise = None
+    depth += 1
     for child in element:
-        tag = _local(child.tag)
-        inner = list(child)
+        tag = local_name(child.tag)
         if tag == "piece":
-            if len(inner) != 2:
+            if len(child) != 2:
                 raise MathParseError("<piece> must have value and condition")
             pieces.append(
-                (_parse_node(inner[0], depth + 1), _parse_node(inner[1], depth + 1))
+                (_parse_node(child[0], depth), _parse_node(child[1], depth))
             )
         elif tag == "otherwise":
-            if len(inner) != 1:
+            if len(child) != 1:
                 raise MathParseError("<otherwise> must wrap one element")
-            otherwise = _parse_node(inner[0], depth + 1)
+            otherwise = _parse_node(child[0], depth)
         else:
             raise MathParseError(f"unexpected <{tag}> inside <piecewise>")
     return Piecewise(tuple(pieces), otherwise)
@@ -293,12 +292,11 @@ def _parse_lambda(element: ET.Element, depth: int) -> Lambda:
     params = []
     body = None
     for child in element:
-        tag = _local(child.tag)
+        tag = local_name(child.tag)
         if tag == "bvar":
-            inner = list(child)
-            if len(inner) != 1 or _local(inner[0].tag) != "ci":
+            if len(child) != 1 or local_name(child[0].tag) != "ci":
                 raise MathParseError("<bvar> must wrap a single <ci>")
-            params.append((inner[0].text or "").strip())
+            params.append((child[0].text or "").strip())
         else:
             if body is not None:
                 raise MathParseError("<lambda> with more than one body")
@@ -306,3 +304,15 @@ def _parse_lambda(element: ET.Element, depth: int) -> Lambda:
     if body is None:
         raise MathParseError("<lambda> without a body")
     return Lambda(tuple(params), body)
+
+
+#: Content-element parsers by local name; the named constants are
+#: handled apart.
+_NODE_PARSERS = {
+    "apply": _parse_apply,
+    "ci": _parse_ci,
+    "cn": _parse_cn,
+    "csymbol": _parse_csymbol,
+    "piecewise": _parse_piecewise,
+    "lambda": _parse_lambda,
+}

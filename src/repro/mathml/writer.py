@@ -3,12 +3,19 @@
 The writer emits the same SBML-flavoured MathML subset the parser
 accepts, so ``parse_mathml(write_mathml(node)) == node`` holds for
 every tree the library constructs (a property test asserts this).
+
+Text is appended to a list of strings in one walk of the tree.  The
+layout is ElementTree's (``ET.indent`` then ``ET.tostring``): each
+child on its own line one indent step deeper, ``<tag />`` for empty
+elements, and ``& < >`` escaped in text and additionally ``" CR LF
+TAB`` in attribute values.  The SBML writer embeds the same emitter,
+so a model's text -- and the content digest taken of it -- is what
+the ElementTree-based writer produced.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-from typing import Optional
+from typing import List, Optional
 
 from repro.mathml.ast import (
     Apply,
@@ -22,7 +29,7 @@ from repro.mathml.ast import (
 )
 from repro.mathml.parser import MATHML_NS
 
-__all__ = ["write_mathml", "math_to_element"]
+__all__ = ["write_mathml"]
 
 _CSYMBOL_SYMBOLS = {
     "time": "http://www.sbml.org/sbml/symbols/time",
@@ -30,111 +37,140 @@ _CSYMBOL_SYMBOLS = {
     "avogadro": "http://www.sbml.org/sbml/symbols/avogadro",
 }
 
+_MATH_OPEN = f'<math xmlns="{MATHML_NS}">'
+
 
 def write_mathml(node: MathNode, indent: Optional[str] = None) -> str:
-    """Render ``node`` as a complete ``<math>`` document string."""
-    element = math_to_element(node)
-    if indent is not None:
-        ET.indent(element, space=indent)
-    return ET.tostring(element, encoding="unicode")
+    """Render ``node`` as a complete ``<math>`` document string.
+
+    ``indent`` (whitespace) puts every element on its own line, nested
+    one ``indent`` deeper than its parent; ``None`` writes no
+    whitespace at all.
+    """
+    out: List[str] = []
+    if indent is None:
+        emit_math(out, node, "", "")
+        return "".join(out)
+    emit_math(out, node, "\n", indent)
+    # The document starts at ``<math>``, without the newline before it.
+    return "".join(out)[1:]
 
 
-def math_to_element(node: MathNode) -> ET.Element:
-    """Build the ``<math>`` wrapper element for ``node``."""
-    root = ET.Element("math", {"xmlns": MATHML_NS})
-    root.append(_node_to_element(node))
-    return root
+def emit_math(out: List[str], node: MathNode, pad: str, space: str) -> None:
+    """Append the ``<math>`` element for ``node`` to ``out``.
+
+    ``pad`` is the whitespace before the element's start tag (a newline
+    and its indentation, or ``""``); each level of children is indented
+    by ``space`` more.
+    """
+    inner = pad + space
+    out.append(pad + _MATH_OPEN)
+    _emit_node(out, node, inner, space)
+    out.append(pad + "</math>")
 
 
-def _node_to_element(node: MathNode) -> ET.Element:
-    if isinstance(node, Number):
-        return _number_element(node)
-    if isinstance(node, Identifier):
-        return _identifier_element(node)
-    if isinstance(node, Constant):
-        return ET.Element(node.name)
+def escape_text(text: str) -> str:
+    """Escape character data as ElementTree does."""
+    if text.isidentifier():
+        return text
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def escape_attribute(text: str) -> str:
+    """Escape an attribute value as ElementTree does."""
+    if text.isidentifier():
+        return text
+    return (
+        escape_text(text)
+        .replace('"', "&quot;")
+        .replace("\r", "&#13;")
+        .replace("\n", "&#10;")
+        .replace("\t", "&#09;")
+    )
+
+
+def _text_element(start: str, tag: str, text: str) -> str:
+    """``start`` is ``<tag`` plus attributes; empty text gives ``<tag />``."""
+    if text:
+        return f"{start}>{escape_text(text)}</{tag}>"
+    return start + " />"
+
+
+def _emit_node(out: List[str], node: MathNode, pad: str, space: str) -> None:
     if isinstance(node, Apply):
-        return _apply_element(node)
-    if isinstance(node, Lambda):
-        return _lambda_element(node)
-    if isinstance(node, Piecewise):
-        return _piecewise_element(node)
-    raise TypeError(f"cannot serialise {type(node).__name__}")
-
-
-def _number_element(node: Number) -> ET.Element:
-    element = ET.Element("cn")
-    if node.is_integer() and abs(node.value) < 1e15:
-        element.set("type", "integer")
-        element.text = str(int(node.value))
+        _emit_apply(out, node, pad, space)
+    elif isinstance(node, Identifier):
+        url = _CSYMBOL_SYMBOLS.get(node.name)
+        if url is not None:
+            out.append(
+                f'{pad}<csymbol definitionURL="{url}">{node.name}</csymbol>'
+            )
+        else:
+            out.append(pad + _text_element("<ci", "ci", node.name))
+    elif isinstance(node, Number):
+        out.append(pad + _number(node))
+    elif isinstance(node, Constant):
+        out.append(f"{pad}<{node.name} />")
+    elif isinstance(node, Lambda):
+        inner = pad + space
+        out.append(pad + "<lambda>")
+        deeper = inner + space
+        for param in node.params:
+            out.append(
+                f"{inner}<bvar>{deeper}{_text_element('<ci', 'ci', param)}"
+                f"{inner}</bvar>"
+            )
+        _emit_node(out, node.body, inner, space)
+        out.append(pad + "</lambda>")
+    elif isinstance(node, Piecewise):
+        if not node.pieces and node.otherwise is None:
+            out.append(pad + "<piecewise />")
+            return
+        inner = pad + space
+        deeper = inner + space
+        out.append(pad + "<piecewise>")
+        for value, condition in node.pieces:
+            out.append(inner + "<piece>")
+            _emit_node(out, value, deeper, space)
+            _emit_node(out, condition, deeper, space)
+            out.append(inner + "</piece>")
+        if node.otherwise is not None:
+            out.append(inner + "<otherwise>")
+            _emit_node(out, node.otherwise, deeper, space)
+            out.append(inner + "</otherwise>")
+        out.append(pad + "</piecewise>")
     else:
-        element.text = repr(node.value)
+        raise TypeError(f"cannot serialise {type(node).__name__}")
+
+
+def _number(node: Number) -> str:
     if node.units is not None:
-        element.set("units", node.units)
-    return element
-
-
-def _identifier_element(node: Identifier) -> ET.Element:
-    url = _CSYMBOL_SYMBOLS.get(node.name)
-    if url is not None:
-        element = ET.Element("csymbol", {"definitionURL": url})
-        element.text = node.name
-        return element
-    element = ET.Element("ci")
-    element.text = node.name
-    return element
-
-
-def _apply_element(node: Apply) -> ET.Element:
-    element = ET.Element("apply")
-    if node.op == "root":
-        # args are (degree, operand); degree 2 may be elided but we
-        # always write it explicitly for round-trip stability.
-        element.append(ET.Element("root"))
-        degree = ET.Element("degree")
-        degree.append(_node_to_element(node.args[0]))
-        element.append(degree)
-        element.append(_node_to_element(node.args[1]))
-        return element
-    if node.op == "log":
-        element.append(ET.Element("log"))
-        logbase = ET.Element("logbase")
-        logbase.append(_node_to_element(node.args[0]))
-        element.append(logbase)
-        element.append(_node_to_element(node.args[1]))
-        return element
-    if node.op in KNOWN_OPERATORS:
-        element.append(ET.Element(node.op))
+        units = f' units="{escape_attribute(node.units)}"'
     else:
-        head = ET.Element("ci")
-        head.text = node.op
-        element.append(head)
-    for arg in node.args:
-        element.append(_node_to_element(arg))
-    return element
+        units = ""
+    if node.is_integer() and abs(node.value) < 1e15:
+        return f'<cn type="integer"{units}>{int(node.value)}</cn>'
+    return f"<cn{units}>{node.value!r}</cn>"
 
 
-def _lambda_element(node: Lambda) -> ET.Element:
-    element = ET.Element("lambda")
-    for param in node.params:
-        bvar = ET.Element("bvar")
-        ci = ET.Element("ci")
-        ci.text = param
-        bvar.append(ci)
-        element.append(bvar)
-    element.append(_node_to_element(node.body))
-    return element
-
-
-def _piecewise_element(node: Piecewise) -> ET.Element:
-    element = ET.Element("piecewise")
-    for value, condition in node.pieces:
-        piece = ET.Element("piece")
-        piece.append(_node_to_element(value))
-        piece.append(_node_to_element(condition))
-        element.append(piece)
-    if node.otherwise is not None:
-        otherwise = ET.Element("otherwise")
-        otherwise.append(_node_to_element(node.otherwise))
-        element.append(otherwise)
-    return element
+def _emit_apply(out: List[str], node: Apply, pad: str, space: str) -> None:
+    inner = pad + space
+    op = node.op
+    out.append(pad + "<apply>")
+    if op == "root" or op == "log":
+        # args are (qualifier, operand); a degree of 2 or a logbase of
+        # 10 may be elided, but is always written for round-trip
+        # stability.
+        qualifier = "degree" if op == "root" else "logbase"
+        out.append(f"{inner}<{op} />{inner}<{qualifier}>")
+        _emit_node(out, node.args[0], inner + space, space)
+        out.append(f"{inner}</{qualifier}>")
+        _emit_node(out, node.args[1], inner, space)
+    else:
+        if op in KNOWN_OPERATORS:
+            out.append(f"{inner}<{op} />")
+        else:
+            out.append(inner + _text_element("<ci", "ci", op))
+        for arg in node.args:
+            _emit_node(out, arg, inner, space)
+    out.append(pad + "</apply>")

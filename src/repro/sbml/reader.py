@@ -6,6 +6,12 @@ element name, so version-namespace differences don't matter) into the
 delegated to :mod:`repro.mathml.parser`; annotations use the
 simplified MIRIAM scheme described in
 :mod:`repro.sbml.components`.
+
+Each element's children are visited once: :func:`_children` maps each
+local name to the first child of that name (a repeated
+``<listOfSpecies>``, ``<math>`` or ``<kineticLaw>`` is ignored, and an
+unknown element is skipped whole), and each component is built by one
+constructor call from its attributes and those children.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import MathParseError, SBMLParseError
 from repro.mathml.ast import Lambda
-from repro.mathml.parser import parse_math_element
+from repro.mathml.parser import local_name, parse_math_element
 from repro.sbml.components import (
     AlgebraicRule,
     AssignmentRule,
@@ -49,28 +55,19 @@ _BQBIOL_NS = "http://biomodels.net/biology-qualifiers/"
 _BQMODEL_NS = "http://biomodels.net/model-qualifiers/"
 
 
-def _local(tag: str) -> str:
-    if "}" in tag:
-        return tag.split("}", 1)[1]
-    return tag
-
-
-def _child(element: ET.Element, name: str) -> Optional[ET.Element]:
+def _children(element: ET.Element) -> Dict[str, ET.Element]:
+    """The first child of each local name, in one pass."""
+    found: Dict[str, ET.Element] = {}
     for child in element:
-        if _local(child.tag) == name:
-            return child
-    return None
+        found.setdefault(local_name(child.tag), child)
+    return found
 
 
-def _children(element: ET.Element, name: str) -> List[ET.Element]:
-    return [child for child in element if _local(child.tag) == name]
-
-
-def _list_of(element: ET.Element, list_name: str, item_name: str) -> List[ET.Element]:
-    container = _child(element, list_name)
+def _items(container: Optional[ET.Element], name: str) -> List[ET.Element]:
+    """The children of a ``listOf*`` container named ``name``."""
     if container is None:
         return []
-    return _children(container, item_name)
+    return [child for child in container if local_name(child.tag) == name]
 
 
 def _bool(element: ET.Element, attr: str, default: bool) -> bool:
@@ -84,10 +81,12 @@ def _bool(element: ET.Element, attr: str, default: bool) -> bool:
     raise SBMLParseError(f"bad boolean {raw!r} for attribute {attr!r}")
 
 
-def _float(element: ET.Element, attr: str) -> Optional[float]:
+def _float(
+    element: ET.Element, attr: str, default: Optional[float] = None
+) -> Optional[float]:
     raw = element.get(attr)
     if raw is None:
-        return None
+        return default
     try:
         return float(raw)
     except ValueError as exc:
@@ -110,13 +109,13 @@ def read_sbml(text: str) -> Document:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         raise SBMLParseError(f"malformed SBML XML: {exc}") from exc
-    if _local(root.tag) != "sbml":
+    if local_name(root.tag) != "sbml":
         raise SBMLParseError(
-            f"root element is <{_local(root.tag)}>, expected <sbml>"
+            f"root element is <{local_name(root.tag)}>, expected <sbml>"
         )
     level = _int(root, "level", 2)
     version = _int(root, "version", 4)
-    model_element = _child(root, "model")
+    model_element = _children(root).get("model")
     if model_element is None:
         raise SBMLParseError("document has no <model>")
     model = _read_model(model_element)
@@ -129,18 +128,22 @@ def read_sbml_file(path) -> Document:
         return read_sbml(handle.read())
 
 
-def _read_sbase(element: ET.Element, component) -> None:
-    """Populate the attributes shared by all components."""
-    component.id = element.get("id")
-    component.name = element.get("name")
-    component.metaid = element.get("metaid")
-    component.sbo_term = element.get("sboTerm")
-    notes = _child(element, "notes")
-    if notes is not None:
-        component.notes = "".join(notes.itertext()).strip() or None
-    annotation = _child(element, "annotation")
-    if annotation is not None:
-        component.annotations = _read_annotations(annotation)
+def _sbase(element: ET.Element, children: Dict[str, ET.Element]) -> tuple:
+    """The :class:`~repro.sbml.components.SBase` fields, in field order."""
+    notes = children.get("notes")
+    annotation = children.get("annotation")
+    return (
+        element.get("id"),
+        element.get("name"),
+        element.get("metaid"),
+        None if notes is None else _text(notes),
+        element.get("sboTerm"),
+        {} if annotation is None else _read_annotations(annotation),
+    )
+
+
+def _text(element: ET.Element) -> Optional[str]:
+    return "".join(element.itertext()).strip() or None
 
 
 def _read_annotations(annotation: ET.Element) -> Dict[str, List[str]]:
@@ -149,7 +152,7 @@ def _read_annotations(annotation: ET.Element) -> Dict[str, List[str]]:
     for node in annotation.iter():
         namespace = node.tag.split("}", 1)[0].lstrip("{") if "}" in node.tag else ""
         if namespace in (_BQBIOL_NS, _BQMODEL_NS):
-            qualifier = _local(node.tag)
+            qualifier = local_name(node.tag)
             uris = table.setdefault(qualifier, [])
             for li in node.iter():
                 resource = li.get(f"{{{_RDF_NS}}}resource") or li.get("resource")
@@ -158,8 +161,8 @@ def _read_annotations(annotation: ET.Element) -> Dict[str, List[str]]:
     return {qualifier: uris for qualifier, uris in table.items() if uris}
 
 
-def _read_math(element: ET.Element, context: str):
-    math_element = _child(element, "math")
+def _read_math(children: Dict[str, ET.Element], context: str):
+    math_element = children.get("math")
     if math_element is None:
         return None
     try:
@@ -168,214 +171,245 @@ def _read_math(element: ET.Element, context: str):
         raise SBMLParseError(f"bad math in {context}: {exc}") from exc
 
 
-def _read_model(element: ET.Element) -> Model:
-    model = Model()
-    _read_sbase(element, model)
+# The readers below call each component's constructor positionally, in
+# dataclass field order (the SBase fields first, from ``_sbase``):
+# keyword arguments would double the cost of building a component.
+# Attributes are checked in a fixed order that is not always field
+# order (a reaction's booleans come before its species references), so
+# such values are read into locals first: which of several bad
+# attributes a document reports must not depend on a constructor.
 
-    for item in _list_of(element, "listOfFunctionDefinitions", "functionDefinition"):
+
+def _read_model(element: ET.Element) -> Model:
+    children = _children(element)
+    model = Model(*_sbase(element, children))
+    container = children.get
+    for item in _items(container("listOfFunctionDefinitions"), "functionDefinition"):
         model.add_function_definition(_read_function_definition(item))
-    for item in _list_of(element, "listOfUnitDefinitions", "unitDefinition"):
+    for item in _items(container("listOfUnitDefinitions"), "unitDefinition"):
         model.add_unit_definition(_read_unit_definition(item))
-    for item in _list_of(element, "listOfCompartmentTypes", "compartmentType"):
-        component = CompartmentType()
-        _read_sbase(item, component)
-        model.add_compartment_type(component)
-    for item in _list_of(element, "listOfSpeciesTypes", "speciesType"):
-        component = SpeciesType()
-        _read_sbase(item, component)
-        model.add_species_type(component)
-    for item in _list_of(element, "listOfCompartments", "compartment"):
+    for item in _items(container("listOfCompartmentTypes"), "compartmentType"):
+        model.add_compartment_type(CompartmentType(*_sbase(item, _children(item))))
+    for item in _items(container("listOfSpeciesTypes"), "speciesType"):
+        model.add_species_type(SpeciesType(*_sbase(item, _children(item))))
+    for item in _items(container("listOfCompartments"), "compartment"):
         model.add_compartment(_read_compartment(item))
-    for item in _list_of(element, "listOfSpecies", "species"):
+    for item in _items(container("listOfSpecies"), "species"):
         model.add_species(_read_species(item))
-    for item in _list_of(element, "listOfParameters", "parameter"):
+    for item in _items(container("listOfParameters"), "parameter"):
         model.add_parameter(_read_parameter(item))
-    for item in _list_of(element, "listOfInitialAssignments", "initialAssignment"):
+    for item in _items(container("listOfInitialAssignments"), "initialAssignment"):
         model.add_initial_assignment(_read_initial_assignment(item))
-    rules_container = _child(element, "listOfRules")
-    if rules_container is not None:
-        for item in rules_container:
-            rule = _read_rule(item)
-            if rule is not None:
-                model.add_rule(rule)
-    for item in _list_of(element, "listOfConstraints", "constraint"):
+    for item in container("listOfRules", ()):
+        rule = _read_rule(item)
+        if rule is not None:
+            model.add_rule(rule)
+    for item in _items(container("listOfConstraints"), "constraint"):
         model.add_constraint(_read_constraint(item))
-    for item in _list_of(element, "listOfReactions", "reaction"):
+    for item in _items(container("listOfReactions"), "reaction"):
         model.add_reaction(_read_reaction(item))
-    for item in _list_of(element, "listOfEvents", "event"):
+    for item in _items(container("listOfEvents"), "event"):
         model.add_event(_read_event(item))
     return model
 
 
 def _read_function_definition(element: ET.Element) -> FunctionDefinition:
-    component = FunctionDefinition()
-    _read_sbase(element, component)
-    math = _read_math(element, f"functionDefinition {component.id!r}")
+    children = _children(element)
+    function_id = element.get("id")
+    math = _read_math(children, f"functionDefinition {function_id!r}")
     if math is not None and not isinstance(math, Lambda):
         raise SBMLParseError(
-            f"functionDefinition {component.id!r} math must be a <lambda>"
+            f"functionDefinition {function_id!r} math must be a <lambda>"
         )
-    component.math = math
-    return component
+    return FunctionDefinition(*_sbase(element, children), math)
 
 
 def _read_unit_definition(element: ET.Element) -> UnitDefinition:
-    definition = UnitDefinition(
-        id=element.get("id"), name=element.get("name"), units=[]
+    definition_id = element.get("id")
+    return UnitDefinition(
+        definition_id,
+        element.get("name"),
+        [
+            _read_unit(item, definition_id)
+            for item in _items(_children(element).get("listOfUnits"), "unit")
+        ],
     )
-    for item in _list_of(element, "listOfUnits", "unit"):
-        kind = item.get("kind")
-        if kind is None:
-            raise SBMLParseError(
-                f"<unit> without kind in unitDefinition {definition.id!r}"
-            )
-        definition.units.append(
-            Unit(
-                kind=kind,
-                exponent=_int(item, "exponent", 1),
-                scale=_int(item, "scale", 0),
-                multiplier=_float(item, "multiplier") or 1.0,
-            )
+
+
+def _read_unit(element: ET.Element, definition_id: Optional[str]) -> Unit:
+    kind = element.get("kind")
+    if kind is None:
+        raise SBMLParseError(
+            f"<unit> without kind in unitDefinition {definition_id!r}"
         )
-    return definition
+    return Unit(
+        kind,
+        _int(element, "exponent", 1),
+        _int(element, "scale", 0),
+        _float(element, "multiplier", 1.0),
+    )
 
 
 def _read_compartment(element: ET.Element) -> Compartment:
-    component = Compartment()
-    _read_sbase(element, component)
-    component.size = _float(element, "size")
-    component.units = element.get("units")
-    component.spatial_dimensions = _int(element, "spatialDimensions", 3)
-    component.compartment_type = element.get("compartmentType")
-    component.outside = element.get("outside")
-    component.constant = _bool(element, "constant", True)
-    return component
+    return Compartment(
+        *_sbase(element, _children(element)),
+        _float(element, "size"),
+        element.get("units"),
+        _int(element, "spatialDimensions", 3),
+        element.get("compartmentType"),
+        element.get("outside"),
+        _bool(element, "constant", True),
+    )
 
 
 def _read_species(element: ET.Element) -> Species:
-    component = Species()
-    _read_sbase(element, component)
-    component.compartment = element.get("compartment")
-    component.initial_amount = _float(element, "initialAmount")
-    component.initial_concentration = _float(element, "initialConcentration")
-    component.substance_units = element.get("substanceUnits")
-    component.has_only_substance_units = _bool(
-        element, "hasOnlySubstanceUnits", False
+    return Species(
+        *_sbase(element, _children(element)),
+        element.get("compartment"),
+        _float(element, "initialAmount"),
+        _float(element, "initialConcentration"),
+        element.get("substanceUnits"),
+        _bool(element, "hasOnlySubstanceUnits", False),
+        _bool(element, "boundaryCondition", False),
+        _bool(element, "constant", False),
+        element.get("speciesType"),
+        _int(element, "charge"),
     )
-    component.boundary_condition = _bool(element, "boundaryCondition", False)
-    component.constant = _bool(element, "constant", False)
-    component.species_type = element.get("speciesType")
-    component.charge = _int(element, "charge")
-    return component
 
 
 def _read_parameter(element: ET.Element) -> Parameter:
-    component = Parameter()
-    _read_sbase(element, component)
-    component.value = _float(element, "value")
-    component.units = element.get("units")
-    component.constant = _bool(element, "constant", True)
-    return component
+    return Parameter(
+        *_sbase(element, _children(element)),
+        _float(element, "value"),
+        element.get("units"),
+        _bool(element, "constant", True),
+    )
 
 
 def _read_initial_assignment(element: ET.Element) -> InitialAssignment:
-    component = InitialAssignment()
-    _read_sbase(element, component)
-    component.symbol = element.get("symbol")
-    if component.symbol is None:
+    children = _children(element)
+    symbol = element.get("symbol")
+    if symbol is None:
         raise SBMLParseError("<initialAssignment> without symbol")
-    component.math = _read_math(
-        element, f"initialAssignment for {component.symbol!r}"
+    return InitialAssignment(
+        *_sbase(element, children),
+        symbol,
+        _read_math(children, f"initialAssignment for {symbol!r}"),
     )
-    return component
 
 
 def _read_rule(element: ET.Element):
-    tag = _local(element.tag)
+    tag = local_name(element.tag)
     if tag == "algebraicRule":
-        rule = AlgebraicRule()
-        _read_sbase(element, rule)
-        rule.math = _read_math(element, "algebraicRule")
-        return rule
-    if tag in ("assignmentRule", "rateRule"):
-        rule = AssignmentRule() if tag == "assignmentRule" else RateRule()
-        _read_sbase(element, rule)
-        variable = element.get("variable")
-        if variable is None:
-            raise SBMLParseError(f"<{tag}> without variable")
-        rule.variable = variable
-        rule.math = _read_math(element, f"{tag} for {variable!r}")
-        return rule
-    return None  # ignore unknown rule elements (annotations etc.)
+        children = _children(element)
+        return AlgebraicRule(
+            *_sbase(element, children), _read_math(children, "algebraicRule")
+        )
+    if tag not in ("assignmentRule", "rateRule"):
+        return None  # ignore unknown rule elements (annotations etc.)
+    children = _children(element)
+    variable = element.get("variable")
+    if variable is None:
+        raise SBMLParseError(f"<{tag}> without variable")
+    rule_class = AssignmentRule if tag == "assignmentRule" else RateRule
+    return rule_class(
+        *_sbase(element, children),
+        _read_math(children, f"{tag} for {variable!r}"),
+        variable,
+    )
 
 
 def _read_constraint(element: ET.Element) -> Constraint:
-    component = Constraint()
-    _read_sbase(element, component)
-    component.math = _read_math(element, "constraint")
-    message = _child(element, "message")
-    if message is not None:
-        component.message = "".join(message.itertext()).strip() or None
-    return component
+    children = _children(element)
+    message = children.get("message")
+    return Constraint(
+        *_sbase(element, children),
+        _read_math(children, "constraint"),
+        None if message is None else _text(message),
+    )
 
 
 def _read_species_reference(element: ET.Element) -> SpeciesReference:
     species = element.get("species")
     if species is None:
         raise SBMLParseError("<speciesReference> without species")
-    stoichiometry = _float(element, "stoichiometry")
-    return SpeciesReference(
-        species=species,
-        stoichiometry=1.0 if stoichiometry is None else stoichiometry,
-    )
+    return SpeciesReference(species, _float(element, "stoichiometry", 1.0))
+
+
+def _read_modifier(element: ET.Element) -> ModifierSpeciesReference:
+    species = element.get("species")
+    if species is None:
+        raise SBMLParseError("<modifierSpeciesReference> without species")
+    return ModifierSpeciesReference(species)
 
 
 def _read_reaction(element: ET.Element) -> Reaction:
-    component = Reaction()
-    _read_sbase(element, component)
-    component.reversible = _bool(element, "reversible", True)
-    component.fast = _bool(element, "fast", False)
-    for item in _list_of(element, "listOfReactants", "speciesReference"):
-        component.reactants.append(_read_species_reference(item))
-    for item in _list_of(element, "listOfProducts", "speciesReference"):
-        component.products.append(_read_species_reference(item))
-    for item in _list_of(element, "listOfModifiers", "modifierSpeciesReference"):
-        species = item.get("species")
-        if species is None:
-            raise SBMLParseError("<modifierSpeciesReference> without species")
-        component.modifiers.append(ModifierSpeciesReference(species))
-    law_element = _child(element, "kineticLaw")
-    if law_element is not None:
-        law = KineticLaw()
-        _read_sbase(law_element, law)
-        law.math = _read_math(law_element, f"kineticLaw of {component.id!r}")
-        for item in _list_of(law_element, "listOfParameters", "parameter"):
-            law.parameters.append(_read_parameter(item))
-        component.kinetic_law = law
-    return component
+    children = _children(element)
+    sbase = _sbase(element, children)
+    reversible = _bool(element, "reversible", True)
+    fast = _bool(element, "fast", False)
+    law = children.get("kineticLaw")
+    return Reaction(
+        *sbase,
+        [
+            _read_species_reference(item)
+            for item in _items(children.get("listOfReactants"), "speciesReference")
+        ],
+        [
+            _read_species_reference(item)
+            for item in _items(children.get("listOfProducts"), "speciesReference")
+        ],
+        [
+            _read_modifier(item)
+            for item in _items(
+                children.get("listOfModifiers"), "modifierSpeciesReference"
+            )
+        ],
+        None if law is None else _read_kinetic_law(law, element.get("id")),
+        reversible,
+        fast,
+    )
+
+
+def _read_kinetic_law(element: ET.Element, reaction_id: Optional[str]) -> KineticLaw:
+    children = _children(element)
+    return KineticLaw(
+        *_sbase(element, children),
+        _read_math(children, f"kineticLaw of {reaction_id!r}"),
+        [
+            _read_parameter(item)
+            for item in _items(children.get("listOfParameters"), "parameter")
+        ],
+    )
 
 
 def _read_event(element: ET.Element) -> Event:
-    component = Event()
-    _read_sbase(element, component)
-    trigger_element = _child(element, "trigger")
-    if trigger_element is not None:
-        component.trigger = Trigger(
-            _read_math(trigger_element, f"trigger of event {component.id!r}")
-        )
-    delay_element = _child(element, "delay")
-    if delay_element is not None:
-        component.delay = Delay(
-            _read_math(delay_element, f"delay of event {component.id!r}")
-        )
-    for item in _list_of(element, "listOfEventAssignments", "eventAssignment"):
-        variable = item.get("variable")
-        if variable is None:
-            raise SBMLParseError("<eventAssignment> without variable")
-        component.assignments.append(
-            EventAssignment(
-                variable,
-                _read_math(item, f"eventAssignment for {variable!r}"),
+    children = _children(element)
+    event_id = element.get("id")
+    trigger = children.get("trigger")
+    delay = children.get("delay")
+    return Event(
+        *_sbase(element, children),
+        None if trigger is None else Trigger(
+            _read_math(_children(trigger), f"trigger of event {event_id!r}")
+        ),
+        None if delay is None else Delay(
+            _read_math(_children(delay), f"delay of event {event_id!r}")
+        ),
+        [
+            _read_event_assignment(item)
+            for item in _items(
+                children.get("listOfEventAssignments"), "eventAssignment"
             )
-        )
-    return component
+        ],
+    )
+
+
+def _read_event_assignment(element: ET.Element) -> EventAssignment:
+    variable = element.get("variable")
+    if variable is None:
+        raise SBMLParseError("<eventAssignment> without variable")
+    return EventAssignment(
+        variable,
+        _read_math(_children(element), f"eventAssignment for {variable!r}"),
+    )

@@ -6,11 +6,13 @@ vector layout, congruence semantics, the option gates, the survivor
 algebra, and the store-assisted build path.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro import ComposeOptions, ModelBuilder
-from repro.core.artifact_store import ArtifactStore
+from repro.core.artifact_store import ArtifactStore, CorpusManifest
 from repro.core.match_all import match_all
 from repro.core.options import SEMANTICS_NONE
 from repro.core.signature import (
@@ -226,3 +228,53 @@ class TestPrescreen:
         )
         with pytest.raises(ValueError):
             screen.query_tables(foreign)
+
+    def test_handed_signatures_are_used_when_they_match(self, corpus, tmp_path):
+        manifest = CorpusManifest.build(
+            corpus, [model.id for model in corpus], ArtifactStore(tmp_path)
+        )
+        plain = Prescreen.build(corpus)
+        handed = Prescreen.build(corpus, signatures=manifest.signatures)
+        for mine, theirs in zip(manifest.signatures, handed.signatures):
+            assert theirs is mine
+        assert np.array_equal(plain.survivors(), handed.survivors())
+        # Built under other key options, they are rebuilt instead.
+        options = ComposeOptions(semantics=SEMANTICS_NONE)
+        rebuilt = Prescreen.build(corpus, options, signatures=manifest.signatures)
+        assert all(
+            theirs is not mine
+            for mine, theirs in zip(manifest.signatures, rebuilt.signatures)
+        )
+        assert np.array_equal(
+            rebuilt.survivors(), Prescreen.build(corpus, options).survivors()
+        )
+        with pytest.raises(ValueError):
+            Prescreen.build(corpus, signatures=manifest.signatures[:-1])
+
+    def test_manifest_signatures_stay_out_of_its_pickle(self, corpus, tmp_path):
+        manifest = CorpusManifest.build(
+            corpus, [model.id for model in corpus], ArtifactStore(tmp_path)
+        )
+        assert len(manifest.signatures) == len(corpus)
+        shipped = pickle.loads(pickle.dumps(manifest))
+        assert shipped == manifest
+        assert shipped.signatures == ()
+
+    def test_screened_process_sweep_builds_each_signature_once(
+        self, corpus, monkeypatch
+    ):
+        expected = [o.key() for o in match_all(corpus).outcomes]
+        built = []
+        original = ModelSignature.build.__func__
+
+        def counting(cls, model, *args, **kwargs):
+            built.append(model.id)
+            return original(cls, model, *args, **kwargs)
+
+        monkeypatch.setattr(ModelSignature, "build", classmethod(counting))
+        matrix = match_all(corpus, workers=2, backend="process", prescreen=True)
+        # The manifest build derives each signature; the prescreen
+        # reuses it instead of deriving it again.
+        assert sorted(built) == sorted(model.id for model in corpus)
+        assert matrix.pruned > 0
+        assert [o.key() for o in matrix.outcomes] == expected

@@ -152,6 +152,21 @@ def test_round_trip_is_stable():
     assert once == twice
 
 
+def test_zero_unit_multiplier_round_trips():
+    # An explicit multiplier of 0 is kept; only an absent one means 1.
+    model = (
+        ModelBuilder("m")
+        .unit("nothing", [("mole", 1, 0, 0.0), ("second", -1, 0, 1.0)])
+        .build()
+    )
+    text = write_sbml(model)
+    assert 'multiplier="0.0"' in text
+    restored = read_sbml(text).model
+    units = restored.get_unit_definition("nothing").units
+    assert [unit.multiplier for unit in units] == [0.0, 1.0]
+    assert write_sbml(restored) == text
+
+
 def test_write_bare_model_wraps_in_document():
     model = ModelBuilder("m").compartment("c").build()
     text = write_sbml(model)
