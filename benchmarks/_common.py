@@ -150,7 +150,6 @@ def fig8_sweep(
     models: Sequence[Model],
     options: Optional[ComposeOptions] = None,
     workers: int = 1,
-    backend: str = "thread",
 ) -> List[Tuple[int, float]]:
     """Run the Figure 8 sweep over ``models`` (assumed size-sorted).
 
@@ -159,16 +158,13 @@ def fig8_sweep(
     :func:`~repro.core.match_all.match_all` engine: per-model
     artifacts (unit registry, evaluated initial values, used-id sets)
     are computed once and shared across every pair a model appears in,
-    and ``workers > 1`` fans pairs out onto a pool.  The per-pair
-    merge work itself is untouched — every composition still starts
-    from clean models.
+    and ``workers > 1`` runs the pairs on supervised worker processes.
+    The per-pair merge work itself is untouched — every composition
+    still starts from clean models.
     """
     from repro.core.match_all import match_all
 
-    matrix = match_all(
-        models, options, workers=workers, backend=backend
-    )
-    return matrix.series()
+    return match_all(models, options, workers=workers).series()
 
 
 def summarize_series(

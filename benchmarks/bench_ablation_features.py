@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro import compose
+from repro import compose_all
 from repro.baselines import SemanticSBMLMerge
 from repro.core.options import ComposeOptions
 from repro.corpus import glycolysis_lower, glycolysis_upper
@@ -25,7 +25,7 @@ def bench_semantics_mode_speed(benchmark, corpus, semantics):
     """Compose a mid-size pair under each semantics mode."""
     model = min(corpus, key=lambda m: abs(m.network_size() - 150))
     options = ComposeOptions(semantics=semantics)
-    benchmark(lambda: compose(model, model, options))
+    benchmark(lambda: compose_all([model, model], options=options).pair())
 
 
 def bench_semantics_mode_quality(benchmark, suite):
@@ -40,7 +40,9 @@ def bench_semantics_mode_quality(benchmark, suite):
             total_components = 0
             for i in range(len(suite)):
                 for j in range(i + 1, len(suite), 4):
-                    merged, report = compose(suite[i], suite[j], options)
+                    merged, report = compose_all(
+                        [suite[i], suite[j]], options=options
+                    ).pair()
                     united += len(report.duplicates)
                     total_components += merged.component_count()
             table[semantics] = (united, total_components)
@@ -78,8 +80,12 @@ def bench_synonyms_matter(benchmark):
     )
 
     def both():
-        heavy, _ = compose(a, b, ComposeOptions(semantics="heavy"))
-        light, _ = compose(a, b, ComposeOptions(semantics="light"))
+        heavy, _ = compose_all(
+            [a, b], options=ComposeOptions(semantics="heavy")
+        ).pair()
+        light, _ = compose_all(
+            [a, b], options=ComposeOptions(semantics="light")
+        ).pair()
         return len(heavy.species), len(light.species)
 
     heavy_count, light_count = benchmark(both)
@@ -105,12 +111,15 @@ def bench_math_pattern_cache(benchmark):
     b = build("b", "B * k * A")
 
     def both():
-        with_patterns, report_on = compose(
-            a, b, ComposeOptions(use_math_patterns=True)
-        )
-        without, report_off = compose(
-            a, b, ComposeOptions(use_math_patterns=False, convert_units=False)
-        )
+        with_patterns, report_on = compose_all(
+            [a, b], options=ComposeOptions(use_math_patterns=True)
+        ).pair()
+        without, report_off = compose_all(
+            [a, b],
+            options=ComposeOptions(
+                use_math_patterns=False, convert_units=False
+            ),
+        ).pair()
         return report_on.has_conflicts(), report_off.has_conflicts()
 
     conflicts_on, conflicts_off = benchmark(both)
@@ -150,7 +159,7 @@ def bench_glycolysis_merge(benchmark):
     """End-to-end curated merge as a stable macro-benchmark."""
     upper = glycolysis_upper()
     lower = glycolysis_lower()
-    benchmark(lambda: compose(upper, lower))
+    benchmark(lambda: compose_all([upper, lower]).pair())
 
 
 def bench_pattern_memoization(benchmark, corpus):

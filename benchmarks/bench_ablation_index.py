@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro import compose
+from repro import compose_all
 from repro.core.options import ComposeOptions
 from benchmarks._common import emit, write_csv
 
@@ -31,7 +31,7 @@ def bench_index_strategy_medium_pair(benchmark, corpus, index):
     first = _models_around(corpus, 150)
     second = _models_around([m for m in corpus if m is not first], 150)
     options = ComposeOptions(index=index)
-    benchmark(lambda: compose(first, second, options))
+    benchmark(lambda: compose_all([first, second], options=options).pair())
 
 
 def bench_index_scaling(benchmark, corpus):
@@ -51,7 +51,7 @@ def bench_index_scaling(benchmark, corpus):
             for index in ("hash", "sorted", "linear"):
                 options = ComposeOptions(index=index)
                 started = time.perf_counter()
-                compose(model, model, options)
+                compose_all([model, model], options=options).pair()
                 rows.append(
                     (model.network_size(), index,
                      time.perf_counter() - started)
@@ -130,9 +130,9 @@ def bench_index_lookup_consistency(benchmark, corpus):
         second = _models_around([m for m in corpus if m is not first], 80)
         baselines = None
         for index in ("hash", "sorted", "linear"):
-            merged, report = compose(
-                first, second, ComposeOptions(index=index)
-            )
+            merged, report = compose_all(
+                [first, second], options=ComposeOptions(index=index)
+            ).pair()
             fingerprint = (
                 sorted(s.id for s in merged.species),
                 sorted(r.id for r in merged.reactions),

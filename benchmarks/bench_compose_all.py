@@ -1,15 +1,14 @@
 """N-way composition: session ``compose_all`` vs naive cold fold,
-serial vs parallel tree execution, and the batched all-pairs engine.
+per merge plan, and the batched all-pairs engine.
 
-The legacy workflow for composing n models was a hand-rolled left
-fold over ``compose(a, b)``, cold-starting the engine (options,
-synonym table, caches) on every step and re-copying the growing
-accumulator each time.  ``ComposeSession.compose_all`` owns that
-state across steps, folds in place, carries the accumulator's derived
-artifacts (used ids, unit registry, initial values) between steps,
-moves intermediate components instead of copying them, and lets a
-merge plan choose the order.  With ``workers > 1`` the independent
-sibling merges of a ``tree`` plan run on a worker pool.
+The naive workflow for composing n models is a hand-rolled left fold
+of pairwise merges, cold-starting the engine (options, synonym table,
+caches) on every step and re-copying the growing accumulator each
+time.  ``ComposeSession.compose_all`` owns that state across steps,
+folds in place, carries the accumulator's derived artifacts (used
+ids, unit registry, initial values) between steps, moves intermediate
+components instead of copying them, and lets a merge plan choose the
+order.  Every plan executes serially.
 
 This benchmark measures all of it on a 10-model corpus chain (models
 in generation order, the order a real workload would hand them over
@@ -52,9 +51,6 @@ CHAIN_LENGTH = 10
 #: Machine-readable results, tracked across PRs at the repo root.
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_compose.json"
 
-#: Worker-pool width for the parallel-tree strategies.
-PARALLEL_WORKERS = 4
-
 #: Session-greedy must beat the naive cold fold by this factor.
 #: History: the bar was 1.3x when the naive path cold-started every
 #: piece of the engine; the hash-consed math core (PR 4) accelerated
@@ -82,17 +78,8 @@ def naive_cold_fold(models: Sequence[Model]) -> Model:
     return accumulator
 
 
-def session_compose(
-    models: Sequence[Model],
-    plan: str,
-    workers: int = 1,
-    backend: str = "thread",
-) -> Model:
-    return (
-        ComposeSession()
-        .compose_all(models, plan=plan, workers=workers, backend=backend)
-        .model
-    )
+def session_compose(models: Sequence[Model], plan: str) -> Model:
+    return ComposeSession().compose_all(models, plan=plan).model
 
 
 def _best_of(fn: Callable[[], object], rounds: int) -> float:
@@ -111,25 +98,6 @@ def compare(models: Sequence[Model], rounds: int = 5):
     for plan in ("fold", "tree", "greedy"):
         seconds = _best_of(lambda: session_compose(models, plan), rounds)
         rows.append((f"session-{plan}", seconds, naive / seconds))
-    # Both parallel backends are measured: threads are GIL-bound on
-    # standard CPython (they only scale on free-threaded builds), and
-    # processes pay pool spawn + model pickling — so which row wins,
-    # and whether either beats serial, is a property of the machine
-    # that BENCH_compose.json records alongside cpu_count.
-    for backend in ("thread", "process"):
-        seconds = _best_of(
-            lambda: session_compose(
-                models, "tree", workers=PARALLEL_WORKERS, backend=backend
-            ),
-            rounds,
-        )
-        rows.append(
-            (
-                f"session-tree-par{PARALLEL_WORKERS}-{backend}",
-                seconds,
-                naive / seconds,
-            )
-        )
     return rows
 
 
@@ -156,22 +124,6 @@ def bench_session_greedy(benchmark):
 def bench_session_tree(benchmark):
     models = chain_models()
     benchmark(lambda: session_compose(models, "tree"))
-
-
-def bench_session_tree_parallel(benchmark):
-    models = chain_models()
-    benchmark(
-        lambda: session_compose(models, "tree", workers=PARALLEL_WORKERS)
-    )
-
-
-def bench_session_tree_parallel_process(benchmark):
-    models = chain_models()
-    benchmark(
-        lambda: session_compose(
-            models, "tree", workers=PARALLEL_WORKERS, backend="process"
-        )
-    )
 
 
 def bench_compose_all_speedup(benchmark):
@@ -220,9 +172,8 @@ def _allpairs_numbers(
     Single-worker by default: that is the tracked configuration (the
     regression gate compares it across PRs), because worker fan-out
     measures the machine where the engine's own speed is what the
-    repo optimises.  Best-of-``rounds``, matching the strategy rows —
-    a single sweep right after the process-pool benchmarks measured
-    pool teardown noise as engine regressions.  The calibration loop
+    repo optimises.  Best-of-``rounds``, matching the strategy rows.
+    The calibration loop
     runs before and after the rounds (best of both), and the row
     records ``pairs_per_calibration`` = pairs/s × ``calibration_s``:
     pairs swept in one calibration loop's time, which is what the
@@ -241,7 +192,6 @@ def _allpairs_numbers(
         "models": matrix.model_count,
         "pairs": matrix.pair_count,
         "workers": matrix.workers,
-        "backend": matrix.backend,
         "seconds": round(matrix.seconds, 6),
         "pairs_per_second": round(matrix.pairs_per_second, 2),
         "calibration_s": round(calibration, 6),
@@ -265,22 +215,14 @@ def _read_committed_baseline() -> dict:
 def write_bench_json(
     rows, allpairs: dict, rounds: int, smoke: bool
 ) -> Path:
-    """Record the run in BENCH_compose.json (pairs/sec, fold vs tree
-    vs parallel-tree wall time) for cross-PR tracking.
+    """Record the run in BENCH_compose.json (pairs/sec, wall time per
+    merge plan) for cross-PR tracking.
 
     Read-modify-write: sections other benchmarks own (``corpus_query``
     from ``bench_corpus_query``, ``corpus_scale`` from
     ``bench_corpus_scale``, ``scaling`` from ``bench_scaling``) are
     carried over from the committed file, not dropped."""
     committed = _read_committed_baseline()
-    by_label = {label: (seconds, speedup) for label, seconds, speedup in rows}
-    tree_serial = by_label.get("session-tree", (None, None))[0]
-    parallel_rows = [
-        seconds
-        for label, (seconds, _) in by_label.items()
-        if label.startswith(f"session-tree-par{PARALLEL_WORKERS}")
-    ]
-    tree_parallel = min(parallel_rows) if parallel_rows else None
     payload = {
         "benchmark": "compose_all",
         "smoke": smoke,
@@ -298,11 +240,6 @@ def write_bench_json(
             }
             for label, seconds, speedup in rows
         },
-        "tree_parallel_vs_serial": (
-            round(tree_serial / tree_parallel, 3)
-            if tree_serial and tree_parallel
-            else None
-        ),
         "allpairs": allpairs,
         **{
             section: committed[section]
@@ -310,13 +247,8 @@ def write_bench_json(
             if section in committed
         },
         "notes": (
-            "tree_parallel_vs_serial takes the best parallel backend. "
-            "Thread rows are GIL-bound on standard CPython; process "
-            "rows pay pool spawn + pickling, which dominates at this "
-            "chain's ~30 ms scale.  On single-core boxes (cpu_count "
-            "above) both measure overhead only; multi-core scaling "
-            "needs cpu_count > 1 and per-merge work that outweighs "
-            "the backend's cost.  See docs/perf.md."
+            "Every merge plan executes serially; the all-pairs row is "
+            "the single-worker sweep.  See docs/perf.md."
         ),
     }
     BENCH_JSON.write_text(
@@ -335,8 +267,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker pool for the all-pairs sweep (default 1 — the "
-             "single-worker number is the tracked/gated configuration)",
+        help="supervised worker processes for the all-pairs sweep "
+             "(default 1 — the single-worker number is the "
+             "tracked/gated configuration)",
     )
     parser.add_argument(
         "--allpairs-rounds", type=int, default=3,

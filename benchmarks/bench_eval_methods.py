@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import compose
+from repro import compose_all
 from repro.corpus import (
     gene_expression,
     glycolysis_lower,
@@ -39,7 +39,7 @@ def bench_411_textual_comparison(benchmark, suite):
     def check():
         failures = []
         for model in suite:
-            merged, _ = compose(model, model.copy())
+            merged, _ = compose_all([model, model.copy()]).pair()
             merged.id = model.id
             if not models_equivalent(model, merged):
                 failures.append(model.id)
@@ -54,7 +54,9 @@ def bench_412_simulation_comparison(benchmark):
     original halves on their own species."""
 
     def check():
-        merged, _ = compose(glycolysis_upper(), glycolysis_lower())
+        merged, _ = compose_all(
+            [glycolysis_upper(), glycolysis_lower()]
+        ).pair()
         comparison = compare_simulations(
             glycolysis_upper(),
             merged,
@@ -83,7 +85,7 @@ def bench_413_rss(benchmark, suite):
         for model in suite[:6]:
             if not model.reactions:
                 continue
-            merged, _ = compose(model, model.copy())
+            merged, _ = compose_all([model, model.copy()]).pair()
             original_trace = simulate(model, 5.0, 200)
             merged_trace = simulate(merged, 5.0, 200)
             rss = residual_sum_of_squares(original_trace, merged_trace)
@@ -103,7 +105,7 @@ def bench_414_model_checking(benchmark):
 
     def check():
         model = gene_expression()
-        merged, _ = compose(model, model.copy())
+        merged, _ = compose_all([model, model.copy()]).pair()
         original = MonteCarloModelChecker(model, runs=30, t_end=10.0, seed=3)
         composed = MonteCarloModelChecker(merged, runs=30, t_end=10.0, seed=3)
         properties = [

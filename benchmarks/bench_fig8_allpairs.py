@@ -9,9 +9,9 @@ for two models of sizes n and m."
 The pytest-benchmark entries time representative pair sizes; the
 sweep test regenerates the full series (subsampled corpus by default —
 run ``python -m benchmarks.fig8 --full`` for all 17,578 pairs, with
-``--workers N`` to fan pairs onto a pool) and asserts the paper's two
-claims: time grows with n·m, and the series spans orders of magnitude
-on the log10 axis.  The sweep runs on the batched
+``--workers N`` for N supervised worker processes) and asserts the
+paper's two claims: time grows with n·m, and the series spans orders
+of magnitude on the log10 axis.  The sweep runs on the batched
 :func:`~repro.core.match_all.match_all` engine, which computes each
 model's unit registry, initial-value environment and used-id set once
 and shares them across all of the model's pairs.
@@ -161,29 +161,6 @@ def bench_fig8_allpairs_throughput(benchmark, corpus_sample):
         f"{_PR4_PAIRS_PER_SECOND} pairs/s)"
     )
     assert matrix.pairs_per_second >= 1.3 * _PR4_PAIRS_PER_SECOND
-
-
-def bench_fig8_prebuilt_index_ablation(benchmark, corpus_sample):
-    """Prebuilt per-model phase indexes vs per-pair fresh builds, on
-    identical outcomes — the tentpole's measured win and its
-    correctness pin in one run."""
-    from repro.core.match_all import match_all
-
-    def sweep_both():
-        prebuilt = match_all(corpus_sample, workers=1)
-        fresh = match_all(corpus_sample, workers=1, prebuilt_indexes=False)
-        return prebuilt, fresh
-
-    prebuilt, fresh = benchmark.pedantic(sweep_both, rounds=1, iterations=1)
-    assert [o.key() for o in prebuilt.outcomes] == [
-        o.key() for o in fresh.outcomes
-    ]
-    emit("")
-    emit(
-        f"prebuilt indexes {prebuilt.pairs_per_second:8.1f} pairs/s vs "
-        f"fresh {fresh.pairs_per_second:8.1f} pairs/s "
-        f"({prebuilt.pairs_per_second / fresh.pairs_per_second:.2f}x)"
-    )
 
 
 def bench_fig8_self_pair_largest(benchmark, corpus):

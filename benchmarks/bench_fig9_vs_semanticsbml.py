@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro import compose
+from repro import compose_all
 from benchmarks._common import emit, log10_ms, write_csv
 
 
@@ -27,7 +27,7 @@ def _time_compose_min2(first, second) -> float:
     best = float("inf")
     for _ in range(2):
         started = time.perf_counter()
-        compose(first, second)
+        compose_all([first, second]).pair()
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -100,7 +100,7 @@ def bench_fig9_series(benchmark, suite, baseline_engine):
 
 def bench_sbmlcompose_single_pair(benchmark, suite):
     """Micro-benchmark: one suite pair through SBMLCompose."""
-    benchmark(lambda: compose(suite[0], suite[1]))
+    benchmark(lambda: compose_all([suite[0], suite[1]]).pair())
 
 
 def bench_semanticsbml_single_pair(benchmark, suite, baseline_engine):
@@ -136,7 +136,7 @@ def bench_merge_results_agree(benchmark, suite, baseline_engine):
         mismatches = []
         for i in range(0, len(suite), 3):
             for j in range(i + 1, len(suite), 3):
-                ours, _ = compose(suite[i], suite[j])
+                ours, _ = compose_all([suite[i], suite[j]]).pair()
                 theirs, _ = baseline_engine.merge(suite[i], suite[j])
                 if len(ours.species) != len(theirs.species):
                     mismatches.append(

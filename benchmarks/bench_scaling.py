@@ -1,18 +1,17 @@
 """Multi-core scaling of the digest-shipped all-pairs sweep.
 
-The format-5 worker boundary ships process workers a ``(label,
+Sweep workers are supervised processes that receive a ``(label,
 digest)`` manifest — a few dozen bytes per model — instead of the
-pickled corpus, and each worker rehydrates models from the shared
+corpus, and each rehydrates models from the shared
 :class:`~repro.core.artifact_store.ArtifactStore` on first touch.
 This benchmark records what that buys:
 
-* **pairs/s at 1/2/4/8 workers** over a store-backed digest-shipped
-  process sweep (the worker-count ladder is CLI-overridable), plus
-  the scaling efficiency ``rate(N) / (N * rate(1))``;
-* **the initargs payload**: the pickled manifest vs the pickled
-  corpus the pre-format-5 boundary shipped — the acceptance number
-  showing the per-worker data volume no longer grows with corpus
-  *content*, only with its length;
+* **pairs/s at 1/2/4/8 workers** over a store-backed sweep (the
+  worker-count ladder is CLI-overridable), plus the scaling
+  efficiency ``rate(N) / (N * rate(1))``;
+* **the worker payload**: the pickled manifest vs the pickled corpus
+  — the per-worker data volume grows with the corpus *length*, not
+  its content;
 * **the remote boundary** (the ``loopback`` row): bytes per framed
   ``pair-done`` message and the round-trip latency of the socket
   transport on loopback TCP vs a ``multiprocessing`` pipe — the
@@ -152,15 +151,11 @@ def loopback_numbers(models, messages=500) -> dict:
 
 
 def sweep_seconds(models, workers, store_root) -> float:
-    """One timed digest-shipped sweep against a pre-populated store
-    (``workers=1`` is the serial in-process reference)."""
+    """One timed sweep against a pre-populated store: supervised,
+    digest-shipped worker processes (``workers=1`` is the serial
+    in-process reference)."""
     started = time.perf_counter()
-    matrix = match_all(
-        models,
-        workers=workers,
-        backend="process" if workers > 1 else "thread",
-        store=store_root,
-    )
+    matrix = match_all(models, workers=workers, store=store_root)
     seconds = time.perf_counter() - started
     assert matrix.pair_count > 0
     return seconds

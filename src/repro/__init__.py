@@ -14,13 +14,14 @@ merges any number of models in one call, and
 :class:`~repro.core.session.ComposeSession` keeps the pattern cache,
 synonym table and per-input artifacts warm across repeated merges.
 The merge *order* is pluggable (``plan="fold" | "tree" | "greedy"``;
-see :mod:`repro.core.plan`), and with ``workers=N`` the independent
-sibling merges of a ``tree`` plan execute on a worker pool (thread or
-process backend) with results identical to serial execution.  Corpus
+see :mod:`repro.core.plan`); every plan executes serially.  Corpus
 sweeps go through :func:`~repro.core.match_all.match_all`, which
 batches the paper's all-pairs Figure 8 workload behind shared
-per-model artifacts.  ``docs/perf.md`` covers choosing a plan,
-``workers`` and a backend.
+per-model artifacts: ``workers=1`` runs the pairs inline, and
+``workers=N`` runs them on N supervised worker processes
+(:class:`~repro.core.coordinator.SweepCoordinator`) that survive
+worker deaths and quarantine poison pairs.  ``docs/perf.md`` covers
+choosing a plan and ``workers``.
 
 Quickstart
 ----------
@@ -52,8 +53,8 @@ caches persist::
     session = ComposeSession(ComposeOptions.heavy())
     result = session.compose_all(models, plan="greedy")
 
-The legacy pairwise ``compose(a, b)`` still works but is deprecated;
-``docs/api.md`` has the migration guide.
+The pairwise merge is ``compose_all([a, b]).pair()``, which returns
+``(model, report)``; ``docs/api.md`` has the full API.
 """
 
 from repro.core import (
@@ -69,7 +70,6 @@ from repro.core import (
     PairOutcome,
     ProvenanceEntry,
     SweepCheckpoint,
-    compose,
     compose_all,
     make_plan,
     match_all,
@@ -107,7 +107,6 @@ __all__ = [
     "MergePlan",
     "make_plan",
     "plan_names",
-    "compose",
     "Composer",
     "ComposeOptions",
     "MergeReport",

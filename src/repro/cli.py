@@ -3,13 +3,12 @@
 Subcommands::
 
     sbmlcompose merge a.xml b.xml [c.xml ...] -o merged.xml \
-        [--plan fold|tree|greedy] [--workers N] [--backend thread|process] \
-        [--log merge.log]
+        [--plan fold|tree|greedy] [--log merge.log]
     sbmlcompose sweep a.xml b.xml c.xml [...] [--workers N] [-o pairs.csv] \
         [--shards K [--shard-id I] --out-dir DIR [--resume]] \
-        [--supervise [--worker-timeout S] [--max-retries N] \
-         [--poison-threshold K] [--chaos FILE] [--listen HOST:PORT]] \
-        [--deterministic] [--store-max-entries N] [--no-digest-shipping]
+        [--prescreen] [--deterministic] [--store-max-entries N] \
+        [--worker-timeout S] [--max-retries N] [--poison-threshold K] \
+        [--chaos FILE] [--listen HOST:PORT]
     sbmlcompose worker --connect HOST:PORT [--store DIR] [--chaos FILE]
     sbmlcompose sweep-status --out-dir DIR
     sbmlcompose sweep-merge --out-dir DIR [-o merged.csv]
@@ -31,63 +30,62 @@ two *or more* models, composes them through one
 merge plan, and writes the warning log to a file exactly as §3
 describes ("writes a warning to a log file informing the user ... of
 decisions taken") — now including per-step summaries and per-component
-provenance.  ``--workers`` executes independent sibling merges of a
-``tree`` plan concurrently; the output is identical either way.
+provenance.
 
 ``sweep`` is the paper's Figure 8 experiment as a command: compose
 every pair of the given models through the batched
 :func:`~repro.core.match_all.match_all` engine and report what united,
-what conflicted and how fast the pairs went.  With ``--shards K`` the
-pair matrix is partitioned deterministically
+what conflicted and how fast the pairs went.  ``--prescreen`` routes
+the sweep through the vectorized structural prescreen
+(:class:`~repro.core.signature.Prescreen`): provably trivial pairs
+skip the phase machinery and get synthesized rows, byte-identical to
+what the full run would have written.
+
+With ``--shards K`` the pair matrix is partitioned deterministically
 (:func:`~repro.core.shards.partition_pairs`) and each shard's results
 land as a separate CSV under ``--out-dir``, journaled by a
 :class:`~repro.core.shards.SweepCheckpoint` so a killed sweep resumes
 (``--resume``) from the first incomplete shard; per-model artifacts
 are spilled to a content-addressed store under the same directory and
 shared by every shard.  Pass ``--shard-id I`` to compute exactly one
-shard (e.g. one shard per machine); omit it to run all shards
-sequentially, each one checkpointed.  ``sweep-merge`` unions the shard
+shard (e.g. one shard per machine).  ``sweep-merge`` unions the shard
 files back into one report that is byte-identical to an unsharded
-``sweep --deterministic`` run of the same corpus.  ``--prescreen``
-routes the sweep through the vectorized structural prescreen
-(:class:`~repro.core.signature.Prescreen`): provably trivial pairs
-skip the phase machinery and get synthesized rows, byte-identical to
-what the full run would have written.
+``sweep --deterministic`` run of the same corpus.
 
-``sweep --supervise`` hands the sharded sweep to the fault-tolerant
-:class:`~repro.core.coordinator.SweepCoordinator`: worker processes
-hold journal *leases* on their shards, heartbeat while idle, are
-killed and their shards stolen when silent past ``--worker-timeout``,
-and pairs that repeatedly kill their worker are quarantined to
-``quarantine.json`` so the sweep completes without them (exit status
-3 distinguishes that degraded completion).  Multi-worker process
-sweeps (plain pool and supervised alike) are **digest-shipped** by
-default: the corpus is spilled to the artifact store once and workers
+``--workers 1`` (the default) computes every pair in this process.
+``--workers N`` with N > 1, or ``--listen``, hands the sweep to the
+fault-tolerant :class:`~repro.core.coordinator.SweepCoordinator`:
+worker processes hold journal *leases* on their shards, heartbeat
+while idle, are killed and their shards stolen when silent past
+``--worker-timeout``, and pairs that repeatedly kill their worker are
+quarantined to ``quarantine.json`` so the sweep completes without
+them (exit status 3 distinguishes that degraded completion).  With
+``--out-dir`` the coordinator drives the ``--shards`` layout there;
+without, it works in a private temporary directory, one work unit per
+worker.  The corpus is spilled to the artifact store once and workers
 receive only a :class:`~repro.core.artifact_store.CorpusManifest` of
-``(label, digest)`` pairs, rehydrating each model from its format-5
-store entry on first touch instead of unpickling the whole corpus at
-spawn; ``--no-digest-shipping`` restores the old boundary.  With
-``--store-max-entries`` the active corpus's digests are pinned, so
-post-run eviction can never drop an entry a worker still rehydrates
-from.  ``sweep-status`` reports
-leases, retry/steal counters and the quarantine alongside per-shard
-completion; ``store verify`` audits the artifact store, moving
-corrupt blobs into its ``corrupt/`` subdirectory.  ``--chaos FILE``
-arms the deterministic fault-injection harness
+``(label, digest)`` pairs, rehydrating each model from its store
+entry on first touch; with ``--prescreen`` only the pairs the
+prescreen lets through reach a worker.  With ``--store-max-entries``
+the active corpus's digests are pinned, so post-run eviction can
+never drop an entry a worker still rehydrates from.  ``sweep-status``
+reports leases, retry/steal counters and the quarantine alongside
+per-shard completion; ``store verify`` audits the artifact store,
+moving corrupt blobs into its ``corrupt/`` subdirectory.  ``--chaos
+FILE`` arms the deterministic fault-injection harness
 (:mod:`repro.core.chaos`) — how CI's chaos smoke drives worker
 crashes, stalls and torn journal writes reproducibly.
 
-``sweep --supervise --listen HOST:PORT`` additionally accepts
-**remote workers** — ``sbmlcompose worker --connect HOST:PORT`` run
-on any machine — over the framed socket transport
-(:mod:`repro.core.transport`).  Remote workers speak the same
-announce-before-compute protocol as local ones and join the same
-lease/steal/quarantine machinery; a worker without the shared
-filesystem rehydrates store entries through the in-protocol
-digest-fetch request and caches them in its ``--store`` directory (a
-private temporary store by default).  ``--workers 0 --listen ...``
-runs a listen-only coordinator that supervises remote workers
-exclusively.
+``sweep --listen HOST:PORT`` additionally accepts **remote workers**
+— ``sbmlcompose worker --connect HOST:PORT`` run on any machine —
+over the framed socket transport (:mod:`repro.core.transport`).
+Remote workers speak the same announce-before-compute protocol as
+local ones and join the same lease/steal/quarantine machinery; a
+worker without the shared filesystem rehydrates store entries through
+the in-protocol digest-fetch request and caches them in its
+``--store`` directory (a private temporary store by default).
+``--workers 0 --listen ...`` runs a listen-only coordinator that
+supervises remote workers exclusively.
 
 ``corpus`` is the search subsystem: ``corpus index`` builds (or
 incrementally updates) a persistent, segmented
@@ -108,6 +106,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from datetime import datetime
@@ -115,13 +114,16 @@ from pathlib import Path
 
 from repro.core.artifact_store import (
     ArtifactStore,
+    _fingerprint_digests,
     corpus_fingerprint,
     model_digest,
 )
 from repro.core.compose import index_options_key
 from repro.core.corpus_index import CorpusIndex
 from repro.core.match_all import (
+    MatchMatrix,
     PairOutcome,
+    _build_manifest,
     match_all,
     match_all_sharded,
     match_query,
@@ -130,11 +132,7 @@ from repro.core.match_all import (
     write_outcomes_csv,
 )
 from repro.core.signature import ModelSignature, Prescreen
-from repro.core.options import (
-    BACKEND_PROCESS,
-    BACKEND_THREAD,
-    ComposeOptions,
-)
+from repro.core.options import ComposeOptions
 from repro.core.plan import plan_names
 from repro.core import chaos
 from repro.core.coordinator import (
@@ -148,9 +146,10 @@ from repro.core.transport import parse_address
 from repro.core.shards import (
     SweepCheckpoint,
     SweepStateError,
+    partition_pairs,
     shard_result_filename,
 )
-from repro.core.session import ComposeSession
+from repro.core.session import ComposeSession, stable_labels
 from repro.errors import ReproError
 from repro.eval.sbml_diff import diff_models
 from repro.graph.decompose import connected_components
@@ -193,17 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true",
         help="fail on the first conflict instead of warning",
     )
-    merge.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker pool for independent sibling merges of a tree "
-             "plan (default: 1, serial; result is identical)",
-    )
-    merge.add_argument(
-        "--backend", choices=[BACKEND_THREAD, BACKEND_PROCESS],
-        default=BACKEND_THREAD,
-        help="worker pool backend (process: multi-core scaling for "
-             "large corpora at the cost of pickling models)",
-    )
 
     sweep = sub.add_parser(
         "sweep",
@@ -221,10 +209,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-self", action="store_true",
         help="skip composing each model with itself",
     )
-    sweep.add_argument("--workers", type=int, default=1, metavar="N")
     sweep.add_argument(
-        "--backend", choices=[BACKEND_THREAD, BACKEND_PROCESS],
-        default=BACKEND_THREAD,
+        "--workers", type=int, default=1, metavar="N",
+        help="1 (default): compute every pair in this process; N > 1: "
+             "N supervised worker processes with shard leases, "
+             "heartbeats, retry/backoff, work stealing and poison-pair "
+             "quarantine (exit 3 when the sweep completed by "
+             "quarantining pairs); 0 only with --listen",
     )
     sweep.add_argument(
         "--semantics",
@@ -259,13 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "(refuses to resume onto a different corpus or layout)",
     )
     sweep.add_argument(
-        "--fresh-indexes", action="store_true",
-        help="rebuild the target-side phase indexes on every pair "
-             "instead of reusing the per-model index artifacts (the "
-             "ablation/differential reference; outcomes are identical "
-             "either way)",
-    )
-    sweep.add_argument(
         "--store-max-entries", type=int, default=None, metavar="N",
         help="after the run, evict the least-recently-used artifact "
              "store entries beyond N (the store grows one entry per "
@@ -273,40 +257,26 @@ def _build_parser() -> argparse.ArgumentParser:
              "are pinned — digest-shipped workers rehydrate from them",
     )
     sweep.add_argument(
-        "--no-digest-shipping", action="store_true",
-        help="ship the full pickled corpus to process workers instead "
-             "of a (label, digest) manifest they rehydrate from the "
-             "artifact store (the pre-format-5 worker boundary; "
-             "outcomes are identical either way)",
-    )
-    sweep.add_argument(
         "--prescreen", action="store_true",
         help="skip pairs the structural prescreen proves trivial and "
              "synthesize their rows (byte-identical to the full sweep)",
     )
     sweep.add_argument(
-        "--supervise", action="store_true",
-        help="drive the sharded sweep through the fault-tolerant "
-             "coordinator: N worker processes with shard leases, "
-             "heartbeats, retry/backoff, work stealing and poison-"
-             "pair quarantine (requires --out-dir; exit 3 when the "
-             "sweep completed by quarantining pairs)",
-    )
-    sweep.add_argument(
         "--worker-timeout", type=float, default=30.0, metavar="SECONDS",
-        help="supervised mode: seconds of worker silence before the "
-             "coordinator declares it stalled, kills it and steals "
+        help="with worker processes: seconds of worker silence before "
+             "the coordinator declares it stalled, kills it and steals "
              "its shard (default: 30)",
     )
     sweep.add_argument(
         "--max-retries", type=int, default=3, metavar="N",
-        help="supervised mode: failed attempts a shard may consume "
-             "beyond its first before the sweep aborts; attempts that "
-             "quarantined a poison pair ride free (default: 3)",
+        help="with worker processes: failed attempts a shard may "
+             "consume beyond its first before the sweep aborts; "
+             "attempts that quarantined a poison pair ride free "
+             "(default: 3)",
     )
     sweep.add_argument(
         "--poison-threshold", type=int, default=2, metavar="K",
-        help="supervised mode: strikes (worker deaths or errors "
+        help="with worker processes: strikes (worker deaths or errors "
              "attributed to one pair) before the pair is quarantined "
              "(default: 2)",
     )
@@ -318,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
-        help="supervised mode: also accept remote socket workers "
+        help="also accept remote socket workers "
              "(`sbmlcompose worker --connect HOST:PORT`) on this "
              "address; they join the same lease/steal/quarantine "
              "machinery as local workers.  With --workers 0 the "
@@ -335,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--connect", required=True, metavar="HOST:PORT",
-        help="the coordinator's sweep --supervise --listen address",
+        help="the coordinator's sweep --listen address",
     )
     worker.add_argument(
         "--store", type=Path, default=None, metavar="DIR",
@@ -447,10 +417,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--store", type=Path, default=None, metavar="DIR",
         help="artifact store for query/candidate artifacts",
     )
-    corpus_query.add_argument("--workers", type=int, default=1, metavar="N")
     corpus_query.add_argument(
-        "--backend", choices=[BACKEND_THREAD, BACKEND_PROCESS],
-        default=BACKEND_THREAD,
+        "--workers", type=int, default=1, metavar="N",
+        help="match the candidates on N supervised worker processes "
+             "(default: 1, in this process)",
     )
 
     sweep_status = sub.add_parser(
@@ -531,12 +501,7 @@ def _cmd_merge(args) -> int:
     if args.strict:
         options = options.strict()
     session = ComposeSession(options)
-    result = session.compose_all(
-        models,
-        plan=args.plan,
-        workers=args.workers,
-        backend=args.backend,
-    )
+    result = session.compose_all(models, plan=args.plan)
     text = write_sbml(result.model)
     if args.output is not None:
         args.output.write_text(text, encoding="utf-8")
@@ -564,47 +529,81 @@ def _shard_file(shard_id: int, shard_count: int) -> str:
     return shard_result_filename(shard_id, shard_count)
 
 
-def _sweep_fingerprint(models, args) -> str:
-    """Fingerprint binding a checkpoint to this corpus + run shape."""
-    return corpus_fingerprint(
-        models,
-        extra=(
-            "semantics", args.semantics,
-            "include_self", not args.no_self,
-            "shards", args.shards,
-        ),
+def _sweep_extra(args) -> tuple:
+    """The run parameters a sweep journal's fingerprint binds, beside
+    the corpus digests."""
+    return (
+        "semantics", args.semantics,
+        "include_self", not args.no_self,
+        "shards", args.shards,
     )
 
 
+def _print_outcomes(outcomes) -> None:
+    print(f"{'pair':>24} {'size':>6} {'ms':>9} "
+          f"{'united':>6} {'added':>6} {'conflicts':>9}")
+    for outcome in outcomes:
+        pair = f"{outcome.left}+{outcome.right}"
+        print(
+            f"{pair:>24} {outcome.size:>6} "
+            f"{outcome.seconds * 1000:>9.2f} {outcome.united:>6} "
+            f"{outcome.added:>6} {outcome.conflicts:>9}"
+        )
+
+
+def _evict_store(store, max_entries, pinned) -> None:
+    """Post-run LRU eviction with this sweep's corpus entries pinned:
+    a worker of a concurrent or resumed run over the same out-dir
+    rehydrates models from exactly those entries."""
+    evicted = store.evict(max_entries=max_entries, pinned=pinned)
+    if evicted:
+        print(
+            f"evicted {evicted} artifact store entr"
+            f"{'y' if evicted == 1 else 'ies'} "
+            f"(LRU beyond {max_entries})",
+            file=sys.stderr,
+        )
+
+
 def _cmd_sweep_supervised(args, models, options) -> int:
-    """The ``--supervise`` path: hand the whole sharded sweep to the
-    fault-tolerant coordinator instead of computing shards inline."""
-    if args.shard_id is not None:
-        print(
-            "error: --supervise drives every shard itself; drop "
-            "--shard-id",
-            file=sys.stderr,
+    """``--workers N > 1`` or ``--listen``: hand the sweep to the
+    fault-tolerant coordinator — over the ``--shards`` layout in
+    ``--out-dir``, or one work unit per worker in a private temporary
+    directory."""
+    if args.out_dir is not None:
+        return _run_coordinator(args, models, options, args.out_dir)
+    with tempfile.TemporaryDirectory(prefix="sbmlcompose-sweep-") as out_dir:
+        return _run_coordinator(args, models, options, Path(out_dir))
+
+
+def _run_coordinator(args, models, options, out_dir: Path) -> int:
+    # Serialise each model once: the manifest build's digests are the
+    # journal fingerprint's input and the eviction pins.
+    manifest = _build_manifest(
+        models, stable_labels(models), str(out_dir / "artifacts")
+    )
+    screen = (
+        Prescreen.build(models, options, signatures=manifest.signatures)
+        if args.prescreen
+        else None
+    )
+    partition = None
+    if args.out_dir is None:
+        partition = partition_pairs(
+            [model.network_size() for model in models],
+            max(1, args.workers),
+            include_self=not args.no_self,
+            runs=screen.survivors() if screen is not None else None,
         )
-        return 2
-    if args.prescreen:
-        print(
-            "error: --supervise does not combine with --prescreen",
-            file=sys.stderr,
-        )
-        return 2
-    if args.workers == 0 and args.listen is None:
-        print(
-            "error: --workers 0 needs --listen (someone must do the "
-            "work)",
-            file=sys.stderr,
-        )
-        return 2
     coordinator = SweepCoordinator(
         models,
         options,
         shards=args.shards,
-        out_dir=args.out_dir,
-        fingerprint=_sweep_fingerprint(models, args),
+        partition=partition,
+        out_dir=out_dir,
+        fingerprint=_fingerprint_digests(manifest.digests, _sweep_extra(args)),
+        manifest=manifest,
+        prescreen=screen,
         config=CoordinatorConfig(
             # The config floor is 1 (it doubles as the report's worker
             # count); a listen-only coordinator passes local_workers=0
@@ -616,8 +615,6 @@ def _cmd_sweep_supervised(args, models, options) -> int:
         ),
         include_self=not args.no_self,
         resume=args.resume,
-        prebuilt_indexes=not args.fresh_indexes,
-        digest_shipping=not args.no_digest_shipping,
         listen=args.listen,
         local_workers=args.workers if args.listen is not None else None,
     )
@@ -629,64 +626,53 @@ def _cmd_sweep_supervised(args, models, options) -> int:
         )
     report = coordinator.run()
     if args.store_max_entries is not None:
-        store = ArtifactStore(args.out_dir / "artifacts")
-        # Pin the corpus: a digest-shipped worker of a concurrent (or
-        # resumed) run over this directory rehydrates models from
-        # exactly these entries, so LRU pressure must not drop them.
-        pinned = (
-            coordinator.manifest.digests
-            if coordinator.manifest is not None
-            else [model_digest(model) for model in models]
+        _evict_store(
+            ArtifactStore(out_dir / "artifacts"),
+            args.store_max_entries,
+            manifest.digests,
         )
-        evicted = store.evict(
-            max_entries=args.store_max_entries, pinned=pinned
-        )
-        if evicted:
-            print(
-                f"evicted {evicted} artifact store entr"
-                f"{'y' if evicted == 1 else 'ies'} "
-                f"(LRU beyond {args.store_max_entries})",
-                file=sys.stderr,
-            )
+    outcomes = _merged_sweep_outcomes(coordinator.checkpoint)
     if args.output is not None:
         write_outcomes_csv(
-            args.output,
-            _merged_sweep_outcomes(coordinator.checkpoint),
-            deterministic=args.deterministic,
+            args.output, outcomes, deterministic=args.deterministic
         )
         print(f"wrote {args.output}")
+    elif args.out_dir is None:
+        _print_outcomes(outcomes)
+    summary = report.summary()
+    if args.out_dir is None:
+        # The work units are an implementation detail here: report
+        # the sweep the way an in-process sweep would.
+        summary = MatchMatrix(
+            outcomes=outcomes,
+            seconds=report.seconds,
+            model_count=len(models),
+            workers=report.workers,
+            pruned=sum(matrix.pruned for matrix in report.matrices),
+            quarantined=len(report.quarantined),
+        ).summary()
     for entry in report.quarantined:
         print(
             f"quarantined: pair ({entry['i']}, {entry['j']}) "
             f"[{entry['left']}+{entry['right']}] after "
-            f"{entry['strikes']} strike(s) — see "
-            f"{coordinator.quarantine.path}",
+            f"{entry['strikes']} strike(s)"
+            + (
+                f" — see {coordinator.quarantine.path}"
+                if args.out_dir is not None
+                else ""
+            ),
             file=sys.stderr,
         )
-    print(report.summary(), file=sys.stderr)
+    print(summary, file=sys.stderr)
     return report.exit_code
 
 
 def _cmd_sweep_sharded(args, models, options) -> int:
-    if args.out_dir is None:
-        print(
-            "error: "
-            + ("--supervise" if args.supervise else "--shards")
-            + " needs --out-dir",
-            file=sys.stderr,
-        )
-        return 2
-    if args.shard_id is not None and not 0 <= args.shard_id < args.shards:
-        print(
-            f"error: --shard-id must be in [0, {args.shards})",
-            file=sys.stderr,
-        )
-        return 2
-    if args.supervise:
-        return _cmd_sweep_supervised(args, models, options)
+    """Shards computed in this process, one after another, each
+    checkpointed — or just ``--shard-id I``, on ``--workers``."""
     checkpoint = SweepCheckpoint(
         args.out_dir,
-        fingerprint=_sweep_fingerprint(models, args),
+        fingerprint=corpus_fingerprint(models, extra=_sweep_extra(args)),
         shard_count=args.shards,
     )
     # A single-shard run is by definition one piece of a multi-run
@@ -712,12 +698,9 @@ def _cmd_sweep_sharded(args, models, options) -> int:
             shards=args.shards,
             shard_id=shard_id,
             workers=args.workers,
-            backend=args.backend,
             include_self=not args.no_self,
             store=store,
-            prebuilt_indexes=not args.fresh_indexes,
             prescreen=args.prescreen or None,
-            digest_shipping=not args.no_digest_shipping,
         )
         name = _shard_file(shard_id, args.shards)
         write_outcomes_csv(args.out_dir / name, matrix.outcomes)
@@ -725,20 +708,11 @@ def _cmd_sweep_sharded(args, models, options) -> int:
         print(f"wrote {args.out_dir / name}")
         print(matrix.summary(), file=sys.stderr)
     if args.store_max_entries is not None:
-        # Pin this sweep's corpus entries (see the supervised path) —
-        # a later shard run or digest-shipped worker over the same
-        # out-dir still rehydrates from them.
-        evicted = store.evict(
-            max_entries=args.store_max_entries,
-            pinned=[model_digest(model) for model in models],
+        _evict_store(
+            store,
+            args.store_max_entries,
+            [model_digest(model) for model in models],
         )
-        if evicted:
-            print(
-                f"evicted {evicted} artifact store entr"
-                f"{'y' if evicted == 1 else 'ies'} "
-                f"(LRU beyond {args.store_max_entries})",
-                file=sys.stderr,
-            )
     missing = checkpoint.missing_shards()
     if missing:
         print(
@@ -769,43 +743,54 @@ def _cmd_sweep_sharded(args, models, options) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _sweep_usage_error(args):
+    """The first flag combination ``sweep`` refuses, or ``None``."""
     if len(args.models) < 2:
-        print("error: sweep needs at least two models", file=sys.stderr)
-        return 2
-    if args.listen is not None and not args.supervise:
-        print("error: --listen needs --supervise", file=sys.stderr)
-        return 2
-    if args.listen is not None and args.no_digest_shipping:
-        print(
-            "error: --listen needs digest shipping (remote workers "
-            "rehydrate the corpus from the manifest); drop "
-            "--no-digest-shipping",
-            file=sys.stderr,
+        return "sweep needs at least two models"
+    if args.shards < 1:
+        return "--shards must be at least 1"
+    if args.out_dir is None:
+        if args.shards > 1:
+            return "--shards needs --out-dir"
+        if args.shard_id is not None:
+            return "--shard-id needs --out-dir"
+        if args.store_max_entries is not None:
+            return (
+                "--store-max-entries needs --out-dir (only sharded "
+                "sweeps keep an on-disk artifact store)"
+            )
+    if args.shard_id is not None:
+        if not 0 <= args.shard_id < args.shards:
+            return f"--shard-id must be in [0, {args.shards})"
+        if args.listen is not None:
+            return (
+                "--listen drives every shard itself; drop --shard-id"
+            )
+    if args.workers < 1 and args.listen is None:
+        return (
+            "--workers must be at least 1 (0 runs a listen-only "
+            "coordinator and needs --listen)"
         )
+    return None
+
+
+def _cmd_sweep(args) -> int:
+    problem = _sweep_usage_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     models = [read_sbml_file(path).model for path in args.models]
     options = ComposeOptions(semantics=args.semantics)
-    if args.shards < 1:
-        print("error: --shards must be at least 1", file=sys.stderr)
-        return 2
-    if args.store_max_entries is not None and args.out_dir is None:
-        print(
-            "error: --store-max-entries needs --out-dir (only sharded "
-            "sweeps keep an on-disk artifact store)",
-            file=sys.stderr,
-        )
-        return 2
     if args.chaos is not None:
         # Arm the deterministic fault spec for this run (and, via the
         # environment, for every worker process it spawns).
         chaos.install(chaos.ChaosSpec.load(args.chaos))
     try:
-        if (
-            args.shards > 1
-            or args.out_dir is not None
-            or args.supervise
+        if args.shard_id is None and (
+            args.workers != 1 or args.listen is not None
         ):
+            return _cmd_sweep_supervised(args, models, options)
+        if args.out_dir is not None:
             return _cmd_sweep_sharded(args, models, options)
         return _cmd_sweep_unsharded(args, models, options)
     finally:
@@ -817,12 +802,8 @@ def _cmd_sweep_unsharded(args, models, options) -> int:
     matrix = match_all(
         models,
         options,
-        workers=args.workers,
-        backend=args.backend,
         include_self=not args.no_self,
-        prebuilt_indexes=not args.fresh_indexes,
         prescreen=args.prescreen or None,
-        digest_shipping=not args.no_digest_shipping,
     )
     if args.output is not None:
         write_outcomes_csv(
@@ -830,15 +811,7 @@ def _cmd_sweep_unsharded(args, models, options) -> int:
         )
         print(f"wrote {args.output}")
     else:
-        print(f"{'pair':>24} {'size':>6} {'ms':>9} "
-              f"{'united':>6} {'added':>6} {'conflicts':>9}")
-        for outcome in matrix.outcomes:
-            pair = f"{outcome.left}+{outcome.right}"
-            print(
-                f"{pair:>24} {outcome.size:>6} "
-                f"{outcome.seconds * 1000:>9.2f} {outcome.united:>6} "
-                f"{outcome.added:>6} {outcome.conflicts:>9}"
-            )
+        _print_outcomes(matrix.outcomes)
     print(matrix.summary(), file=sys.stderr)
     return 0
 
@@ -1138,7 +1111,6 @@ def _cmd_corpus_query(args) -> int:
             candidates,
             options,
             workers=args.workers,
-            backend=args.backend,
             store=store,
         )
         rows = [
@@ -1193,7 +1165,6 @@ def _cmd_corpus_query(args) -> int:
                 [candidate for _, candidate in loaded],
                 options,
                 workers=args.workers,
-                backend=args.backend,
                 store=store,
             )
             rows.extend(

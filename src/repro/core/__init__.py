@@ -11,8 +11,6 @@ Public API:
 * :class:`~repro.core.options.ComposeOptions` — behaviour knobs, with
   fluent constructors (``heavy()``, ``light()``, ``structural()``,
   ``with_index()``, ``strict()``).
-* :func:`~repro.core.compose.compose` — the legacy pairwise entry
-  point (deprecated shim over the session API).
 * :class:`~repro.core.compose.Composer` — the pairwise engine the
   session drives.
 * :class:`~repro.core.report.MergeReport` — warnings/conflicts log.
@@ -33,10 +31,11 @@ Public API:
   a candidate list (the corpus-search primitive).
 * :class:`~repro.core.corpus_index.CorpusIndex` — persistent inverted
   index over signature keys for sublinear corpus queries.
-* :class:`~repro.core.coordinator.SweepCoordinator` — fault-tolerant
-  supervision for sharded sweeps: shard leases, worker heartbeats,
-  retry with backoff, work stealing and poison-pair quarantine
-  (``sbmlcompose sweep --supervise``).
+* :class:`~repro.core.coordinator.SweepCoordinator` — the one
+  multi-worker sweep engine: supervised worker processes with shard
+  leases, heartbeats, retry with backoff, work stealing and
+  poison-pair quarantine (``match_all(..., workers=N)``,
+  ``sbmlcompose sweep --workers N``).
 * :mod:`~repro.core.chaos` — deterministic fault injection
   (:class:`~repro.core.chaos.ChaosSpec`) threaded through the sweep
   stack, driving the robustness tests and the CI chaos smoke.
@@ -64,7 +63,6 @@ from repro.core.compose import (
     BoundIndexSet,
     Composer,
     ModelIndexSet,
-    compose,
     index_options_key,
 )
 from repro.core.corpus_index import CorpusIndex, IndexedModel
@@ -88,8 +86,6 @@ from repro.core.index import (
 )
 from repro.core.mapping import IdMapping
 from repro.core.options import (
-    BACKEND_PROCESS,
-    BACKEND_THREAD,
     CONFLICTS_ERROR,
     CONFLICTS_WARN,
     INDEX_HASH,
@@ -108,8 +104,6 @@ from repro.core.plan import (
     GreedySimilarityPlan,
     LeftFoldPlan,
     MergePlan,
-    PlanCosts,
-    estimate_costs,
     make_plan,
     plan_names,
 )
@@ -137,7 +131,6 @@ __all__ = [
     "ComposeResult",
     "ComposeStep",
     "ProvenanceEntry",
-    "compose",
     "Composer",
     "AccumState",
     "match_all",
@@ -181,8 +174,6 @@ __all__ = [
     "Duplicate",
     "IdMapping",
     "MergePlan",
-    "PlanCosts",
-    "estimate_costs",
     "LeftFoldPlan",
     "BalancedTreePlan",
     "GreedySimilarityPlan",
@@ -208,6 +199,4 @@ __all__ = [
     "INDEX_SORTED",
     "CONFLICTS_WARN",
     "CONFLICTS_ERROR",
-    "BACKEND_THREAD",
-    "BACKEND_PROCESS",
 ]

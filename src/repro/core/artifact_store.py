@@ -63,29 +63,17 @@ __all__ = [
     "compute_artifacts",
 ]
 
-#: Bump when the pickled artifact layout changes *incompatibly*;
-#: unreadable entries then read as misses and are recomputed instead
-#: of mis-deserialised.  Format 2 added the per-model canonical
-#: pattern table.  Format 3 added the per-model phase-index rows
-#: (:class:`~repro.core.compose.ModelIndexSet`) — a pure addition, so
-#: format-2 entries still rehydrate (their missing index table is
-#: computed lazily by consumers) instead of being treated as corrupt.
-#: Format 4 added the structural signature
-#: (:class:`~repro.core.signature.ModelSignature`) — a pure addition
-#: again, so format-2/3 entries rehydrate with it ``None`` and
-#: consumers recompute lazily (format-4/5 entries may also carry a
-#: per-collection id table that nothing reads any more; it is
-#: ignored).  Format 5 added the model's canonical SBML text
-#: itself (the exact bytes :func:`model_digest` hashes), which is what
-#: lets digest-shipped process workers rehydrate the *model* — not
-#: just its artifacts — from the store; older entries rehydrate with
-#: ``sbml`` ``None`` and are upgraded in place the next time a
-#: manifest build sees them.
+#: The one entry layout the store reads and writes.  Bump it when the
+#: pickled artifact layout changes: entries of any other format read
+#: as counted ``incompatible`` misses and are recomputed and rewritten
+#: in this format — the store is a cache.  Format 5 carries the
+#: pattern table, the phase-index rows, the structural signature and
+#: the model's canonical SBML text (the exact bytes
+#: :func:`model_digest` hashes), which is what lets sweep workers
+#: rehydrate the *model* — not just its artifacts — from the store.
+#: (Format-5 entries may also carry a per-collection id table that
+#: nothing reads any more; it is ignored.)
 _FORMAT = 5
-
-#: Older formats the reader still accepts (fields added since are
-#: normalised to "absent, compute lazily").
-_COMPATIBLE_FORMATS = frozenset((2, 3, 4, _FORMAT))
 
 
 def model_digest(model: Model) -> str:
@@ -151,23 +139,21 @@ class ModelArtifacts:
     initial: Dict[str, float]
     #: expression digest -> canonical pattern (empty restriction).
     patterns: Dict[str, str] = field(default_factory=dict)
-    #: Per-model phase-index rows (store format 3), or ``None`` for
-    #: entries rehydrated from a format-2 store — consumers compute
-    #: the set lazily then.  Tagged with the key-affecting options it
-    #: was built under; consumers must check
+    #: Per-model phase-index rows, or ``None`` when skipped
+    #: (``with_indexes=False``).  Tagged with the key-affecting
+    #: options they were built under; consumers must check
     #: :meth:`~repro.core.compose.ModelIndexSet.matches` and rebuild
     #: locally on a mismatch.
     indexes: Optional[ModelIndexSet] = None
-    #: Structural signature (store format 4, same options discipline
-    #: as ``indexes``: check :meth:`~repro.core.signature.ModelSignature.matches`
-    #: and rebuild on mismatch), or ``None`` from older entries.
+    #: Structural signature (same options discipline as ``indexes``:
+    #: check :meth:`~repro.core.signature.ModelSignature.matches` and
+    #: rebuild on mismatch), or ``None`` when skipped.
     signature: Optional["ModelSignature"] = None
-    #: The model's canonical SBML text (store format 5) — the exact
-    #: string :func:`model_digest` hashes, so ``sha256(sbml) ==
-    #: digest`` for a healthy entry.  Digest-shipped sweep workers
-    #: parse the model back out of this blob instead of receiving it
-    #: pickled; ``None`` from pre-format-5 entries (a manifest build
-    #: upgrades those in place when the parent still holds the model).
+    #: The model's canonical SBML text — the exact string
+    #: :func:`model_digest` hashes, so ``sha256(sbml) == digest`` for
+    #: a healthy entry.  Sweep workers parse the model back out of
+    #: this blob; ``None`` when skipped (a manifest build fills it in
+    #: place when the parent still holds the model).
     sbml: Optional[str] = None
 
 
@@ -248,23 +234,21 @@ def _artifact_options():
 
 @dataclass(frozen=True)
 class CorpusManifest:
-    """What a digest-shipped sweep worker receives instead of models.
+    """What a sweep worker receives instead of models.
 
     An ordered ``(label, digest)`` list plus the corpus fingerprint —
-    a flat, corpus-size-independent-per-entry description whose pickle
-    is a few dozen bytes per model, versus the full serialised corpus
-    the pre-format-5 worker boundary shipped through ``initargs``.
+    a flat description whose pickle is a few dozen bytes per model.
     Workers resolve each digest against a shared :class:`ArtifactStore`
-    on first touch: the format-5 entry carries the model's canonical
-    SBML text (parse once per worker) *and* the pattern table, index
-    rows and signature derived from it, so a rehydrated model is
-    seeded exactly like an in-memory one.
+    on first touch: the entry carries the model's canonical SBML text
+    (parse once per worker) *and* the pattern table, index rows and
+    signature derived from it, so a rehydrated model is seeded exactly
+    like an in-memory one.
 
     Build with :meth:`build`, which also guarantees the store side of
     the contract: after it returns, every manifest digest resolves to
-    a format-5 entry with a non-``None`` ``sbml`` blob (pre-existing
-    blob-less entries are upgraded in place).  Entry order is corpus
-    order — pair indexes ``(i, j)`` are positional on it.
+    an entry with a non-``None`` ``sbml`` blob (pre-existing blob-less
+    entries are filled in place).  Entry order is corpus order — pair
+    indexes ``(i, j)`` are positional on it.
     """
 
     #: ``(label, digest)`` per model, in corpus order.
@@ -303,14 +287,12 @@ class CorpusManifest:
         with_artifacts: bool = True,
     ) -> "CorpusManifest":
         """Manifest for ``models``, populating ``store`` so every
-        entry is worker-rehydratable (format 5, SBML blob present).
+        entry is worker-rehydratable (SBML blob present).
 
         Serialises each model once — that text is both the digest
-        input and the stored blob — and writes only on a miss or on a
-        pre-format-5 entry missing the blob (upgraded in place, other
-        artifact fields kept).  Raises ``OSError`` if the store cannot
-        be written; callers treat that as "digest shipping
-        unavailable" and fall back to pickled models.
+        input and the stored blob — and writes only on a miss or on an
+        entry missing the blob (filled in place, other artifact fields
+        kept).  Raises ``OSError`` if the store cannot be written.
 
         ``with_artifacts=False`` writes *light* entries on a miss —
         the SBML blob plus only the cheap option-independent fields,
@@ -364,8 +346,8 @@ class StoreVerifyReport:
     ok: int
     #: Digests whose blobs failed to deserialise at all.
     corrupt: List[str]
-    #: Digests that deserialise but carry an unknown format number
-    #: (left in place — a newer writer may still want them).
+    #: Digests that deserialise but carry another format number
+    #: (left in place; a read recomputes and rewrites them).
     incompatible: List[str]
     #: Where the corrupt blobs were moved (empty when the scan ran
     #: with ``quarantine=False``).
@@ -430,7 +412,7 @@ class ArtifactStore:
     def stats(self) -> Dict[str, int]:
         """Read-outcome counters for this store instance: ``hits``,
         ``misses`` (absent entries), ``corrupt`` (failed to
-        deserialise; quarantined) and ``incompatible`` (unknown format
+        deserialise; quarantined) and ``incompatible`` (another format
         number; left in place).  In-memory and per-instance — for a
         persistent whole-store audit use :meth:`verify`."""
         return dict(self._stats)
@@ -450,24 +432,14 @@ class ArtifactStore:
     def _decode(data: bytes):
         """``(format, artifacts)`` from raw entry bytes.
 
-        Raises on undecodable bytes; an unknown-format payload returns
-        ``(format, None)`` — decodable, just not ours.
+        Raises on undecodable bytes; a payload of any other format
+        returns ``(format, None)`` — decodable, just not ours.
         """
         payload = pickle.loads(data)
         fmt = payload["format"]
-        if fmt not in _COMPATIBLE_FORMATS:
+        if fmt != _FORMAT:
             return fmt, None
-        artifacts = payload["artifacts"]
-        # Entries written by older formats predate some fields
-        # (format 2: index rows; formats 2–3: signature; formats 2–4:
-        # the SBML blob).  They are valid hits, not corrupt entries —
-        # the missing fields are normalised to ``None`` ("absent,
-        # compute lazily") so consumers never see an attribute error
-        # from an old pickle's narrower ``__dict__``.
-        for lazy_field in ("indexes", "signature", "sbml"):
-            if getattr(artifacts, lazy_field, None) is None:
-                setattr(artifacts, lazy_field, None)
-        return fmt, artifacts
+        return fmt, payload["artifacts"]
 
     def get(self, digest: str) -> Optional[ModelArtifacts]:
         """The stored artifacts for ``digest``, or ``None`` on miss.

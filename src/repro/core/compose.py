@@ -1,7 +1,9 @@
 """SBMLCompose — the unsupervised model-composition engine.
 
-This is the paper's primary contribution.  :func:`compose` takes two
-models and produces one composed model plus a :class:`MergeReport`:
+This is the paper's primary contribution.  :class:`Composer` takes
+two models and produces one composed model plus a
+:class:`MergeReport` (sessions drive it:
+``compose_all([a, b]).pair()`` is the pairwise merge):
 
 * Figure 4's phase order drives the merge: function definitions,
   unit definitions, compartment types, species types, compartments,
@@ -32,9 +34,7 @@ and build no model at all.
 
 from __future__ import annotations
 
-import threading
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -66,64 +66,12 @@ from repro.units.definitions import UnitDefinition
 from repro.units.registry import UnitRegistry
 
 __all__ = [
-    "compose",
     "Composer",
     "AccumState",
     "ModelIndexSet",
     "BoundIndexSet",
     "index_options_key",
 ]
-
-#: Set after the legacy :func:`compose` shim has warned once; tests
-#: reset it to observe the warning deterministically.  Guarded by
-#: ``_DEPRECATION_LOCK`` so concurrent sessions racing through the
-#: shim still warn exactly once per process.
-_DEPRECATION_WARNED = False
-_DEPRECATION_LOCK = threading.Lock()
-
-
-def compose(
-    first: Model,
-    second: Model,
-    options: Optional[ComposeOptions] = None,
-) -> Tuple[Model, MergeReport]:
-    """Compose two models (paper Figure 4).  **Legacy entry point.**
-
-    Returns ``(composed_model, report)``.  The inputs are not
-    modified.  With default options this is the paper's SBMLCompose:
-    heavy semantics, hash indexes, warn-and-continue conflicts.
-
-    .. deprecated:: 1.1
-        ``compose(a, b)`` is a thin shim over the session API and
-        emits a single :class:`DeprecationWarning` per process.  Use
-        :func:`repro.core.session.compose_all` for one-shot merges or
-        :class:`repro.core.session.ComposeSession` for repeated ones;
-        see ``docs/api.md`` for the migration guide.
-    """
-    global _DEPRECATION_WARNED
-    if not _DEPRECATION_WARNED:
-        # Double-checked under the lock: only one of several threads
-        # racing through the shim emits the warning.
-        with _DEPRECATION_LOCK:
-            if not _DEPRECATION_WARNED:
-                _DEPRECATION_WARNED = True
-                warnings.warn(
-                    "compose(a, b) is deprecated; use compose_all([a, b]) "
-                    "or ComposeSession (see docs/api.md)",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-    from repro.core.session import ComposeSession
-
-    # Mirror the one-shot default: no session-wide pattern cache
-    # unless the options ask for memoisation.
-    session = ComposeSession(
-        options,
-        cache_patterns=options.memoize_patterns if options else False,
-    )
-    result = session.compose(first, second)
-    return result.model, result.report
-
 
 @dataclass
 class AccumState:

@@ -44,6 +44,15 @@ can inject on demand:
   reported (:meth:`MatchMatrix.summary`, ``sweep-status``), and
   distinguished by exit code :data:`EXIT_QUARANTINED`.
 
+It is the one multi-worker sweep engine: ``match_all(...,
+workers=N)`` (and ``match_all_sharded``/``match_query``) runs it over
+a private temporary directory with one work unit per worker, and
+``sbmlcompose sweep --workers N`` runs it over ``--out-dir``.  Workers
+never receive models — only the corpus manifest, rehydrating each
+model from the sweep's artifact store — and with a prescreen only
+the pairs it lets through reach a worker: the rest get synthesized
+rows in their shard's results up front.
+
 Workers talk to the coordinator over per-worker duplex pipes polled
 with :func:`multiprocessing.connection.wait` — deliberately *not* a
 ``multiprocessing.Queue``, whose background feeder thread can lose a
@@ -94,6 +103,7 @@ from repro.core.match_all import (
     PairOutcome,
     _PairEngine,
     _build_manifest,
+    _synthesized_outcome,
     write_outcomes_csv,
 )
 from repro.core.options import ComposeOptions
@@ -106,6 +116,7 @@ from repro.core.shards import (
     partition_pairs,
     shard_result_filename,
 )
+from repro.core.signature import Prescreen
 from repro.sbml.model import Model
 
 __all__ = [
@@ -317,12 +328,9 @@ def _worker_main(
     conn,
     worker_name: str,
     options: Optional[ComposeOptions],
-    models: Optional[List[Model]],
-    labels: Optional[List[str]],
-    store_root: Optional[str],
-    prebuilt_indexes: bool,
+    store_root: str,
     heartbeat_interval: float,
-    manifest: Optional[CorpusManifest] = None,
+    manifest: CorpusManifest,
 ) -> None:
     """One supervised worker: build the shared-artifact engine, then
     loop — compute assigned shards pair by pair, announce each pair
@@ -330,14 +338,12 @@ def _worker_main(
     idle.  Every ``send`` is synchronous; a SIGKILL one instruction
     later cannot retract a message the coordinator already has.
 
-    Digest-shipped workers get ``manifest`` and ``models=None``,
-    rehydrating each model from the out-dir artifact store on first
-    touch; a rehydrate miss inside a pair surfaces as an ordinary
+    The worker gets the corpus manifest, never the models: it
+    rehydrates each model from the sweep's artifact store on first
+    touch, and a rehydrate miss inside a pair surfaces as an ordinary
     pair error, so the coordinator's strike/quarantine machinery —
     not a silent crash loop — absorbs a store that lost entries."""
-    engine = _PairEngine(
-        options, models, labels, store_root, prebuilt_indexes, manifest
-    )
+    engine = _PairEngine(options, store_root=store_root, manifest=manifest)
     _worker_loop(conn, worker_name, engine, heartbeat_interval)
 
 
@@ -495,11 +501,8 @@ def run_remote_worker(
         channel = _FetchChannel(conn)
         engine = _PairEngine(
             welcome.get("options"),
-            None,
-            None,
-            str(store_dir),
-            welcome.get("prebuilt_indexes", True),
-            manifest,
+            store_root=str(store_dir),
+            manifest=manifest,
             fetch=channel.fetch,
         )
         log(
@@ -605,6 +608,8 @@ class _ShardState:
         #: A quarantine happened during the current attempt — the
         #: failure made durable progress, so it rides free.
         self.fresh_quarantine = False
+        #: Rows the prescreen synthesized into ``outcomes`` up front.
+        self.pruned = 0
 
     def remaining(self, quarantined: Set[Pair]) -> List[Pair]:
         return [
@@ -621,10 +626,20 @@ class SweepCoordinator:
     :meth:`run` executes (or resumes) the sweep and returns a
     :class:`SweepReport`.  All durable state lives in ``out_dir`` —
     the format-2 checkpoint journal (completions + leases + retry
-    counters), the per-shard result CSVs, the shared artifact store,
-    and the ``quarantine.json`` sidecar — so a crashed coordinator is
+    counters), the per-shard result CSVs, the shared artifact store
+    (``out_dir/artifacts`` unless ``store`` names another), and the
+    ``quarantine.json`` sidecar — so a crashed coordinator is
     restarted with ``resume=True`` over the same directory and picks
     up where the journal says it stopped.
+
+    The shards are ``partition_pairs(sizes, shards)`` unless
+    ``partition`` hands over other work units (in-process sweeps cut
+    one per worker from the pairs they run).  Workers receive the
+    corpus :class:`~repro.core.artifact_store.CorpusManifest` — the
+    one passed as ``manifest``, or one built into the store when
+    :meth:`run` starts — and rehydrate every model from the store.
+    With ``prescreen``, the pairs it prunes get synthesized rows in
+    their shard's results up front and never reach a worker.
     """
 
     def __init__(
@@ -632,19 +647,26 @@ class SweepCoordinator:
         models: Sequence[Model],
         options: Optional[ComposeOptions] = None,
         *,
-        shards: int,
         out_dir: Union[str, Path],
         fingerprint: str,
+        shards: Optional[int] = None,
+        partition: Optional[Sequence[Shard]] = None,
+        manifest: Optional[CorpusManifest] = None,
+        prescreen: Optional[Prescreen] = None,
+        store: Optional[Union[str, Path]] = None,
         config: Optional[CoordinatorConfig] = None,
         include_self: bool = True,
         resume: bool = False,
-        prebuilt_indexes: bool = True,
         progress: bool = True,
-        digest_shipping: bool = True,
         listen: Optional[Union[str, Tuple[str, int]]] = None,
         local_workers: Optional[int] = None,
     ):
-        if shards < 1:
+        if partition is not None:
+            self.partition: Optional[List[Shard]] = list(partition)
+            shards = len(self.partition)
+        else:
+            self.partition = None
+        if shards is None or shards < 1:
             raise ValueError("shards must be at least 1")
         self.models = list(models)
         self.options = options
@@ -654,13 +676,14 @@ class SweepCoordinator:
         self.config = config or CoordinatorConfig()
         self.include_self = include_self
         self.resume = resume
-        self.prebuilt_indexes = prebuilt_indexes
         self.progress = progress
-        self.digest_shipping = digest_shipping
-        #: Built at the top of :meth:`run` (when digest shipping is on
-        #: and there is work); ``None`` means workers receive the
-        #: pickled corpus, the pre-format-5 boundary.
-        self.manifest: Optional[CorpusManifest] = None
+        self.prescreen = prescreen
+        self.store_root = str(
+            store if store is not None else self.out_dir / "artifacts"
+        )
+        #: What workers rehydrate the corpus from; built at the top of
+        #: :meth:`run` unless the caller built it already.
+        self.manifest: Optional[CorpusManifest] = manifest
         self.labels = stable_labels(self.models)
         self.checkpoint = SweepCheckpoint(
             self.out_dir,
@@ -669,6 +692,12 @@ class SweepCoordinator:
         )
         self.quarantine = Quarantine(self.out_dir)
         self._states: Dict[int, _ShardState] = {}
+        #: Shards not yet done — the event loop's exit condition.
+        self._open = 0
+        #: Shards whose state changed since :meth:`_finalize_empty`
+        #: last looked; only these are re-examined, so a loop wake
+        #: (one per streamed pair) costs nothing per pending pair.
+        self._dirty: Set[int] = set()
         self._workers: Dict[str, _WorkerHandle] = {}
         self._strikes: Dict[Pair, int] = {}
         self._matrices: List[MatchMatrix] = []
@@ -725,8 +754,11 @@ class SweepCoordinator:
         completed = self.checkpoint.begin(resume=self.resume)
         self.quarantine = Quarantine.load(self.out_dir)
         sizes = [model.network_size() for model in self.models]
-        partition = partition_pairs(
+        partition = self.partition or partition_pairs(
             sizes, self.shard_count, include_self=self.include_self
+        )
+        survivors = (
+            self.prescreen.survivors() if self.prescreen is not None else None
         )
         now = time.monotonic()
         wall_now = time.time()
@@ -734,6 +766,13 @@ class SweepCoordinator:
             if shard.shard_id in completed:
                 continue
             state = _ShardState(shard)
+            if survivors is not None:
+                for i, j in shard.pairs:
+                    if not survivors[i, j]:
+                        state.outcomes[(i, j)] = _synthesized_outcome(
+                            self.prescreen, i, j, self.labels, sizes
+                        )
+                        state.pruned += 1
             lease = self.checkpoint.leases.get(shard.shard_id)
             if lease is not None:
                 # An unexpired foreign lease: someone may still be
@@ -749,26 +788,25 @@ class SweepCoordinator:
                     f"{lease.get('worker')} until its lease lapses"
                 )
             self._states[shard.shard_id] = state
+        self._open = len(self._states)
+        self._dirty = set(self._states)
         if completed:
             self._log(
                 f"resuming: {len(completed)} shard(s) already complete, "
                 f"{len(self._states)} to go"
             )
-        if self.digest_shipping and self._states:
-            # Populate the out-dir store up front so every worker —
-            # including respawns after a kill — rehydrates the corpus
-            # from format-5 entries instead of unpickling it through
-            # its spawn args.  A store failure logs and degrades to
-            # the pickled-corpus boundary (manifest stays None).
+        if self.manifest is None and self._states:
+            # Populate the store up front so every worker — including
+            # respawns after a kill — rehydrates the corpus from it.
             self.manifest = _build_manifest(
-                self.models, self.labels, self._store_root()
+                self.models, self.labels, self.store_root
             )
         try:
-            while any(
-                state.status != "done" for state in self._states.values()
-            ):
+            while self._open:
                 now = time.monotonic()
                 self._finalize_empty(now)
+                if not self._open:
+                    break
                 self._ensure_workers()
                 # Timeout scans and lease renewal are time-gated: the
                 # loop wakes once per streamed pair result, and paying
@@ -813,20 +851,10 @@ class SweepCoordinator:
     # Worker pool
     # ------------------------------------------------------------------
 
-    def _store_root(self) -> str:
-        return str(self.out_dir / "artifacts")
-
     def _artifact_store(self) -> ArtifactStore:
         if self._store is None:
-            self._store = ArtifactStore(self._store_root())
+            self._store = ArtifactStore(self.store_root)
         return self._store
-
-    def _unfinished(self) -> List[_ShardState]:
-        return [
-            state
-            for state in self._states.values()
-            if state.status != "done"
-        ]
 
     def _spawn_worker(self) -> _WorkerHandle:
         self._serial += 1
@@ -838,10 +866,7 @@ class SweepCoordinator:
                 child_conn,
                 name,
                 self.options,
-                None if self.manifest is not None else self.models,
-                None if self.manifest is not None else self.labels,
-                self._store_root(),
-                self.prebuilt_indexes,
+                self.store_root,
                 self.config.effective_heartbeat,
                 self.manifest,
             ),
@@ -859,11 +884,7 @@ class SweepCoordinator:
         return handle
 
     def _ensure_workers(self) -> None:
-        needed = (
-            min(self.local_workers, max(1, len(self._unfinished())))
-            if self.local_workers
-            else 0
-        )
+        needed = min(self.local_workers, self._open)
         local = sum(1 for w in self._workers.values() if not w.remote)
         while local < needed:
             handle = self._spawn_worker()
@@ -913,11 +934,16 @@ class SweepCoordinator:
     # ------------------------------------------------------------------
 
     def _finalize_empty(self, now: float) -> None:
-        """Shards with nothing left to compute (empty, or everything
-        already streamed back / quarantined) complete without a
-        worker."""
+        """Shards with nothing left to compute (empty, everything
+        synthesized, or everything already streamed back /
+        quarantined) complete without a worker.  Only shards whose
+        state changed since the last look are examined."""
+        if not self._dirty:
+            return
         quarantined = self.quarantine.pairs()
-        for state in self._unfinished():
+        dirty, self._dirty = self._dirty, set()
+        for shard_id in sorted(dirty):
+            state = self._states[shard_id]
             if state.status == "pending" and not state.remaining(quarantined):
                 self._finalize_shard(state, now)
 
@@ -939,7 +965,6 @@ class SweepCoordinator:
             worker.kill()
 
     def _assign(self, now: float) -> None:
-        quarantined = self.quarantine.pairs()
         idle = [
             worker
             for worker in self._workers.values()
@@ -953,11 +978,14 @@ class SweepCoordinator:
         runnable = sorted(
             (
                 state
-                for state in self._unfinished()
+                for state in self._states.values()
                 if state.status == "pending" and state.next_eligible <= now
             ),
             key=lambda state: state.shard.shard_id,
         )
+        if not runnable:
+            return
+        quarantined = self.quarantine.pairs()
         for worker, state in zip(idle, runnable):
             remaining = state.remaining(quarantined)
             if not remaining:
@@ -1036,27 +1064,6 @@ class SweepCoordinator:
             )
             conn.close()
             return
-        if self.manifest is None:
-            # Remote workers have no pickled-corpus fallback: without
-            # a digest manifest there is nothing to hand them.
-            try:
-                if conn.poll(5.0):
-                    conn.recv()  # consume the hello
-                conn.send(
-                    (
-                        "reject",
-                        "digest shipping unavailable on this "
-                        "coordinator (no corpus manifest)",
-                    )
-                )
-            except (transport.TransportError, EOFError, OSError):
-                pass
-            self._log(
-                f"worker connection from {addr[0]}:{addr[1]} refused: "
-                f"digest shipping unavailable (no manifest)"
-            )
-            conn.close()
-            return
         # The serial is burned only on a *successful* handshake, so
         # probes and failed dials don't shift later workers' names
         # (chaos specs match on them).
@@ -1068,7 +1075,6 @@ class SweepCoordinator:
                 options=self.options,
                 manifest=self.manifest,
                 heartbeat_interval=self.config.effective_heartbeat,
-                prebuilt_indexes=self.prebuilt_indexes,
             )
         except (transport.TransportError, EOFError, OSError) as exc:
             self._log(
@@ -1140,8 +1146,7 @@ class SweepCoordinator:
             _, digest = message
             data = (
                 self._artifact_store().get_blob(digest)
-                if self.manifest is not None
-                and digest in self.manifest.digests
+                if digest in self.manifest.digests
                 else None
             )
             try:
@@ -1159,6 +1164,8 @@ class SweepCoordinator:
             state = self._states.get(shard_id)
             if state is not None:
                 state.outcomes[(outcome.i, outcome.j)] = outcome
+                if state.status == "pending":
+                    self._dirty.add(shard_id)
             return
         if kind == "pair-error":
             _, shard_id, i, j, captured, nxt = message
@@ -1257,6 +1264,7 @@ class SweepCoordinator:
         delay = self._backoff(shard_id, state.failures)
         state.status = "pending"
         state.next_eligible = now + delay
+        self._dirty.add(shard_id)
         self._log(
             f"shard {shard_id}: attempt failed "
             f"({'stolen' if stolen else 'retried'}"
@@ -1297,6 +1305,7 @@ class SweepCoordinator:
         write_outcomes_csv(self.out_dir / name, ordered)
         self.checkpoint.mark_complete(shard.shard_id, name, len(ordered))
         state.status = "done"
+        self._open -= 1
         seconds = (
             time.perf_counter() - state.first_started
             if state.first_started is not None
@@ -1307,9 +1316,9 @@ class SweepCoordinator:
             seconds=seconds,
             model_count=len(self.models),
             workers=self.config.workers,
-            backend="process",
             shard_id=shard.shard_id,
             shard_count=self.shard_count,
+            pruned=state.pruned,
             quarantined=quarantined_here,
         )
         self._matrices.append(matrix)

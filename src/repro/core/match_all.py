@@ -2,10 +2,10 @@
 
 The paper's Figure 8 experiment composes every model of a corpus with
 every other model (17,578 merges over 187 models).  Driving that with
-one cold :func:`~repro.core.compose.compose` per pair repays the same
-per-model preprocessing hundreds of times — each model appears in
-``n`` pairs, and every appearance used to re-derive its unit registry,
-its evaluated initial-value environment and its used-id set, the way
+one cold one-shot merge per pair repays the same per-model
+preprocessing hundreds of times — each model appears in ``n`` pairs,
+and every appearance used to re-derive its unit registry, its
+evaluated initial-value environment and its used-id set, the way
 semanticSBML-era tooling re-parsed inputs per merge.  sirn-style
 structural identity search batches corpus-scale comparisons instead;
 :func:`match_all` is that idea for composition:
@@ -20,16 +20,18 @@ structural identity search batches corpus-scale comparisons instead;
   :class:`~repro.core.pattern_cache.PatternCache` serve the whole
   sweep, so canonical patterns are computed per expression, not per
   pair,
-* pairs fan out onto a worker pool (``workers``/``backend`` exactly as
-  in :meth:`~repro.core.session.ComposeSession.compose_all`),
-* the sweep itself iterates deterministic **shards** of the pair
-  matrix (:func:`~repro.core.shards.partition_pairs`):
-  :func:`match_all` runs every shard in one process, while
-  :func:`match_all_sharded` computes a single shard so K machines (or
-  K sequential, individually checkpointed steps of one machine — see
-  ``sbmlcompose sweep --shards``) can split a corpus that shouldn't
-  monopolise one box.  The union of the K shard matrices is
-  *identical* to the unsharded sweep, pair for pair.
+* ``workers=1`` runs every pair inline; ``workers > 1`` hands the
+  pairs the prescreen lets through to
+  :class:`~repro.core.coordinator.SweepCoordinator`, which supervises
+  that many worker processes (leases, steals, retries, poison-pair
+  quarantine) over a private temporary journal,
+* :func:`match_all` sweeps the whole pair matrix, while
+  :func:`match_all_sharded` computes one shard of a deterministic
+  partition (:func:`~repro.core.shards.partition_pairs`) so K
+  machines (or K sequential, individually checkpointed steps of one
+  machine — see ``sbmlcompose sweep --shards``) can split a corpus
+  that shouldn't monopolise one box.  The union of the K shard
+  matrices is *identical* to the unsharded sweep, pair for pair.
 
 The composed models themselves are never built — an all-pairs sweep
 is about the matching outcome (what united, what conflicted, how long
@@ -41,13 +43,10 @@ afterwards.
 
 from __future__ import annotations
 
-import logging
-import shutil
+import os
 import tempfile
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -73,14 +72,10 @@ from repro.core.compose import (
     ModelIndexSet,
     index_options_key,
 )
-from repro.core.options import (
-    BACKEND_PROCESS,
-    BACKEND_THREAD,
-    ComposeOptions,
-)
+from repro.core.options import ComposeOptions
 from repro.core.pattern_cache import PatternCache
 from repro.core.session import stable_labels
-from repro.core.shards import Shard, partition_pairs
+from repro.core.shards import Pair, enumerate_pairs, partition_pairs
 from repro.core.signature import Prescreen
 from repro.errors import ReproError
 from repro.sbml.model import Model
@@ -89,7 +84,6 @@ from repro.sbml.reader import read_sbml
 __all__ = [
     "PairOutcome",
     "MatchMatrix",
-    "WorkerPoolError",
     "match_all",
     "match_all_sharded",
     "match_query",
@@ -97,20 +91,6 @@ __all__ = [
     "write_outcomes_csv",
     "read_outcomes_csv",
 ]
-
-_LOGGER = logging.getLogger(__name__)
-
-
-class WorkerPoolError(ReproError):
-    """An unsupervised process pool lost a worker mid-sweep.
-
-    Raised in place of the bare ``BrokenProcessPool`` the executor
-    surfaces, carrying which chunk of pairs the pool was working
-    through when it broke.  The unsupervised backend has no leases or
-    retries — for a sweep that must survive worker deaths, run
-    ``sbmlcompose sweep --supervise``
-    (:class:`~repro.core.coordinator.SweepCoordinator`).
-    """
 
 
 @dataclass(frozen=True)
@@ -156,7 +136,6 @@ class MatchMatrix:
     seconds: float
     model_count: int
     workers: int
-    backend: str
     #: Set when this matrix holds one shard of a sharded sweep.
     shard_id: Optional[int] = None
     shard_count: Optional[int] = None
@@ -209,7 +188,7 @@ class MatchMatrix:
         return (
             f"{self.pair_count} pairs over {self.model_count} models in "
             f"{self.seconds:.2f}s ({self.pairs_per_second:.1f} pairs/s, "
-            f"workers={self.workers}, backend={self.backend}{sharded}"
+            f"workers={self.workers}{sharded}"
             f"{prescreened}{quarantined})"
         )
 
@@ -246,7 +225,6 @@ class MatchMatrix:
             seconds=sum(part.seconds for part in parts),
             model_count=model_counts.pop(),
             workers=max(part.workers for part in parts),
-            backend=parts[0].backend,
             pruned=sum(part.pruned for part in parts),
             quarantined=sum(part.quarantined for part in parts),
         )
@@ -323,12 +301,11 @@ def read_outcomes_csv(path: Union[str, Path]) -> List[PairOutcome]:
 
 
 class _PairEngine:
-    """Shared-artifact pairwise composer used by every worker.
+    """Shared-artifact pairwise composer: the inline sweep's engine and
+    each supervised worker's.
 
-    Thread-safe: the artifact memo is filled under a lock, and the
-    composer's pattern cache locks internally.  One instance also
-    serves each worker *process* (built by the pool initializer from
-    the options and corpus shipped once per worker).
+    The artifact memo is filled under a lock, and the composer's
+    pattern cache locks internally.
 
     With ``store_root`` set, the in-memory memo gains an on-disk tier:
     artifacts missing from the memo are rehydrated from the
@@ -336,44 +313,43 @@ class _PairEngine:
     and computed-then-spilled only on a true miss, so shard runs and
     resumed sweeps share each model's preprocessing across processes.
 
-    With ``manifest`` set (and ``models=None``), the engine is
-    **digest-shipped**: it holds no corpus at all.  Each model is
-    rehydrated from the store on first touch — the format-5 entry's
+    With ``manifest`` set (and ``models=None``), the engine holds no
+    corpus at all — the shape every worker process runs in.  Each
+    model is rehydrated from the store on first touch — the entry's
     canonical SBML text is parsed once per worker, and the same entry
     seeds the pattern table and phase-index rows, so a rehydrated
     model composes exactly like an in-memory one.  A manifest digest
-    the store cannot resolve (evicted mid-sweep, or a pre-format-5
-    entry without the blob) raises :class:`~repro.errors.ReproError`.
+    the store cannot resolve (evicted mid-sweep, or an entry without
+    the blob) raises :class:`~repro.errors.ReproError`.
     """
 
     def __init__(
         self,
         options: Optional[ComposeOptions],
-        models: Optional[Sequence[Model]],
-        labels: Optional[Sequence[str]],
+        models: Optional[Sequence[Model]] = None,
+        labels: Optional[Sequence[str]] = None,
         store_root: Optional[str] = None,
-        prebuilt_indexes: bool = True,
         manifest: Optional[CorpusManifest] = None,
         fetch=None,
     ):
         self.options = options or ComposeOptions()
         self.manifest = manifest
-        #: Digest-fetch escape hatch for remote workers without the
-        #: shared filesystem: ``fetch(digest) -> Optional[bytes]``
-        #: (raw store-entry bytes, or ``None``), consulted only when
-        #: the local store misses.  Fetched bytes are cached into the
+        #: Digest-fetch callback for remote workers without the shared
+        #: filesystem: ``fetch(digest) -> Optional[bytes]`` (raw
+        #: store-entry bytes, or ``None``), consulted only when the
+        #: local store misses.  Fetched bytes are cached into the
         #: local store, so each entry crosses the wire at most once.
         self._fetch = fetch
         if manifest is not None:
             if store_root is None:
                 raise ValueError(
-                    "a digest-shipped engine needs a store_root to "
-                    "rehydrate models from"
+                    "a manifest engine needs a store_root to rehydrate "
+                    "models from"
                 )
             if models is not None:
                 raise ValueError(
-                    "pass models or a manifest, not both — a "
-                    "digest-shipped engine rehydrates its corpus"
+                    "pass models or a manifest, not both — a manifest "
+                    "engine rehydrates its corpus"
                 )
             self.models = None
             self.labels = (
@@ -384,22 +360,14 @@ class _PairEngine:
                 raise ValueError("models are required without a manifest")
             self.models = list(models)
             self.labels = list(labels)
-        #: With prebuilt indexes on (the default), each model's twelve
-        #: phase indexes are materialised once (from stored rows when
-        #: a compatible store entry exists, built otherwise) and every
-        #: pair the model is target of merges through copy-on-write
-        #: overlays instead of rebuilding them.  ``False`` restores
-        #: the per-pair fresh build — the differential reference the
-        #: conformance matrix pins the prebuilt path against.
-        self.prebuilt_indexes = prebuilt_indexes
         # One composer — and one pattern cache — for the whole sweep.
         # The cache is always on here (unlike one-shot merges, where
         # ``options.memoize_patterns`` defaults off because small-law
         # bookkeeping can cost more than it saves), so each expression's
         # pattern is computed once per sweep: on its first probe, or
         # never for an expression no pair compares.  Engines backed by
-        # a store (or digest shipping) seed the cache from each
-        # model's stored pattern table instead.
+        # a store (or a manifest) seed the cache from each model's
+        # stored pattern table instead.
         self.pattern_cache = PatternCache()
         self.composer = Composer(
             self.options, pattern_cache=self.pattern_cache
@@ -411,17 +379,18 @@ class _PairEngine:
         self._artifacts: Dict[int, AccumState] = {}
         #: Lazily bound per-model phase indexes — built only when a
         #: model is first used as a pair's *target* (a source-only
-        #: model never pays the 12-phase key build).  ``None`` marks
-        #: prebuilt indexes off.
-        self._indexes: Dict[int, Optional[BoundIndexSet]] = {}
+        #: model never pays the 12-phase key build).  Every pair the
+        #: model is target of merges through copy-on-write overlays
+        #: over them instead of rebuilding them.
+        self._indexes: Dict[int, BoundIndexSet] = {}
         #: Stored index rows rehydrated with the rest of a model's
         #: artifacts, held until (and unless) the model becomes a
         #: target.
         self._index_rows: Dict[int, Optional[ModelIndexSet]] = {}
         self._sizes: Dict[int, int] = {}
-        #: Digest-shipped mode only: models parsed back out of store
-        #: entries, and the entries themselves (one store read serves
-        #: both the model and its artifacts — "parse once per worker").
+        #: Manifest mode only: models parsed back out of store entries,
+        #: and the entries themselves (one store read serves both the
+        #: model and its artifacts — "parse once per worker").
         self._rehydrated: Dict[int, Model] = {}
         self._entries: Dict[int, ModelArtifacts] = {}
         # Re-entrant: rehydrating a model inside ``_model_artifacts``'s
@@ -431,7 +400,7 @@ class _PairEngine:
     def _manifest_entry(self, index: int) -> ModelArtifacts:
         """The store entry behind manifest position ``index``, read
         once per worker.  Raises when the digest no longer resolves to
-        a rehydratable (format-5, blob-carrying) entry."""
+        a rehydratable (blob-carrying) entry."""
         entry = self._entries.get(index)
         if entry is not None:
             return entry
@@ -457,22 +426,21 @@ class _PairEngine:
                     problem = (
                         "has no entry for it"
                         if entry is None
-                        else "entry predates format 5 (no SBML blob)"
+                        else "has an entry with no SBML blob"
                     )
                     raise ReproError(
-                        f"digest-shipped worker cannot rehydrate model "
+                        f"sweep worker cannot rehydrate model "
                         f"{label!r} (digest {digest[:12]}...): store at "
                         f"{self.store.root} {problem}.  If an eviction "
                         f"removed it mid-sweep, pin the corpus "
-                        f"(evict(pinned=manifest.digests)); or rerun "
-                        f"with --no-digest-shipping."
+                        f"(evict(pinned=manifest.digests))."
                     )
                 self._entries[index] = entry
         return entry
 
     def _model(self, index: int) -> Model:
         """The corpus model at ``index`` — directly in in-memory mode,
-        parsed (once) from its store entry in digest-shipped mode."""
+        parsed (once) from its store entry in manifest mode."""
         if self.models is not None:
             return self.models[index]
         model = self._rehydrated.get(index)
@@ -492,15 +460,15 @@ class _PairEngine:
         with self._lock:
             hit = self._artifacts.get(index)
             if hit is None:
-                # Digest-shipped mode reads the manifest entry — the
-                # same store read that rehydrated (or will rehydrate)
-                # the model itself.  Store-backed artifacts stay
-                # complete, because other runs (with other semantics)
-                # rehydrate the same entry.  Without a store, neither
-                # a pattern table nor index rows are worth computing
-                # up front: patterns are computed on first probe, and
-                # a locally built index set routes its math keys
-                # through the sweep's own cache.
+                # Manifest mode reads the manifest entry — the same
+                # store read that rehydrated (or will rehydrate) the
+                # model itself.  Store-backed artifacts stay complete,
+                # because other runs (with other semantics) rehydrate
+                # the same entry.  Without a store, neither a pattern
+                # table nor index rows are worth computing up front:
+                # patterns are computed on first probe, and a locally
+                # built index set routes its math keys through the
+                # sweep's own cache.
                 if self.manifest is not None:
                     artifacts = self._manifest_entry(index)
                 elif self.store is not None:
@@ -516,8 +484,7 @@ class _PairEngine:
                     )
                 if artifacts.patterns:
                     self.pattern_cache.seed(artifacts.patterns)
-                if self.prebuilt_indexes:
-                    self._index_rows[index] = artifacts.indexes
+                self._index_rows[index] = artifacts.indexes
                 hit = AccumState(
                     used_ids=artifacts.used_ids,
                     registry=artifacts.registry,
@@ -526,12 +493,10 @@ class _PairEngine:
                 self._artifacts[index] = hit
         return hit
 
-    def _target_indexes(self, index: int) -> Optional[BoundIndexSet]:
+    def _target_indexes(self, index: int) -> BoundIndexSet:
         """The model's bound phase indexes, built on first use as a
         pair target (never for source-only models).  Call after
         :meth:`_model_artifacts` has populated the rows memo."""
-        if not self.prebuilt_indexes:
-            return None
         bound = self._indexes.get(index)
         if bound is not None:
             return bound
@@ -541,9 +506,8 @@ class _PairEngine:
                 model = self._model(index)
                 index_set = self._index_rows.get(index)
                 if index_set is None or not index_set.matches(self.options):
-                    # Stored rows absent (format-2 entry, no store) or
-                    # keyed under other options: build locally, once
-                    # per model.
+                    # Stored rows absent (no store) or keyed under
+                    # other options: build locally, once per model.
                     index_set = ModelIndexSet.build(
                         model, self.options, self.pattern_cache
                     )
@@ -599,163 +563,6 @@ class _PairEngine:
         return [self.run_pair(i, j) for i, j in pairs]
 
 
-# ---------------------------------------------------------------------------
-# Process-backend workers (module level: the pool pickles references)
-# ---------------------------------------------------------------------------
-
-_PAIR_ENGINE: Optional[_PairEngine] = None
-
-
-def _init_pair_worker(
-    options: ComposeOptions,
-    models: Optional[List[Model]],
-    labels: Optional[List[str]],
-    store_root: Optional[str],
-    prebuilt_indexes: bool,
-    manifest: Optional[CorpusManifest] = None,
-) -> None:
-    """Pool initializer: build the shared-artifact engine in the
-    worker.  Digest-shipped pools send ``manifest`` (a flat
-    ``(label, digest)`` list) and ``models=None`` — the worker
-    rehydrates each model from the store on first touch — while the
-    fallback path ships the pickled corpus as before."""
-    global _PAIR_ENGINE
-    _PAIR_ENGINE = _PairEngine(
-        options, models, labels, store_root, prebuilt_indexes, manifest
-    )
-
-
-def _run_pair_chunk(pairs: List[Tuple[int, int]]) -> List[PairOutcome]:
-    chaos.trip("chunk-start", pairs=len(pairs))
-    return _PAIR_ENGINE.run_pairs(pairs)
-
-
-def _chunked(
-    pairs: Sequence[Tuple[int, int]], chunks: int
-) -> List[List[Tuple[int, int]]]:
-    span = max(1, (len(pairs) + chunks - 1) // chunks)
-    return [list(pairs[k : k + span]) for k in range(0, len(pairs), span)]
-
-
-def _resolve_fanout(
-    options: Optional[ComposeOptions],
-    workers: Optional[int],
-    backend: Optional[str],
-) -> Tuple[int, str]:
-    """Explicit arguments win; ``None`` falls back to the options —
-    the same precedence :meth:`~repro.core.session.ComposeSession.compose_all`
-    applies, so one ``ComposeOptions(workers=8)`` drives both engines."""
-    if workers is None:
-        workers = options.workers if options is not None else 1
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if backend is None:
-        backend = options.backend if options is not None else BACKEND_THREAD
-    if backend not in (BACKEND_THREAD, BACKEND_PROCESS):
-        raise ValueError(f"unknown parallel backend {backend!r}")
-    return workers, backend
-
-
-def _run_pairs(
-    pairs: Sequence[Tuple[int, int]],
-    options: Optional[ComposeOptions],
-    models: List[Model],
-    labels: List[str],
-    workers: int,
-    backend: str,
-    store_root: Optional[str],
-    prebuilt_indexes: bool = True,
-    manifest: Optional[CorpusManifest] = None,
-) -> List[PairOutcome]:
-    """Execute one batch of pairs on the configured fanout.
-
-    The unsharded sweep calls this once per shard of its partition;
-    a sharded run calls it for exactly one shard.  Outcomes come back
-    in the order of ``pairs`` regardless of scheduling.  With
-    ``manifest`` set, process workers are digest-shipped: their
-    ``initargs`` carry the manifest instead of the corpus (the parent
-    path still runs on the in-memory models).
-    """
-    if workers == 1:
-        engine = _PairEngine(
-            options, models, labels, store_root, prebuilt_indexes
-        )
-        return engine.run_pairs(pairs)
-    if backend == BACKEND_PROCESS:
-        # ~4 chunks per worker amortises pickling while keeping the
-        # pool balanced when chunk costs differ.
-        chunks = _chunked(pairs, workers * 4)
-        if manifest is not None:
-            initargs = (
-                options or ComposeOptions(),
-                None,
-                None,
-                store_root,
-                prebuilt_indexes,
-                manifest,
-            )
-        else:
-            initargs = (
-                options or ComposeOptions(),
-                models,
-                labels,
-                store_root,
-                prebuilt_indexes,
-                None,
-            )
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_pair_worker,
-            initargs=initargs,
-        ) as pool:
-            try:
-                futures = [
-                    pool.submit(_run_pair_chunk, chunk) for chunk in chunks
-                ]
-            except BrokenProcessPool as exc:
-                # A worker can die while chunks are still being
-                # submitted (the first workers start computing
-                # immediately); submit then raises the bare pool
-                # error, so it needs the same translation as result().
-                raise WorkerPoolError(
-                    f"a process worker died while chunks were still "
-                    f"being submitted ({len(chunks)} chunks, pairs "
-                    f"{chunks[0][0]}..{chunks[-1][-1]}); the "
-                    f"unsupervised process backend cannot retry or "
-                    f"attribute worker deaths — rerun under "
-                    f"`sbmlcompose sweep --supervise` for leases, "
-                    f"retries and poison-pair quarantine"
-                ) from exc
-            outcomes: List[PairOutcome] = []
-            for index, future in enumerate(futures):
-                try:
-                    outcomes.extend(future.result())
-                except BrokenProcessPool as exc:
-                    # The executor cannot say *which* task killed the
-                    # worker — every pending future breaks at once.
-                    # Name the earliest unfinished chunk (in
-                    # submission order) so the failure at least lands
-                    # in a pair range instead of a bare pool error.
-                    first, last = chunks[index][0], chunks[index][-1]
-                    raise WorkerPoolError(
-                        f"a process worker died while the pool was "
-                        f"computing chunk {index + 1}/{len(chunks)} "
-                        f"(pairs {first}..{last}); the unsupervised "
-                        f"process backend cannot retry or attribute "
-                        f"worker deaths — rerun under `sbmlcompose "
-                        f"sweep --supervise` for leases, retries and "
-                        f"poison-pair quarantine"
-                    ) from exc
-            return outcomes
-    engine = _PairEngine(options, models, labels, store_root, prebuilt_indexes)
-    with ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="match-worker"
-    ) as pool:
-        futures = [pool.submit(engine.run_pair, i, j) for i, j in pairs]
-        return [future.result() for future in futures]
-
-
 def _store_root(
     store: Optional[Union[ArtifactStore, str, Path]]
 ) -> Optional[str]:
@@ -770,58 +577,19 @@ def _build_manifest(
     models: Sequence[Model],
     labels: Sequence[str],
     store_root: str,
-) -> Optional[CorpusManifest]:
-    """Build (and store-populate) the corpus manifest, or ``None``
-    when the store cannot hold it — an unwritable store degrades to
-    the pickled-corpus worker boundary with a warning, never a crash.
-    Also the coordinator's manifest entry point."""
+) -> CorpusManifest:
+    """Build (and store-populate) the corpus manifest sweep workers
+    rehydrate from.  Raises :class:`~repro.errors.ReproError` naming
+    the store when it cannot be written."""
     try:
         return CorpusManifest.build(
             models, labels, ArtifactStore(store_root)
         )
-    except (OSError, ReproError) as exc:
-        _LOGGER.warning(
-            "digest shipping disabled: could not populate the artifact "
-            "store at %s (%s); process workers will receive pickled "
-            "models instead",
-            store_root,
-            exc,
-        )
-        return None
-
-
-def _prepare_manifest(
-    models: Sequence[Model],
-    labels: Sequence[str],
-    store_root: Optional[str],
-    digest_shipping: bool,
-    workers: int,
-    backend: str,
-) -> Tuple[Optional[CorpusManifest], Optional[str], Optional[str]]:
-    """``(manifest, store_root, temp_root)`` for one sweep.
-
-    Digest shipping engages only where it changes anything — a
-    multi-worker process fanout.  A sweep without a store gets a
-    temporary one (returned as ``temp_root``; the caller removes it
-    when the sweep ends).  On a store failure the manifest is ``None``
-    and the sweep falls back to shipping pickled models, with the
-    caller's original ``store_root`` intact.
-    """
-    if (
-        not digest_shipping
-        or workers <= 1
-        or backend != BACKEND_PROCESS
-    ):
-        return None, store_root, None
-    temp_root = None
-    if store_root is None:
-        temp_root = tempfile.mkdtemp(prefix="sbmlcompose-manifest-")
-        store_root = temp_root
-    manifest = _build_manifest(models, labels, store_root)
-    if manifest is None and temp_root is not None:
-        shutil.rmtree(temp_root, ignore_errors=True)
-        return None, None, None
-    return manifest, store_root, temp_root
+    except OSError as exc:
+        raise ReproError(
+            f"cannot populate the artifact store at {store_root} that "
+            f"sweep workers rehydrate the corpus from: {exc}"
+        ) from exc
 
 
 def _resolve_prescreen(
@@ -876,21 +644,6 @@ def _resolve_prescreen(
     return prescreen
 
 
-def _screened_pairs(
-    pairs: Sequence[Tuple[int, int]],
-    screen: Optional[Prescreen],
-) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
-    """Split one batch into (pairs to run, pairs to synthesize)."""
-    if screen is None:
-        return list(pairs), []
-    survivors = screen.survivors()
-    to_run: List[Tuple[int, int]] = []
-    to_synthesize: List[Tuple[int, int]] = []
-    for i, j in pairs:
-        (to_run if survivors[i, j] else to_synthesize).append((i, j))
-    return to_run, to_synthesize
-
-
 def _synthesized_outcome(
     screen: Prescreen,
     i: int,
@@ -917,66 +670,122 @@ def _synthesized_outcome(
     )
 
 
-def _run_screened(
-    pairs: Sequence[Tuple[int, int]],
-    screen: Optional[Prescreen],
+def _run_supervised(
+    models: Sequence[Model],
     labels: Sequence[str],
     sizes: Sequence[int],
+    pairs: Sequence[Pair],
     options: Optional[ComposeOptions],
-    models: List[Model],
     workers: int,
-    backend: str,
-    store_root: Optional[str],
-    prebuilt_indexes: bool,
-    manifest: Optional[CorpusManifest] = None,
-) -> Tuple[List[PairOutcome], int]:
-    """Run one batch of pairs through the prescreen gate.
+    store: Optional[Union[ArtifactStore, str, Path]],
+    prescreen: Union[None, bool, Prescreen],
+) -> Tuple[List[PairOutcome], int, int]:
+    """``(outcomes, pruned, quarantined)`` of ``pairs`` run on
+    ``workers`` supervised worker processes, in the order of ``pairs``
+    (quarantined pairs absent).
 
-    Surviving pairs go to the full fanout engine, pruned pairs are
-    synthesized; the returned outcomes are in the order of ``pairs``
-    regardless, so a screened sweep's CSV is row-for-row aligned with
-    the full sweep's."""
-    to_run, _ = _screened_pairs(pairs, screen)
-    computed = iter(
-        _run_pairs(
-            to_run,
-            options,
-            models,
-            labels,
-            workers,
-            backend,
-            store_root,
-            prebuilt_indexes,
-            manifest,
+    The sweep journal lives in a private temporary directory — and so
+    does the artifact store the workers rehydrate the corpus from,
+    unless the caller gave one — removed when the sweep ends, also
+    when it raises.  There is one work unit per worker, cut from
+    ``pairs`` and balanced on the cost of the pairs the prescreen lets
+    through.
+    """
+    from repro.core.coordinator import CoordinatorConfig, SweepCoordinator
+
+    with tempfile.TemporaryDirectory(prefix="sbmlcompose-sweep-") as out_dir:
+        store_root = _store_root(store) or os.path.join(out_dir, "artifacts")
+        manifest = _build_manifest(models, labels, store_root)
+        screen = _resolve_prescreen(
+            prescreen, models, options, store, manifest
         )
+        report = SweepCoordinator(
+            models,
+            options,
+            out_dir=out_dir,
+            fingerprint=manifest.fingerprint,
+            partition=partition_pairs(
+                sizes,
+                workers,
+                pairs=pairs,
+                runs=screen.survivors() if screen is not None else None,
+            ),
+            manifest=manifest,
+            prescreen=screen,
+            store=store_root,
+            config=CoordinatorConfig(workers=workers),
+            progress=False,
+        ).run()
+    rows = {
+        (outcome.i, outcome.j): outcome
+        for matrix in report.matrices
+        for outcome in matrix.outcomes
+    }
+    return (
+        [rows[pair] for pair in pairs if pair in rows],
+        sum(matrix.pruned for matrix in report.matrices),
+        len(report.quarantined),
     )
-    if screen is None:
-        return list(computed), 0
-    survivors = screen.survivors()
-    outcomes: List[PairOutcome] = []
-    pruned = 0
-    for i, j in pairs:
-        if survivors[i, j]:
-            outcomes.append(next(computed))
-        else:
-            outcomes.append(
-                _synthesized_outcome(screen, i, j, labels, sizes)
-            )
-            pruned += 1
-    return outcomes, pruned
+
+
+def _sweep(
+    models: List[Model],
+    pairs: Sequence[Pair],
+    options: Optional[ComposeOptions],
+    workers: int,
+    store: Optional[Union[ArtifactStore, str, Path]],
+    prescreen: Union[None, bool, Prescreen],
+) -> MatchMatrix:
+    """The engine behind every sweep entry point: ``pairs`` of
+    ``models`` through the prescreen gate, inline with one worker or
+    supervised with more.  Surviving pairs are computed, pruned pairs
+    synthesized; rows come back in the order of ``pairs`` regardless,
+    so a screened sweep's CSV is row-for-row aligned with the full
+    sweep's."""
+    workers = int(workers)
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    labels = stable_labels(models)
+    sizes = [model.network_size() for model in models]
+    started = time.perf_counter()
+    quarantined = 0
+    if workers > 1:
+        outcomes, pruned, quarantined = _run_supervised(
+            models, labels, sizes, pairs, options, workers, store, prescreen
+        )
+    else:
+        screen = _resolve_prescreen(prescreen, models, options, store, None)
+        survivors = screen.survivors() if screen is not None else None
+        engine = _PairEngine(options, models, labels, _store_root(store))
+        outcomes = []
+        pruned = 0
+        for i, j in pairs:
+            if survivors is None or survivors[i, j]:
+                outcomes.append(engine.run_pair(i, j))
+            else:
+                outcomes.append(
+                    _synthesized_outcome(screen, i, j, labels, sizes)
+                )
+                pruned += 1
+    return MatchMatrix(
+        outcomes=outcomes,
+        seconds=time.perf_counter() - started,
+        model_count=len(models),
+        workers=workers,
+        pruned=pruned,
+        quarantined=quarantined,
+    )
 
 
 def match_all(
     models: Sequence[Model],
     options: Optional[ComposeOptions] = None,
     *,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
+    workers: int = 1,
+    backend: str = "process",
     include_self: bool = True,
     store: Optional[Union[ArtifactStore, str, Path]] = None,
-    prebuilt_indexes: bool = True,
     prescreen: Union[None, bool, Prescreen] = None,
-    digest_shipping: bool = True,
 ) -> MatchMatrix:
     """Compose every unordered pair of ``models``, batched.
 
@@ -987,28 +796,22 @@ def match_all(
     The inputs are never mutated and the composed models are not
     retained; each pair yields a :class:`PairOutcome`.
 
-    ``workers``/``backend`` fan pairs out exactly as plan execution
-    does (``None`` falls back to ``options.workers``/``options.backend``,
-    exactly like :meth:`~repro.core.session.ComposeSession.compose_all`):
-    threads share one engine (artifact memo + pattern cache),
-    processes each build their own — by default **digest-shipped**:
-    the sweep populates the artifact store up front (``store``, or a
-    temporary store when none was given) and workers receive only a
-    :class:`~repro.core.artifact_store.CorpusManifest` plus the store
-    root, rehydrating each model from its format-5 entry on first
-    touch instead of unpickling the whole corpus through
-    ``initargs``.  ``digest_shipping=False`` restores the
-    pickled-corpus boundary (also the automatic fallback when the
-    store cannot be written).  ``store`` (an
-    :class:`~repro.core.artifact_store.ArtifactStore` or a directory
-    path) adds the on-disk artifact tier.  Outcomes are returned in
-    pair order regardless of scheduling.
-
-    ``prebuilt_indexes=False`` disables the per-model phase-index
-    artifacts (every pair rebuilds its target-side Figure 5 indexes
-    from scratch, the pre-artifact behaviour) — the reference the
-    conformance matrix pins the default path against, and the ablation
-    knob behind ``sbmlcompose sweep --fresh-indexes``.
+    ``workers=1`` (the default) runs every pair inline.  ``workers >
+    1`` runs the pairs the prescreen lets through on that many
+    supervised worker processes
+    (:class:`~repro.core.coordinator.SweepCoordinator`): the sweep
+    populates the artifact store up front (``store``, or a temporary
+    store when none was given), workers receive only a
+    :class:`~repro.core.artifact_store.CorpusManifest` and rehydrate
+    each model from its store entry on first touch, a worker that
+    dies has its work stolen and retried, and a pair that keeps
+    killing its worker is quarantined — its row is absent and
+    :attr:`MatchMatrix.quarantined` counts it.  An artifact store that
+    cannot be written raises :class:`~repro.errors.ReproError`.
+    ``backend`` names the worker kind and accepts only ``"process"``.
+    ``store`` (an :class:`~repro.core.artifact_store.ArtifactStore` or
+    a directory path) adds the on-disk artifact tier.  Outcomes are
+    returned in pair order regardless of scheduling.
 
     ``prescreen`` enables the vectorized structural prescreen
     (:class:`~repro.core.signature.Prescreen`): ``True`` builds one
@@ -1020,50 +823,20 @@ def match_all(
     fields (:meth:`PairOutcome.key`) to the unscreened sweep's, which
     the conformance matrix pins as its eighth path.
     :attr:`MatchMatrix.pruned` counts the synthesized pairs.
-
-    Internally the sweep iterates the shards of a one-shard partition
-    — the exact engine :func:`match_all_sharded` runs for one shard of
-    many, which is what keeps sharded unions identical to this.
     """
+    if backend != "process":
+        raise ValueError(
+            f"unknown worker backend {backend!r}; sweep workers are "
+            f"processes (backend='process')"
+        )
     models = list(models)
-    workers, backend = _resolve_fanout(options, workers, backend)
-    labels = stable_labels(models)
-    sizes = [model.network_size() for model in models]
-    shards = partition_pairs(sizes, 1, include_self=include_self)
-    started = time.perf_counter()
-    manifest, store_root, temp_root = _prepare_manifest(
-        models, labels, _store_root(store), digest_shipping, workers, backend
-    )
-    outcomes: List[PairOutcome] = []
-    pruned = 0
-    try:
-        screen = _resolve_prescreen(prescreen, models, options, store, manifest)
-        for shard in shards:
-            shard_outcomes, shard_pruned = _run_screened(
-                shard.pairs,
-                screen,
-                labels,
-                sizes,
-                options,
-                models,
-                workers,
-                backend,
-                store_root,
-                prebuilt_indexes,
-                manifest,
-            )
-            outcomes.extend(shard_outcomes)
-            pruned += shard_pruned
-    finally:
-        if temp_root is not None:
-            shutil.rmtree(temp_root, ignore_errors=True)
-    return MatchMatrix(
-        outcomes=outcomes,
-        seconds=time.perf_counter() - started,
-        model_count=len(models),
-        workers=workers,
-        backend=backend,
-        pruned=pruned,
+    return _sweep(
+        models,
+        enumerate_pairs(len(models), include_self),
+        options,
+        workers,
+        store,
+        prescreen,
     )
 
 
@@ -1073,13 +846,10 @@ def match_all_sharded(
     *,
     shards: int,
     shard_id: int,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
+    workers: int = 1,
     include_self: bool = True,
     store: Optional[Union[ArtifactStore, str, Path]] = None,
-    prebuilt_indexes: bool = True,
     prescreen: Union[None, bool, Prescreen] = None,
-    digest_shipping: bool = True,
 ) -> MatchMatrix:
     """Compute one shard of the all-pairs sweep.
 
@@ -1097,59 +867,26 @@ def match_all_sharded(
     artifacts (used-id set, unit registry, evaluated initial values,
     pattern table and phase-index rows) and every later shard — or a
     resumed sweep — rehydrates them instead of recomputing.
-    ``prebuilt_indexes`` and ``prescreen`` are honoured exactly as in
+    ``workers`` and ``prescreen`` are honoured exactly as in
     :func:`match_all` — the prescreen's synthesis is deterministic and
     per-pair, so every shard prunes the same pairs the unsharded
     screened sweep would and shard unions stay byte-identical.
-    ``digest_shipping`` likewise: a multi-worker process shard ships
-    the manifest, not the corpus, and the entries the first shard
-    spilled serve every later shard's rehydration.
     """
     models = list(models)
-    workers, backend = _resolve_fanout(options, workers, backend)
     if shards < 1:
         raise ValueError("shards must be at least 1")
     if not 0 <= shard_id < shards:
         raise ValueError(
             f"shard_id must be in [0, {shards}), got {shard_id}"
         )
-    labels = stable_labels(models)
     sizes = [model.network_size() for model in models]
-    shard: Shard = partition_pairs(sizes, shards, include_self=include_self)[
+    shard = partition_pairs(sizes, shards, include_self=include_self)[
         shard_id
     ]
-    started = time.perf_counter()
-    manifest, store_root, temp_root = _prepare_manifest(
-        models, labels, _store_root(store), digest_shipping, workers, backend
-    )
-    try:
-        screen = _resolve_prescreen(prescreen, models, options, store, manifest)
-        outcomes, pruned = _run_screened(
-            shard.pairs,
-            screen,
-            labels,
-            sizes,
-            options,
-            models,
-            workers,
-            backend,
-            store_root,
-            prebuilt_indexes,
-            manifest,
-        )
-    finally:
-        if temp_root is not None:
-            shutil.rmtree(temp_root, ignore_errors=True)
-    return MatchMatrix(
-        outcomes=outcomes,
-        seconds=time.perf_counter() - started,
-        model_count=len(models),
-        workers=workers,
-        backend=backend,
-        shard_id=shard_id,
-        shard_count=shards,
-        pruned=pruned,
-    )
+    matrix = _sweep(models, shard.pairs, options, workers, store, prescreen)
+    matrix.shard_id = shard_id
+    matrix.shard_count = shards
+    return matrix
 
 
 def match_query(
@@ -1157,12 +894,9 @@ def match_query(
     sources: Sequence[Model],
     options: Optional[ComposeOptions] = None,
     *,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
+    workers: int = 1,
     store: Optional[Union[ArtifactStore, str, Path]] = None,
-    prebuilt_indexes: bool = True,
     prescreen: Union[None, bool, Prescreen] = None,
-    digest_shipping: bool = True,
 ) -> MatchMatrix:
     """Compose one query model (as target) against each source model.
 
@@ -1172,43 +906,17 @@ def match_query(
     the query at ``i=0`` and each candidate's position (in input
     order) at ``j``.  ``prescreen`` covers the concatenated list (the
     query model included) and synthesizes trivial candidates exactly
-    as in :func:`match_all`; everything else — fanout, store tier,
-    prebuilt indexes — behaves identically too, and each row's
-    run-invariant fields match what a full linear scan over the same
-    candidate list would produce.
+    as in :func:`match_all`; everything else — workers, store tier —
+    behaves identically too, and each row's run-invariant fields match
+    what a full linear scan over the same candidate list would
+    produce.
     """
     models = [target] + list(sources)
-    workers, backend = _resolve_fanout(options, workers, backend)
-    labels = stable_labels(models)
-    sizes = [model.network_size() for model in models]
-    pairs = [(0, j) for j in range(1, len(models))]
-    started = time.perf_counter()
-    manifest, store_root, temp_root = _prepare_manifest(
-        models, labels, _store_root(store), digest_shipping, workers, backend
-    )
-    try:
-        screen = _resolve_prescreen(prescreen, models, options, store, manifest)
-        outcomes, pruned = _run_screened(
-            pairs,
-            screen,
-            labels,
-            sizes,
-            options,
-            models,
-            workers,
-            backend,
-            store_root,
-            prebuilt_indexes,
-            manifest,
-        )
-    finally:
-        if temp_root is not None:
-            shutil.rmtree(temp_root, ignore_errors=True)
-    return MatchMatrix(
-        outcomes=outcomes,
-        seconds=time.perf_counter() - started,
-        model_count=len(models),
-        workers=workers,
-        backend=backend,
-        pruned=pruned,
+    return _sweep(
+        models,
+        [(0, j) for j in range(1, len(models))],
+        options,
+        workers,
+        store,
+        prescreen,
     )

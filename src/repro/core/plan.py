@@ -12,7 +12,7 @@ Three plans ship:
 
 * :class:`LeftFoldPlan` (``"fold"``) — ``(((m0+m1)+m2)+m3)...``; the
   order the models were given.  Matches what every hand-rolled loop
-  over ``compose(a, b)`` did before sessions existed.
+  of pairwise merges did before sessions existed.
 * :class:`BalancedTreePlan` (``"tree"``) — pairs neighbours round by
   round, keeping the two sides of every merge comparably sized.
 * :class:`GreedySimilarityPlan` (``"greedy"``) — repeatedly picks the
@@ -24,19 +24,11 @@ Three plans ship:
 
 A plan tree is either an ``int`` (index into the input list) or a
 ``(left, right)`` tuple of plan trees.
-
-The executor needs more than the tree's shape: sibling subtrees are
-independent, so a parallel scheduler wants to know *how expensive*
-each merge will be to dispatch the heavy ones first.
-:func:`estimate_costs` annotates a plan tree with per-node size and
-cost estimates derived from ``Model.network_size()`` and the
-:func:`_overlap_keys` identity signals the Figure 5 lookup uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple, Union
+from typing import List, Sequence, Set, Tuple, Union
 
 from repro.core.index import make_index
 from repro.core.options import ComposeOptions
@@ -48,8 +40,6 @@ __all__ = [
     "LeftFoldPlan",
     "BalancedTreePlan",
     "GreedySimilarityPlan",
-    "PlanCosts",
-    "estimate_costs",
     "PLAN_FOLD",
     "PLAN_TREE",
     "PLAN_GREEDY",
@@ -102,7 +92,7 @@ class BalancedTreePlan(MergePlan):
     With n inputs the accumulator of a left fold participates in n-1
     merges; a balanced tree caps every model's participation at
     ⌈log2 n⌉ merges and keeps the two sides of each merge similar in
-    size, which is the shape a future parallel executor wants.
+    size.
     """
 
     name = PLAN_TREE
@@ -190,102 +180,6 @@ class GreedySimilarityPlan(MergePlan):
             for key in key_sets[best]:
                 index.add([key], True)
         return _left_fold(order)
-
-
-# ---------------------------------------------------------------------------
-# Cost model
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PlanCosts:
-    """Per-node cost hints for a plan tree.
-
-    ``sizes`` estimates the network size of the model each node
-    produces (leaf: the input's ``network_size()``; merge: the sum of
-    the children minus their key overlap — united duplicates don't
-    grow the result).  ``costs`` estimates the work of executing one
-    merge node, which is linear in both sides for the default hash
-    index.  ``critical`` is the cost of the node plus its most
-    expensive child chain — the longest serial dependency below it,
-    which is what a parallel scheduler should order ready merges by
-    (longest-critical-path-first minimises makespan on a bounded
-    worker pool).
-
-    Keys are the plan nodes themselves.  Two *distinct* nodes compare
-    equal only when they are identical subtrees over identical leaf
-    indexes, in which case their estimates coincide too, so the
-    collision is harmless.
-    """
-
-    sizes: Dict[PlanNode, float] = field(default_factory=dict)
-    costs: Dict[PlanNode, float] = field(default_factory=dict)
-    critical: Dict[PlanNode, float] = field(default_factory=dict)
-
-    def priority(self, node: PlanNode) -> float:
-        """Scheduling priority of a node (higher runs first)."""
-        return self.critical.get(node, 0.0)
-
-
-def estimate_costs(
-    root: PlanNode,
-    models: Sequence[Model],
-    options: ComposeOptions,
-) -> PlanCosts:
-    """Annotate ``root`` with size/cost estimates for every node.
-
-    Iterative post-order (fold trees are as deep as the model count).
-    Leaf overlap keys are computed once per referenced input; a merge
-    node's key set is the union of its children's, so the overlap term
-    reflects duplicates that will already have been united below.
-    """
-    hints = PlanCosts()
-    leaf_keys: Dict[int, Set[str]] = {}
-    node_keys: Dict[PlanNode, Set[str]] = {}
-    pending: List[Tuple[PlanNode, bool]] = [(root, False)]
-    while pending:
-        node, children_done = pending.pop()
-        if isinstance(node, int):
-            if node not in leaf_keys:
-                leaf_keys[node] = _overlap_keys(models[node], options)
-            node_keys[node] = leaf_keys[node]
-            hints.sizes[node] = float(models[node].network_size())
-            hints.critical[node] = 0.0
-        elif not children_done:
-            pending.append((node, True))
-            pending.append((node[1], False))
-            pending.append((node[0], False))
-        else:
-            left, right = node
-            left_keys = node_keys[left]
-            right_keys = node_keys[right]
-            left_size = hints.sizes[left]
-            right_size = hints.sizes[right]
-            # Overlap keys and network sizes live on different scales
-            # (several keys per component), so convert the overlap to
-            # a *fraction* of the smaller side and discount that share
-            # of the smaller model — duplicates unite instead of
-            # growing the result.
-            smaller_keys = min(len(left_keys), len(right_keys))
-            fraction = (
-                len(left_keys & right_keys) / smaller_keys
-                if smaller_keys
-                else 0.0
-            )
-            merged = (
-                left_size
-                + right_size
-                - fraction * min(left_size, right_size)
-            )
-            node_keys[node] = left_keys | right_keys
-            hints.sizes[node] = merged
-            # Hash-index merge work is linear in both sides (probe the
-            # source against the target, copy what doesn't unite).
-            hints.costs[node] = max(1.0, left_size + right_size)
-            hints.critical[node] = hints.costs[node] + max(
-                hints.critical[left], hints.critical[right]
-            )
-    return hints
 
 
 _PLANS = {

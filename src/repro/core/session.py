@@ -13,8 +13,8 @@ number of models:
 >>> result = session.compose_all([m1, m2, m3], plan="greedy")
 >>> result.model, result.report, result.provenance  # doctest: +SKIP
 
-:func:`compose_all` is the one-shot convenience wrapper.  The legacy
-``compose(a, b)`` remains as a deprecated shim over this module.
+:func:`compose_all` is the one-shot convenience wrapper;
+``compose_all([a, b]).pair()`` is the pairwise merge.
 
 Besides the composed model, a :class:`ComposeResult` carries:
 
@@ -30,27 +30,17 @@ model is mutated rather than re-copied on every step (inputs are never
 mutated), turning the O(n²) copying of a naive ``compose(acc, m)``
 loop into O(n); the accumulator's derived artifacts (used ids, unit
 registry, initial values) are carried incrementally between steps
-instead of being re-derived from the growing model; intermediate
+instead of being re-derived from the growing model; and intermediate
 results merging into intermediate results *move* their components
-instead of copying them; and with ``workers > 1`` the independent
-sibling merges of a ``tree`` plan are dispatched onto a thread or
-process pool, scheduled by the plan's cost hints
-(:func:`~repro.core.plan.estimate_costs`) — with results identical to
-serial execution.  See ``benchmarks/bench_compose_all.py`` and
-``docs/perf.md`` for the measured numbers.
+instead of copying them.  Every plan executes serially, in one
+thread.  See ``benchmarks/bench_compose_all.py`` and ``docs/perf.md``
+for the measured numbers.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -65,18 +55,9 @@ from repro.core.compose import (
     ModelIndexSet,
     _collect_initial_values,
 )
-from repro.core.options import (
-    BACKEND_PROCESS,
-    BACKEND_THREAD,
-    ComposeOptions,
-)
+from repro.core.options import ComposeOptions
 from repro.core.pattern_cache import PatternCache
-from repro.core.plan import (
-    MergePlan,
-    PlanNode,
-    estimate_costs,
-    make_plan,
-)
+from repro.core.plan import MergePlan, PlanNode, make_plan
 from repro.core.report import MergeReport
 from repro.sbml.model import Model
 from repro.units.registry import UnitRegistry
@@ -159,9 +140,8 @@ class ComposeResult:
         return self.report.timings
 
     def pair(self) -> Tuple[Model, MergeReport]:
-        """``(model, report)`` — the tuple the deprecated
-        ``compose(a, b)`` shim returned, so legacy call sites migrate
-        in place: ``compose_all([a, b]).pair()``."""
+        """``(model, report)`` — the pairwise merge as a tuple:
+        ``compose_all([a, b]).pair()``."""
         return self.model, self.report
 
     def provenance_log(self) -> str:
@@ -196,40 +176,6 @@ class _NodeValue:
     state: Optional[AccumState]
 
 
-class _MergeTask:
-    """One internal plan node awaiting execution on the worker pool."""
-
-    __slots__ = (
-        "node",
-        "slot",
-        "parent",
-        "is_left",
-        "left_task",
-        "right_task",
-        "left_value",
-        "right_value",
-    )
-
-    def __init__(self, node, parent, is_left):
-        self.node = node
-        self.slot = -1
-        self.parent = parent
-        self.is_left = is_left
-        self.left_task: Optional["_MergeTask"] = None
-        self.right_task: Optional["_MergeTask"] = None
-        self.left_value: Optional[_NodeValue] = None
-        self.right_value: Optional[_NodeValue] = None
-
-    def ready(self) -> bool:
-        return self.left_value is not None and self.right_value is not None
-
-    def deliver(self, is_left: bool, value: _NodeValue) -> None:
-        if is_left:
-            self.left_value = value
-        else:
-            self.right_value = value
-
-
 def stable_labels(models: Sequence[Model]) -> List[str]:
     """Stable, unique display labels for a list of input models —
     the model's id, with ``#N`` suffixes de-duplicating repeats.
@@ -245,63 +191,6 @@ def stable_labels(models: Sequence[Model]) -> List[str]:
     return labels
 
 
-def _tree_has_parallelism(root: PlanNode) -> bool:
-    """Whether any two merges of the tree are independent.
-
-    Siblings are the only source of independence, and an ``int`` leaf
-    sibling contributes no merge — so the tree admits parallelism iff
-    some node has two internal (tuple) children.  Fold and greedy
-    plans are left spines and always return False.
-    """
-    stack: List[PlanNode] = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, int):
-            continue
-        left, right = node
-        if isinstance(left, tuple) and isinstance(right, tuple):
-            return True
-        stack.append(left)
-        stack.append(right)
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Process-backend workers (module level: the pool pickles references)
-# ---------------------------------------------------------------------------
-
-_WORKER_COMPOSER: Optional[Composer] = None
-
-
-def _init_merge_worker(options: ComposeOptions, cache_patterns: bool) -> None:
-    """Pool initializer: one engine per worker process, options
-    shipped once instead of per task.  ``cache_patterns`` mirrors
-    whether the parent session composes with a pattern cache, so the
-    two backends honour the same configuration."""
-    global _WORKER_COMPOSER
-    _WORKER_COMPOSER = Composer(
-        options,
-        pattern_cache=PatternCache() if cache_patterns else None,
-    )
-
-
-def _merge_pair_remote(
-    left: Model, right: Model
-) -> Tuple[Model, MergeReport, float]:
-    """Execute one merge in a worker process.
-
-    Both models arrived by pickle, so they are private to this worker:
-    the target is mutated in place and the source's components are
-    moved, matching what the in-process executor does with owned
-    intermediates — the composed content is identical either way.
-    """
-    started = time.perf_counter()
-    model, report, _ = _WORKER_COMPOSER.compose_step(
-        left, right, copy_target=False, source_owned=True, carry_state=False
-    )
-    return model, report, time.perf_counter() - started
-
-
 class ComposeSession:
     """Reusable n-way composition engine.
 
@@ -309,8 +198,8 @@ class ComposeSession:
     (and thus one synonym table), one pattern cache and one memo of
     per-input unit registries and evaluated initial values.  Composing
     many models through a session — or calling :meth:`compose_all`
-    once over the whole set — reuses all of it, where a loop of bare
-    ``compose(a, b)`` calls cold-started every piece on every pair.
+    once over the whole set — reuses all of it, where a loop of
+    one-shot merges cold-started every piece on every pair.
 
     The memos are keyed by input-model identity, so the session
     assumes **inputs are not mutated between composes**.  If you do
@@ -366,8 +255,8 @@ class ComposeSession:
         self._digests: Dict[int, str] = {}
         # Keep cached models alive so the id()-keyed memos stay valid.
         self._pinned: Dict[int, Model] = {}
-        # Guards the per-input memos when the parallel executor probes
-        # them from several worker threads at once.
+        # Guards the per-input memos for callers that share one
+        # session between threads.
         self._artifacts_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -382,36 +271,16 @@ class ComposeSession:
         self,
         models: Sequence[Model],
         plan: Union[str, MergePlan] = "fold",
-        *,
-        workers: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> ComposeResult:
         """Compose every model in ``models`` following ``plan``.
 
         The inputs are never mutated.  Raises :class:`ValueError` on
         an empty model list; a single model composes to a copy of
         itself with an empty report.
-
-        ``workers``/``backend`` override the session options: with
-        ``workers > 1`` independent sibling merges of the plan tree
-        are dispatched onto a worker pool (``"thread"`` or
-        ``"process"``), scheduled longest-critical-path-first from the
-        plan's cost hints.  The composed model, mappings and
-        provenance are identical to serial execution of the same plan;
-        only wall time (and per-step ``seconds``) differ.
         """
         models = list(models)
         if not models:
             raise ValueError("compose_all needs at least one model")
-        if workers is None:
-            workers = self.options.workers
-        workers = int(workers)
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        if backend is None:
-            backend = self.options.backend
-        if backend not in (BACKEND_THREAD, BACKEND_PROCESS):
-            raise ValueError(f"unknown parallel backend {backend!r}")
         merge_plan = make_plan(plan)
         labels = self._labels(models)
         started = time.perf_counter()
@@ -422,12 +291,7 @@ class ComposeSession:
             report = MergeReport()
         else:
             tree = merge_plan.tree(models, self.options)
-            if workers > 1 and _tree_has_parallelism(tree):
-                value = self._execute_parallel(
-                    tree, models, labels, steps, workers, backend
-                )
-            else:
-                value = self._execute(tree, models, labels, steps)
+            value = self._execute(tree, models, labels, steps)
             model = value.model
             if not value.owned:  # a degenerate plan tree of a single leaf
                 model = model.copy()
@@ -637,8 +501,7 @@ class ComposeSession:
         index: int,
     ) -> Tuple[_NodeValue, ComposeStep]:
         """Execute one merge node; ``index`` is its 1-based post-order
-        rank in the plan (== serial completion order), so step records
-        are identical however the node was scheduled."""
+        rank in the plan (its step number)."""
         left = left_value.model
         right = right_value.model
         registry = initial = None
@@ -696,163 +559,6 @@ class ComposeSession:
             left_value.provenance, right_value.provenance, report
         )
 
-    # ------------------------------------------------------------------
-    # Parallel plan execution
-    # ------------------------------------------------------------------
-
-    def _build_task_graph(
-        self,
-        root: PlanNode,
-        models: Sequence[Model],
-        labels: Sequence[str],
-    ) -> Tuple[_MergeTask, List[_MergeTask]]:
-        """Turn the plan tree into a dependency graph of merge tasks.
-
-        Leaves resolve immediately into their parent task; internal
-        nodes become :class:`_MergeTask` objects.  Slots are assigned
-        in post-order so ``steps[slot]`` reproduces the serial step
-        numbering exactly.
-        """
-        root_task = _MergeTask(root, None, True)
-        build: List[Tuple[PlanNode, _MergeTask]] = [(root, root_task)]
-        while build:
-            node, task = build.pop()
-            for child, is_left in ((node[1], False), (node[0], True)):
-                if isinstance(child, int):
-                    task.deliver(
-                        is_left, self._leaf_value(models, labels, child)
-                    )
-                else:
-                    child_task = _MergeTask(child, task, is_left)
-                    if is_left:
-                        task.left_task = child_task
-                    else:
-                        task.right_task = child_task
-                    build.append((child, child_task))
-        ordered: List[_MergeTask] = []
-        walk: List[Tuple[_MergeTask, bool]] = [(root_task, False)]
-        while walk:
-            task, children_done = walk.pop()
-            if children_done:
-                task.slot = len(ordered)
-                ordered.append(task)
-                continue
-            walk.append((task, True))
-            if task.right_task is not None:
-                walk.append((task.right_task, False))
-            if task.left_task is not None:
-                walk.append((task.left_task, False))
-        return root_task, ordered
-
-    def _execute_parallel(
-        self,
-        root: PlanNode,
-        models: Sequence[Model],
-        labels: Sequence[str],
-        steps: List[ComposeStep],
-        workers: int,
-        backend: str,
-    ) -> _NodeValue:
-        """Execute a plan tree on a worker pool.
-
-        Bottom-up data-flow scheduling: a merge becomes *ready* when
-        both children have resolved, and ready merges are dispatched
-        heaviest-critical-path-first using the plan's cost hints, which
-        keeps the long serial chain of the tree moving while cheap
-        side merges fill the remaining workers.  Results, mappings,
-        provenance and step records are identical to serial execution
-        of the same plan — scheduling only changes wall time.
-        """
-        costs = estimate_costs(root, models, self.options)
-        root_task, ordered = self._build_task_graph(root, models, labels)
-        slots = len(ordered)
-        steps.extend([None] * slots)  # type: ignore[list-item]
-        # (negative critical-path cost, slot) — slot breaks ties, so
-        # dispatch order is deterministic.
-        heap: List[Tuple[float, int, _MergeTask]] = []
-        for task in ordered:
-            if task.ready():
-                heapq.heappush(
-                    heap, (-costs.priority(task.node), task.slot, task)
-                )
-        if backend == BACKEND_PROCESS:
-            executor = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_merge_worker,
-                initargs=(self.options, self._composer._cache is not None),
-            )
-        else:
-            executor = ThreadPoolExecutor(
-                max_workers=workers,
-                thread_name_prefix="compose-worker",
-            )
-        result: Optional[_NodeValue] = None
-        futures: Dict[object, _MergeTask] = {}
-        completed = 0
-        try:
-            while completed < slots:
-                while heap and len(futures) < workers:
-                    _, _, task = heapq.heappop(heap)
-                    if backend == BACKEND_PROCESS:
-                        future = executor.submit(
-                            _merge_pair_remote,
-                            task.left_value.model,
-                            task.right_value.model,
-                        )
-                    else:
-                        future = executor.submit(
-                            self._merge_pair,
-                            task.left_value,
-                            task.right_value,
-                            task.slot + 1,
-                        )
-                    futures[future] = task
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    task = futures.pop(future)
-                    if backend == BACKEND_PROCESS:
-                        model, report, seconds = future.result()
-                        value = _NodeValue(
-                            model=model,
-                            owned=True,
-                            provenance=self._step_provenance(
-                                task.left_value, task.right_value, report
-                            ),
-                            label=(
-                                f"({task.left_value.label}"
-                                f"+{task.right_value.label})"
-                            ),
-                            state=None,
-                        )
-                        step = ComposeStep(
-                            index=task.slot + 1,
-                            left=task.left_value.label,
-                            right=task.right_value.label,
-                            report=report,
-                            seconds=seconds,
-                        )
-                    else:
-                        value, step = future.result()
-                    steps[task.slot] = step
-                    completed += 1
-                    if task.parent is None:
-                        result = value
-                    else:
-                        task.parent.deliver(task.is_left, value)
-                        if task.parent.ready():
-                            heapq.heappush(
-                                heap,
-                                (
-                                    -costs.priority(task.parent.node),
-                                    task.parent.slot,
-                                    task.parent,
-                                ),
-                            )
-        finally:
-            executor.shutdown(wait=True, cancel_futures=True)
-        assert result is not None and root_task.slot == slots - 1
-        return result
-
     @staticmethod
     def _merge_provenance(
         target_prov: Dict[str, ProvenanceEntry],
@@ -897,12 +603,11 @@ class ComposeSession:
     ) -> MergeReport:
         """Fold per-step reports into one session-level report.
 
-        For a single step this *is* that step's report, which keeps
-        the legacy ``compose(a, b)`` shim bit-identical with the old
-        engine.  For multi-step runs, the id mappings and renames are
-        reconstructed from provenance (original id → final id), since
-        a flat dict cannot express per-model chains faithfully; the
-        per-step reports remain the authoritative record.
+        For a single step this *is* that step's report.  For
+        multi-step runs, the id mappings and renames are reconstructed
+        from provenance (original id → final id), since a flat dict
+        cannot express per-model chains faithfully; the per-step
+        reports remain the authoritative record.
         """
         if len(steps) == 1:
             return steps[0].report
@@ -936,19 +641,11 @@ def compose_all(
     models: Sequence[Model],
     plan: Union[str, MergePlan] = "fold",
     options: Optional[ComposeOptions] = None,
-    *,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ComposeResult:
     """One-shot n-way composition (a fresh session per call).
 
-    ``compose_all([a, b])`` replaces the deprecated ``compose(a, b)``;
-    with three or more models, ``plan`` selects the merge order
-    (``"fold"``, ``"tree"`` or ``"greedy"``).  ``workers > 1``
-    executes independent sibling merges of a ``tree`` plan on a worker
-    pool (``backend="thread"`` or ``"process"``); the result is
-    identical to serial execution, only faster on multi-core machines.
+    ``compose_all([a, b]).pair()`` is the pairwise merge; with three
+    or more models, ``plan`` selects the merge order (``"fold"``,
+    ``"tree"`` or ``"greedy"``).
     """
-    return ComposeSession(options).compose_all(
-        models, plan=plan, workers=workers, backend=backend
-    )
+    return ComposeSession(options).compose_all(models, plan=plan)

@@ -10,10 +10,10 @@ or distributed decomposition of the whole experiment.
 
 :func:`partition_pairs` produces that partition deterministically:
 pairs are enumerated in canonical order, grouped into cost-balanced
-blocks (cost hints mirror :func:`~repro.core.plan.estimate_costs` —
-merge work is linear in both sides), and blocks are dealt block-cyclic
-over the shards.  Block-cyclic matters because pair costs are strongly
-ordered (the corpus is size-sorted, so late pairs dwarf early ones):
+blocks (merge work is linear in both sides), and blocks are dealt
+block-cyclic over the shards.  Block-cyclic matters because pair costs
+are strongly ordered (the corpus is size-sorted, so late pairs dwarf
+early ones):
 contiguous range splits would give the last shard nearly all the work,
 while dealing blocks round-robin gives every shard a slice of every
 cost regime.  Any shard layout ``(K, i)`` is reproducible from the
@@ -29,11 +29,11 @@ different corpus or shard layout.  Journal **format 2** additionally
 records shard *leases* (who is computing a shard right now, and until
 when) and per-shard retry/steal counters — the durable state behind
 :class:`~repro.core.coordinator.SweepCoordinator`'s fault tolerance
-and ``sweep-status``'s live reporting.  Format-1 journals (no leases)
-still read fine; every write keeps the previous journal as
-``checkpoint.json.bak``, so even a *torn* journal write (power loss on
-a filesystem without atomic rename) loses at most the final entry —
-``--resume`` falls back to the backup and recomputes the difference.
+and ``sweep-status``'s live reporting.  Every write keeps the
+previous journal as ``checkpoint.json.bak``, so even a *torn* journal
+write (power loss on a filesystem without atomic rename) loses at most
+the final entry — ``--resume`` falls back to the backup and recomputes
+the difference.
 """
 
 from __future__ import annotations
@@ -100,9 +100,8 @@ def enumerate_pairs(count: int, include_self: bool = True) -> List[Pair]:
 
 
 def pair_cost(left_size: float, right_size: float) -> float:
-    """Estimated work of composing one pair — linear in both sides,
-    exactly the per-merge model :func:`~repro.core.plan.estimate_costs`
-    uses for plan scheduling."""
+    """Estimated work of composing one pair — linear in both sides
+    (probe the source against the target, adopt what doesn't unite)."""
     return max(1.0, float(left_size) + float(right_size))
 
 
@@ -133,21 +132,33 @@ def partition_pairs(
     shard_count: int,
     *,
     include_self: bool = True,
+    pairs: Optional[Sequence[Pair]] = None,
+    runs=None,
 ) -> List[Shard]:
     """Partition the pair matrix of a corpus into ``shard_count``
     deterministic, cost-balanced shards.
 
     ``sizes`` are per-model size hints (``Model.network_size()`` in
     practice; any non-negative weights work).  The partition is a pure
-    function of ``(sizes, shard_count, include_self)`` — every worker
-    computes the same layout locally.  Shards may be empty when there
-    are fewer pairs than shards; every pair appears in exactly one
-    shard, and each shard's pairs stay in canonical sweep order.
+    function of its arguments — every worker computes the same layout
+    locally.  Shards may be empty when there are fewer pairs than
+    shards; every pair appears in exactly one shard, and each shard's
+    pairs stay in canonical sweep order.
+
+    ``pairs`` partitions only those pairs (in canonical order) instead
+    of every pair of the corpus.  ``runs`` — a boolean pair matrix
+    such as a prescreen's ``survivors()`` — weighs the pairs it marks
+    ``False`` at zero, so the shards balance on the work that actually
+    runs rather than on pairs whose rows are synthesized.
     """
     if shard_count < 1:
         raise ValueError("shard_count must be at least 1")
-    pairs = enumerate_pairs(len(sizes), include_self)
-    costs = [pair_cost(sizes[i], sizes[j]) for i, j in pairs]
+    if pairs is None:
+        pairs = enumerate_pairs(len(sizes), include_self)
+    costs = [
+        pair_cost(sizes[i], sizes[j]) if runs is None or runs[i, j] else 0.0
+        for i, j in pairs
+    ]
     total = sum(costs)
     # Cut the canonical order into cost-balanced blocks...
     target = total / (shard_count * _BLOCKS_PER_SHARD) if total else 0.0
@@ -215,10 +226,9 @@ class SweepCheckpoint:
       away from a dead or stalled worker.  Kept after completion, so
       ``sweep-status`` still tells the story of a rocky sweep.
 
-    Format-1 journals read back with both tables empty.  Durability
-    hardening over format 1: mutating writes take an advisory file
-    lock (:class:`~repro.core.locking.FileLock` on ``checkpoint.lock``)
-    so two workers on one host cannot interleave the read-merge-write,
+    Mutating writes take an advisory file lock
+    (:class:`~repro.core.locking.FileLock` on ``checkpoint.lock``) so
+    two workers on one host cannot interleave the read-merge-write,
     and each successful write first preserves the previous journal as
     ``checkpoint.json.bak`` — a torn main journal (simulated by the
     chaos harness's ``torn-write`` fault) recovers from the backup,
@@ -228,8 +238,7 @@ class SweepCheckpoint:
     FILENAME = "checkpoint.json"
     BACKUP_FILENAME = "checkpoint.json.bak"
     LOCK_FILENAME = "checkpoint.lock"
-    #: Journal format this writer emits.  Format 1 had no ``format``
-    #: key (and no leases/retries); readers treat a missing key as 1.
+    #: Journal format this writer emits and the only one it reads.
     FORMAT = 2
 
     def __init__(
@@ -297,12 +306,18 @@ class SweepCheckpoint:
     @staticmethod
     def _parse_journal(path: Path) -> Dict[str, object]:
         data = json.loads(path.read_text(encoding="utf-8"))
+        if "format" not in data:
+            # Readable, but from before journals carried a format (no
+            # leases or retry counters): not a torn write the backup
+            # could repair.
+            raise SweepStateError(
+                f"{path} has no journal format (written by an older "
+                f"version); rerun the sweep without --resume to start "
+                f"it over"
+            )
         for key in ("fingerprint", "shard_count", "completed"):
             if key not in data:
                 raise ValueError(f"missing {key!r}")
-        # Normalise across formats: format 1 predates the format key
-        # and the lease/retry tables.
-        data.setdefault("format", 1)
         if int(data["format"]) > SweepCheckpoint.FORMAT:
             raise ValueError(
                 f"journal format {data['format']} is newer than this "
@@ -352,8 +367,8 @@ class SweepCheckpoint:
     def begin(self, resume: bool = False) -> Dict[int, str]:
         """Open the journal; returns completed shards to skip.
 
-        A fresh directory (or ``resume=False`` over a stale journal
-        from the *same* corpus/layout) starts an empty journal.  With
+        A fresh directory (or ``resume=False`` over any existing
+        journal, readable or not) starts an empty journal.  With
         ``resume=True`` the existing journal is validated against this
         sweep's fingerprint and shard count — resuming onto a changed
         corpus or layout raises :class:`SweepStateError` instead of
@@ -365,9 +380,9 @@ class SweepCheckpoint:
         """
         self.out_dir.mkdir(parents=True, exist_ok=True)
         existing: Optional[Dict[str, object]] = None
-        if self.path.is_file() or self.backup_path.is_file():
+        if resume and (self.path.is_file() or self.backup_path.is_file()):
             existing = self.read_journal(self.out_dir)
-        if resume and existing is not None:
+        if existing is not None:
             if existing["fingerprint"] != self.fingerprint:
                 raise SweepStateError(
                     f"cannot resume: {self.path} records a different "

@@ -388,8 +388,8 @@ def client_handshake(
     The returned dict carries everything a remote worker needs to be a
     drop-in peer of a local pipe worker: its assigned ``name``, the
     ``options`` (+ ``options_fingerprint``, recomputed and verified
-    here), the corpus ``manifest``, ``heartbeat_interval`` and
-    ``prebuilt_indexes``.  A fingerprint mismatch sends an explicit
+    here), the corpus ``manifest`` and ``heartbeat_interval``.  A
+    fingerprint mismatch sends an explicit
     reject back (so the coordinator logs *why*) and raises
     :class:`HandshakeError` — the worker never computes a pair under
     options it cannot prove it decoded faithfully.
@@ -447,7 +447,6 @@ def server_handshake(
     options: Optional[ComposeOptions],
     manifest,
     heartbeat_interval: float,
-    prebuilt_indexes: bool,
     timeout: float = 10.0,
 ) -> dict:
     """Coordinator side: validate the hello, send the welcome, return
@@ -480,7 +479,6 @@ def server_handshake(
                 "options_fingerprint": options_fingerprint(options),
                 "manifest": manifest,
                 "heartbeat_interval": heartbeat_interval,
-                "prebuilt_indexes": prebuilt_indexes,
             },
         )
     )

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro import ComposeSession, ModelBuilder, match_all, read_sbml, write_sbml
+from repro import ComposeSession, ModelBuilder, read_sbml, write_sbml
 from repro.core.artifact_store import (
     ArtifactStore,
     CorpusManifest,
@@ -109,191 +109,48 @@ class TestArtifactStore:
         assert len(store) == 0
 
 
-class TestCrossFormatRehydration:
-    """Store format 3 added the per-model index rows as a pure
-    addition: format-2 entries (no ``indexes`` field at all) must
-    rehydrate as valid hits with ``indexes=None`` — computed lazily by
-    consumers — never as corrupt-entry=miss.  The regression: the old
-    reader treated *any* non-current format as a miss, which would
-    have silently recomputed (and rewritten) every entry of an
-    existing store on upgrade."""
-
-    def _write_format2(self, store, model):
-        """An entry exactly as a format-2 writer laid it out: the
-        dataclass pickled without the ``indexes`` attribute."""
-        artifacts = compute_artifacts(model, with_indexes=False)
-        del artifacts.indexes  # the field did not exist in format 2
-        digest = model_digest(model)
-        path = store.path_for(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(pickle.dumps({"format": 2, "artifacts": artifacts}))
-        return digest
-
-    def test_format2_entry_rehydrates_with_lazy_indexes(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        model = _model()
-        digest = self._write_format2(store, model)
-        rehydrated = store.get(digest)
-        assert rehydrated is not None, "format-2 entry must be a hit"
-        assert rehydrated.indexes is None
-        assert rehydrated.used_ids == compute_artifacts(model).used_ids
-        assert rehydrated.patterns == compute_artifacts(model).patterns
-
-    def test_format2_hit_is_not_recomputed(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        model = _model()
-        digest = self._write_format2(store, model)
-        payload_before = store.path_for(digest).read_bytes()
-        artifacts = store.get_or_compute(model, digest)
-        assert artifacts is not None and artifacts.indexes is None
-        # A hit: the entry was served, not recomputed/overwritten.
-        assert store.path_for(digest).read_bytes() == payload_before
-
-    def test_format3_round_trip_carries_index_rows(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        model = _model()
-        digest = model_digest(model)
-        computed = compute_artifacts(model)
-        assert computed.indexes is not None
-        store.put(digest, computed)
-        rehydrated = store.get(digest)
-        assert rehydrated.indexes is not None
-        assert rehydrated.indexes.rows == computed.indexes.rows
-        assert rehydrated.indexes.options_key == computed.indexes.options_key
-
-    def test_unknown_future_format_stays_a_miss(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        digest = model_digest(_model())
-        path = store.path_for(digest)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(pickle.dumps({"format": 99, "artifacts": None}))
-        assert store.get(digest) is None
-
-
-class TestFormat4Rehydration:
-    """Store format 4 added the model signature, again as a pure
-    addition: format-2 *and* format-3 entries must rehydrate as hits
-    with the new field ``None`` — consumers (the prescreen) compute it
-    lazily — never as misses that would rewrite an existing store on
-    upgrade."""
-
-    def _write_old_format(self, store, model, version):
-        artifacts = compute_artifacts(
-            model,
-            with_indexes=version >= 3,
-            with_signature=False,
-        )
-        del artifacts.signature  # field absent before format 4
-        if version < 3:
-            del artifacts.indexes  # absent before format 3
-        digest = model_digest(model)
-        path = store.path_for(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(
-            pickle.dumps({"format": version, "artifacts": artifacts})
-        )
-        return digest
-
-    @pytest.mark.parametrize("version", [2, 3])
-    def test_old_entry_rehydrates_with_lazy_fields(self, tmp_path, version):
-        store = ArtifactStore(tmp_path)
-        model = _model()
-        digest = self._write_old_format(store, model, version)
-        payload_before = store.path_for(digest).read_bytes()
-        rehydrated = store.get(digest)
-        assert rehydrated is not None, f"format-{version} entry must hit"
-        assert rehydrated.signature is None
-        assert (rehydrated.indexes is None) == (version == 2)
-        assert rehydrated.used_ids == compute_artifacts(model).used_ids
-        # Served, not recomputed/overwritten.
-        store.get_or_compute(model, digest)
-        assert store.path_for(digest).read_bytes() == payload_before
-
-    def test_format4_round_trip_carries_signature_and_id_sets(
+class TestStoreFormat:
+    def test_older_formats_are_counted_misses_rewritten_as_current(
         self, tmp_path
     ):
-        """Entries written while the store still carried per-collection
-        id sets load as hits with their signature intact; the stale
-        field is simply never read."""
-        store = ArtifactStore(tmp_path)
+        """The store reads one format: entries of formats 2–4 (which
+        lack the index rows, the signature or the SBML blob) are
+        counted ``incompatible`` misses, recomputed and rewritten in
+        the current format, which round-trips every artifact — the
+        blob is the exact text the digest hashes."""
         model = _model()
         digest = model_digest(model)
+        for version in (2, 3, 4):
+            store = ArtifactStore(tmp_path / f"format{version}")
+            artifacts = compute_artifacts(model, with_sbml=False)
+            path = store.path_for(digest)
+            path.parent.mkdir(parents=True)
+            path.write_bytes(
+                pickle.dumps({"format": version, "artifacts": artifacts})
+            )
+            assert store.get(digest) is None
+            assert store.stats()["incompatible"] == 1
+            assert path.exists()  # left in place, not quarantined
+            rewritten = store.get_or_compute(model, digest)
+            assert pickle.loads(path.read_bytes())["format"] == 5
+            hit = store.get(digest)
+            assert hit is not None and store.stats()["hits"] == 1
+            assert hit.used_ids == rewritten.used_ids
+            assert hit.indexes.rows == compute_artifacts(model).indexes.rows
+            assert hit.signature.options_key == (
+                compute_artifacts(model).signature.options_key
+            )
+            assert hashlib.sha256(hit.sbml.encode("utf-8")).hexdigest() == (
+                digest
+            )
+            assert model_digest(read_sbml(hit.sbml).model) == digest
+        # A stray field an older writer of this format left behind is
+        # ignored, not an error.
+        store = ArtifactStore(tmp_path / "stray")
         computed = compute_artifacts(model)
-        assert computed.signature is not None
         computed.id_sets = {"species": frozenset({"A", "B"})}
         store.put(digest, computed)
-        rehydrated = store.get(digest)
-        assert rehydrated.signature is not None
-        assert rehydrated.signature.options_key == (
-            computed.signature.options_key
-        )
-        assert list(rehydrated.signature.key_hashes) == list(
-            computed.signature.key_hashes
-        )
-        assert rehydrated.used_ids == computed.used_ids
-        stored = match_all([model], store=tmp_path)
-        assert [o.key() for o in stored.outcomes] == [
-            o.key() for o in match_all([model]).outcomes
-        ]
-
-
-class TestFormat5Rehydration:
-    """Store format 5 added the canonical SBML blob — once more a pure
-    addition: format-2/3/4 entries must rehydrate as hits with
-    ``sbml=None`` (the digest-shipped worker boundary then falls back
-    to pickled models), never as misses that would rewrite an existing
-    store on upgrade."""
-
-    def _write_old_format(self, store, model, version):
-        artifacts = compute_artifacts(
-            model,
-            with_indexes=version >= 3,
-            with_signature=version >= 4,
-            with_sbml=False,
-        )
-        del artifacts.sbml  # the field did not exist before format 5
-        if version < 4:
-            del artifacts.signature
-        if version < 3:
-            del artifacts.indexes
-        digest = model_digest(model)
-        path = store.path_for(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(
-            pickle.dumps({"format": version, "artifacts": artifacts})
-        )
-        return digest
-
-    @pytest.mark.parametrize("version", [2, 3, 4])
-    def test_old_entry_rehydrates_without_sbml_blob(self, tmp_path, version):
-        store = ArtifactStore(tmp_path)
-        model = _model()
-        digest = self._write_old_format(store, model, version)
-        payload_before = store.path_for(digest).read_bytes()
-        rehydrated = store.get(digest)
-        assert rehydrated is not None, f"format-{version} entry must hit"
-        assert rehydrated.sbml is None
-        assert rehydrated.used_ids == compute_artifacts(model).used_ids
-        # Served, not recomputed/overwritten.
-        store.get_or_compute(model, digest)
-        assert store.path_for(digest).read_bytes() == payload_before
-
-    def test_format5_round_trip_carries_canonical_sbml(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        model = _model()
-        digest = model_digest(model)
-        computed = compute_artifacts(model)
-        assert computed.sbml is not None
-        store.put(digest, computed)
-        rehydrated = store.get(digest)
-        # The blob is the exact text the digest hashes...
-        assert (
-            hashlib.sha256(rehydrated.sbml.encode("utf-8")).hexdigest()
-            == digest
-        )
-        # ...and re-parsing it reproduces the model, digest-stable.
-        reparsed = read_sbml(rehydrated.sbml).model
-        assert model_digest(reparsed) == digest
+        assert store.get(digest).signature is not None
 
 
 class TestCorpusManifest:

@@ -1,59 +1,58 @@
 """Differential conformance matrix over every execution path.
 
-The engine now has many ways to compute the same composition: the
-legacy ``compose(a, b)`` shim chained by hand, a session fold, a
-balanced tree, the greedy-similarity plan, the parallel tree executor
-on both backends, and the sharded all-pairs sweep.  Each path exists
-for performance or deployment shape — none of them is allowed to
-change the *answer*.  This matrix pins that guarantee differentially:
-every path is run over the same corpora and compared against one
-reference, on composed ids, id mappings, provenance and step records.
+The engine has several ways to compute the same composition: a
+session fold, a balanced tree, the greedy-similarity plan, and the
+all-pairs sweep — inline, sharded, prescreened and on supervised
+worker processes, local or remote.  Each path exists for performance
+or deployment shape — none of them is allowed to change the *answer*.
+This matrix pins that guarantee differentially: every path is run over
+the same corpora and compared against one reference, on composed ids,
+id mappings, provenance and step records.
 
 Equality strength per path:
 
 * composed global ids, id mappings and provenance origins — identical
-  across **all** paths (including greedy, which merges in a different
+  across **all** plans (including greedy, which merges in a different
   order but must unite the same things);
 * serialized model bytes — identical for every path that folds in
-  input order (legacy/fold/tree/parallel×2).  The greedy plan reorders
-  inputs, so its component *order* may differ while ids/content match;
-* step records — identical between the serial tree and both parallel
-  backends (scheduling must not leak into the record), and pairwise
-  between the legacy shim chain and the session fold;
-* the sharded sweep — the union of any shard layout equals the
-  unsharded sweep on every run-invariant field, both when the
-  per-model artifacts (including the pattern tables that seed the
+  input order (fold/tree).  The greedy plan reorders inputs, so its
+  component *order* may differ while ids/content match;
+* the sharded sweep — the union of any shard layout and worker count
+  equals the unsharded sweep on every run-invariant field, both when
+  the per-model artifacts (including the pattern tables that seed the
   engine's PatternCache) are computed fresh and when they rehydrate
   from a populated artifact store;
-* the **prebuilt-index sweep** (the seventh path) — the default
-  engine, which materialises each model's twelve phase indexes once
+* the **prebuilt-index sweep** (the seventh path) — the engine, which
+  materialises each model's twelve phase indexes once
   (``ModelIndexSet``) and merges through copy-on-write overlays, is
-  byte-identical to the fresh-index sweep (``prebuilt_indexes=False``)
-  on the deterministic CSV, and stays identical when the index rows
-  rehydrate from a store — including a store holding *format-2*
-  entries that predate the index artifact (their missing index table
-  is computed lazily, not treated as corruption).  A hypothesis
-  property additionally pins ``OverlayIndex`` against a freshly built
-  index — identical first-registration-wins hits for any interleaving
-  of adds and probes, on real ``biomodels_like`` index rows, across
-  all three index strategies;
+  byte-identical on the deterministic CSV to a test-side reference
+  (``reference_sweep.reference_outcomes``) that calls
+  ``Composer.compose_step(..., decide_only=True)`` without
+  ``target_indexes`` for each pair, and stays identical when the index
+  rows rehydrate from a store.  A hypothesis property additionally
+  pins ``OverlayIndex`` against a freshly built index — identical
+  first-registration-wins hits for any interleaving of adds and
+  probes, on real ``biomodels_like`` index rows, across all three
+  index strategies;
 * the **prescreened sweep** (the eighth path) — the signature
   prescreen prunes pairs whose outcome the twin-congruence check can
   synthesize and the pair engine never runs them; the resulting
   matrix is byte-identical to the full sweep on the deterministic
-  CSV, in memory, through a store (including format-3 entries that
-  predate the signature artifact), and shared across shards.  A
-  hypothesis property states the safety side directly: a pruned pair
-  is always one the full matcher composes with zero renames and zero
-  conflicts;
-* the **digest-shipped sweep** (the ninth path) — process workers
-  receive a ``(label, digest)`` manifest instead of the pickled
-  corpus and rehydrate each model from the store's format-5 canonical
-  SBML blob on first touch; the resulting matrix is byte-identical to
-  the in-memory sweep on the deterministic CSV — plain pool and
-  supervised coordinator, populating the store and rehydrating from
-  it, through the escape hatch and the automatic temp store, and (a
-  hypothesis property) for any shard layout and worker count;
+  CSV, in memory, through a store, and shared across shards — and,
+  on supervised workers, as ``match_all(workers=2, prescreen=True)``,
+  as a ``sweep --prescreen --shards 2 --workers 2 --out-dir`` run and
+  as a ``sweep --prescreen --listen`` run served by a loopback remote
+  worker.  A hypothesis property states the safety side directly: a
+  pruned pair is always one the full matcher composes with zero
+  renames and zero conflicts;
+* the **digest-shipped sweep** (the ninth path) — supervised worker
+  processes receive a ``(label, digest)`` manifest instead of the
+  corpus and rehydrate each model from the store's canonical SBML
+  blob on first touch; the resulting matrix is byte-identical to the
+  in-memory sweep on the deterministic CSV — populating the store and
+  rehydrating from it, through the automatic temp store, through the
+  coordinator directly, and (a hypothesis property) for any shard
+  layout and worker count;
 * the **remote supervised sweep** (the tenth path) — workers joined
   over loopback TCP (``sbmlcompose worker``) compute shards through
   the framed socket transport and the digest-fetch protocol, mixed
@@ -64,24 +63,23 @@ Equality strength per path:
 """
 
 import io
-import pickle
-import warnings
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference_sweep import reference_outcomes
 
-from repro import compose, compose_all, match_all, match_all_sharded, write_sbml
-from repro.core.artifact_store import (
-    ArtifactStore,
-    compute_artifacts,
-    corpus_fingerprint,
-    model_digest,
-)
+from repro import compose_all, match_all, match_all_sharded, write_sbml
+from repro.cli import main
+from repro.core.artifact_store import corpus_fingerprint
 from repro.core.compose import ModelIndexSet
 from repro.core.index import OverlayIndex, make_index
-from repro.core.match_all import MatchMatrix, write_outcomes
+from repro.core.match_all import MatchMatrix, read_outcomes_csv, write_outcomes
 from repro.core.options import ComposeOptions
 from repro.core.signature import Prescreen
 from repro.corpus import generate_corpus
@@ -94,14 +92,9 @@ from repro.corpus.curated import (
     mapk_cascade,
 )
 
-PATHS = [
-    "legacy",
-    "fold",
-    "tree",
-    "greedy",
-    "parallel-thread",
-    "parallel-process",
-]
+PATHS = ["fold", "tree", "greedy"]
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -122,27 +115,9 @@ def corpora():
 
 
 def _run_path(path, models):
-    """Execute one path; returns (result, xml) — result is None for
-    the legacy chain, which has no session-level record."""
-    if path == "legacy":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            accumulator = models[0]
-            step_reports = []
-            for model in models[1:]:
-                accumulator, report = compose(accumulator, model)
-                step_reports.append(report)
-        return None, write_sbml(accumulator), step_reports
-    plan = {"fold": "fold", "tree": "tree", "greedy": "greedy"}.get(path)
-    if plan is not None:
-        result = compose_all(models, plan=plan)
-    elif path == "parallel-thread":
-        result = compose_all(models, plan="tree", workers=3, backend="thread")
-    elif path == "parallel-process":
-        result = compose_all(models, plan="tree", workers=2, backend="process")
-    else:  # pragma: no cover - matrix misconfiguration
-        raise AssertionError(path)
-    return result, write_sbml(result.model), [s.report for s in result.steps]
+    """Execute one plan; returns (result, xml)."""
+    result = compose_all(models, plan=path)
+    return result, write_sbml(result.model)
 
 
 def _semantic_signature(ids, mappings, provenance):
@@ -161,16 +136,8 @@ def _semantic_signature(ids, mappings, provenance):
 def references(corpora):
     refs = {}
     for name, models in corpora.items():
-        fold, fold_xml, fold_reports = _run_path("fold", models)
-        tree, tree_xml, _ = _run_path("tree", models)
-        refs[name] = {
-            "models": models,
-            "fold": fold,
-            "fold_xml": fold_xml,
-            "fold_reports": fold_reports,
-            "tree": tree,
-            "tree_xml": tree_xml,
-        }
+        fold, fold_xml = _run_path("fold", models)
+        refs[name] = {"models": models, "fold": fold, "fold_xml": fold_xml}
     return refs
 
 
@@ -178,70 +145,30 @@ def references(corpora):
 @pytest.mark.parametrize("path", PATHS)
 def test_conformance(path, corpus_name, references):
     ref = references[corpus_name]
-    result, xml, step_reports = _run_path(path, ref["models"])
+    result, xml = _run_path(path, ref["models"])
 
     fold = ref["fold"]
     expected = _semantic_signature(
         fold.model.global_ids(), fold.report.mappings, fold.provenance
     )
-
-    if result is not None:
-        actual = _semantic_signature(
-            result.model.global_ids(), result.report.mappings, result.provenance
-        )
-        assert actual == expected
-    # The legacy chain has no session-level record; its final ids are
-    # covered by the byte-identity check below and its per-step
-    # reports by the report comparison at the end.
+    actual = _semantic_signature(
+        result.model.global_ids(), result.report.mappings, result.provenance
+    )
+    assert actual == expected
 
     # Serialized bytes: identical for every input-order path.  The
     # greedy plan may reorder components (different merge order), but
     # its ids/mappings/provenance matched above.
     if path != "greedy":
-        reference_xml = (
-            ref["tree_xml"] if path.startswith("parallel") else ref["fold_xml"]
-        )
-        assert xml == reference_xml
-
-    # Step records: scheduling must not leak into the record.
-    if path.startswith("parallel"):
-        serial_steps = ref["tree"].steps
-        assert [s.index for s in result.steps] == [
-            s.index for s in serial_steps
-        ]
-        assert [(s.left, s.right) for s in result.steps] == [
-            (s.left, s.right) for s in serial_steps
-        ]
-        for parallel_step, serial_step in zip(result.steps, serial_steps):
-            assert _report_record(parallel_step.report) == _report_record(
-                serial_step.report
-            )
-    if path == "legacy":
-        assert len(step_reports) == len(ref["fold_reports"])
-        for legacy_report, fold_report in zip(
-            step_reports, ref["fold_reports"]
-        ):
-            assert _report_record(legacy_report) == _report_record(fold_report)
-
-
-def _report_record(report):
-    """The run-invariant content of one step's merge report."""
-    return (
-        sorted(str(d) for d in report.duplicates),
-        report.total_added,
-        dict(report.renamed),
-        dict(report.mappings),
-        sorted(str(c) for c in report.conflicts),
-    )
+        assert xml == ref["fold_xml"]
 
 
 @pytest.mark.parametrize("corpus_name", ["chain", "curated"])
 @pytest.mark.parametrize(
-    "shards,workers,backend",
-    [(2, 1, "thread"), (5, 1, "thread"), (2, 3, "thread"), (2, 2, "process")],
+    "shards,workers", [(2, 1), (5, 1), (2, 3), (2, 2)]
 )
 def test_sharded_sweep_conformance(
-    corpus_name, shards, workers, backend, corpora, tmp_path
+    corpus_name, shards, workers, corpora, tmp_path
 ):
     """The sweep path of the matrix: any shard layout and fanout
     unions back to the unsharded engine, field for field."""
@@ -253,7 +180,6 @@ def test_sharded_sweep_conformance(
             shards=shards,
             shard_id=shard_id,
             workers=workers,
-            backend=backend,
             store=tmp_path / "artifacts",
         )
         for shard_id in range(shards)
@@ -272,7 +198,6 @@ def test_sharded_sweep_conformance(
             shards=shards,
             shard_id=shard_id,
             workers=workers,
-            backend=backend,
             store=tmp_path / "artifacts",
         )
         for shard_id in range(shards)
@@ -288,19 +213,22 @@ def test_sharded_sweep_conformance(
 
 
 def _deterministic_csv(matrix) -> str:
+    return _csv(matrix.outcomes)
+
+
+def _csv(outcomes) -> str:
     handle = io.StringIO()
-    write_outcomes(handle, matrix.outcomes, deterministic=True)
+    write_outcomes(handle, outcomes, deterministic=True)
     return handle.getvalue()
 
 
 @pytest.mark.parametrize("corpus_name", ["chain", "curated"])
 def test_prebuilt_index_sweep_conformance(corpus_name, corpora, tmp_path):
-    """Prebuilt per-model phase indexes (the default engine) must be
-    byte-identical to the fresh-index sweep — with indexes built in
-    memory, rehydrated from a store, and rehydrated from a store whose
-    entries predate the index artifact (format 2)."""
+    """Prebuilt per-model phase indexes (the engine) must be
+    byte-identical to the fresh-index reference — with indexes built
+    in memory and rehydrated from a store."""
     models = corpora[corpus_name]
-    fresh = _deterministic_csv(match_all(models, prebuilt_indexes=False))
+    fresh = _csv(reference_outcomes(models))
 
     assert _deterministic_csv(match_all(models)) == fresh
 
@@ -309,26 +237,6 @@ def test_prebuilt_index_sweep_conformance(corpus_name, corpora, tmp_path):
     store_dir = tmp_path / "artifacts"
     assert _deterministic_csv(match_all(models, store=store_dir)) == fresh
     assert _deterministic_csv(match_all(models, store=store_dir)) == fresh
-
-    # Format-2 pass: entries carry everything *except* index rows, as
-    # written before store format 3.  They must rehydrate (computing
-    # the index set lazily in the engine), not read as misses — and
-    # the outcomes must not move.
-    format2_dir = tmp_path / "format2"
-    store = ArtifactStore(format2_dir)
-    for model in models:
-        artifacts = compute_artifacts(model, with_indexes=False)
-        del artifacts.indexes  # the field did not exist in format 2
-        path = store.path_for(model_digest(model))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(
-            pickle.dumps({"format": 2, "artifacts": artifacts})
-        )
-    before = len(store)
-    assert _deterministic_csv(match_all(models, store=format2_dir)) == fresh
-    # Every model rehydrated (no entry was recomputed/overwritten as
-    # a miss would force).
-    assert len(store) == before
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +257,8 @@ def test_prescreen_sweep_conformance(corpus_name, corpora, tmp_path):
     screened = match_all(models, prescreen=True)
     assert _deterministic_csv(screened) == full
 
-    # Store-backed pass: signatures spill as format-4 artifacts on the
-    # first sweep and rehydrate (pickle round-trip included) on the
+    # Store-backed pass: signatures spill with the other artifacts on
+    # the first sweep and rehydrate (pickle round-trip included) on the
     # second.
     store_dir = tmp_path / "artifacts"
     assert (
@@ -375,30 +283,6 @@ def test_prescreen_sweep_conformance(corpus_name, corpora, tmp_path):
     merged = MatchMatrix.union(parts)
     assert _deterministic_csv(merged) == full
     assert merged.pruned == screened.pruned
-
-
-def test_prescreen_with_pre_signature_store_entries(corpora, tmp_path):
-    """Store format 4 added the model signature as a pure addition:
-    format-3 entries (index rows but no ``signature`` field) must
-    rehydrate as hits with that field ``None`` — the prescreen
-    recomputes signatures locally — and the screened sweep must stay
-    byte-identical without rewriting any entry."""
-    models = corpora["chain"]
-    full = _deterministic_csv(match_all(models))
-    store_dir = tmp_path / "format3"
-    store = ArtifactStore(store_dir)
-    for model in models:
-        artifacts = compute_artifacts(model, with_signature=False)
-        del artifacts.signature  # the field did not exist in format 3
-        path = store.path_for(model_digest(model))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(pickle.dumps({"format": 3, "artifacts": artifacts}))
-    before = len(store)
-    assert (
-        _deterministic_csv(match_all(models, prescreen=True, store=store_dir))
-        == full
-    )
-    assert len(store) == before
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -439,6 +323,85 @@ def test_prescreen_never_prunes_a_matching_pair(seed):
     assert screened.pruned == len(pruned_pairs)
 
 
+def _write_model_files(models, directory):
+    directory.mkdir()
+    paths = []
+    for position, model in enumerate(models):
+        path = directory / f"{position:02d}.xml"
+        path.write_text(write_sbml(model), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def test_prescreened_supervised_sweep_conformance(corpora, tmp_path):
+    """The prescreen composes with supervision and with remote workers:
+    on the chain corpus (the prescreen prunes some pairs and lets
+    others through), a prescreened sweep on supervised workers is
+    byte-identical on :meth:`PairOutcome.key` to the serial unscreened
+    sweep — as ``match_all(workers=2, prescreen=True)``, as ``sweep
+    --prescreen --shards 2 --workers 2 --out-dir`` and as a ``sweep
+    --prescreen --listen`` run served by one loopback remote worker."""
+    models = corpora["chain"]
+    reference = [o.key() for o in match_all(models).outcomes]
+
+    in_process = match_all(models, workers=2, prescreen=True)
+    assert 0 < in_process.pruned < len(reference)
+    assert [o.key() for o in in_process.outcomes] == reference
+
+    files = _write_model_files(models, tmp_path / "models")
+    sharded_csv = tmp_path / "sharded.csv"
+    assert (
+        main(
+            [
+                "sweep", *files, "--prescreen", "--shards", "2",
+                "--workers", "2", "--out-dir", str(tmp_path / "sweep"),
+                "-o", str(sharded_csv),
+            ]
+        )
+        == 0
+    )
+    # Labels come from the model ids, as in the in-memory sweep.
+    assert [o.key() for o in read_outcomes_csv(sharded_csv)] == reference
+
+    listen_csv = tmp_path / "listen.csv"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    coordinator = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "sweep", *files,
+            "--prescreen", "--workers", "0", "--listen", "127.0.0.1:0",
+            "-o", str(listen_csv),
+        ],
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    worker = None
+    try:
+        port = None
+        for line in coordinator.stderr:
+            if line.startswith("listening for remote workers on "):
+                port = line.rsplit(":", 1)[1].strip()
+                break
+        assert port is not None
+        worker = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "worker",
+                "--connect", f"127.0.0.1:{port}",
+            ],
+            env=env,
+            stderr=subprocess.DEVNULL,
+        )
+        coordinator.communicate(timeout=120)
+        assert worker.wait(timeout=60) == 0
+    finally:
+        for proc in (coordinator, worker):
+            if proc is not None and proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    assert coordinator.returncode == 0
+    assert [o.key() for o in read_outcomes_csv(listen_csv)] == reference
+
+
 # ---------------------------------------------------------------------------
 # Ninth path: the digest-shipped worker boundary
 # ---------------------------------------------------------------------------
@@ -446,58 +409,35 @@ def test_prescreen_never_prunes_a_matching_pair(seed):
 
 @pytest.mark.parametrize("corpus_name", ["chain", "curated"])
 def test_digest_shipped_sweep_conformance(corpus_name, corpora, tmp_path):
-    """The digest-shipped process pool — workers receive a ``(label,
-    digest)`` manifest and rehydrate each model from the artifact
-    store's format-5 SBML blob — must be byte-identical to the
-    in-memory sweep on the deterministic CSV: populating the store,
-    rehydrating from it, through the ``digest_shipping=False`` escape
-    hatch, through the automatic temp store, and as a sharded union."""
+    """Supervised workers — which receive a ``(label, digest)``
+    manifest and rehydrate each model from the artifact store's SBML
+    blob — must be byte-identical to the in-memory sweep on the
+    deterministic CSV: populating the store, rehydrating from it,
+    through the automatic temp store, and as a sharded union."""
     models = corpora[corpus_name]
     reference = _deterministic_csv(match_all(models))
     store_dir = tmp_path / "artifacts"
 
-    # Plain pool over the manifest boundary, populating the store...
+    # Populating the store...
     assert (
-        _deterministic_csv(
-            match_all(models, workers=2, backend="process", store=store_dir)
-        )
+        _deterministic_csv(match_all(models, workers=2, store=store_dir))
         == reference
     )
     # ...and a second pass rehydrating every artifact from it.
     assert (
-        _deterministic_csv(
-            match_all(models, workers=2, backend="process", store=store_dir)
-        )
-        == reference
-    )
-    # The escape hatch (--no-digest-shipping): the pickled-corpus
-    # boundary must agree with the manifest boundary.
-    assert (
-        _deterministic_csv(
-            match_all(
-                models,
-                workers=2,
-                backend="process",
-                store=store_dir,
-                digest_shipping=False,
-            )
-        )
+        _deterministic_csv(match_all(models, workers=2, store=store_dir))
         == reference
     )
     # No explicit store: the sweep ships digests through a transient
     # temp store it cleans up afterwards.
-    assert (
-        _deterministic_csv(match_all(models, workers=2, backend="process"))
-        == reference
-    )
-    # Sharded digest-shipped union.
+    assert _deterministic_csv(match_all(models, workers=2)) == reference
+    # Sharded union.
     parts = [
         match_all_sharded(
             models,
             shards=2,
             shard_id=shard_id,
             workers=2,
-            backend="process",
             store=store_dir,
         )
         for shard_id in range(2)
@@ -668,7 +608,7 @@ def test_digest_shipped_invariant_over_shards_and_workers(
 ):
     """Shard layout and worker count must not leak into the
     digest-shipped sweep: for any BioModels-like corpus, the union of
-    any sharded digest-shipped process sweep is byte-identical to the
+    any sharded sweep on supervised workers is byte-identical to the
     serial in-memory sweep."""
     models = generate_corpus(count=4, seed=seed)
     reference = _deterministic_csv(match_all(models))
@@ -679,7 +619,6 @@ def test_digest_shipped_invariant_over_shards_and_workers(
             shards=shards,
             shard_id=shard_id,
             workers=workers,
-            backend="process",
             store=store_dir,
         )
         for shard_id in range(shards)

@@ -128,6 +128,53 @@ class TestHappyPath:
         assert report.exit_code == 0
 
 
+class TestEventLoopCost:
+    def test_remaining_calls_do_not_grow_with_pending_pairs(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        """The event loop wakes once per streamed pair; with one worker
+        and four shards, three shards wait pending while the fourth
+        streams.  Only shards whose state changed are re-examined, so
+        the ``remaining`` list builds per sweep stay fixed — the same
+        for a corpus with 5.5x the pairs."""
+        from repro.core.coordinator import _ShardState
+        from repro.corpus import generate_corpus
+
+        calls = []
+        original = _ShardState.remaining
+
+        def counting(self, quarantined):
+            calls.append(self.shard.shard_id)
+            return original(self, quarantined)
+
+        monkeypatch.setattr(_ShardState, "remaining", counting)
+        counts = []
+        for name, models in (
+            ("small", corpus),
+            ("large", generate_corpus(count=10, seed=2)),
+        ):
+            calls.clear()
+            report = SweepCoordinator(
+                models,
+                None,
+                shards=4,
+                out_dir=tmp_path / name,
+                fingerprint=name,
+                config=CoordinatorConfig(
+                    workers=1, worker_timeout=15.0, poll_interval=0.05
+                ),
+                progress=False,
+            ).run()
+            assert report.exit_code == 0
+            assert sum(m.pair_count for m in report.matrices) == (
+                len(models) * (len(models) + 1) // 2
+            )
+            counts.append(len(calls))
+        # One look per shard up front, one per assignment, one per
+        # finished assignment.
+        assert counts[0] == counts[1] == 3 * 4
+
+
 class TestWorkerDeathAndStealing:
     def test_killed_worker_shard_is_stolen_and_completes(
         self, corpus, fingerprint, reference_keys, tmp_path

@@ -17,6 +17,7 @@ The tentpole guarantees of :class:`~repro.core.compose.ModelIndexSet`:
 import pickle
 
 import pytest
+from reference_sweep import reference_outcomes
 
 from repro import ComposeSession, ModelBuilder, compose_all, match_all
 from repro.core.artifact_store import (
@@ -199,7 +200,6 @@ class TestOverlayIsolation:
 
         monkeypatch.setattr(BoundIndexSet, "for_phase", recording_for_phase)
         sweep = match_all(models)
-        match_all(models, prebuilt_indexes=False)
         match_query(models[0], models[1:])
         monkeypatch.undo()
 
@@ -312,18 +312,9 @@ class TestEngineOptionMismatch:
         match_all(models, store=store)  # heavy pass populates
         light = ComposeOptions.light()
         stored = match_all(models, light, store=store)
-        fresh = match_all(models, light, prebuilt_indexes=False)
         assert [o.key() for o in stored.outcomes] == [
-            o.key() for o in fresh.outcomes
+            o.key() for o in reference_outcomes(models, light)
         ]
-
-    def test_prebuilt_flag_off_restores_fresh_builds(self):
-        models = [_model("a"), _model("b", k=0.25)]
-        engine = _PairEngine(
-            None, models, stable_labels(models), prebuilt_indexes=False
-        )
-        engine.run_pairs([(0, 1)])
-        assert engine._target_indexes(0) is None
 
     def test_source_only_models_never_pay_the_index_build(self):
         """Index sets are bound lazily on first use as a *target*: a
@@ -363,9 +354,8 @@ class TestMappingGuardFallback:
         prebuilt = match_all([left, right])
         cross = next(o for o in prebuilt.outcomes if o.i == 0 and o.j == 1)
         assert cross.renamed > 0, "scenario must actually rename"
-        fresh = match_all([left, right], prebuilt_indexes=False)
         assert [o.key() for o in prebuilt.outcomes] == [
-            o.key() for o in fresh.outcomes
+            o.key() for o in reference_outcomes([left, right])
         ]
         # Inputs stay untouched either way.
         assert left.species[0].id == "x" and right.species[0].id == "x"
@@ -377,7 +367,6 @@ class TestIndexStrategies:
         models = [_model("a"), _model("b", k=0.25), _model("c", k=0.1)]
         options = ComposeOptions().with_index(strategy)
         prebuilt = match_all(models, options)
-        fresh = match_all(models, options, prebuilt_indexes=False)
         assert [o.key() for o in prebuilt.outcomes] == [
-            o.key() for o in fresh.outcomes
+            o.key() for o in reference_outcomes(models, options)
         ]

@@ -1,10 +1,15 @@
 """The batched all-pairs matching engine."""
 
+import os
+
 import pytest
+from reference_sweep import reference_outcomes
 
 from repro import ModelBuilder, compose_all, match_all, match_all_sharded
+from repro.core import chaos
 from repro.core.match_all import MatchMatrix
 from repro.core.options import ComposeOptions
+from repro.errors import ReproError
 
 
 def _module_model(model_id, species, parameter, value=0.5):
@@ -66,18 +71,19 @@ class TestMatchAll:
         match_all(corpus, workers=2)
         assert [sorted(m.global_ids()) for m in corpus] == snapshots
 
-    def test_thread_fanout_deterministic(self, corpus):
+    def test_four_worker_fanout_deterministic(self, corpus):
         serial = match_all(corpus)
-        threaded = match_all(corpus, workers=4)
+        fanned = match_all(corpus, workers=4)
+        assert fanned.workers == 4
         assert [o.row()[:5] for o in serial.outcomes] == [
-            o.row()[:5] for o in threaded.outcomes
+            o.row()[:5] for o in fanned.outcomes
         ]
         assert [
             (o.united, o.added, o.renamed, o.conflicts)
             for o in serial.outcomes
         ] == [
             (o.united, o.added, o.renamed, o.conflicts)
-            for o in threaded.outcomes
+            for o in fanned.outcomes
         ]
 
     def test_process_fanout_deterministic(self, corpus):
@@ -120,18 +126,9 @@ class TestMatchAll:
             match_all(corpus, workers=0)
         with pytest.raises(ValueError):
             match_all(corpus, backend="fiber")
-
-    def test_options_fanout_fallback(self, corpus):
-        # ComposeOptions(workers=..., backend=...) drives the sweep
-        # when the keywords are omitted, exactly as compose_all does;
-        # explicit keywords still win.
-        matrix = match_all(corpus, ComposeOptions(workers=2))
-        assert matrix.workers == 2
-        overridden = match_all(corpus, ComposeOptions(workers=2), workers=1)
-        assert overridden.workers == 1
-        assert [o.key() for o in matrix.outcomes] == [
-            o.key() for o in overridden.outcomes
-        ]
+        # Sweep workers are processes; there is no thread backend.
+        with pytest.raises(ValueError):
+            match_all(corpus, workers=2, backend="thread")
 
     def test_store_tier_transparent(self, corpus, tmp_path):
         from repro.core.artifact_store import ArtifactStore
@@ -162,9 +159,12 @@ class TestOverlayReads:
             len(report.renamed),
             len(report.conflicts),
         )
-        for prebuilt in (True, False):
-            matrix = match_all([target, source], prebuilt_indexes=prebuilt)
-            cross = next(o for o in matrix.outcomes if (o.i, o.j) == (0, 1))
+        # The engine (prebuilt indexes) and the fresh-index reference.
+        for outcomes in (
+            match_all([target, source]).outcomes,
+            reference_outcomes([target, source]),
+        ):
+            cross = next(o for o in outcomes if (o.i, o.j) == (0, 1))
             assert (
                 cross.united,
                 cross.added,
@@ -324,36 +324,22 @@ class TestDigestShipping:
     ``(label, digest)`` manifest and rehydrate each model from the
     shared artifact store on first touch."""
 
-    def test_digest_shipped_matches_pickled_corpus(self, corpus, tmp_path):
+    def test_workers_populate_and_rehydrate_from_the_store(
+        self, corpus, tmp_path
+    ):
         from repro.core.artifact_store import ArtifactStore
 
-        serial = match_all(corpus)
-        shipped = match_all(
-            corpus,
-            workers=2,
-            backend="process",
-            store=tmp_path / "store",
-        )
-        pickled = match_all(
-            corpus,
-            workers=2,
-            backend="process",
-            store=tmp_path / "store2",
-            digest_shipping=False,
-        )
-        reference = [
-            (o.i, o.j, o.united, o.added, o.renamed, o.conflicts)
-            for o in serial.outcomes
-        ]
-        for matrix in (shipped, pickled):
-            assert [
-                (o.i, o.j, o.united, o.added, o.renamed, o.conflicts)
-                for o in matrix.outcomes
-            ] == reference
-        # The shipped run populated the store with blob-carrying
-        # (worker-rehydratable) entries, one per model.
+        reference = [o.key() for o in match_all(corpus).outcomes]
+        for _ in range(2):  # populate the store, then rehydrate from it
+            matrix = match_all(corpus, workers=2, store=tmp_path / "store")
+            assert [o.key() for o in matrix.outcomes] == reference
+        # One blob-carrying (worker-rehydratable) entry per model.
         store = ArtifactStore(tmp_path / "store")
         assert len(store) == len(corpus)
+        assert all(
+            store.get(digest).sbml is not None
+            for digest in (p.stem for p in store.root.glob("??/*.pkl"))
+        )
 
     def test_manifest_payload_does_not_grow_with_corpus(self, tmp_path):
         """The acceptance number: the initargs payload is a few dozen
@@ -385,25 +371,6 @@ class TestDigestShipping:
         ) / (len(large) - len(small))
         assert per_entry < 200  # a label + a hex digest, flat
         assert per_entry < per_model / 5
-
-    def test_unwritable_store_falls_back_to_pickled_models(
-        self, corpus, monkeypatch, caplog
-    ):
-        import logging
-
-        from repro.core.artifact_store import ArtifactStore
-
-        def refuse(self, digest, artifacts):
-            raise OSError("read-only store")
-
-        monkeypatch.setattr(ArtifactStore, "put", refuse)
-        serial = match_all(corpus)
-        with caplog.at_level(logging.WARNING, logger="repro.core.match_all"):
-            matrix = match_all(corpus, workers=2, backend="process")
-        assert "digest shipping disabled" in caplog.text
-        assert [o.key() for o in matrix.outcomes] == [
-            o.key() for o in serial.outcomes
-        ]
 
     def test_rehydrate_miss_is_a_repro_error(self, corpus, tmp_path):
         from repro.core.artifact_store import ArtifactStore, CorpusManifest
@@ -455,32 +422,81 @@ class TestDigestShipping:
             engine.run_pair(0, 1)
 
 
-class TestWorkerPoolError:
-    def test_worker_death_names_chunk_and_supervise(self, corpus, tmp_path):
-        """Chaos regression for the bare-``BrokenProcessPool`` bug: an
-        unsupervised process worker death must surface as a
-        :class:`WorkerPoolError` naming the pair range and pointing at
-        the supervised path."""
-        from repro.core import chaos
-        from repro.core.match_all import WorkerPoolError
+def _sweep_temp_dirs(root):
+    return sorted(root.glob("sbmlcompose-sweep-*"))
 
+
+class TestSupervisedWorkers:
+    """``workers > 1`` runs on supervised worker processes: a worker
+    death is stolen and retried, a poison pair is quarantined, a store
+    that cannot be written is a named error, and the private journal
+    directory never outlives the call."""
+
+    @pytest.fixture(autouse=True)
+    def private_tempdir(self, tmp_path, monkeypatch):
+        root = tmp_path / "tmp"
+        root.mkdir()
+        monkeypatch.setattr("tempfile.tempdir", str(root))
+        return root
+
+    def test_killed_worker_completes_through_a_steal(
+        self, corpus, tmp_path, private_tempdir
+    ):
+        expected = [o.key() for o in match_all(corpus).outcomes]
         spec = chaos.ChaosSpec(
-            tmp_path,
+            tmp_path / "chaos",
             faults=[
                 chaos.Fault(
                     site="pair-start",
                     action="kill",
+                    match={"i": 1, "j": 2},
                     times=1,
-                    key="pool-kill",
+                    key="kill-once",
                 )
             ],
         )
         with chaos.active(spec):
-            with pytest.raises(WorkerPoolError) as excinfo:
-                match_all(corpus, workers=2, backend="process")
-        message = str(excinfo.value)
-        assert "pairs" in message
-        assert "sweep --supervise" in message
+            matrix = match_all(corpus, workers=2)
+        assert (tmp_path / "chaos" / ".chaos-kill-once-tick0").exists()
+        assert [o.key() for o in matrix.outcomes] == expected
+        assert matrix.quarantined == 0
+        assert _sweep_temp_dirs(private_tempdir) == []
+
+    def test_poison_pair_is_quarantined_not_raised(
+        self, corpus, tmp_path, private_tempdir
+    ):
+        expected = [
+            o.key() for o in match_all(corpus).outcomes if (o.i, o.j) != (0, 3)
+        ]
+        spec = chaos.ChaosSpec(
+            tmp_path / "chaos",
+            faults=[
+                chaos.Fault(
+                    site="pair-start",
+                    action="raise",
+                    match={"i": 0, "j": 3},
+                    times=None,
+                    key="poison",
+                )
+            ],
+        )
+        with chaos.active(spec):
+            matrix = match_all(corpus, workers=2)
+        assert matrix.quarantined == 1
+        assert [o.key() for o in matrix.outcomes] == expected
+        assert _sweep_temp_dirs(private_tempdir) == []
+
+    def test_unwritable_store_raises_naming_it(
+        self, corpus, tmp_path, private_tempdir
+    ):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("a file where the store should be")
+        with pytest.raises(ReproError) as excinfo:
+            match_all(corpus, workers=2, store=blocker)
+        assert str(blocker) in str(excinfo.value)
+        # The private journal directory is gone although the call raised.
+        assert _sweep_temp_dirs(private_tempdir) == []
+        assert os.listdir(private_tempdir) == []
 
 
 class TestMatchAllSharded:

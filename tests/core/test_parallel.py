@@ -1,31 +1,18 @@
-"""Parallel plan execution: equivalence with serial, thread safety.
+"""Carried accumulator state and thread safety of shared state.
 
-The contract of ``workers > 1`` is that scheduling changes wall time
-*only*: composed model, id mappings, provenance and step records must
-be identical to serial execution of the same plan.  These tests pin
-that contract for both backends, plus the concurrency regressions the
-executor's shared state invites (the ``compose()`` shim's
-once-per-process warning flag, sessions sharing a pool).
+Sessions carry each accumulator's derived artifacts from step to step
+instead of re-collecting them; these tests pin that the carried state
+reproduces what re-collection computes.  They also pin the
+concurrency regressions shared state invites: sessions composing on a
+shared thread pool, and the synonym table's canonical-name memo.
 """
 
 import concurrent.futures
-import importlib
-import warnings
 
 import pytest
 
-from repro import (
-    ComposeOptions,
-    ComposeSession,
-    ModelBuilder,
-    compose,
-    compose_all,
-)
+from repro import ComposeSession, ModelBuilder, compose_all
 from repro.core.compose import AccumState
-from repro.core.session import _tree_has_parallelism
-from repro.errors import ConflictError
-
-compose_module = importlib.import_module("repro.core.compose")
 
 
 def _module_model(model_id, species, parameter="k", value=0.5, name=None):
@@ -84,94 +71,15 @@ def fingerprint(result):
     )
 
 
-class TestParallelEquivalence:
-    def test_thread_pool_matches_serial_tree(self, overlapping_models):
-        serial = compose_all(overlapping_models, plan="tree")
-        parallel = compose_all(overlapping_models, plan="tree", workers=4)
-        assert fingerprint(parallel) == fingerprint(serial)
-
-    def test_process_pool_matches_serial_tree(self, overlapping_models):
-        serial = compose_all(overlapping_models, plan="tree")
-        parallel = compose_all(
-            overlapping_models, plan="tree", workers=2, backend="process"
-        )
-        assert fingerprint(parallel) == fingerprint(serial)
-
-    def test_workers_via_options(self, overlapping_models):
-        options = ComposeOptions().parallel(3)
-        serial = compose_all(overlapping_models, plan="tree")
-        parallel = ComposeSession(options).compose_all(
-            overlapping_models, plan="tree"
-        )
-        assert fingerprint(parallel) == fingerprint(serial)
-
-    def test_left_spine_plans_unaffected_by_workers(self, overlapping_models):
-        # fold/greedy have no sibling independence; workers must be a
-        # no-op, not an error.
-        for plan in ("fold", "greedy"):
-            serial = compose_all(overlapping_models, plan=plan)
-            parallel = compose_all(overlapping_models, plan=plan, workers=4)
-            assert fingerprint(parallel) == fingerprint(serial), plan
-
-    def test_odd_model_count_and_empty_model(self):
-        empty = ModelBuilder("empty").build()
-        models = [
-            _module_model(f"m{i}", [f"S{i}", f"S{i + 1}"], parameter=f"k{i}")
-            for i in range(4)
-        ]
-        models.insert(2, empty)
-        serial = compose_all(models, plan="tree")
-        parallel = compose_all(models, plan="tree", workers=4)
-        assert fingerprint(parallel) == fingerprint(serial)
-
-    def test_step_indices_are_postorder_ranks(self, overlapping_models):
-        parallel = compose_all(overlapping_models, plan="tree", workers=4)
-        assert [step.index for step in parallel.steps] == list(
-            range(1, len(parallel.steps) + 1)
-        )
-
-    def test_strict_conflict_raises_through_pool(self):
-        a = _module_model("m1", ["A", "B"])
-        b = _module_model("m2", ["B", "C"])
-        c = _module_model("m3", ["A", "D"])
-        c.compartments[0].size = 99.0  # size conflict on "cell"
-        d = _module_model("m4", ["C", "D"])
-        session = ComposeSession(ComposeOptions.heavy().strict())
-        with pytest.raises(ConflictError):
-            session.compose_all([a, b, c, d], plan="tree", workers=4)
-
-    def test_invalid_workers_and_backend_rejected(self, overlapping_models):
-        with pytest.raises(ValueError):
-            compose_all(overlapping_models, workers=0)
-        with pytest.raises(ValueError):
-            compose_all(overlapping_models, backend="fiber")
-        with pytest.raises(ValueError):
-            ComposeOptions(workers=0)
-        with pytest.raises(ValueError):
-            ComposeOptions(backend="fiber")
-
-
-class TestTreeParallelismDetection:
-    def test_left_spine_has_none(self):
-        assert not _tree_has_parallelism((((0, 1), 2), 3))
-
-    def test_balanced_tree_has_some(self):
-        assert _tree_has_parallelism(((0, 1), (2, 3)))
-
-    def test_leaf_sibling_contributes_none(self):
-        assert not _tree_has_parallelism(((0, 1), 2))
-
-
 class TestIncrementalAccumState:
-    def test_fold_matches_pairwise_shim_chain(self, overlapping_models):
+    def test_fold_matches_pairwise_chain(self, overlapping_models):
         # The carried state (used ids / registry / initial values)
         # must reproduce exactly what per-step re-collection computed:
-        # chain the deprecated pairwise engine as the oracle.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            accumulator = overlapping_models[0]
-            for model in overlapping_models[1:]:
-                accumulator, _ = compose(accumulator, model)
+        # chain one-shot pairwise merges, which re-collect every
+        # accumulator from scratch, as the oracle.
+        accumulator = overlapping_models[0]
+        for model in overlapping_models[1:]:
+            accumulator, _ = compose_all([accumulator, model]).pair()
         result = compose_all(overlapping_models, plan="fold")
         assert sorted(s.id for s in result.model.species) == sorted(
             s.id for s in accumulator.species
@@ -264,36 +172,13 @@ class TestConcurrentSessions:
         sessions = [ComposeSession() for _ in range(2)]
         with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
             futures = [
-                pool.submit(
-                    session.compose_all,
-                    overlapping_models,
-                    "tree",
-                    workers=2,
-                )
+                pool.submit(session.compose_all, overlapping_models, "tree")
                 for session in sessions
                 for _ in range(2)
             ]
             results = [future.result() for future in futures]
         for result in results:
             assert fingerprint(result) == reference
-
-    def test_shim_warns_once_across_threads(
-        self, overlapping_models, monkeypatch
-    ):
-        monkeypatch.setattr(compose_module, "_DEPRECATION_WARNED", False)
-        a, b = overlapping_models[:2]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [
-                    pool.submit(compose, a, b) for _ in range(16)
-                ]
-                for future in futures:
-                    future.result()
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
 
     def test_synonym_canonical_memo_survives_concurrent_lookup(self):
         from repro.synonyms.builtin import builtin_synonyms

@@ -1,22 +1,10 @@
-"""ComposeSession / compose_all and the legacy-API shim."""
+"""ComposeSession / compose_all."""
 
 import dataclasses
-import warnings
 
 import pytest
 
-from repro import (
-    ComposeOptions,
-    ComposeSession,
-    ModelBuilder,
-    compose,
-    compose_all,
-)
-import importlib
-
-# ``repro.core``'s re-export shadows the submodule attribute, so
-# resolve the module itself for the deprecation-flag monkeypatch.
-compose_module = importlib.import_module("repro.core.compose")
+from repro import ComposeOptions, ComposeSession, ModelBuilder
 from repro.errors import ConflictError
 
 
@@ -36,56 +24,6 @@ def ab_models():
     a = _chain_model("m1", ["A", "B"])
     b = _chain_model("m2", ["B", "C"])
     return a, b
-
-
-class TestLegacyShim:
-    def test_shim_matches_compose_all(self, ab_models):
-        a, b = ab_models
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy_model, legacy_report = compose(a, b)
-        result = compose_all([a, b])
-        assert sorted(s.id for s in legacy_model.species) == sorted(
-            s.id for s in result.model.species
-        )
-        assert sorted(r.id for r in legacy_model.reactions) == sorted(
-            r.id for r in result.model.reactions
-        )
-        assert legacy_report.summary() == result.report.summary()
-        assert legacy_report.mappings == result.report.mappings
-
-    def test_shim_does_not_mutate_inputs(self, ab_models):
-        a, b = ab_models
-        before = sorted(s.id for s in a.species)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            compose(a, b)
-        assert sorted(s.id for s in a.species) == before
-
-    def test_deprecation_warning_emitted_exactly_once(
-        self, ab_models, monkeypatch
-    ):
-        a, b = ab_models
-        monkeypatch.setattr(compose_module, "_DEPRECATION_WARNED", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            compose(a, b)
-            compose(a, b)
-            compose(a, b)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "compose_all" in str(deprecations[0].message)
-
-    def test_shim_respects_options(self, ab_models):
-        a = _chain_model("m1", ["A", "B"], k_value=0.5)
-        b = _chain_model("m1", ["A", "B"], k_value=0.5)
-        b.compartments[0].size = 99.0  # size conflict on "cell"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ConflictError):
-                compose(a, b, ComposeOptions().strict())
 
 
 class TestFluentOptions:

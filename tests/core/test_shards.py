@@ -89,7 +89,7 @@ class TestPartitionPairs:
 
     def test_cost_mirrors_plan_cost_model(self):
         assert pair_cost(10, 20) == 30.0
-        assert pair_cost(0, 0) == 1.0  # floor, as in estimate_costs
+        assert pair_cost(0, 0) == 1.0  # floor: no pair is free
 
 
 class TestSweepCheckpoint:
@@ -186,10 +186,10 @@ class TestJournalFormat2:
         data = json.loads(checkpoint.path.read_text())
         assert data["format"] == SweepCheckpoint.FORMAT == 2
 
-    def test_format1_journal_reads_with_empty_tables(self, tmp_path):
-        # Format 1 predates the ``format`` key and both live-state
-        # tables: old journals written before the coordinator existed
-        # must keep resuming.
+    def test_formatless_journal_is_refused_with_advice(self, tmp_path):
+        # A journal without a ``format`` key predates leases and retry
+        # counters; it is refused by name, not read, and the advice is
+        # to start over — which a non-resuming run then does.
         (tmp_path / SweepCheckpoint.FILENAME).write_text(
             json.dumps(
                 {
@@ -199,12 +199,12 @@ class TestJournalFormat2:
                 }
             )
         )
-        journal = SweepCheckpoint.read_journal(tmp_path)
-        assert journal["format"] == 1
-        assert journal["leases"] == {} and journal["retries"] == {}
-        checkpoint = SweepCheckpoint.open(tmp_path)
-        assert checkpoint.completed == {1: {"file": "s1.csv", "pairs": 4}}
-        assert checkpoint.leases == {} and checkpoint.retries == {}
+        with pytest.raises(SweepStateError) as excinfo:
+            self._checkpoint(tmp_path).begin(resume=True)
+        message = str(excinfo.value)
+        assert str(tmp_path / SweepCheckpoint.FILENAME) in message
+        assert "without --resume" in message
+        assert self._checkpoint(tmp_path).begin() == {}
 
     def test_newer_format_rejected(self, tmp_path):
         (tmp_path / SweepCheckpoint.FILENAME).write_text(

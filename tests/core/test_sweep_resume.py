@@ -302,7 +302,7 @@ def test_supervised_sweep_survives_kill_and_poison(
     merged = tmp_path / "merged.csv"
     code = main(
         ["sweep", *model_files, "--shards", str(SHARDS),
-         "--out-dir", str(out_dir), "--supervise", "--workers", "4",
+         "--out-dir", str(out_dir), "--workers", "4",
          "--worker-timeout", "20", "--chaos", spec_file,
          "--deterministic", "-o", str(merged)]
     )
@@ -331,15 +331,15 @@ def test_supervised_sweep_survives_kill_and_poison(
 
 
 def test_supervised_resume_completes_partial_sweep(model_files, tmp_path):
-    """--supervise --resume over a partially complete unsupervised
-    sweep finishes only the missing shards (formats interoperate)."""
+    """A supervised ``--workers 2 --resume`` over a sweep partially
+    computed in-process finishes only the missing shards (the two
+    paths share one journal)."""
     out_dir = tmp_path / "sweep"
     assert main(["sweep", *model_files, "--shards", str(SHARDS),
                  "--shard-id", "0", "--out-dir", str(out_dir)]) == 0
     assert main(
         ["sweep", *model_files, "--shards", str(SHARDS),
-         "--out-dir", str(out_dir), "--supervise", "--resume",
-         "--workers", "2"]
+         "--out-dir", str(out_dir), "--resume", "--workers", "2"]
     ) == 0
     journal = SweepCheckpoint.read_journal(out_dir)
     assert sorted(int(k) for k in journal["completed"]) == list(range(SHARDS))
@@ -353,12 +353,50 @@ def test_supervised_resume_completes_partial_sweep(model_files, tmp_path):
     assert merged.read_bytes() == unsharded.read_bytes()
 
 
-def test_supervise_rejects_incompatible_flags(model_files, tmp_path):
+def test_sweep_rejects_incompatible_flags(model_files, tmp_path, capsys):
     out_dir = tmp_path / "sweep"
+    # --listen drives every shard itself.
     assert main(["sweep", *model_files, "--shards", "2",
-                 "--out-dir", str(out_dir), "--supervise",
+                 "--out-dir", str(out_dir), "--listen", "127.0.0.1:0",
                  "--shard-id", "0"]) == 2
+    # A listen-only coordinator needs somewhere to listen.
+    assert main(["sweep", *model_files, "--workers", "0"]) == 2
+    # Shard layouts live in an out-dir.
     assert main(["sweep", *model_files, "--shards", "2",
-                 "--out-dir", str(out_dir), "--supervise",
-                 "--prescreen"]) == 2
-    assert main(["sweep", *model_files, "--supervise"]) == 2  # no out-dir
+                 "--workers", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "drop --shard-id" in err
+    assert "needs --listen" in err
+    assert "--shards needs --out-dir" in err
+
+
+def test_supervised_sweep_serialises_each_model_once(
+    tmp_path, monkeypatch, capsys
+):
+    """A supervised sharded sweep writes each model's SBML once: the
+    manifest build's digests also give the journal fingerprint and the
+    ``--store-max-entries`` pins."""
+    import importlib
+
+    from repro.corpus import generate_corpus
+
+    store_module = importlib.import_module("repro.core.artifact_store")
+    models = generate_corpus(count=8, seed=3)
+    files = []
+    for index, model in enumerate(models):
+        path = tmp_path / f"m{index}.xml"
+        write_sbml_file(model, path)
+        files.append(str(path))
+    written = []
+    original = store_module.write_sbml
+
+    def counting(model, *args, **kwargs):
+        written.append(model.id)
+        return original(model, *args, **kwargs)
+
+    monkeypatch.setattr(store_module, "write_sbml", counting)
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", *files, "--shards", "2", "--workers", "2",
+                 "--out-dir", str(out_dir), "--prescreen",
+                 "--store-max-entries", "4"]) == 0
+    assert sorted(written) == sorted(model.id for model in models)

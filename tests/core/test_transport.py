@@ -252,7 +252,6 @@ class TestHandshake:
                     options=None,
                     manifest={"m": 1},
                     heartbeat_interval=2.5,
-                    prebuilt_indexes=True,
                 )
 
             thread = threading.Thread(target=serve)
@@ -285,7 +284,6 @@ class TestHandshake:
                     options=None,
                     manifest=None,
                     heartbeat_interval=1.0,
-                    prebuilt_indexes=True,
                 )
             assert "protocol version mismatch" in str(excinfo.value)
             # The peer got an explicit reject, not a silent close.
@@ -307,7 +305,6 @@ class TestHandshake:
                     options=None,
                     manifest=None,
                     heartbeat_interval=1.0,
-                    prebuilt_indexes=True,
                 )
             assert client.recv()[0] == "reject"
         finally:
@@ -324,7 +321,6 @@ class TestHandshake:
                     options=None,
                     manifest=None,
                     heartbeat_interval=1.0,
-                    prebuilt_indexes=True,
                     timeout=0.2,
                 )
             assert "no hello" in str(excinfo.value)
@@ -349,7 +345,6 @@ class TestHandshake:
                         "options_fingerprint": options_fingerprint(None),
                         "manifest": None,
                         "heartbeat_interval": 1.0,
-                        "prebuilt_indexes": True,
                     },
                 )
             )

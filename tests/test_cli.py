@@ -118,21 +118,6 @@ def test_merge_three_models_with_tree_plan(three_model_files, tmp_path, capsys):
     assert "PROVENANCE D <- c:D" in log_text
 
 
-def test_merge_parallel_tree_matches_serial(three_model_files, tmp_path):
-    path_a, path_b, path_c = three_model_files
-    serial_out = tmp_path / "serial.xml"
-    parallel_out = tmp_path / "parallel.xml"
-    assert main(
-        ["merge", str(path_a), str(path_b), str(path_c),
-         "-o", str(serial_out), "--plan", "tree"]
-    ) == 0
-    assert main(
-        ["merge", str(path_a), str(path_b), str(path_c),
-         "-o", str(parallel_out), "--plan", "tree", "--workers", "4"]
-    ) == 0
-    assert parallel_out.read_text() == serial_out.read_text()
-
-
 def test_sweep_to_terminal(three_model_files, capsys):
     path_a, path_b, path_c = three_model_files
     code = main(["sweep", str(path_a), str(path_b), str(path_c)])
@@ -163,25 +148,6 @@ def test_sweep_single_model_rejected(model_files, capsys):
     code = main(["sweep", str(path_a)])
     assert code == 2
     assert "at least two" in capsys.readouterr().err
-
-
-def test_sweep_fresh_indexes_byte_identical(three_model_files, tmp_path, capsys):
-    """--fresh-indexes is an ablation knob, never a semantic one: the
-    deterministic CSV must match the prebuilt-index default byte for
-    byte (the conformance matrix's seventh path, on the CLI)."""
-    path_a, path_b, path_c = three_model_files
-    prebuilt = tmp_path / "prebuilt.csv"
-    fresh = tmp_path / "fresh.csv"
-    assert main(
-        ["sweep", str(path_a), str(path_b), str(path_c),
-         "--deterministic", "-o", str(prebuilt)]
-    ) == 0
-    assert main(
-        ["sweep", str(path_a), str(path_b), str(path_c),
-         "--deterministic", "--fresh-indexes", "-o", str(fresh)]
-    ) == 0
-    capsys.readouterr()
-    assert prebuilt.read_bytes() == fresh.read_bytes()
 
 
 @pytest.mark.parametrize("plan", ["fold", "tree", "greedy"])
