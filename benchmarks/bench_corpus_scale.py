@@ -2,15 +2,13 @@
 
 The format-2 corpus index keeps postings as sorted numpy arrays in
 per-segment files that are memory-mapped at query time, so a query
-faults in only the posting buckets its own signature keys hit — the
+faults in only the posting pages its own signature keys hit — the
 cost of opening a 10k-model index scales with the query, not the
 library.  This benchmark records the acceptance numbers for that
 design on BioModels-like libraries (1k and 10k by default):
 
-* **build wall-clock, serial vs parallel** — ``add_all(workers=1)``
-  against ``add_all(workers=N)``, which fans signature computation
-  over a process pool via the digest manifest + store rehydration
-  boundary (the format-5 worker contract);
+* **build wall-clock** — ``add_all`` over the whole library, one
+  model at a time in this process;
 * **save time and on-disk size** of the segmented layout;
 * **query p50** through a freshly loaded index at each library size
   (the sublinearity trend line);
@@ -18,18 +16,13 @@ design on BioModels-like libraries (1k and 10k by default):
   the index, runs the query battery, and reports its peak RSS
   (``VmHWM``), proving queries never page the whole index in.
 
-Parallel-build equivalence is asserted inline: the classification
-tuples from the parallel-built index must equal the serial-built
-index's, hit for hit.  Results land in the ``corpus_scale`` section
-of ``BENCH_compose.json`` (read-modify-write; ``bench_compose_all``
+The probe asserts that the saved index answers the first query
+exactly like the in-memory index it was saved from, hit for hit.
+Results land in the ``corpus_scale`` section of
+``BENCH_compose.json`` (read-modify-write; ``bench_compose_all``
 carries the section forward).
 
-Like ``bench_scaling``, the ``--gate`` bar adapts to the box: with
-two or more cores the parallel build must beat serial by
-``--gate-speedup`` (default 1.5x); on a single-core runner every
-extra worker measures pure overhead, so the gate falls back to the
-scaling efficiency floor (``speedup / workers``, default 0.15).  The
-RSS gate is absolute: the query subprocess must stay under
+``--gate`` is absolute: the query subprocess must stay under
 ``--gate-rss-mb`` at every library size.
 
 Run standalone::
@@ -67,19 +60,6 @@ DEFAULT_COUNTS = (1000, 10000)
 
 #: Library models that double as query models (spread evenly).
 QUERY_COUNT = 5
-
-#: Parallel build fan-out for the tracked configuration.
-DEFAULT_WORKERS = 2
-
-#: Multi-core bar: parallel build must beat serial by this factor
-#: when the box has >= 2 cores.
-DEFAULT_GATE_SPEEDUP = 1.5
-
-#: Single-core fallback bar, same rationale as ``bench_scaling``:
-#: on one core N workers cap at 1/N efficiency by construction, so
-#: the gate only polices overhead regressions (pool spawn, store
-#: round-trips, signature write-back).
-DEFAULT_GATE_EFFICIENCY = 0.15
 
 #: Query-subprocess peak-RSS ceiling.  Interpreter + numpy + the
 #: repro import graph measure ~90 MB on the reference container and
@@ -185,8 +165,8 @@ def _run_probe(index_dir: str, queries_path: str) -> int:
     return 0
 
 
-def measure_count(count: int, queries: int, workers: int, seed: int) -> dict:
-    """Build (serial and parallel), save, and probe one library size."""
+def measure_count(count: int, queries: int, seed: int) -> dict:
+    """Build, save, and probe one library size."""
     library, generate_seconds = _timed(lambda: cached_corpus(count, seed))
     labels = [f"m{position:05d}" for position in range(len(library))]
     query_models = [
@@ -195,41 +175,28 @@ def measure_count(count: int, queries: int, workers: int, seed: int) -> dict:
     ]
     probe_signature = ModelSignature.build(query_models[0])
 
-    serial = CorpusIndex()
-    _, serial_seconds = _timed(
-        lambda: serial.add_all(library, labels=labels, workers=1)
-    )
-    parallel = CorpusIndex()
-    _, parallel_seconds = _timed(
-        lambda: parallel.add_all(library, labels=labels, workers=workers)
-    )
-    # The parallel build must be a pure speedup: same classifications,
-    # hit for hit, as the serial build.
-    assert _hit_tuples(parallel, probe_signature) == _hit_tuples(
-        serial, probe_signature
-    ), "parallel build diverged from serial"
+    index = CorpusIndex()
+    _, build_seconds = _timed(lambda: index.add_all(library, labels=labels))
+    expected = _hit_tuples(index, probe_signature)
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-corpus-scale-"))
     try:
         index_dir = scratch / "corpus.idx"
-        _, save_seconds = _timed(lambda: serial.save(index_dir))
+        _, save_seconds = _timed(lambda: index.save(index_dir))
+        # The sealed segments must answer exactly like the tail did.
+        assert _hit_tuples(
+            CorpusIndex.load(index_dir), probe_signature
+        ) == expected, "saved index diverged from the in-memory build"
         disk_bytes = _disk_bytes(index_dir)
-        stats = serial.stats()
+        stats = index.stats()
         probe = probe_index(index_dir, query_models)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    speedup = serial_seconds / parallel_seconds if parallel_seconds else None
     return {
         "models": len(library),
         "generate_seconds": round(generate_seconds, 6),
-        "serial_build_seconds": round(serial_seconds, 6),
-        "parallel_build_seconds": round(parallel_seconds, 6),
-        "parallel_workers": workers,
-        "parallel_speedup": round(speedup, 3) if speedup else None,
-        "parallel_efficiency": round(speedup / workers, 3)
-        if speedup
-        else None,
+        "build_seconds": round(build_seconds, 6),
         "save_seconds": round(save_seconds, 6),
         "index_disk_bytes": disk_bytes,
         "segments": stats["segments"],
@@ -259,8 +226,6 @@ def main(argv=None) -> int:
         help="comma-separated library-size ladder",
     )
     parser.add_argument("--queries", type=int, default=QUERY_COUNT)
-    parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS,
-                        help="parallel-build fan-out")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--smoke", action="store_true",
@@ -268,13 +233,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--gate", action="store_true",
-        help="exit 1 when the parallel build or the query-process RSS "
-             "misses the bars (see module docstring)",
+        help="exit 1 when the query-process RSS misses the bar (see "
+             "module docstring)",
     )
-    parser.add_argument("--gate-speedup", type=float,
-                        default=DEFAULT_GATE_SPEEDUP)
-    parser.add_argument("--gate-efficiency", type=float,
-                        default=DEFAULT_GATE_EFFICIENCY)
     parser.add_argument("--gate-rss-mb", type=int,
                         default=DEFAULT_GATE_RSS_MB)
     parser.add_argument("--probe", metavar="INDEX_DIR",
@@ -285,8 +246,6 @@ def main(argv=None) -> int:
 
     if args.probe:
         return _run_probe(args.probe, args.probe_queries)
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
 
     counts = (
         [60]
@@ -295,20 +254,19 @@ def main(argv=None) -> int:
     )
     print(
         f"corpus scale: libraries {counts}, {args.queries} queries, "
-        f"parallel workers {args.workers}, cpu_count {os.cpu_count()}"
+        f"cpu_count {os.cpu_count()}"
     )
 
     libraries = {}
     for count in counts:
         libraries[str(count)] = measure_count(
-            count, min(args.queries, count), args.workers, args.seed
+            count, min(args.queries, count), args.seed
         )
 
     section = {
         "engine": "corpus_index/segmented-v2",
         "counts": counts,
         "queries": args.queries,
-        "workers": args.workers,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "libraries": libraries,
@@ -317,17 +275,14 @@ def main(argv=None) -> int:
     emit("")
     emit("Segmented corpus index at scale")
     emit(
-        f"{'models':>8} {'serial':>9} {'parallel':>9} {'speedup':>8} "
-        f"{'save':>7} {'disk MB':>8} {'open ms':>8} {'p50 ms':>7} "
-        f"{'rss MB':>7}"
+        f"{'models':>8} {'build':>9} {'save':>7} {'disk MB':>8} "
+        f"{'open ms':>8} {'p50 ms':>7} {'rss MB':>7}"
     )
     for count in counts:
         row = libraries[str(count)]
         probe = row["probe"]
         emit(
-            f"{row['models']:>8} {row['serial_build_seconds']:>9.2f} "
-            f"{row['parallel_build_seconds']:>9.2f} "
-            f"{row['parallel_speedup']:>8.2f} "
+            f"{row['models']:>8} {row['build_seconds']:>9.2f} "
             f"{row['save_seconds']:>7.2f} "
             f"{row['index_disk_bytes'] / 1e6:>8.1f} "
             f"{probe['load_seconds'] * 1000:>8.1f} "
@@ -337,16 +292,13 @@ def main(argv=None) -> int:
     write_csv(
         "corpus_scale.csv",
         [
-            "models", "serial_build_seconds", "parallel_build_seconds",
-            "parallel_speedup", "save_seconds", "index_disk_bytes",
+            "models", "build_seconds", "save_seconds", "index_disk_bytes",
             "load_seconds", "query_p50_seconds", "maxrss_kb",
         ],
         [
             (
                 row["models"],
-                f"{row['serial_build_seconds']:.6f}",
-                f"{row['parallel_build_seconds']:.6f}",
-                f"{row['parallel_speedup']:.3f}",
+                f"{row['build_seconds']:.6f}",
                 f"{row['save_seconds']:.6f}",
                 row["index_disk_bytes"],
                 f"{row['probe']['load_seconds']:.6f}",
@@ -359,33 +311,7 @@ def main(argv=None) -> int:
 
     failures = []
     if args.gate:
-        # Build gate on the largest library measured; RSS on all.
-        largest = libraries[str(max(counts))]
-        multi_core = (os.cpu_count() or 1) >= 2
-        section["gate"] = {
-            "workers": args.workers,
-            "multi_core": multi_core,
-            "speedup": largest["parallel_speedup"],
-            "efficiency": largest["parallel_efficiency"],
-            "speedup_threshold": args.gate_speedup,
-            "efficiency_threshold": args.gate_efficiency,
-            "rss_mb_threshold": args.gate_rss_mb,
-        }
-        if multi_core:
-            if largest["parallel_speedup"] < args.gate_speedup:
-                failures.append(
-                    f"parallel build speedup "
-                    f"{largest['parallel_speedup']:.2f}x at "
-                    f"{args.workers} workers is below the "
-                    f"{args.gate_speedup}x gate"
-                )
-        elif largest["parallel_efficiency"] < args.gate_efficiency:
-            failures.append(
-                f"parallel build efficiency "
-                f"{largest['parallel_efficiency']:.3f} on this "
-                f"single-core box is below the "
-                f"{args.gate_efficiency} overhead floor"
-            )
+        section["gate"] = {"rss_mb_threshold": args.gate_rss_mb}
         for count in counts:
             rss_mb = libraries[str(count)]["probe"]["maxrss_kb"] / 1024
             if rss_mb > args.gate_rss_mb:

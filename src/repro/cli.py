@@ -14,8 +14,7 @@ Subcommands::
     sbmlcompose sweep-merge --out-dir DIR [-o merged.csv]
     sbmlcompose store verify DIR [--keep-corrupt]
     sbmlcompose corpus index model.xml [...] --index corpus.idx \
-        [--store DIR [--store-max-entries N]] [--evict-to N] \
-        [--workers N] [--compact]
+        [--store DIR [--store-max-entries N]] [--evict-to N] [--compact]
     sbmlcompose corpus query query.xml --index corpus.idx \
         [--top-k K] [--with-pruned] [--deterministic] [-o results.csv]
     sbmlcompose corpus query query.xml --linear model.xml [...]
@@ -89,14 +88,16 @@ supervises remote workers exclusively.
 
 ``corpus`` is the search subsystem: ``corpus index`` builds (or
 incrementally updates) a persistent, segmented
-:class:`~repro.core.corpus_index.CorpusIndex` over model signatures —
-``--workers N`` fans the signature computation for unindexed models
-over a process pool, ``--compact`` merges the accumulated segments
-and tombstones (the LSM maintenance pass) — and ``corpus query``
-answers "find matches for this model" by walking the index's
-memory-mapped posting lists, running the full matcher only on the
-candidates the prescreen logic cannot synthesize (capped at
-``--top-k``) — sublinear retrieval instead of a linear scan.  With
+:class:`~repro.core.corpus_index.CorpusIndex` over model signatures,
+one model at a time in this process (``--store`` adopts signatures
+already stored and spills new ones), and ``--compact`` merges the
+accumulated segments and tombstones (the LSM maintenance pass).  An
+index file that cannot be read is an ``error:`` (exit status 2)
+asking for a rebuild.  ``corpus query`` answers "find matches for
+this model" by walking the index's memory-mapped posting lists,
+running the full matcher only on the candidates the prescreen logic
+cannot synthesize (capped at ``--top-k``) — sublinear retrieval
+instead of a linear scan.  With
 ``--top-k 0 --with-pruned --deterministic`` the result CSV is
 byte-identical to ``corpus query --linear`` over the same corpus
 files, which is exactly what the CI corpus smoke jobs diff.
@@ -339,12 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
     corpus_index.add_argument(
         "--index", type=Path, required=True, metavar="DIR",
         help="the index directory to create or update",
-    )
-    corpus_index.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="fan signature computation for unindexed models over N "
-             "processes (needs the models spilled to a store; a "
-             "temporary one is used unless --store is given)",
     )
     corpus_index.add_argument(
         "--compact", action="store_true",
@@ -1004,13 +999,11 @@ def _cmd_split(args) -> int:
 
 def _query_signature(model, options, index, store):
     """The query model's signature, rehydrated from the artifact
-    store when its format-4 entry matches the index's key options."""
+    store when its entry was built under the index's key options."""
     if store is not None:
-        artifacts = store.get_or_compute(model)
-        candidate = getattr(artifacts, "signature", None)
+        candidate = store.get_or_compute(model).signature
         if (
             candidate is not None
-            and getattr(candidate, "key_fingerprints", None) is not None
             and candidate.options_key == index.options_key
         ):
             return candidate
@@ -1024,9 +1017,6 @@ def _cmd_corpus_index(args) -> int:
             "error: --store-max-entries needs --store",
             file=sys.stderr,
         )
-        return 2
-    if args.workers < 1:
-        print("error: --workers must be positive", file=sys.stderr)
         return 2
     if args.index.exists():
         try:
@@ -1051,7 +1041,6 @@ def _cmd_corpus_index(args) -> int:
         labels=[path.stem for path in args.models],
         paths=args.models,
         store=store,
-        workers=args.workers,
     )
     dropped = []
     if args.evict_to is not None:

@@ -14,10 +14,15 @@ the **content digest** of the model that produced them
 Content addressing makes the store safe to share between shard runs,
 resumed sweeps and unrelated corpora: a model rehydrates its own
 artifacts and nothing else, however it was loaded, and a model edited
-in place simply misses and recomputes.  Entries are written atomically
-(temp file + rename) so a killed writer never leaves a torn entry; a
-corrupt or format-incompatible entry reads as a miss, never an error —
-but not a *silent* one: the store counts hits, misses, corrupt and
+in place simply misses and recomputes.  Both writers —
+:meth:`ArtifactStore.get_or_compute` and :meth:`CorpusManifest.build`
+— store complete entries (pattern table, index rows, signature and
+the SBML text), and when they compute the digest themselves they
+store the very text they hashed.  Every entry goes through one atomic
+write (:meth:`ArtifactStore.put_blob`: temp file + rename), so a
+killed writer never leaves a torn entry; a corrupt or
+format-incompatible entry reads as a miss, never an error — but not
+a *silent* one: the store counts hits, misses, corrupt and
 format-incompatible reads (:meth:`ArtifactStore.stats`), and a blob
 that fails to deserialise is **quarantined** into a ``corrupt/``
 subdirectory on detection, so bit rot is diagnosed once instead of
@@ -83,7 +88,13 @@ def model_digest(model: Model) -> str:
     serialise identically — e.g. a model and its :meth:`~repro.sbml.model.Model.copy`
     — share one digest, however they were built or loaded.
     """
-    return hashlib.sha256(write_sbml(model).encode("utf-8")).hexdigest()
+    return _text_digest(write_sbml(model))
+
+
+def _text_digest(text: str) -> str:
+    """SHA-256 hex digest of canonical SBML text — what
+    :func:`model_digest` hashes."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def corpus_fingerprint(
@@ -161,7 +172,6 @@ def compute_artifacts(
     model: Model,
     with_patterns: bool = True,
     with_indexes: bool = True,
-    with_signature: bool = True,
     with_sbml: bool = True,
 ) -> ModelArtifacts:
     """Derive a model's artifacts from scratch (the store's miss path,
@@ -196,16 +206,15 @@ def compute_artifacts(
         indexes = ModelIndexSet.build(
             model, _artifact_options(), pattern_cache=cache
         )
-        if with_signature:
-            from repro.core.signature import ModelSignature
+        from repro.core.signature import ModelSignature
 
-            signature = ModelSignature.build(
-                model,
-                _artifact_options(),
-                index_set=indexes,
-                used_ids=used_ids,
-                pattern_cache=cache,
-            )
+        signature = ModelSignature.build(
+            model,
+            _artifact_options(),
+            index_set=indexes,
+            used_ids=used_ids,
+            pattern_cache=cache,
+        )
     return ModelArtifacts(
         used_ids=used_ids,
         registry=model.unit_registry(),
@@ -284,7 +293,6 @@ class CorpusManifest:
         models: Sequence[Model],
         labels: Sequence[str],
         store: ArtifactStore,
-        with_artifacts: bool = True,
     ) -> "CorpusManifest":
         """Manifest for ``models``, populating ``store`` so every
         entry is worker-rehydratable (SBML blob present).
@@ -293,14 +301,6 @@ class CorpusManifest:
         input and the stored blob — and writes only on a miss or on an
         entry missing the blob (filled in place, other artifact fields
         kept).  Raises ``OSError`` if the store cannot be written.
-
-        ``with_artifacts=False`` writes *light* entries on a miss —
-        the SBML blob plus only the cheap option-independent fields,
-        skipping the pattern table, index rows and signature.  That is
-        the parallel-build shape: the expensive derivations are
-        exactly what the pool workers exist to fan out, so the parent
-        must not pay them serially here.  Pre-existing full entries
-        are never stripped.
         """
         if len(models) != len(labels):
             raise ValueError(
@@ -310,25 +310,17 @@ class CorpusManifest:
         signatures = []
         for model, label in zip(models, labels):
             text = write_sbml(model)
-            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            digest = _text_digest(text)
             artifacts = store.get(digest)
             if artifacts is None:
-                if with_artifacts:
-                    artifacts = compute_artifacts(model, with_sbml=False)
-                else:
-                    artifacts = compute_artifacts(
-                        model,
-                        with_patterns=False,
-                        with_indexes=False,
-                        with_sbml=False,
-                    )
+                artifacts = compute_artifacts(model, with_sbml=False)
                 artifacts.sbml = text
                 store.put(digest, artifacts)
             elif artifacts.sbml is None:
                 artifacts.sbml = text
                 store.put(digest, artifacts)
             entries.append((label, digest))
-            signatures.append(getattr(artifacts, "signature", None))
+            signatures.append(artifacts.signature)
         return cls(
             entries=tuple(entries),
             fingerprint=_fingerprint_digests(
@@ -558,70 +550,29 @@ class ArtifactStore:
         return path
 
     def put(self, digest: str, artifacts: ModelArtifacts) -> Path:
-        """Store ``artifacts`` under ``digest`` atomically."""
-        path = self.path_for(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = pickle.dumps({"format": _FORMAT, "artifacts": artifacts})
-        handle = tempfile.NamedTemporaryFile(
-            dir=path.parent, prefix=f".{digest[:8]}-", delete=False
+        """Store ``artifacts`` under ``digest`` atomically; returns the
+        entry's path."""
+        return self.put_blob(
+            digest,
+            pickle.dumps({"format": _FORMAT, "artifacts": artifacts}),
         )
-        try:
-            handle.write(payload)
-            handle.close()
-            os.replace(handle.name, path)
-        except BaseException:
-            handle.close()
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
-        return path
-
-    def signatures(
-        self,
-        digests: Iterable[str],
-        options_key: Optional[Tuple] = None,
-    ) -> Dict["str", "ModelSignature"]:
-        """Batch signature read: every stored, non-``None`` signature
-        among ``digests``, keyed by digest.  With ``options_key``,
-        signatures built under a different key-affecting options
-        fingerprint are silently skipped (the caller rebuilds those) —
-        the corpus index's parallel build prefetches through this
-        before fanning the misses out to workers.  Absent, corrupt and
-        signature-less entries are ordinary misses."""
-        found: Dict[str, "ModelSignature"] = {}
-        for digest in digests:
-            if digest in found:
-                continue
-            artifacts = self.get(digest)
-            if artifacts is None:
-                continue
-            signature = artifacts.signature
-            if (
-                signature is None
-                or getattr(signature, "key_fingerprints", None) is None
-            ):
-                continue
-            if (
-                options_key is not None
-                and signature.options_key != options_key
-            ):
-                continue
-            found[digest] = signature
-        return found
 
     def get_or_compute(
         self, model: Model, digest: Optional[str] = None
     ) -> ModelArtifacts:
         """Rehydrate a model's artifacts, computing and spilling them
         on first sight.  Pass ``digest`` when the caller already paid
-        for :func:`model_digest`."""
+        for :func:`model_digest`; otherwise the model is serialised
+        once, for both the digest and the stored SBML blob."""
+        text = None
         if digest is None:
-            digest = model_digest(model)
+            text = write_sbml(model)
+            digest = _text_digest(text)
         artifacts = self.get(digest)
         if artifacts is None:
-            artifacts = compute_artifacts(model)
+            artifacts = compute_artifacts(model, with_sbml=text is None)
+            if text is not None:
+                artifacts.sbml = text
             self.put(digest, artifacts)
         return artifacts
 

@@ -7,9 +7,9 @@ pairs of *this in-memory corpus* are worth matching".  A corpus
 once, queried many times, updated incrementally as models arrive and
 leave.  The :class:`CorpusIndex` persists one global inverted index
 over the corpus's tagged key hashes (component keys, math-pattern
-digests, used ids) plus coarse signature buckets, semanticSBML-style:
-annotation-like evidence is precomputed at index time, so a query
-touches only the posting lists its own keys hit.
+digests, used ids), semanticSBML-style: annotation-like evidence is
+precomputed at index time, so a query touches only the posting lists
+its own keys hit.
 
 Format 2 replaces the monolithic pickle (format 1: the whole index —
 156k posting lists at just 1000 models — unpickled on every open)
@@ -27,10 +27,11 @@ with an **LSM-shaped directory**:
   under, written once; the manifest stores the options fingerprint
   and load cross-checks the two.
 * ``seg-NNNNNN/`` — immutable **segments**: per-model metadata
-  (``meta.json``) plus the packed signature arrays
-  (:class:`~repro.core.signature.PackedSignatures` columns) and the
-  segment-local inverted postings (sorted distinct key array +
-  offsets + member ordinals), each an ``.npy`` file opened with
+  (``meta.json``), the signature columns (every model's key hashes,
+  fingerprints and primary flags back to back with an offsets table,
+  plus the fixed-width per-model columns) and the segment-local
+  inverted postings (sorted distinct key array + offsets + member
+  ordinals), each an ``.npy`` file opened with
   ``np.load(mmap_mode="r")``.  A query binary-searches the sorted key
   array and faults in only the posting pages its own hashes hit —
   cold-open cost is proportional to hits, not index size.
@@ -54,19 +55,16 @@ segments, tail entries, tombstones and overrides the index holds.
 The index is tied to one key-affecting options fingerprint
 (:func:`~repro.core.compose.index_options_key`): signatures built
 under other options are rejected at :meth:`add` and :meth:`query`
-time.  Old format-1 single-file indexes are rejected at load with an
-explicit error — an index is cheap to rebuild from its corpus, and
-:meth:`add_all` rebuilds it in parallel: signature computation for
-unindexed models fans out over a process pool via the digest-shipping
-:class:`~repro.core.artifact_store.CorpusManifest` (workers rehydrate
-each model from the shared store's SBML blob and ship back only the
-signature).
+time.  Old format-1 single-file indexes and index files that cannot
+be read are rejected with a "rebuild" error naming the file — an
+index is cheap to rebuild from its corpus with :meth:`add_all`, which
+adopts each model's signature from an artifact store entry when given
+a store.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import pickle
 import shutil
@@ -74,24 +72,14 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.core import chaos
 from repro.core.compose import index_options_key
 from repro.core.options import ComposeOptions
-from repro.core.signature import ModelSignature, PackedSignatures
-from repro.errors import ReproError
+from repro.core.signature import COUNTS_LENGTH, ModelSignature
 from repro.sbml.model import Model
 
 __all__ = [
@@ -112,6 +100,13 @@ _MANIFEST_BAK = "manifest.json.bak"
 _OPTIONS_FILE = "options.pkl"
 
 
+def _unreadable(path: Path, cause: object) -> ValueError:
+    """The loader's error for an index file it cannot read."""
+    return ValueError(
+        f"unreadable corpus index file {path}: {cause}; rebuild the index"
+    )
+
+
 @dataclass
 class IndexedModel:
     """One corpus model's index entry."""
@@ -122,8 +117,8 @@ class IndexedModel:
     #: the artifact store evicted this model's artifacts, reload from
     #: here and recompute.
     path: Optional[str]
-    #: LRU clock value of the last add/touch; :meth:`CorpusIndex.evict`
-    #: drops the smallest.
+    #: LRU clock value of the last add or re-add;
+    #: :meth:`CorpusIndex.evict` drops the smallest.
     sequence: int
     signature: ModelSignature
     #: Insertion clock value — the global query/ranking position order
@@ -161,6 +156,13 @@ class QueryHit:
         return (self.united, self.component_count - self.united, 0, 0)
 
 
+def _concatenate(arrays: Sequence[np.ndarray], dtype) -> np.ndarray:
+    """Per-model ragged arrays back to back, as one ``dtype`` column."""
+    if not arrays:
+        return np.empty(0, dtype=dtype)
+    return np.concatenate(arrays).astype(dtype, copy=False)
+
+
 def _build_postings(
     key_arrays: Sequence[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,7 +194,7 @@ class _Segment:
 
     Per-model metadata (digest, label, path, clocks) and the small
     fixed-width columns are loaded eagerly — they are what every query
-    touches for every live entry.  The packed signature arrays and the
+    touches for every live entry.  The signature key arrays and the
     inverted postings are ``np.load(mmap_mode="r")`` on first use and
     faulted in page by page: a query that hits ``k`` posting lists
     reads O(k) pages, not the segment.
@@ -207,38 +209,44 @@ class _Segment:
         "post_keys": "post_keys.npy",
         "post_offsets": "post_offsets.npy",
         "post_members": "post_members.npy",
-        "bucket_keys": "bucket_keys.npy",
-        "bucket_offsets": "bucket_offsets.npy",
-        "bucket_members": "bucket_members.npy",
     }
 
     def __init__(self, path: Path, options_key: Tuple):
         self.path = path
         self.name = path.name
         self.options_key = options_key
-        meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
-        models = meta["models"]
-        self.digests: List[str] = [row["digest"] for row in models]
-        self.labels: List[str] = [row["label"] for row in models]
-        self.paths: List[Optional[str]] = [row["path"] for row in models]
-        self.sequences: List[int] = [row["sequence"] for row in models]
-        self.insert_orders: List[int] = [
-            row["insert_order"] for row in models
-        ]
-        self.component_counts = np.load(path / "component_counts.npy")
-        self.self_clean = np.load(path / "self_clean.npy")
-        self.sig_offsets = np.load(path / "sig_key_offsets.npy")
+        meta_path = path / "meta.json"
+        try:
+            models = json.loads(meta_path.read_text(encoding="utf-8"))[
+                "models"
+            ]
+            self.digests: List[str] = [row["digest"] for row in models]
+            self.labels: List[str] = [row["label"] for row in models]
+            self.paths: List[Optional[str]] = [row["path"] for row in models]
+            self.sequences: List[int] = [row["sequence"] for row in models]
+            self.insert_orders: List[int] = [
+                row["insert_order"] for row in models
+            ]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise _unreadable(meta_path, exc) from exc
+        self.component_counts = self._load("component_counts.npy")
+        self.self_clean = self._load("self_clean.npy")
+        self.sig_offsets = self._load("sig_key_offsets.npy")
         self._mmaps: Dict[str, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.digests)
 
+    def _load(self, name: str, mmap_mode: Optional[str] = None) -> np.ndarray:
+        try:
+            return np.load(self.path / name, mmap_mode=mmap_mode)
+        except (OSError, ValueError, EOFError) as exc:
+            raise _unreadable(self.path / name, exc) from exc
+
     def _array(self, attr: str) -> np.ndarray:
         array = self._mmaps.get(attr)
         if array is None:
-            array = np.load(
-                self.path / self._ARRAYS[attr], mmap_mode="r"
-            )
+            array = self._load(self._ARRAYS[attr], mmap_mode="r")
             self._mmaps[attr] = array
         return array
 
@@ -260,40 +268,24 @@ class _Segment:
             self_clean=bool(self.self_clean[ordinal]),
         )
 
-    def _walk(
-        self, prefix: str, query_hashes: np.ndarray
-    ) -> Iterator[Tuple[int, np.ndarray]]:
-        """Yield ``(key index, member ordinals)`` for every query hash
-        present in this segment's ``prefix`` postings — one binary
-        search over the sorted key array, then only the hit ranges."""
-        keys = self._array(f"{prefix}_keys")
+    def candidates(self, query_hashes: np.ndarray) -> Set[int]:
+        """Ordinals of models sharing at least one key with the query
+        — one binary search over the sorted key array, then only the
+        hit posting ranges."""
+        found: Set[int] = set()
+        keys = self._array("post_keys")
         if keys.shape[0] == 0 or query_hashes.size == 0:
-            return
+            return found
         positions = np.searchsorted(keys, query_hashes)
         valid = positions < keys.shape[0]
         positions = positions[valid]
         matched = positions[keys[positions] == query_hashes[valid]]
-        offsets = self._array(f"{prefix}_offsets")
-        members = self._array(f"{prefix}_members")
+        offsets = self._array("post_offsets")
+        members = self._array("post_members")
         for key_index in matched:
             low, high = int(offsets[key_index]), int(offsets[key_index + 1])
-            yield int(key_index), members[low:high]
-
-    def candidates(self, query_hashes: np.ndarray) -> Set[int]:
-        """Ordinals of models sharing at least one key with the query."""
-        found: Set[int] = set()
-        for _, member_ordinals in self._walk("post", query_hashes):
-            found.update(int(o) for o in member_ordinals)
+            found.update(int(o) for o in members[low:high])
         return found
-
-    def bucket_counts(self, bucket_hashes: np.ndarray) -> Dict[int, int]:
-        """Per-ordinal shared coarse-bucket counts."""
-        counts: Dict[int, int] = {}
-        for _, member_ordinals in self._walk("bucket", bucket_hashes):
-            for ordinal in member_ordinals:
-                ordinal = int(ordinal)
-                counts[ordinal] = counts.get(ordinal, 0) + 1
-        return counts
 
     @staticmethod
     def write(
@@ -303,36 +295,57 @@ class _Segment:
     ) -> None:
         """Materialize one segment directory from resolved entries.
 
-        Not atomic, and does not need to be: a segment becomes live
-        only when a manifest write commits its name, so a half-written
-        directory is an invisible orphan — and a pre-existing orphan
-        with the same name (a torn manifest write rolled the segment
-        counter back) is removed first.
+        Every signature must be built under ``options_key`` (a
+        mismatch raises ``ValueError``: a segment must never launder a
+        signature into a foreign index).  Not atomic, and does not
+        need to be: a segment becomes live only when a manifest write
+        commits its name, so a half-written directory is an invisible
+        orphan — and a pre-existing orphan with the same name (a torn
+        manifest write rolled the segment counter back) is removed
+        first.
         """
+        signatures = [entry.signature for entry in entries]
+        for signature in signatures:
+            if signature.options_key != options_key:
+                raise ValueError(
+                    "signature was built under different key options "
+                    "than this segment's"
+                )
         if path.exists():
             shutil.rmtree(path)
         path.mkdir(parents=True)
-        signatures = [entry.signature for entry in entries]
-        packed = PackedSignatures.pack(options_key, signatures)
-        np.save(path / "component_counts.npy", packed.component_counts)
-        np.save(path / "criteria_counts.npy", packed.counts)
-        np.save(path / "self_clean.npy", packed.self_clean)
-        np.save(path / "sig_key_hashes.npy", packed.key_hashes)
-        np.save(path / "sig_key_fingerprints.npy", packed.key_fingerprints)
-        np.save(path / "sig_key_primary.npy", packed.key_primary)
-        np.save(path / "sig_key_offsets.npy", packed.key_offsets)
-        keys, offsets, members = _build_postings(
-            [signature.key_hashes for signature in signatures]
-        )
-        np.save(path / "post_keys.npy", keys)
-        np.save(path / "post_offsets.npy", offsets)
-        np.save(path / "post_members.npy", members)
-        keys, offsets, members = _build_postings(
-            [signature.bucket_hashes() for signature in signatures]
-        )
-        np.save(path / "bucket_keys.npy", keys)
-        np.save(path / "bucket_offsets.npy", offsets)
-        np.save(path / "bucket_members.npy", members)
+        key_hashes = [signature.key_hashes for signature in signatures]
+        keys, offsets, members = _build_postings(key_hashes)
+        columns = {
+            "component_counts": np.array(
+                [signature.component_count for signature in signatures],
+                dtype=np.int64,
+            ),
+            "criteria_counts": np.array(
+                [signature.counts for signature in signatures],
+                dtype=np.int64,
+            ).reshape(len(signatures), COUNTS_LENGTH),
+            "self_clean": np.array(
+                [signature.self_clean for signature in signatures],
+                dtype=bool,
+            ),
+            "sig_key_hashes": _concatenate(key_hashes, np.uint64),
+            "sig_key_fingerprints": _concatenate(
+                [signature.key_fingerprints for signature in signatures],
+                np.uint64,
+            ),
+            "sig_key_primary": _concatenate(
+                [signature.key_primary for signature in signatures], bool
+            ),
+            "sig_key_offsets": np.concatenate(
+                ([0], np.cumsum([array.size for array in key_hashes]))
+            ).astype(np.int64),
+            "post_keys": keys,
+            "post_offsets": offsets,
+            "post_members": members,
+        }
+        for name, array in columns.items():
+            np.save(path / f"{name}.npy", array)
         meta = {
             "models": [
                 {
@@ -349,63 +362,6 @@ class _Segment:
             json.dumps(meta, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-
-
-# ---------------------------------------------------------------------------
-# Parallel-build worker (top-level for pickling into the process pool)
-# ---------------------------------------------------------------------------
-
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _init_signature_worker(store_root: str, options: ComposeOptions) -> None:
-    from repro.core.artifact_store import ArtifactStore
-
-    _WORKER_STATE["store"] = ArtifactStore(store_root)
-    _WORKER_STATE["options"] = options
-    _WORKER_STATE["options_key"] = index_options_key(options)
-
-
-def _compute_signatures(
-    digests: Sequence[str],
-) -> List[Tuple[str, ModelSignature]]:
-    """One worker batch: rehydrate each digest's model from the shared
-    store's SBML blob and build (or adopt) its signature.  A stored
-    signature built under the paper-default options is written back so
-    later builds hit the batch read path instead of recomputing."""
-    from repro.core.artifact_store import _artifact_options
-    from repro.sbml.reader import read_sbml
-
-    store = _WORKER_STATE["store"]
-    options = _WORKER_STATE["options"]
-    options_key = _WORKER_STATE["options_key"]
-    results: List[Tuple[str, ModelSignature]] = []
-    for digest in digests:
-        artifacts = store.get(digest)
-        if artifacts is None or artifacts.sbml is None:
-            raise ReproError(
-                f"artifact store entry for model {digest[:12]} is "
-                f"missing its SBML blob; the manifest build did not "
-                f"reach this store (remedy: rerun `corpus index` "
-                f"against the same --store)"
-            )
-        candidate = artifacts.signature
-        if (
-            candidate is not None
-            and getattr(candidate, "key_fingerprints", None) is not None
-            and candidate.options_key == options_key
-        ):
-            results.append((digest, candidate))
-            continue
-        model = read_sbml(artifacts.sbml).model
-        signature = ModelSignature.build(model, options)
-        if artifacts.signature is None and signature.options_key == (
-            index_options_key(_artifact_options())
-        ):
-            artifacts.signature = signature
-            store.put(digest, artifacts)
-        results.append((digest, signature))
-    return results
 
 
 class CorpusIndex:
@@ -433,7 +389,6 @@ class CorpusIndex:
         # segment by save().
         self._tail_entries: Dict[str, IndexedModel] = {}
         self._tail_postings: Dict[int, Set[str]] = {}
-        self._tail_bucket_postings: Dict[int, Set[str]] = {}
         self._sequence = 0
         self._insert_clock = 0
         self._next_segment = 0
@@ -593,11 +548,9 @@ class CorpusIndex:
             self._invalidate_order()
             return digest
         if signature is None and store is not None:
-            artifacts = store.get_or_compute(model)
-            candidate = getattr(artifacts, "signature", None)
+            candidate = store.get_or_compute(model, digest).signature
             if (
                 candidate is not None
-                and getattr(candidate, "key_fingerprints", None) is not None
                 and candidate.options_key == self.options_key
             ):
                 signature = candidate
@@ -621,10 +574,6 @@ class CorpusIndex:
             self._tail_postings.setdefault(int(hash_value), set()).add(
                 digest
             )
-        for hash_value in signature.bucket_hashes():
-            self._tail_bucket_postings.setdefault(
-                int(hash_value), set()
-            ).add(digest)
         self._invalidate_order()
         return digest
 
@@ -635,20 +584,9 @@ class CorpusIndex:
         paths: Optional[Sequence[Optional[Union[str, Path]]]] = None,
         *,
         store=None,
-        workers: int = 1,
     ) -> Tuple[int, int]:
-        """Index a batch of models; returns ``(added, refreshed)``.
-
-        With ``workers > 1`` the signature computation for unindexed
-        models fans out over a process pool: the models are spilled to
-        ``store`` once via the digest-shipping
-        :class:`~repro.core.artifact_store.CorpusManifest` (a
-        temporary store when none is given), already-stored signatures
-        are adopted through the store's batch read path, and workers
-        rehydrate only the missing models from their SBML blobs and
-        ship back ``(digest, signature)`` pairs.  Insertion order and
-        results are identical to the serial path.
-        """
+        """Index a batch of models, in order, exactly as :meth:`add`
+        would one by one; returns ``(added, refreshed)``."""
         from repro.core.artifact_store import model_digest
 
         count = len(models)
@@ -660,71 +598,12 @@ class CorpusIndex:
                 f"{len(paths)} paths"
             )
         added = refreshed = 0
-        if workers <= 1:
-            for model, label, path in zip(models, labels, paths):
-                digest = model_digest(model)
-                fresh = digest not in self
-                self._add_with_digest(
-                    digest, model, label, path, store=store
-                )
-                added += fresh
-                refreshed += not fresh
-            return added, refreshed
-
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.core.artifact_store import ArtifactStore, CorpusManifest
-
-        with tempfile.TemporaryDirectory(
-            prefix="corpus-index-store-"
-        ) as scratch:
-            if store is None:
-                store = ArtifactStore(scratch)
-            manifest = CorpusManifest.build(
-                models,
-                [
-                    label or model.name or model.id or "model"
-                    for model, label in zip(models, labels)
-                ],
-                store,
-                with_artifacts=False,
-            )
-            digests = list(manifest.digests)
-            needed: List[str] = []
-            seen: Set[str] = set()
-            for digest in digests:
-                if digest in seen or digest in self or digest in self._sealed:
-                    continue
-                seen.add(digest)
-                needed.append(digest)
-            known = store.signatures(needed, self.options_key)
-            missing = [d for d in needed if d not in known]
-            if missing:
-                chunk = max(1, math.ceil(len(missing) / (workers * 4)))
-                batches = [
-                    missing[low : low + chunk]
-                    for low in range(0, len(missing), chunk)
-                ]
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_init_signature_worker,
-                    initargs=(str(store.root), self.options),
-                ) as pool:
-                    for results in pool.map(_compute_signatures, batches):
-                        known.update(results)
-            for model, label, path, digest in zip(
-                models, labels, paths, digests
-            ):
-                fresh = digest not in self
-                self._add_with_digest(
-                    digest,
-                    model,
-                    label,
-                    path,
-                    signature=known.get(digest),
-                )
-                added += fresh
-                refreshed += not fresh
+        for model, label, path in zip(models, labels, paths):
+            digest = model_digest(model)
+            fresh = digest not in self
+            self._add_with_digest(digest, model, label, path, store=store)
+            added += fresh
+            refreshed += not fresh
         return added, refreshed
 
     def remove(self, digest: str) -> bool:
@@ -741,12 +620,6 @@ class CorpusIndex:
                     postings.discard(digest)
                     if not postings:
                         del self._tail_postings[int(hash_value)]
-            for hash_value in entry.signature.bucket_hashes():
-                postings = self._tail_bucket_postings.get(int(hash_value))
-                if postings is not None:
-                    postings.discard(digest)
-                    if not postings:
-                        del self._tail_bucket_postings[int(hash_value)]
             self._invalidate_order()
             return True
         if digest in self._sealed and digest not in self._tombstones:
@@ -755,18 +628,6 @@ class CorpusIndex:
             self._invalidate_order()
             return True
         return False
-
-    def touch(self, digest: str) -> None:
-        """Bump a model's LRU position (a query serving it counts as
-        use)."""
-        entry = self._tail_entries.get(digest)
-        if entry is not None:
-            entry.sequence = self._next_sequence()
-            return
-        if digest in self._sealed and digest not in self._tombstones:
-            self._overrides.setdefault(digest, {})[
-                "sequence"
-            ] = self._next_sequence()
 
     def evict(self, max_entries: int) -> List[str]:
         """Drop least-recently-used entries down to ``max_entries``;
@@ -884,52 +745,6 @@ class CorpusIndex:
         pruned = [hit for hit in hits if not hit.blocked]
         return blocked + pruned
 
-    def nearest(
-        self, signature: ModelSignature, limit: int = 10
-    ) -> List[QueryHit]:
-        """"Structurally nearest" models by coarse bucket overlap —
-        a scale lookup, *not* semantic evidence (bucket hits never
-        feed pruning decisions)."""
-        bucket_hashes = np.asarray(
-            signature.bucket_hashes(), dtype=np.uint64
-        )
-        counts: Dict[str, int] = {}
-        for segment in self._segments:
-            for ordinal, shared in segment.bucket_counts(
-                bucket_hashes
-            ).items():
-                digest = segment.digests[ordinal]
-                if digest in self._tombstones:
-                    continue
-                counts[digest] = counts.get(digest, 0) + shared
-        for hash_value in bucket_hashes:
-            for digest in self._tail_bucket_postings.get(
-                int(hash_value), ()
-            ):
-                counts[digest] = counts.get(digest, 0) + 1
-        positions = {
-            digest: position
-            for position, (_, digest, _, _) in enumerate(
-                self._live_order()
-            )
-        }
-        ranked = sorted(
-            counts.items(),
-            key=lambda item: (-item[1], positions[item[0]]),
-        )[:limit]
-        return [
-            QueryHit(
-                digest=digest,
-                label=self.get(digest).label,
-                position=positions[digest],
-                score=score,
-                blocked=False,
-                united=0,
-                component_count=self.get(digest).signature.component_count,
-            )
-            for digest, score in ranked
-        ]
-
     # -- persistence ---------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
@@ -992,7 +807,6 @@ class CorpusIndex:
                 self._sealed[digest] = (segment_index, ordinal)
             self._tail_entries.clear()
             self._tail_postings.clear()
-            self._tail_bucket_postings.clear()
             self._invalidate_order()
         self._write_manifest()
 
@@ -1099,7 +913,6 @@ class CorpusIndex:
         self._overrides.clear()
         self._tail_entries.clear()
         self._tail_postings.clear()
-        self._tail_bucket_postings.clear()
         self._invalidate_order()
         self._write_manifest()
         for old in old_segments:
@@ -1107,13 +920,13 @@ class CorpusIndex:
         return report
 
     @staticmethod
-    def _read_manifest(root: Path) -> Dict[str, object]:
-        """The manifest, falling back to ``manifest.json.bak`` when the
-        main copy is torn (with a stderr warning) — only when both are
-        unreadable does the load fail."""
+    def _read_manifest(root: Path) -> Tuple[object, Path]:
+        """``(payload, file read)`` of the manifest, falling back to
+        ``manifest.json.bak`` when the main copy is torn (with a stderr
+        warning) — only when both are unreadable does the load fail."""
         target = root / _MANIFEST
         try:
-            return json.loads(target.read_text(encoding="utf-8"))
+            return json.loads(target.read_text(encoding="utf-8")), target
         except FileNotFoundError:
             raise FileNotFoundError(
                 f"no corpus index manifest at {target}"
@@ -1135,10 +948,17 @@ class CorpusIndex:
             f"write are lost and must be re-indexed",
             file=sys.stderr,
         )
-        return payload
+        return payload, backup
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CorpusIndex":
+        """Open the index saved in directory ``path``.
+
+        A missing manifest raises ``FileNotFoundError``; a manifest,
+        options file or segment file that cannot be read raises a
+        "rebuild the index" ``ValueError`` naming the file (segment
+        arrays opened lazily raise it at first use).
+        """
         path = Path(path)
         if path.is_file():
             raise ValueError(
@@ -1147,31 +967,55 @@ class CorpusIndex:
                 f"segmented layout — delete the file and rebuild with "
                 f"`corpus index` (an index is cheap to rebuild)"
             )
-        payload = cls._read_manifest(path)
-        if payload.get("format") != _FORMAT:
+        payload, manifest = cls._read_manifest(path)
+        if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
             raise ValueError(
                 f"{path}: not a format-{_FORMAT} corpus index"
             )
-        with open(path / _OPTIONS_FILE, "rb") as stream:
-            options = pickle.load(stream)
-        index = cls(options)
-        if repr(index.options_key) != payload["options_key"]:
+        options_path = path / _OPTIONS_FILE
+        try:
+            with open(options_path, "rb") as stream:
+                index = cls(pickle.load(stream))
+        except (
+            OSError,
+            EOFError,
+            pickle.UnpicklingError,
+            AttributeError,
+            ImportError,
+            IndexError,
+            TypeError,
+            ValueError,
+        ) as exc:
+            raise _unreadable(options_path, exc) from exc
+        try:
+            options_key = payload["options_key"]
+            segment_names = list(payload["segments"])
+            tombstones = set(payload["tombstones"])
+            overrides = {
+                digest: dict(override)
+                for digest, override in payload["overrides"].items()
+            }
+            clocks = (
+                int(payload["sequence"]),
+                int(payload["insert_clock"]),
+                int(payload["next_segment"]),
+            )
+        except KeyError as exc:
+            raise _unreadable(manifest, f"no {exc} field") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise _unreadable(manifest, exc) from exc
+        if repr(index.options_key) != options_key:
             raise ValueError(
                 f"{path}: stored options fingerprint disagrees with "
                 f"its options object"
             )
         index._root = path
-        for segment_index, name in enumerate(payload["segments"]):
+        for segment_index, name in enumerate(segment_names):
             segment = _Segment(path / name, index.options_key)
             index._segments.append(segment)
             for ordinal, digest in enumerate(segment.digests):
                 index._sealed[digest] = (segment_index, ordinal)
-        index._tombstones = set(payload["tombstones"])
-        index._overrides = {
-            digest: dict(override)
-            for digest, override in payload["overrides"].items()
-        }
-        index._sequence = payload["sequence"]
-        index._insert_clock = payload["insert_clock"]
-        index._next_segment = payload["next_segment"]
+        index._tombstones = tombstones
+        index._overrides = overrides
+        index._sequence, index._insert_clock, index._next_segment = clocks
         return index

@@ -17,8 +17,7 @@ A :class:`ModelSignature` condenses one model into
 
 * a **criteria-count vector** (component-type counts, species degree
   histogram, reaction arity histogram, math digest count — numpy
-  ``int64``), used for ranking and for the corpus index's coarse
-  signature buckets, and
+  ``int64``), stored per model by the corpus index, and
 * a **key-hash set**: one 64-bit hash per distinct match key the model
   exposes — every non-``id:`` key of its
   :class:`~repro.core.compose.ModelIndexSet` rows (tagged by phase) and
@@ -91,7 +90,6 @@ from repro.sbml.model import Model
 __all__ = [
     "COUNTS_LENGTH",
     "ModelSignature",
-    "PackedSignatures",
     "Prescreen",
     "key_hash",
 ]
@@ -202,9 +200,9 @@ def _component_fingerprint(phase: str, component) -> int:
 def _criteria_counts(model: Model) -> np.ndarray:
     """The signature's criteria-count vector (SIRN-style).
 
-    Layout: 12 component-list lengths (Figure 4 order), 5-bucket
+    Layout: 12 component-list lengths (Figure 4 order), 5-bin
     species degree histogram (reactant/product participations:
-    0,1,2,3,>=4), 5-bucket reaction arity histogram (reactants +
+    0,1,2,3,>=4), 5-bin reaction arity histogram (reactants +
     products: 0,1,2,3,>=4), reversible reaction count, edge count,
     distinct math digest count, network size.
     """
@@ -265,8 +263,8 @@ def _self_clean(model: Model, index_set: ModelIndexSet) -> bool:
 class ModelSignature:
     """Cheap structural summary of one model, under one option set.
 
-    Stored in the :class:`~repro.core.artifact_store.ArtifactStore`
-    (format 4) next to the pattern table and index rows it is derived
+    Stored in each :class:`~repro.core.artifact_store.ArtifactStore`
+    entry next to the pattern table and index rows it is derived
     from; like those, it is tagged with the key-affecting options
     fingerprint (:func:`~repro.core.compose.index_options_key`) and
     consumers must check :meth:`matches` before trusting it.
@@ -444,147 +442,13 @@ class ModelSignature:
         united = int(np.count_nonzero(self.key_primary[mine]))
         return int(shared.size), False, united
 
-    def bucket_hashes(self) -> np.ndarray:
-        """Coarse signature-bucket hashes for the corpus index.
-
-        Log-scale buckets over species count, reaction count and
-        network size: models of similar scale land in the same
-        buckets.  Kept *out* of :attr:`key_hashes` — bucket overlap is
-        weak evidence and must never suppress pruning or suggest a
-        semantic match; the corpus index stores them separately for
-        "structurally nearest" lookups.
-        """
-        pairs = (
-            ("species", int(self.counts[5])),
-            ("reactions", int(self.counts[10])),
-            ("size", int(self.counts[25])),
-        )
-        hashes = [
-            key_hash("bucket", f"{name}:{value.bit_length()}")
-            for name, value in pairs
-        ]
-        return np.array(sorted(hashes), dtype=np.uint64)
-
-
-@dataclass
-class PackedSignatures:
-    """Many :class:`ModelSignature`\\ s packed into flat arrays.
-
-    The segmented corpus index's serialization unit: the per-model
-    ragged ``key_hashes`` / ``key_fingerprints`` / ``key_primary``
-    arrays concatenated back to back with an offsets table, plus the
-    fixed-width per-model columns (component count, criteria counts,
-    self-clean flag).  Every array round-trips through ``np.save`` /
-    ``np.load(mmap_mode="r")`` unchanged, so a segment's signatures
-    can be memory-mapped and sliced without ever materializing the
-    whole pack; :meth:`view` reconstructs one model's signature as
-    zero-copy slices of the (possibly mmap-backed) arrays.
-    """
-
-    #: The one options fingerprint every packed signature shares.
-    options_key: Tuple
-    #: ``int64 (n,)`` — per-model component counts.
-    component_counts: np.ndarray
-    #: ``int64 (n, COUNTS_LENGTH)`` — per-model criteria-count rows.
-    counts: np.ndarray
-    #: ``bool (n,)`` — per-model self-clean flags.
-    self_clean: np.ndarray
-    #: ``uint64`` — every model's sorted-distinct key hashes, back to
-    #: back; model ``i`` owns ``[key_offsets[i], key_offsets[i + 1])``.
-    key_hashes: np.ndarray
-    #: ``uint64`` — aligned with :attr:`key_hashes`.
-    key_fingerprints: np.ndarray
-    #: ``bool`` — aligned with :attr:`key_hashes`.
-    key_primary: np.ndarray
-    #: ``int64 (n + 1,)`` — per-model slice bounds into the key arrays.
-    key_offsets: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.component_counts.shape[0])
-
-    @classmethod
-    def pack(
-        cls, options_key: Tuple, signatures: Sequence[ModelSignature]
-    ) -> "PackedSignatures":
-        """Concatenate ``signatures`` (all built under ``options_key``;
-        a mismatch raises ``ValueError`` — packing must never launder a
-        signature into a foreign index)."""
-        for signature in signatures:
-            if signature.options_key != options_key:
-                raise ValueError(
-                    "signature was built under different key options "
-                    "than this pack's"
-                )
-        count = len(signatures)
-        component_counts = np.array(
-            [signature.component_count for signature in signatures],
-            dtype=np.int64,
-        )
-        counts = np.zeros((count, COUNTS_LENGTH), dtype=np.int64)
-        for position, signature in enumerate(signatures):
-            counts[position] = signature.counts
-        self_clean = np.array(
-            [signature.self_clean for signature in signatures], dtype=bool
-        )
-        key_offsets = np.zeros(count + 1, dtype=np.int64)
-        for position, signature in enumerate(signatures):
-            key_offsets[position + 1] = (
-                key_offsets[position] + signature.key_hashes.size
-            )
-        if count and int(key_offsets[-1]):
-            key_hashes = np.concatenate(
-                [signature.key_hashes for signature in signatures]
-            ).astype(np.uint64, copy=False)
-            key_fingerprints = np.concatenate(
-                [signature.key_fingerprints for signature in signatures]
-            ).astype(np.uint64, copy=False)
-            key_primary = np.concatenate(
-                [signature.key_primary for signature in signatures]
-            ).astype(bool, copy=False)
-        else:
-            key_hashes = np.empty(0, dtype=np.uint64)
-            key_fingerprints = np.empty(0, dtype=np.uint64)
-            key_primary = np.empty(0, dtype=bool)
-        return cls(
-            options_key=options_key,
-            component_counts=component_counts,
-            counts=counts,
-            self_clean=self_clean,
-            key_hashes=key_hashes,
-            key_fingerprints=key_fingerprints,
-            key_primary=key_primary,
-            key_offsets=key_offsets,
-        )
-
-    def view(self, position: int) -> ModelSignature:
-        """Model ``position``'s signature as zero-copy array slices.
-
-        The slices keep their backing (an mmap-backed pack hands out
-        mmap-backed signatures — pages are faulted in only when the
-        congruence check actually reads them)."""
-        low = int(self.key_offsets[position])
-        high = int(self.key_offsets[position + 1])
-        return ModelSignature(
-            options_key=self.options_key,
-            component_count=int(self.component_counts[position]),
-            counts=self.counts[position],
-            key_hashes=self.key_hashes[low:high],
-            key_fingerprints=self.key_fingerprints[low:high],
-            key_primary=self.key_primary[low:high],
-            self_clean=bool(self.self_clean[position]),
-        )
-
 
 def _usable(
     signature: Optional[ModelSignature], options: ComposeOptions
 ) -> Optional[ModelSignature]:
-    """``signature`` if it is current and built under ``options``' key
-    options, else ``None``."""
-    if (
-        signature is not None
-        and getattr(signature, "key_fingerprints", None) is not None
-        and signature.matches(options)
-    ):
+    """``signature`` if it was built under ``options``' key options,
+    else ``None``."""
+    if signature is not None and signature.matches(options):
         return signature
     return None
 
@@ -645,11 +509,10 @@ class Prescreen:
         :class:`~repro.core.artifact_store.CorpusManifest` build's, say).
         Failing that, with ``store`` (an
         :class:`~repro.core.artifact_store.ArtifactStore`), each
-        model's signature is rehydrated from its format-4 artifact
-        entry when one exists.  Either is used only if it matches the
-        key options; anything else — misses, format-2/3 entries, stale
-        options — is computed here (and spilled by the store's own miss
-        path, not by us).
+        model's signature is rehydrated from its artifact entry
+        (computed and spilled on a miss).  Either is used only if it
+        matches the key options; a signature built under other options
+        is computed here.
         """
         options = options or ComposeOptions()
         if signatures is not None and len(signatures) != len(models):
@@ -662,8 +525,9 @@ class Prescreen:
             if signatures is not None:
                 signature = _usable(signatures[position], options)
             if signature is None and store is not None:
-                artifacts = store.get_or_compute(model)
-                signature = _usable(getattr(artifacts, "signature", None), options)
+                signature = _usable(
+                    store.get_or_compute(model).signature, options
+                )
             if signature is None:
                 signature = ModelSignature.build(model, options)
             built.append(signature)
@@ -818,44 +682,3 @@ class Prescreen:
         if total == 0:
             return 0.0
         return 1.0 - int((survivors & upper).sum()) / total
-
-    def query_tables(
-        self, signature: ModelSignature
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(scores, blocked, united)`` vectors of one external
-        *target* model against every corpus model as source — the
-        in-memory analogue of a
-        :class:`~repro.core.corpus_index.CorpusIndex` posting walk,
-        with the same option gate as the pair matrices."""
-        if not signature.matches(self.options):
-            raise ValueError(
-                "query signature was built under different key options"
-            )
-        n = len(self.signatures)
-        scores = np.zeros(n, dtype=np.int64)
-        blocked = np.zeros(n, dtype=bool)
-        united = np.zeros(n, dtype=np.int64)
-        allow_twins = self.options.match_anything
-        for j, other in enumerate(self.signatures):
-            shared, pair_blocked, pair_united = signature.congruence(other)
-            scores[j] = shared
-            if allow_twins:
-                blocked[j] = pair_blocked
-                united[j] = pair_united
-            else:
-                blocked[j] = shared > 0
-        return scores, blocked, united
-
-    def query_survivors(self, signature: ModelSignature) -> np.ndarray:
-        """Boolean vector: ``True`` = the query pair must run the full
-        matcher (query model as target, corpus model as source)."""
-        _, blocked, _ = self.query_tables(signature)
-        if signature.component_count == 0:
-            return np.zeros(len(self.signatures), dtype=bool)
-        nonempty = self.component_counts != 0
-        return nonempty & (blocked | ~self.self_clean)
-
-    def query_scores(self, signature: ModelSignature) -> np.ndarray:
-        """Shared-key counts of one external model against the corpus
-        (see :meth:`query_tables`)."""
-        return self.query_tables(signature)[0]

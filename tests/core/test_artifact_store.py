@@ -109,6 +109,52 @@ class TestArtifactStore:
         assert len(store) == 0
 
 
+class TestSerialiseOnce:
+    """Store-backed paths serialise a model through the module-level
+    ``write_sbml`` (the name a tracer wraps) and never twice for one
+    digest and blob."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.core import artifact_store
+
+        counted = []
+        raw = artifact_store.write_sbml
+
+        def counting(model):
+            counted.append(model)
+            return raw(model)
+
+        monkeypatch.setattr(artifact_store, "write_sbml", counting)
+        return counted
+
+    def test_miss_without_digest_serialises_once(self, tmp_path, calls):
+        store = ArtifactStore(tmp_path)
+        artifacts = store.get_or_compute(_model())
+        assert len(calls) == 1
+        # The stored blob is the very text the key hashes.
+        digest = hashlib.sha256(artifacts.sbml.encode("utf-8")).hexdigest()
+        assert store.get(digest) is not None
+
+    def test_store_backed_add_all_serialises_each_model_once(
+        self, tmp_path, calls
+    ):
+        from repro.core.corpus_index import CorpusIndex
+
+        models = [
+            _model(f"m{i}", species=(f"A{i}", f"B{i}")) for i in range(6)
+        ]
+        store = ArtifactStore(tmp_path)
+        store.get_or_compute(models[0])
+        calls.clear()
+        # One warm model, five cold: the digest, plus the blob on a miss.
+        CorpusIndex().add_all(models, store=store)
+        assert len(calls) == 6 + 5
+        calls.clear()
+        CorpusIndex().add_all(models, store=store)
+        assert len(calls) == 6
+
+
 class TestStoreFormat:
     def test_older_formats_are_counted_misses_rewritten_as_current(
         self, tmp_path

@@ -1,4 +1,4 @@
-"""Segmented corpus index: equivalence, crash recovery, parallelism.
+"""Segmented corpus index: equivalence, crash recovery, store builds.
 
 The segmented layout's contract is that *no* mix of sealed segments,
 tail entries, tombstones, overrides and compactions may ever change a
@@ -7,11 +7,13 @@ queries byte-identical to a fresh monolithic (tail-only) index built
 from the surviving models in the same insertion order.  A hypothesis
 property drives random operation sequences against both; deterministic
 batteries pin the interesting mixes; a chaos-harness test pins the
-manifest's torn-write recovery; and the parallel build must be
-indistinguishable from the serial one.
+manifest's torn-write recovery; every unreadable index file must fail
+the load (or the first read of its array) with a "rebuild" error
+naming the file; and a store-backed build must be indistinguishable
+from a plain one.
 """
 
-import pickle
+import json
 
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from hypothesis import strategies as st
 
 from repro.core import chaos
 from repro.core.artifact_store import ArtifactStore, model_digest
-from repro.core.corpus_index import CorpusIndex
-from repro.core.signature import ModelSignature, PackedSignatures
+from repro.core.corpus_index import CorpusIndex, _Segment
+from repro.core.signature import ModelSignature
 from repro.corpus import generate_corpus
 
 POOL_SIZE = 8
@@ -62,13 +64,13 @@ def _assert_equivalent(segmented, reference, signatures):
         assert _hit_tuples(segmented, signature) == _hit_tuples(
             reference, signature
         )
-        assert [
-            (hit.digest, hit.position, hit.score)
-            for hit in segmented.nearest(signature, limit=5)
-        ] == [
-            (hit.digest, hit.position, hit.score)
-            for hit in reference.nearest(signature, limit=5)
-        ]
+
+
+def _saved_index(pool, root):
+    index = CorpusIndex()
+    for model in pool:
+        index.add(model)
+    index.save(root)
 
 
 class TestMixedSegments:
@@ -145,12 +147,14 @@ class TestMixedSegments:
         _assert_equivalent(CorpusIndex.load(root), reference, signatures)
 
     def test_touch_of_sealed_entry_steers_eviction(self, pool, tmp_path):
+        """Re-adding a sealed entry refreshes its LRU position (an
+        override), so eviction skips it."""
         root = tmp_path / "corpus.idx"
         segmented = CorpusIndex()
         digests = [segmented.add(model) for model in pool]
         segmented.save(root)
         loaded = CorpusIndex.load(root)
-        loaded.touch(digests[0])
+        loaded.add(pool[0])
         removed = loaded.evict(len(pool) - 3)
         assert removed == digests[1:4]
         assert digests[0] in loaded
@@ -222,7 +226,6 @@ def operations(draw):
                     st.just("remove"),
                     st.integers(0, POOL_SIZE - 1),
                 ),
-                st.tuples(st.just("touch"), st.integers(0, POOL_SIZE - 1)),
                 st.tuples(st.just("evict"), st.integers(0, POOL_SIZE)),
                 st.tuples(st.just("save")),
                 st.tuples(st.just("compact")),
@@ -244,7 +247,7 @@ class TestEquivalenceProperty:
     def test_any_operation_sequence_matches_monolithic_rebuild(
         self, ops, pool, signatures, digests, tmp_path_factory
     ):
-        """Any add/remove/touch/evict/save/compact sequence answers
+        """Any add/remove/evict/save/compact sequence answers
         queries byte-identically to (a) a monolithic index replaying
         the same operations in memory and (b) a fresh monolithic index
         rebuilt from the surviving models in surviving order."""
@@ -262,9 +265,6 @@ class TestEquivalenceProperty:
                 assert segmented.remove(digests[op[1]]) == reference.remove(
                     digests[op[1]]
                 )
-            elif op[0] == "touch":
-                segmented.touch(digests[op[1]])
-                reference.touch(digests[op[1]])
             elif op[0] == "evict":
                 assert segmented.evict(op[1]) == reference.evict(op[1])
             elif op[0] == "save":
@@ -356,51 +356,95 @@ class TestCrashRecovery:
         with pytest.raises(FileNotFoundError):
             CorpusIndex.load(root)
 
+    def test_truncated_options_file_is_a_rebuild_error(self, pool, tmp_path):
+        root = tmp_path / "corpus.idx"
+        _saved_index(pool[:3], root)
+        options = root / "options.pkl"
+        options.write_bytes(options.read_bytes()[:10])
+        with pytest.raises(ValueError, match="rebuild") as caught:
+            CorpusIndex.load(root)
+        assert str(options) in str(caught.value)
 
-class TestParallelBuild:
-    def test_parallel_add_all_matches_serial(
+    def test_manifest_without_options_key_is_a_rebuild_error(
+        self, pool, tmp_path
+    ):
+        root = tmp_path / "corpus.idx"
+        _saved_index(pool[:3], root)
+        manifest = root / "manifest.json"
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        del payload["options_key"]
+        manifest.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="rebuild") as caught:
+            CorpusIndex.load(root)
+        assert str(manifest) in str(caught.value)
+        assert "options_key" in str(caught.value)
+
+    def test_torn_segment_meta_is_a_rebuild_error(self, pool, tmp_path):
+        root = tmp_path / "corpus.idx"
+        _saved_index(pool[:3], root)
+        meta = root / "seg-000000" / "meta.json"
+        meta.write_text(meta.read_text(encoding="utf-8")[:40])
+        with pytest.raises(ValueError, match="rebuild") as caught:
+            CorpusIndex.load(root)
+        assert str(meta) in str(caught.value)
+
+    @pytest.mark.parametrize("keep", [5, 200])
+    def test_truncated_signature_array_is_a_rebuild_error(
+        self, pool, signatures, tmp_path, keep
+    ):
+        """Signature arrays open lazily, so a truncated one (inside
+        the header or the data) fails at its first read."""
+        root = tmp_path / "corpus.idx"
+        _saved_index(pool[:3], root)
+        hashes = root / "seg-000000" / "sig_key_hashes.npy"
+        hashes.write_bytes(hashes.read_bytes()[:keep])
+        loaded = CorpusIndex.load(root)
+        with pytest.raises(ValueError, match="rebuild") as caught:
+            loaded.query(signatures[0])
+        assert str(hashes) in str(caught.value)
+
+
+class TestStoreBackedBuild:
+    def test_store_backed_add_all_matches_plain(
         self, pool, signatures, tmp_path
     ):
-        serial = CorpusIndex()
-        serial.add_all(pool, labels=[f"m{i}" for i in range(len(pool))])
-        parallel = CorpusIndex()
+        """Cold and warm store-backed builds adopt or spill each
+        signature and answer exactly like a build without a store."""
+        labels = [f"m{i}" for i in range(len(pool))]
+        plain = CorpusIndex()
+        plain.add_all(pool, labels=labels)
         store = ArtifactStore(tmp_path / "store")
-        added, refreshed = parallel.add_all(
-            pool,
-            labels=[f"m{i}" for i in range(len(pool))],
-            store=store,
-            workers=2,
-        )
-        assert (added, refreshed) == (len(pool), 0)
-        _assert_equivalent(parallel, serial, signatures)
-        # The workers wrote their signatures back: a second parallel
-        # build adopts them through the store's batch read path.
-        assert len(store.signatures([model_digest(m) for m in pool])) == len(
-            pool
-        )
+        for _ in range(2):
+            stored = CorpusIndex()
+            assert stored.add_all(pool, labels=labels, store=store) == (
+                len(pool),
+                0,
+            )
+            _assert_equivalent(stored, plain, signatures)
+        assert store.stats()["hits"] == len(pool)
+        assert len(store) == len(pool)
 
-    def test_parallel_build_without_store_uses_scratch(self, pool):
-        index = CorpusIndex()
-        added, refreshed = index.add_all(pool[:4], workers=2)
-        assert (added, refreshed) == (4, 0)
-
-    def test_refresh_through_add_all_parallel(self, pool, tmp_path):
+    def test_refresh_through_add_all_with_store(self, pool, tmp_path):
         index = CorpusIndex()
         index.add_all(pool[:4])
         added, refreshed = index.add_all(
-            pool[:6], store=ArtifactStore(tmp_path / "store"), workers=2
+            pool[:6], store=ArtifactStore(tmp_path / "store")
         )
         assert (added, refreshed) == (2, 4)
 
 
 class TestPackedSignatures:
-    def test_pack_view_round_trip(self, signatures):
-        packed = PackedSignatures.pack(
-            signatures[0].options_key, signatures
-        )
-        assert len(packed) == len(signatures)
-        for position, signature in enumerate(signatures):
-            view = packed.view(position)
+    """A segment's signature columns: every model's key arrays back to
+    back with an offsets table, plus the fixed-width columns."""
+
+    def test_pack_view_round_trip(self, pool, signatures, tmp_path):
+        """A sealed entry's mmap-backed signature equals the one it was
+        built from, column for column."""
+        root = tmp_path / "corpus.idx"
+        _saved_index(pool, root)
+        loaded = CorpusIndex.load(root)
+        for model, signature in zip(pool, signatures):
+            view = loaded.get(model_digest(model)).signature
             assert view.options_key == signature.options_key
             assert view.component_count == signature.component_count
             assert view.self_clean == signature.self_clean
@@ -411,11 +455,19 @@ class TestPackedSignatures:
             )
             assert np.array_equal(view.key_primary, signature.key_primary)
 
-    def test_pack_rejects_foreign_options(self, signatures):
-        with pytest.raises(ValueError):
-            PackedSignatures.pack(("something", "else"), signatures[:2])
+    def test_pack_rejects_foreign_options(self, pool, tmp_path):
+        index = CorpusIndex()
+        index.add(pool[0])
+        entry = index.get(model_digest(pool[0]))
+        with pytest.raises(ValueError, match="different key options"):
+            _Segment.write(
+                tmp_path / "seg-000000", [entry], ("something", "else")
+            )
+        assert not (tmp_path / "seg-000000").exists()
 
-    def test_empty_pack(self):
-        packed = PackedSignatures.pack(("key",), [])
-        assert len(packed) == 0
-        assert packed.key_hashes.size == 0
+    def test_empty_pack(self, tmp_path):
+        _Segment.write(tmp_path / "seg-000000", [], ("key",))
+        segment = _Segment(tmp_path / "seg-000000", ("key",))
+        assert len(segment) == 0
+        assert segment._array("sig_hashes").size == 0
+        assert segment.candidates(np.array([1], dtype=np.uint64)) == set()

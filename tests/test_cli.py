@@ -468,6 +468,29 @@ def test_corpus_index_semantics_mismatch_rejected(
     ) == 2
 
 
+def test_unreadable_index_file_is_an_error_not_a_traceback(
+    corpus_files, tmp_path, capsys
+):
+    index_file = tmp_path / "corpus.idx"
+    assert main(
+        ["corpus", "index", *map(str, corpus_files[:3]),
+         "--index", str(index_file)]
+    ) == 0
+    options = index_file / "options.pkl"
+    options.write_bytes(options.read_bytes()[:10])
+    capsys.readouterr()
+    for argv in (
+        ["corpus", "query", str(corpus_files[0]),
+         "--index", str(index_file)],
+        ["corpus", "index", str(corpus_files[3]),
+         "--index", str(index_file)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "options.pkl" in err and "rebuild" in err
+
+
 def test_corpus_index_evict_and_store_pinning(
     corpus_files, tmp_path, capsys
 ):
