@@ -220,8 +220,9 @@ def write_bench_json(
 
     Read-modify-write: sections other benchmarks own (``corpus_query``
     from ``bench_corpus_query``, ``corpus_scale`` from
-    ``bench_corpus_scale``, ``scaling`` from ``bench_scaling``) are
-    carried over from the committed file, not dropped."""
+    ``bench_corpus_scale``, ``scaling`` from ``bench_scaling``,
+    ``paper_scale`` from ``bench_paper_scale``) are carried over from
+    the committed file, not dropped."""
     committed = _read_committed_baseline()
     payload = {
         "benchmark": "compose_all",
@@ -243,7 +244,12 @@ def write_bench_json(
         "allpairs": allpairs,
         **{
             section: committed[section]
-            for section in ("corpus_query", "corpus_scale", "scaling")
+            for section in (
+                "corpus_query",
+                "corpus_scale",
+                "scaling",
+                "paper_scale",
+            )
             if section in committed
         },
         "notes": (

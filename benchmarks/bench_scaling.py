@@ -1,21 +1,24 @@
-"""Multi-core scaling of the digest-shipped all-pairs sweep.
+"""Multi-core scaling of the supervised all-pairs sweep.
 
-Sweep workers are supervised processes that receive a ``(label,
-digest)`` manifest — a few dozen bytes per model — instead of the
-corpus, and each rehydrates models from the shared
-:class:`~repro.core.artifact_store.ArtifactStore` on first touch.
-This benchmark records what that buys:
+Local sweep workers are supervised processes that inherit the corpus
+their parent holds (forked; a spawned worker receives it pickled,
+once) and look up per-model artifacts in the shared
+:class:`~repro.core.artifact_store.ArtifactStore` by the parent's
+digests.  Only remote workers receive a ``(label, digest)`` manifest
+— a few dozen bytes per model — and rehydrate each model from the
+store.  This benchmark records:
 
 * **pairs/s at 1/2/4/8 workers** over a store-backed sweep (the
   worker-count ladder is CLI-overridable), plus the scaling
   efficiency ``rate(N) / (N * rate(1))``;
-* **the worker payload**: the pickled manifest vs the pickled corpus
-  — the per-worker data volume grows with the corpus *length*, not
-  its content;
-* **the remote boundary** (the ``loopback`` row): bytes per framed
-  ``pair-done`` message and the round-trip latency of the socket
-  transport on loopback TCP vs a ``multiprocessing`` pipe — the
-  per-message cost a sweep pays to move a worker off-host.
+* **the remote boundary's payload** (the ``payload`` row): the pickled
+  manifest a remote worker receives vs the pickled corpus — the
+  remote worker's data volume grows with the corpus *length*, not its
+  content;
+* **the remote boundary's messages** (the ``loopback`` row): bytes per
+  framed ``pair-done`` message and the round-trip latency of the
+  socket transport on loopback TCP vs a ``multiprocessing`` pipe —
+  the per-message cost a sweep pays to move a worker off-host.
 
 Results land in the ``scaling`` section of ``BENCH_compose.json``
 (read-modify-write: sections owned by other benchmarks are carried
@@ -74,7 +77,8 @@ DEFAULT_GATE_EFFICIENCY = 0.15
 
 
 def payload_numbers(models, store_root) -> dict:
-    """Initargs bytes: manifest boundary vs pickled-corpus boundary."""
+    """Remote-worker payload bytes: the manifest vs the pickled
+    corpus."""
     labels = [model.id or f"model-{i}" for i, model in enumerate(models)]
     manifest = CorpusManifest.build(models, labels, ArtifactStore(store_root))
     manifest_bytes = len(pickle.dumps(manifest))
@@ -151,9 +155,9 @@ def loopback_numbers(models, messages=500) -> dict:
 
 
 def sweep_seconds(models, workers, store_root) -> float:
-    """One timed sweep against a pre-populated store: supervised,
-    digest-shipped worker processes (``workers=1`` is the serial
-    in-process reference)."""
+    """One timed sweep against a pre-populated store: supervised
+    worker processes over the inherited corpus (``workers=1`` is the
+    serial in-process reference)."""
     started = time.perf_counter()
     matrix = match_all(models, workers=workers, store=store_root)
     seconds = time.perf_counter() - started
@@ -163,8 +167,8 @@ def sweep_seconds(models, workers, store_root) -> float:
 
 def measure(models, worker_ladder, rounds) -> dict:
     """Best-of-``rounds`` pairs/s per worker count, one shared
-    pre-populated store so every rung measures steady-state
-    rehydration, not the one-time spill."""
+    pre-populated store so every rung measures steady-state store
+    hits, not the one-time spill."""
     pairs = len(models) * (len(models) + 1) // 2
     scratch = Path(tempfile.mkdtemp(prefix="bench-scaling-"))
     results = {}
@@ -254,9 +258,9 @@ def main(argv=None) -> int:
     payload = section["payload"]
     loopback = section["loopback"]
     emit("")
-    emit("Digest-shipped sweep scaling")
+    emit("Supervised sweep scaling")
     emit(
-        f"initargs payload: manifest {payload['manifest_bytes']} B vs "
+        f"remote payload: manifest {payload['manifest_bytes']} B vs "
         f"pickled corpus {payload['pickled_corpus_bytes']} B "
         f"({payload['ratio']}x smaller, "
         f"{payload['bytes_per_model']['manifest']} B/model)"

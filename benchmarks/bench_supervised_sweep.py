@@ -59,12 +59,10 @@ def _bare_shard(payload):
         _CORPUS,
         shards=shard_count,
         shard_id=shard_id,
+        # No store, like the supervised side's workers: both derive
+        # artifacts in memory from the corpus they were forked with,
+        # so the delta is exactly the supervision machinery.
         workers=1,
-        # The same shared artifact store the supervised sweep (and the
-        # unsupervised CLI sharded sweep) wires in — both sides pay
-        # identical spill/rehydrate costs, so the delta is exactly
-        # the supervision machinery.
-        store=Path(out_dir) / "artifacts",
     )
     write_outcomes_csv(
         Path(out_dir) / shard_result_filename(shard_id, shard_count),

@@ -61,13 +61,16 @@ quarantined to ``quarantine.json`` so the sweep completes without
 them (exit status 3 distinguishes that degraded completion).  With
 ``--out-dir`` the coordinator drives the ``--shards`` layout there;
 without, it works in a private temporary directory, one work unit per
-worker.  The corpus is spilled to the artifact store once and workers
-receive only a :class:`~repro.core.artifact_store.CorpusManifest` of
-``(label, digest)`` pairs, rehydrating each model from its store
-entry on first touch; with ``--prescreen`` only the pairs the
-prescreen lets through reach a worker.  With ``--store-max-entries``
-the active corpus's digests are pinned, so post-run eviction can
-never drop an entry a worker still rehydrates from.  ``sweep-status``
+worker.  Local workers hold the models this process read and never
+parse or serialise one.  Only with ``--out-dir`` (whose artifact store
+outlives the run) or ``--listen`` (whose remote workers rehydrate from
+it) is the corpus spilled to the artifact store, once, behind a
+:class:`~repro.core.artifact_store.CorpusManifest` of ``(label,
+digest)`` pairs; local workers then look their entries up by those
+digests.  With ``--prescreen`` only the pairs the prescreen lets
+through reach a worker.  With ``--store-max-entries`` the active
+corpus's digests are pinned, so post-run eviction can never drop an
+entry a later run or a remote worker still needs.  ``sweep-status``
 reports leases, retry/steal counters and the quarantine alongside
 per-shard completion; ``store verify`` audits the artifact store,
 moving corrupt blobs into its ``corrupt/`` subdirectory.  ``--chaos
@@ -216,7 +219,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "N supervised worker processes with shard leases, "
              "heartbeats, retry/backoff, work stealing and poison-pair "
              "quarantine (exit 3 when the sweep completed by "
-             "quarantining pairs); 0 only with --listen",
+             "quarantining pairs); 0 only with --listen.  Workers pay "
+             "off on large corpora: on 2 cores, 2 workers beat 1 from "
+             "about 90 models (1.2x at 94 models, 1.3x at 187, "
+             "--prescreen on), break even at 24-47 models and lose "
+             "below that (docs/perf.md)",
     )
     sweep.add_argument(
         "--semantics",
@@ -255,7 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="after the run, evict the least-recently-used artifact "
              "store entries beyond N (the store grows one entry per "
              "distinct model otherwise); this sweep's corpus entries "
-             "are pinned — digest-shipped workers rehydrate from them",
+             "are pinned — later runs over the out-dir and remote "
+             "workers read them",
     )
     sweep.add_argument(
         "--prescreen", action="store_true",
@@ -548,8 +556,9 @@ def _print_outcomes(outcomes) -> None:
 
 def _evict_store(store, max_entries, pinned) -> None:
     """Post-run LRU eviction with this sweep's corpus entries pinned:
-    a worker of a concurrent or resumed run over the same out-dir
-    rehydrates models from exactly those entries."""
+    a concurrent or resumed run over the same out-dir looks up exactly
+    those entries, and its remote workers rehydrate models from
+    them."""
     evicted = store.evict(max_entries=max_entries, pinned=pinned)
     if evicted:
         print(
@@ -572,13 +581,28 @@ def _cmd_sweep_supervised(args, models, options) -> int:
 
 
 def _run_coordinator(args, models, options, out_dir: Path) -> int:
-    # Serialise each model once: the manifest build's digests are the
-    # journal fingerprint's input and the eviction pins.
-    manifest = _build_manifest(
-        models, stable_labels(models), str(out_dir / "artifacts")
-    )
+    # A manifest and the store it populates only where something
+    # outlives the call or crosses a host: --out-dir keeps the store,
+    # --listen serves remote workers from it.  Local workers hold the
+    # models themselves.  Either way each model is serialised once:
+    # its digest feeds the journal fingerprint (and the eviction pins).
+    manifest = store_root = None
+    if args.out_dir is not None or args.listen is not None:
+        store_root = out_dir / "artifacts"
+        manifest = _build_manifest(
+            models, stable_labels(models), str(store_root)
+        )
+        fingerprint = _fingerprint_digests(
+            manifest.digests, _sweep_extra(args)
+        )
+    else:
+        fingerprint = corpus_fingerprint(models, extra=_sweep_extra(args))
     screen = (
-        Prescreen.build(models, options, signatures=manifest.signatures)
+        Prescreen.build(
+            models,
+            options,
+            signatures=manifest.signatures if manifest is not None else None,
+        )
         if args.prescreen
         else None
     )
@@ -596,9 +620,10 @@ def _run_coordinator(args, models, options, out_dir: Path) -> int:
         shards=args.shards,
         partition=partition,
         out_dir=out_dir,
-        fingerprint=_fingerprint_digests(manifest.digests, _sweep_extra(args)),
+        fingerprint=fingerprint,
         manifest=manifest,
         prescreen=screen,
+        store=store_root,
         config=CoordinatorConfig(
             # The config floor is 1 (it doubles as the report's worker
             # count); a listen-only coordinator passes local_workers=0
@@ -622,7 +647,7 @@ def _run_coordinator(args, models, options, out_dir: Path) -> int:
     report = coordinator.run()
     if args.store_max_entries is not None:
         _evict_store(
-            ArtifactStore(out_dir / "artifacts"),
+            ArtifactStore(store_root),
             args.store_max_entries,
             manifest.digests,
         )
@@ -665,6 +690,8 @@ def _run_coordinator(args, models, options, out_dir: Path) -> int:
 def _cmd_sweep_sharded(args, models, options) -> int:
     """Shards computed in this process, one after another, each
     checkpointed — or just ``--shard-id I``, on ``--workers``."""
+    store = ArtifactStore(args.out_dir / "artifacts")
+    store.check_writable()
     checkpoint = SweepCheckpoint(
         args.out_dir,
         fingerprint=corpus_fingerprint(models, extra=_sweep_extra(args)),
@@ -676,7 +703,6 @@ def _cmd_sweep_sharded(args, models, options) -> int:
     completed = checkpoint.begin(
         resume=args.resume or args.shard_id is not None
     )
-    store = ArtifactStore(args.out_dir / "artifacts")
     shard_ids = (
         [args.shard_id] if args.shard_id is not None else range(args.shards)
     )
@@ -1034,7 +1060,10 @@ def _cmd_corpus_index(args) -> int:
             return 2
     else:
         index = CorpusIndex(options)
-    store = ArtifactStore(args.store) if args.store is not None else None
+    store = None
+    if args.store is not None:
+        store = ArtifactStore(args.store)
+        store.check_writable()
     models = [read_sbml_file(path).model for path in args.models]
     added, refreshed = index.add_all(
         models,
@@ -1090,7 +1119,10 @@ def _cmd_corpus_query(args) -> int:
     options = ComposeOptions(semantics=args.semantics)
     query_model = read_sbml_file(args.query).model
     query_label = args.query.stem
-    store = ArtifactStore(args.store) if args.store is not None else None
+    store = None
+    if args.store is not None:
+        store = ArtifactStore(args.store)
+        store.check_writable()
 
     if args.linear is not None:
         labels = [path.stem for path in args.linear]

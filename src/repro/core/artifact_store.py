@@ -54,6 +54,7 @@ from typing import (
 from repro.core import chaos
 from repro.core.compose import ModelIndexSet, _collect_initial_values
 from repro.core.pattern_cache import PatternCache, model_pattern_table
+from repro.errors import ReproError
 from repro.sbml.model import Model
 from repro.sbml.writer import write_sbml
 from repro.units.registry import UnitRegistry
@@ -243,7 +244,7 @@ def _artifact_options():
 
 @dataclass(frozen=True)
 class CorpusManifest:
-    """What a sweep worker receives instead of models.
+    """What a remote sweep worker receives instead of models.
 
     An ordered ``(label, digest)`` list plus the corpus fingerprint —
     a flat description whose pickle is a few dozen bytes per model.
@@ -397,6 +398,19 @@ class ArtifactStore:
             "corrupt": 0,
             "incompatible": 0,
         }
+
+    def check_writable(self) -> None:
+        """Create the root and prove it writable, before any work
+        relies on the store.  Raises :class:`~repro.errors.ReproError`
+        naming the root when it cannot be created or written (a path
+        through a regular file, a read-only directory)."""
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            tempfile.TemporaryFile(dir=self.root).close()
+        except OSError as exc:
+            raise ReproError(
+                f"cannot write the artifact store at {self.root}: {exc}"
+            ) from exc
 
     def path_for(self, digest: str) -> Path:
         return self.root / digest[:2] / f"{digest}.pkl"

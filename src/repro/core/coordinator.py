@@ -47,11 +47,15 @@ can inject on demand:
 It is the one multi-worker sweep engine: ``match_all(...,
 workers=N)`` (and ``match_all_sharded``/``match_query``) runs it over
 a private temporary directory with one work unit per worker, and
-``sbmlcompose sweep --workers N`` runs it over ``--out-dir``.  Workers
-never receive models — only the corpus manifest, rehydrating each
-model from the sweep's artifact store — and with a prescreen only
-the pairs it lets through reach a worker: the rest get synthesized
-rows in their shard's results up front.
+``sbmlcompose sweep --workers N`` runs it over ``--out-dir`` (or a
+private directory without one).  Local workers are handed the corpus
+the coordinator holds — inherited, not copied, where processes fork —
+and never parse or serialise a model; they use an artifact store only
+when the sweep has one.  Only remote workers rehydrate the corpus
+from the store, through a :class:`~repro.core.artifact_store.CorpusManifest`
+of ``(label, digest)`` pairs.  With a prescreen only the pairs it
+lets through reach a worker: the rest get synthesized rows in their
+shard's results up front.
 
 Workers talk to the coordinator over per-worker duplex pipes polled
 with :func:`multiprocessing.connection.wait` — deliberately *not* a
@@ -328,22 +332,25 @@ def _worker_main(
     conn,
     worker_name: str,
     options: Optional[ComposeOptions],
-    store_root: str,
+    store_root: Optional[str],
     heartbeat_interval: float,
-    manifest: CorpusManifest,
+    models: Sequence[Model],
+    labels: Sequence[str],
+    digests: Optional[Sequence[str]],
 ) -> None:
-    """One supervised worker: build the shared-artifact engine, then
-    loop — compute assigned shards pair by pair, announce each pair
-    *before* computing it (so a death is attributable), heartbeat when
-    idle.  Every ``send`` is synchronous; a SIGKILL one instruction
-    later cannot retract a message the coordinator already has.
+    """One supervised local worker: build the inline sweep's engine
+    over the corpus it was started with, then loop — compute assigned
+    shards pair by pair, announce each pair *before* computing it (so
+    a death is attributable), heartbeat when idle.  Every ``send`` is
+    synchronous; a SIGKILL one instruction later cannot retract a
+    message the coordinator already has.
 
-    The worker gets the corpus manifest, never the models: it
-    rehydrates each model from the sweep's artifact store on first
-    touch, and a rehydrate miss inside a pair surfaces as an ordinary
-    pair error, so the coordinator's strike/quarantine machinery —
-    not a silent crash loop — absorbs a store that lost entries."""
-    engine = _PairEngine(options, store_root=store_root, manifest=manifest)
+    Under fork the models are the coordinator's own, inherited; under
+    spawn or forkserver they arrive pickled, once per worker.  With a
+    store, entries are looked up by the coordinator's ``digests``;
+    without one, artifacts are derived in memory as the inline sweep
+    derives them."""
+    engine = _PairEngine(options, models, labels, store_root, digests=digests)
     _worker_loop(conn, worker_name, engine, heartbeat_interval)
 
 
@@ -627,19 +634,24 @@ class SweepCoordinator:
     :class:`SweepReport`.  All durable state lives in ``out_dir`` —
     the format-2 checkpoint journal (completions + leases + retry
     counters), the per-shard result CSVs, the shared artifact store
-    (``out_dir/artifacts`` unless ``store`` names another), and the
-    ``quarantine.json`` sidecar — so a crashed coordinator is
-    restarted with ``resume=True`` over the same directory and picks
-    up where the journal says it stopped.
+    when there is one (``store``, or ``out_dir/artifacts`` when
+    listening), and the ``quarantine.json`` sidecar — so a crashed
+    coordinator is restarted with ``resume=True`` over the same
+    directory and picks up where the journal says it stopped.
 
     The shards are ``partition_pairs(sizes, shards)`` unless
     ``partition`` hands over other work units (in-process sweeps cut
-    one per worker from the pairs they run).  Workers receive the
-    corpus :class:`~repro.core.artifact_store.CorpusManifest` — the
-    one passed as ``manifest``, or one built into the store when
-    :meth:`run` starts — and rehydrate every model from the store.
-    With ``prescreen``, the pairs it prunes get synthesized rows in
-    their shard's results up front and never reach a worker.
+    one per worker from the pairs they run).  Local workers receive
+    ``models`` and build the inline engine over them, with the
+    artifact store at ``store`` when there is one (looked up by
+    ``digests``, or by the manifest's digests).  Remote workers
+    receive the corpus :class:`~repro.core.artifact_store.CorpusManifest`
+    — the one passed as ``manifest``, or one that :meth:`run` builds
+    into the store (``out_dir/artifacts`` unless ``store`` names
+    another) when the coordinator listens — and rehydrate every model
+    from the store.  With ``prescreen``, the pairs it prunes get
+    synthesized rows in their shard's results up front and never reach
+    a worker.
     """
 
     def __init__(
@@ -652,6 +664,7 @@ class SweepCoordinator:
         shards: Optional[int] = None,
         partition: Optional[Sequence[Shard]] = None,
         manifest: Optional[CorpusManifest] = None,
+        digests: Optional[Sequence[str]] = None,
         prescreen: Optional[Prescreen] = None,
         store: Optional[Union[str, Path]] = None,
         config: Optional[CoordinatorConfig] = None,
@@ -678,12 +691,20 @@ class SweepCoordinator:
         self.resume = resume
         self.progress = progress
         self.prescreen = prescreen
-        self.store_root = str(
-            store if store is not None else self.out_dir / "artifacts"
+        #: The artifact store workers use; a listening coordinator
+        #: needs one to serve remote workers from.
+        self.store_root: Optional[str] = (
+            str(store)
+            if store is not None
+            else str(self.out_dir / "artifacts")
+            if listen is not None
+            else None
         )
-        #: What workers rehydrate the corpus from; built at the top of
-        #: :meth:`run` unless the caller built it already.
+        #: What remote workers rehydrate the corpus from; built at the
+        #: top of :meth:`run` when listening, unless the caller built
+        #: it already.
         self.manifest: Optional[CorpusManifest] = manifest
+        self.digests = digests
         self.labels = stable_labels(self.models)
         self.checkpoint = SweepCheckpoint(
             self.out_dir,
@@ -795,9 +816,13 @@ class SweepCoordinator:
                 f"resuming: {len(completed)} shard(s) already complete, "
                 f"{len(self._states)} to go"
             )
-        if self.manifest is None and self._states:
-            # Populate the store up front so every worker — including
-            # respawns after a kill — rehydrates the corpus from it.
+        if (
+            self.manifest is None
+            and self._listener is not None
+            and self._states
+        ):
+            # Populate the store up front so every remote worker
+            # rehydrates the corpus from it.
             self.manifest = _build_manifest(
                 self.models, self.labels, self.store_root
             )
@@ -868,7 +893,11 @@ class SweepCoordinator:
                 self.options,
                 self.store_root,
                 self.config.effective_heartbeat,
-                self.manifest,
+                self.models,
+                self.labels,
+                self.manifest.digests
+                if self.manifest is not None
+                else self.digests,
             ),
             name=f"sweep-{name}",
             daemon=True,

@@ -24,7 +24,9 @@ structural identity search batches corpus-scale comparisons instead;
   pairs the prescreen lets through to
   :class:`~repro.core.coordinator.SweepCoordinator`, which supervises
   that many worker processes (leases, steals, retries, poison-pair
-  quarantine) over a private temporary journal,
+  quarantine) over a private temporary journal; the workers hold the
+  corpus the sweep was called with and build the inline engine over
+  it,
 * :func:`match_all` sweeps the whole pair matrix, while
   :func:`match_all_sharded` computes one shard of a deterministic
   partition (:func:`~repro.core.shards.partition_pairs`) so K
@@ -43,7 +45,6 @@ afterwards.
 
 from __future__ import annotations
 
-import os
 import tempfile
 import threading
 import time
@@ -63,7 +64,9 @@ from repro.core.artifact_store import (
     ArtifactStore,
     CorpusManifest,
     ModelArtifacts,
+    _fingerprint_digests,
     compute_artifacts,
+    model_digest,
 )
 from repro.core.compose import (
     AccumState,
@@ -312,10 +315,15 @@ class _PairEngine:
     content-addressed :class:`~repro.core.artifact_store.ArtifactStore`
     and computed-then-spilled only on a true miss, so shard runs and
     resumed sweeps share each model's preprocessing across processes.
+    ``digests`` — each model's
+    :func:`~repro.core.artifact_store.model_digest`, as the caller
+    already computed them — key those lookups without serialising the
+    models again.
 
-    With ``manifest`` set (and ``models=None``), the engine holds no
-    corpus at all — the shape every worker process runs in.  Each
-    model is rehydrated from the store on first touch — the entry's
+    Models come first: local workers hold the corpus they were started
+    with.  Only with ``models=None`` does the engine rehydrate its
+    corpus from ``manifest`` — the shape remote workers run in.  Each
+    model is then read from the store on first touch — the entry's
     canonical SBML text is parsed once per worker, and the same entry
     seeds the pattern table and phase-index rows, so a rehydrated
     model composes exactly like an in-memory one.  A manifest digest
@@ -331,6 +339,7 @@ class _PairEngine:
         store_root: Optional[str] = None,
         manifest: Optional[CorpusManifest] = None,
         fetch=None,
+        digests: Optional[Sequence[str]] = None,
     ):
         self.options = options or ComposeOptions()
         self.manifest = manifest
@@ -340,26 +349,22 @@ class _PairEngine:
         #: local store misses.  Fetched bytes are cached into the
         #: local store, so each entry crosses the wire at most once.
         self._fetch = fetch
-        if manifest is not None:
+        if models is not None:
+            self.models = list(models)
+            self.labels = list(labels)
+        elif manifest is not None:
             if store_root is None:
                 raise ValueError(
                     "a manifest engine needs a store_root to rehydrate "
                     "models from"
-                )
-            if models is not None:
-                raise ValueError(
-                    "pass models or a manifest, not both — a manifest "
-                    "engine rehydrates its corpus"
                 )
             self.models = None
             self.labels = (
                 list(labels) if labels is not None else list(manifest.labels)
             )
         else:
-            if models is None:
-                raise ValueError("models are required without a manifest")
-            self.models = list(models)
-            self.labels = list(labels)
+            raise ValueError("models or a manifest are required")
+        self._digests = list(digests) if digests is not None else None
         # One composer — and one pattern cache — for the whole sweep.
         # The cache is always on here (unlike one-shot merges, where
         # ``options.memoize_patterns`` defaults off because small-law
@@ -469,11 +474,12 @@ class _PairEngine:
                 # patterns are computed on first probe, and a locally
                 # built index set routes its math keys through the
                 # sweep's own cache.
-                if self.manifest is not None:
+                if self.models is None:
                     artifacts = self._manifest_entry(index)
                 elif self.store is not None:
                     artifacts = self.store.get_or_compute(
-                        self._model(index)
+                        self.models[index],
+                        self._digests[index] if self._digests else None,
                     )
                 else:
                     artifacts = compute_artifacts(
@@ -563,28 +569,19 @@ class _PairEngine:
         return [self.run_pair(i, j) for i, j in pairs]
 
 
-def _store_root(
-    store: Optional[Union[ArtifactStore, str, Path]]
-) -> Optional[str]:
-    if store is None:
-        return None
-    if isinstance(store, ArtifactStore):
-        return str(store.root)
-    return str(store)
-
-
 def _build_manifest(
     models: Sequence[Model],
     labels: Sequence[str],
     store_root: str,
 ) -> CorpusManifest:
-    """Build (and store-populate) the corpus manifest sweep workers
-    rehydrate from.  Raises :class:`~repro.errors.ReproError` naming
-    the store when it cannot be written."""
+    """Build (and store-populate) the corpus manifest that remote
+    workers rehydrate from and a kept store pins.  Raises
+    :class:`~repro.errors.ReproError` naming the store when it cannot
+    be written."""
+    store = ArtifactStore(store_root)
+    store.check_writable()
     try:
-        return CorpusManifest.build(
-            models, labels, ArtifactStore(store_root)
-        )
+        return CorpusManifest.build(models, labels, store)
     except OSError as exc:
         raise ReproError(
             f"cannot populate the artifact store at {store_root} that "
@@ -596,14 +593,12 @@ def _resolve_prescreen(
     prescreen: Union[None, bool, Prescreen],
     models: Sequence[Model],
     options: Optional[ComposeOptions],
-    store: Optional[Union[ArtifactStore, str, Path]],
-    manifest: Optional[CorpusManifest],
+    store: Optional[ArtifactStore],
 ) -> Optional[Prescreen]:
     """Normalize the ``prescreen=`` argument to a ready instance.
 
-    ``True`` builds one here, reusing the signatures the sweep's
-    manifest build derived (when there is a manifest), store-assisted
-    when the sweep has a store; a caller-supplied
+    ``True`` builds one here, store-assisted when the sweep has a
+    store; a caller-supplied
     :class:`~repro.core.signature.Prescreen` must cover exactly this
     corpus and have been built under the same key-affecting options as
     the sweep, or the synthesized outcomes could diverge from what the
@@ -612,19 +607,7 @@ def _resolve_prescreen(
     if prescreen is None or prescreen is False:
         return None
     if prescreen is True:
-        store_object = (
-            store
-            if isinstance(store, ArtifactStore)
-            else ArtifactStore(store)
-            if store is not None
-            else None
-        )
-        return Prescreen.build(
-            models,
-            options,
-            store=store_object,
-            signatures=manifest.signatures if manifest is not None else None,
-        )
+        return Prescreen.build(models, options, store=store)
     if not isinstance(prescreen, Prescreen):
         raise TypeError(
             f"prescreen must be None, a bool or a Prescreen, "
@@ -672,45 +655,41 @@ def _synthesized_outcome(
 
 def _run_supervised(
     models: Sequence[Model],
-    labels: Sequence[str],
     sizes: Sequence[int],
     pairs: Sequence[Pair],
     options: Optional[ComposeOptions],
     workers: int,
-    store: Optional[Union[ArtifactStore, str, Path]],
-    prescreen: Union[None, bool, Prescreen],
+    store_root: Optional[str],
+    screen: Optional[Prescreen],
 ) -> Tuple[List[PairOutcome], int, int]:
     """``(outcomes, pruned, quarantined)`` of ``pairs`` run on
     ``workers`` supervised worker processes, in the order of ``pairs``
     (quarantined pairs absent).
 
-    The sweep journal lives in a private temporary directory — and so
-    does the artifact store the workers rehydrate the corpus from,
-    unless the caller gave one — removed when the sweep ends, also
-    when it raises.  There is one work unit per worker, cut from
-    ``pairs`` and balanced on the cost of the pairs the prescreen lets
-    through.
+    The workers hold ``models`` themselves and use the caller's store,
+    if any; only the sweep journal lives in a private temporary
+    directory, removed when the sweep ends, also when it raises.  The
+    models are serialised once, here: their digests give the journal
+    fingerprint and key the workers' store lookups.  There is one work
+    unit per worker, cut from ``pairs`` and balanced on the cost of
+    the pairs the prescreen lets through.
     """
     from repro.core.coordinator import CoordinatorConfig, SweepCoordinator
 
+    digests = [model_digest(model) for model in models]
     with tempfile.TemporaryDirectory(prefix="sbmlcompose-sweep-") as out_dir:
-        store_root = _store_root(store) or os.path.join(out_dir, "artifacts")
-        manifest = _build_manifest(models, labels, store_root)
-        screen = _resolve_prescreen(
-            prescreen, models, options, store, manifest
-        )
         report = SweepCoordinator(
             models,
             options,
             out_dir=out_dir,
-            fingerprint=manifest.fingerprint,
+            fingerprint=_fingerprint_digests(digests),
             partition=partition_pairs(
                 sizes,
                 workers,
                 pairs=pairs,
                 runs=screen.survivors() if screen is not None else None,
             ),
-            manifest=manifest,
+            digests=digests,
             prescreen=screen,
             store=store_root,
             config=CoordinatorConfig(workers=workers),
@@ -745,18 +724,24 @@ def _sweep(
     workers = int(workers)
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    store_root = None
+    if store is not None:
+        if not isinstance(store, ArtifactStore):
+            store = ArtifactStore(store)
+        store.check_writable()
+        store_root = str(store.root)
     labels = stable_labels(models)
     sizes = [model.network_size() for model in models]
     started = time.perf_counter()
     quarantined = 0
+    screen = _resolve_prescreen(prescreen, models, options, store)
     if workers > 1:
         outcomes, pruned, quarantined = _run_supervised(
-            models, labels, sizes, pairs, options, workers, store, prescreen
+            models, sizes, pairs, options, workers, store_root, screen
         )
     else:
-        screen = _resolve_prescreen(prescreen, models, options, store, None)
         survivors = screen.survivors() if screen is not None else None
-        engine = _PairEngine(options, models, labels, _store_root(store))
+        engine = _PairEngine(options, models, labels, store_root)
         outcomes = []
         pruned = 0
         for i, j in pairs:
@@ -799,19 +784,19 @@ def match_all(
     ``workers=1`` (the default) runs every pair inline.  ``workers >
     1`` runs the pairs the prescreen lets through on that many
     supervised worker processes
-    (:class:`~repro.core.coordinator.SweepCoordinator`): the sweep
-    populates the artifact store up front (``store``, or a temporary
-    store when none was given), workers receive only a
-    :class:`~repro.core.artifact_store.CorpusManifest` and rehydrate
-    each model from its store entry on first touch, a worker that
-    dies has its work stolen and retried, and a pair that keeps
-    killing its worker is quarantined — its row is absent and
-    :attr:`MatchMatrix.quarantined` counts it.  An artifact store that
-    cannot be written raises :class:`~repro.errors.ReproError`.
+    (:class:`~repro.core.coordinator.SweepCoordinator`): each worker
+    holds the corpus this call was given (inherited, not copied, where
+    processes fork) and builds the inline engine over it, so without a
+    store nothing is written to disk but the sweep's private journal;
+    a worker that dies has its work stolen and retried, and a pair that
+    keeps killing its worker is quarantined — its row is absent and
+    :attr:`MatchMatrix.quarantined` counts it.
     ``backend`` names the worker kind and accepts only ``"process"``.
     ``store`` (an :class:`~repro.core.artifact_store.ArtifactStore` or
-    a directory path) adds the on-disk artifact tier.  Outcomes are
-    returned in pair order regardless of scheduling.
+    a directory path) adds the on-disk artifact tier, shared by the
+    workers; a store that cannot be created or written raises
+    :class:`~repro.errors.ReproError` before any pair runs.  Outcomes
+    are returned in pair order regardless of scheduling.
 
     ``prescreen`` enables the vectorized structural prescreen
     (:class:`~repro.core.signature.Prescreen`): ``True`` builds one

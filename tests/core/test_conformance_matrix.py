@@ -45,21 +45,24 @@ Equality strength per path:
   worker.  A hypothesis property states the safety side directly: a
   pruned pair is always one the full matcher composes with zero
   renames and zero conflicts;
-* the **digest-shipped sweep** (the ninth path) — supervised worker
-  processes receive a ``(label, digest)`` manifest instead of the
-  corpus and rehydrate each model from the store's canonical SBML
-  blob on first touch; the resulting matrix is byte-identical to the
-  in-memory sweep on the deterministic CSV — populating the store and
-  rehydrating from it, through the automatic temp store, through the
-  coordinator directly, and (a hypothesis property) for any shard
-  layout and worker count;
+* the **supervised and digest-shipped sweep** (the ninth path) —
+  supervised local worker processes hold the corpus they were started
+  with and share the caller's artifact store, if any; their matrix is
+  byte-identical to the in-memory sweep on the deterministic CSV —
+  populating a store and reading it back, with no store at all,
+  through the coordinator directly, and (a hypothesis property) for
+  any shard layout and worker count.  The manifest engine that remote
+  workers run — a ``(label, digest)`` manifest instead of the corpus,
+  each model rehydrated from the store's canonical SBML blob on first
+  touch — is run in-process over every pair of a corpus and must
+  produce the same bytes;
 * the **remote supervised sweep** (the tenth path) — workers joined
-  over loopback TCP (``sbmlcompose worker``) compute shards through
-  the framed socket transport and the digest-fetch protocol, mixed
-  with a local pipe worker, with one remote chaos-killed mid-shard
-  and one pair quarantined as poison; the merged CSV is byte-identical
-  to the unsharded in-memory sweep minus exactly the quarantined
-  pair.
+  over loopback TCP (``sbmlcompose worker``) receive the manifest and
+  compute shards through the framed socket transport and the
+  digest-fetch protocol, mixed with a local pipe worker that holds
+  the corpus, with one remote chaos-killed mid-shard and one pair
+  quarantined as poison; the merged CSV is byte-identical to the
+  unsharded in-memory sweep minus exactly the quarantined pair.
 """
 
 import io
@@ -403,17 +406,16 @@ def test_prescreened_supervised_sweep_conformance(corpora, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Ninth path: the digest-shipped worker boundary
+# Ninth path: the supervised worker boundary and the digest-shipped engine
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("corpus_name", ["chain", "curated"])
 def test_digest_shipped_sweep_conformance(corpus_name, corpora, tmp_path):
-    """Supervised workers — which receive a ``(label, digest)``
-    manifest and rehydrate each model from the artifact store's SBML
-    blob — must be byte-identical to the in-memory sweep on the
-    deterministic CSV: populating the store, rehydrating from it,
-    through the automatic temp store, and as a sharded union."""
+    """Supervised workers — which hold the corpus and share the
+    caller's artifact store — must be byte-identical to the in-memory
+    sweep on the deterministic CSV: populating the store, reading it
+    back, with no store, and as a sharded union."""
     models = corpora[corpus_name]
     reference = _deterministic_csv(match_all(models))
     store_dir = tmp_path / "artifacts"
@@ -428,8 +430,7 @@ def test_digest_shipped_sweep_conformance(corpus_name, corpora, tmp_path):
         _deterministic_csv(match_all(models, workers=2, store=store_dir))
         == reference
     )
-    # No explicit store: the sweep ships digests through a transient
-    # temp store it cleans up afterwards.
+    # No store: workers derive every artifact in memory.
     assert _deterministic_csv(match_all(models, workers=2)) == reference
     # Sharded union.
     parts = [
@@ -446,14 +447,21 @@ def test_digest_shipped_sweep_conformance(corpus_name, corpora, tmp_path):
 
 
 def test_digest_shipped_supervised_sweep_conformance(corpora, tmp_path):
-    """The supervised half of the ninth path: the coordinator builds
-    the manifest once, workers rehydrate from the sweep's own store,
-    and the shard-CSV union is byte-identical to the in-memory
-    unsharded sweep."""
+    """The ninth path through the coordinator and through the manifest
+    engine.  A coordinator's local workers hold the corpus, and its
+    shard-CSV union is byte-identical to the in-memory unsharded
+    sweep.  The manifest engine — the one remote workers run, which
+    rehydrates every model from the store's SBML blob — is run
+    in-process over every pair and must produce the same bytes, so
+    remote-style rehydration keeps an oracle without TCP."""
+    from repro.core.artifact_store import ArtifactStore, CorpusManifest
     from repro.core.coordinator import CoordinatorConfig, SweepCoordinator
+    from repro.core.match_all import _PairEngine
+    from repro.core.session import stable_labels
 
     models = corpora["curated"]
-    reference = _deterministic_csv(match_all(models))
+    inline = match_all(models)
+    reference = _deterministic_csv(inline)
     coordinator = SweepCoordinator(
         models,
         None,
@@ -467,11 +475,18 @@ def test_digest_shipped_supervised_sweep_conformance(corpora, tmp_path):
     )
     report = coordinator.run()
     assert report.exit_code == 0
-    # The manifest boundary was live — workers got digests, not models.
-    assert coordinator.manifest is not None
-    assert coordinator.manifest.fingerprint == corpus_fingerprint(models)
     merged = MatchMatrix.union(report.matrices)
     assert _deterministic_csv(merged) == reference
+
+    store_root = tmp_path / "artifacts"
+    manifest = CorpusManifest.build(
+        models, stable_labels(models), ArtifactStore(store_root)
+    )
+    assert manifest.fingerprint == corpus_fingerprint(models)
+    engine = _PairEngine(None, store_root=str(store_root), manifest=manifest)
+    assert engine.models is None  # every model comes out of the store
+    shipped = engine.run_pairs([(o.i, o.j) for o in inline.outcomes])
+    assert _csv(shipped) == reference
 
 
 def test_remote_supervised_sweep_conformance(corpora, tmp_path):
@@ -607,7 +622,7 @@ def test_digest_shipped_invariant_over_shards_and_workers(
     seed, shards, workers, tmp_path_factory
 ):
     """Shard layout and worker count must not leak into the
-    digest-shipped sweep: for any BioModels-like corpus, the union of
+    supervised sweep: for any BioModels-like corpus, the union of
     any sharded sweep on supervised workers is byte-identical to the
     serial in-memory sweep."""
     models = generate_corpus(count=4, seed=seed)

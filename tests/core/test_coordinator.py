@@ -127,6 +127,23 @@ class TestHappyPath:
         assert report.matrices == []  # nothing recomputed
         assert report.exit_code == 0
 
+    def test_spawned_workers_match_unsupervised_sweep(
+        self, corpus, fingerprint, reference_keys, tmp_path
+    ):
+        """Local workers hold the corpus they were started with; under
+        spawn it arrives pickled instead of inherited, and the answer
+        must not depend on which."""
+        import multiprocessing
+
+        coordinator = _coordinator(corpus, fingerprint, tmp_path / "sweep")
+        coordinator._mp = multiprocessing.get_context("spawn")
+        report = coordinator.run()
+        assert report.exit_code == 0
+        merged = MatchMatrix.union(report.matrices)
+        assert {(o.i, o.j): o.key() for o in merged.outcomes} == (
+            reference_keys
+        )
+
 
 class TestEventLoopCost:
     def test_remaining_calls_do_not_grow_with_pending_pairs(

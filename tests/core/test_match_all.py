@@ -320,9 +320,10 @@ class TestOverlayReads:
 
 
 class TestDigestShipping:
-    """The format-5 worker boundary: process workers receive a
-    ``(label, digest)`` manifest and rehydrate each model from the
-    shared artifact store on first touch."""
+    """The format-5 store boundary: process workers share the caller's
+    store and leave blob-carrying entries in it, and the manifest
+    engine that remote workers run rehydrates each model from such an
+    entry on first touch."""
 
     def test_workers_populate_and_rehydrate_from_the_store(
         self, corpus, tmp_path
@@ -342,8 +343,9 @@ class TestDigestShipping:
         )
 
     def test_manifest_payload_does_not_grow_with_corpus(self, tmp_path):
-        """The acceptance number: the initargs payload is a few dozen
-        bytes per manifest entry, versus the full serialised corpus."""
+        """The acceptance number: a remote worker's handshake payload
+        is a few dozen bytes per manifest entry, versus the full
+        serialised corpus."""
         import pickle
 
         from repro.core.artifact_store import ArtifactStore, CorpusManifest
@@ -497,6 +499,46 @@ class TestSupervisedWorkers:
         # The private journal directory is gone although the call raised.
         assert _sweep_temp_dirs(private_tempdir) == []
         assert os.listdir(private_tempdir) == []
+
+    def test_local_workers_neither_parse_nor_build_a_manifest(
+        self, corpus, monkeypatch, private_tempdir
+    ):
+        """Local workers use the corpus they were forked with: with
+        the SBML reader and the manifest build both broken, the
+        screened 2-worker sweep still matches the inline sweep."""
+        import importlib
+
+        from repro.core.artifact_store import CorpusManifest
+
+        expected = [o.key() for o in match_all(corpus).outcomes]
+
+        def broken(*args, **kwargs):
+            raise AssertionError("local sweep workers must not reach this")
+
+        engine_module = importlib.import_module("repro.core.match_all")
+        monkeypatch.setattr(engine_module, "read_sbml", broken)
+        monkeypatch.setattr(CorpusManifest, "build", classmethod(broken))
+        matrix = match_all(corpus, workers=2, prescreen=True)
+        assert matrix.quarantined == 0
+        assert [o.key() for o in matrix.outcomes] == expected
+        assert os.listdir(private_tempdir) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("prescreen", [None, True])
+def test_unusable_store_is_one_named_error(
+    corpus, tmp_path, workers, prescreen
+):
+    """A store root that cannot be created fails before any pair runs,
+    with one error naming it, however the sweep runs."""
+    blocker = tmp_path / "afile"
+    blocker.write_text("a file where the store should be")
+    for store in (blocker, blocker / "artifacts"):
+        with pytest.raises(ReproError) as excinfo:
+            match_all(
+                corpus, workers=workers, store=store, prescreen=prescreen
+            )
+        assert str(store) in str(excinfo.value)
 
 
 class TestMatchAllSharded:

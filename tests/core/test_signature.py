@@ -268,8 +268,8 @@ class TestPrescreen:
 
         monkeypatch.setattr(ModelSignature, "build", classmethod(counting))
         matrix = match_all(corpus, workers=2, backend="process", prescreen=True)
-        # The manifest build derives each signature; the prescreen
-        # reuses it instead of deriving it again.
+        # The prescreen derives each signature once; the workers,
+        # which only run the surviving pairs, derive none.
         assert sorted(built) == sorted(model.id for model in corpus)
         assert matrix.pruned > 0
         assert [o.key() for o in matrix.outcomes] == expected

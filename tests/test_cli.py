@@ -337,6 +337,20 @@ def test_sweep_store_max_entries_needs_out_dir(three_model_files, capsys):
     assert "--out-dir" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_out_dir_through_a_file_is_an_error(
+    three_model_files, tmp_path, capsys, workers
+):
+    blocker = tmp_path / "afile"
+    blocker.write_text("a file where the out-dir should be")
+    assert main(
+        ["sweep", *map(str, three_model_files), "--out-dir", str(blocker),
+         "--workers", workers]
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(blocker) in err
+
+
 def test_sweep_prescreen_byte_identical(three_model_files, tmp_path, capsys):
     """--prescreen is a pure go-faster knob: the deterministic CSV is
     byte-identical to the full sweep (the eighth conformance path, on
@@ -418,6 +432,21 @@ def test_corpus_query_byte_identical_to_linear_scan(
     ) == 0
     capsys.readouterr()
     assert indexed_csv.read_bytes() == linear_csv.read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_corpus_query_store_through_a_file_is_an_error(
+    corpus_files, tmp_path, capsys, workers
+):
+    blocker = tmp_path / "afile"
+    blocker.write_text("a file where the store should be")
+    assert main(
+        ["corpus", "query", str(corpus_files[0]),
+         "--linear", *map(str, corpus_files[1:4]),
+         "--store", str(blocker), "--workers", workers]
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(blocker) in err
 
 
 def test_corpus_query_top_k_limits_full_matches(
