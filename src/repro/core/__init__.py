@@ -22,7 +22,7 @@ Public API:
   matrix and journals sweep progress.
 * :class:`~repro.core.artifact_store.ArtifactStore` — on-disk,
   content-addressed per-model artifacts shared across shard runs,
-  resumed sweeps and spilled sessions.
+  resumed sweeps and corpus indexes.
 * :class:`~repro.core.signature.ModelSignature` /
   :class:`~repro.core.signature.Prescreen` — per-model structural
   signatures and the vectorized all-pairs prescreen

@@ -1,9 +1,8 @@
 """On-disk, content-addressed store for per-model artifacts.
 
-Sweeping a corpus shard-by-shard (or composing through a long-lived
-session) keeps re-needing the same derived per-model state: the
-used-id set, the unit registry and the evaluated initial-value
-environment.  In one process these live in a memo; across shard
+Sweeping a corpus shard-by-shard (or indexing it for queries) keeps
+re-needing the same derived per-model state: the used-id set, the
+unit registry and the evaluated initial-value environment.  In one process these live in a memo; across shard
 processes — or across a kill/resume cycle — the memo is gone, and
 re-deriving the artifacts repays exactly the per-pair preprocessing
 the batched engine exists to avoid.

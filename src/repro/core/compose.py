@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConflictError, MathError
 from repro.mathml.ast import Apply, Identifier, Lambda, MathNode, Number
@@ -132,35 +132,9 @@ class Composer:
     # ------------------------------------------------------------------
 
     def compose(self, first: Model, second: Model) -> Tuple[Model, MergeReport]:
-        return self.compose_into(first, second, copy_target=True)
-
-    def compose_into(
-        self,
-        first: Model,
-        second: Model,
-        *,
-        copy_target: bool = True,
-        source_registry: Optional[UnitRegistry] = None,
-        source_initial: Optional[Dict[str, float]] = None,
-    ) -> Tuple[Model, MergeReport]:
-        """Compose ``second`` into ``first``.
-
-        With ``copy_target=False`` the first model is mutated in place
-        instead of copied — the session fold's accumulator trick, which
-        turns the O(n²) copying of a naive left fold into O(n).  The
-        second model is never mutated either way.  ``source_registry``
-        and ``source_initial`` let a session inject per-input artifacts
-        it has already computed (unit registry, evaluated initial
-        values) instead of rebuilding them on every merge step.
-        """
-        model, report, _ = self.compose_step(
-            first,
-            second,
-            copy_target=copy_target,
-            source_registry=source_registry,
-            source_initial=source_initial,
-            carry_state=False,
-        )
+        """Compose ``second`` into a copy of ``first``; neither input
+        is mutated."""
+        model, report, _ = self.compose_step(first, second, carry_state=False)
         return model, report
 
     def compose_step(
@@ -176,14 +150,18 @@ class Composer:
         source_state: Optional[AccumState] = None,
         carry_state: bool = True,
         decide_only: bool = False,
-        target_indexes: Optional[
-            Union["ModelIndexSet", "BoundIndexSet"]
-        ] = None,
+        target_indexes: Optional["BoundIndexSet"] = None,
     ) -> Tuple[Optional[Model], MergeReport, Optional[AccumState]]:
-        """One plan-executor merge step, with carried accumulator state.
+        """One merge step of ``second`` into ``first``, with carried
+        accumulator state.
 
-        Beyond :meth:`compose_into`:
-
+        * ``copy_target=False`` mutates ``first`` in place instead of
+          copying it — the session fold's accumulator trick, which
+          turns the O(n²) copying of a naive left fold into O(n).  The
+          second model is never mutated unless ``source_owned``.
+        * ``source_registry`` and ``source_initial`` inject ``second``'s
+          unit registry and evaluated initial values when the caller
+          has already computed them (a session's per-input memo).
         * ``target_state`` supplies ``first``'s derived artifacts
           (used ids, unit registry, initial values) from the previous
           step instead of rebuilding them from the accumulator —
@@ -203,19 +181,14 @@ class Composer:
           means anything.  The all-pairs engine, which discards every
           merged model anyway, runs this way; ``copy_target``,
           ``source_owned`` and ``carry_state`` are ignored then.
-        * ``target_indexes`` supplies ``first``'s prebuilt phase-index
-          artifact (:class:`ModelIndexSet`): phases then probe a
+        * ``target_indexes`` supplies ``first``'s phase indexes as a
+          :class:`BoundIndexSet` bound to ``first`` itself (the
+          all-pairs engine's decide-only merges): phases then probe a
           copy-on-write :class:`~repro.core.index.OverlayIndex` over
           the shared frozen base instead of rebuilding the target side
-          of the index from scratch.  Pass the unbound
-          :class:`ModelIndexSet` and the step binds it to the actual
-          target (also across an internal ``copy_target`` deep copy);
-          pass a prebound :class:`BoundIndexSet` only when the target
-          is the very model the set was bound to (the all-pairs
-          engine's decide-only merges).  Sets built under different
-          key-affecting options are ignored, and phases whose fresh
-          keys would depend on a non-empty id mapping fall back to the
-          fresh build.
+          of the index from scratch.  Phases whose fresh keys would
+          depend on a non-empty id mapping fall back to the fresh
+          build.
 
         Returns ``(model, report, state)`` where ``state`` is the
         updated :class:`AccumState` for the returned model, or ``None``
@@ -245,17 +218,6 @@ class Composer:
             # Derived artifacts reference the original's component
             # objects; they are not carried across a copy.
             target_state = None
-        indexes: Optional[BoundIndexSet] = None
-        if target_indexes is not None:
-            if isinstance(target_indexes, ModelIndexSet):
-                # Unbound rows: bind to the target actually merged
-                # into (valid across the deep copy above — a copy
-                # preserves component-list order, which is all the
-                # rows reference).
-                if target_indexes.matches(self.options):
-                    indexes = target_indexes.bind(target, self.options)
-            else:
-                indexes = target_indexes
         # An un-owned source is never mutated: every phase copies a
         # component before touching it, so reading `second` directly is
         # safe and skips a full model copy.  An owned source's
@@ -299,7 +261,7 @@ class Composer:
             pattern_cache=self._cache,
             source_owned=source_owned,
             decide_only=decide_only,
-            indexes=indexes,
+            indexes=target_indexes,
         )
 
         # Figure 4 phase order, each phase timed into report.timings.
@@ -1903,9 +1865,8 @@ class ModelIndexSet:
         order, as the model the rows were built from — itself, any
         ``copy()`` of it, or any model with the same content digest.
         The view is *not* memoised here — a memo would pin the bound
-        model (for a session step, the composed result) alive for the
-        artifact's lifetime — so a caller that re-binds the same model
-        repeatedly (the all-pairs engine) must hold on to the returned
-        view itself.
+        model alive for the artifact's lifetime — so a caller that
+        re-binds the same model repeatedly (the all-pairs engine) must
+        hold on to the returned view itself.
         """
         return BoundIndexSet(self.rows, model, options)

@@ -232,10 +232,19 @@ class Quarantine:
             raise SweepStateError(
                 f"unreadable quarantine sidecar {quarantine.path}: {exc}"
             ) from exc
-        for entry in payload.get("pairs", []):
-            quarantine.entries[(int(entry["i"]), int(entry["j"]))] = dict(
-                entry
+        pairs = payload.get("pairs", []) if isinstance(payload, dict) else None
+        if not isinstance(pairs, list) or not all(
+            isinstance(entry, dict)
+            and isinstance(entry.get("i"), int)
+            and isinstance(entry.get("j"), int)
+            for entry in pairs
+        ):
+            raise SweepStateError(
+                f"malformed quarantine sidecar {quarantine.path}: expected "
+                f'{{"pairs": [{{"i": int, "j": int, ...}}, ...]}}'
             )
+        for entry in pairs:
+            quarantine.entries[(entry["i"], entry["j"])] = dict(entry)
         return quarantine
 
     def add(

@@ -64,7 +64,7 @@ from repro.core.artifact_store import (
     ArtifactStore,
     CorpusManifest,
     ModelArtifacts,
-    _fingerprint_digests,
+    _text_digest,
     compute_artifacts,
     model_digest,
 )
@@ -594,20 +594,33 @@ def _resolve_prescreen(
     models: Sequence[Model],
     options: Optional[ComposeOptions],
     store: Optional[ArtifactStore],
-) -> Optional[Prescreen]:
-    """Normalize the ``prescreen=`` argument to a ready instance.
+) -> Tuple[Optional[Prescreen], Optional[List[str]]]:
+    """Normalize the ``prescreen=`` argument to ``(ready instance,
+    model digests)``.
 
-    ``True`` builds one here, store-assisted when the sweep has a
-    store; a caller-supplied
-    :class:`~repro.core.signature.Prescreen` must cover exactly this
-    corpus and have been built under the same key-affecting options as
-    the sweep, or the synthesized outcomes could diverge from what the
-    full matcher would produce.
+    ``True`` builds one here.  With a store, each model's entry is read
+    once: it gives the model's signature, and the digest of its SBML
+    blob is returned so the sweep looks the entries up without
+    serialising the models again (``None`` otherwise).  A
+    caller-supplied :class:`~repro.core.signature.Prescreen` must cover
+    exactly this corpus and have been built under the same key-affecting
+    options as the sweep, or the synthesized outcomes could diverge
+    from what the full matcher would produce.
     """
     if prescreen is None or prescreen is False:
-        return None
+        return None, None
     if prescreen is True:
-        return Prescreen.build(models, options, store=store)
+        if store is None:
+            return Prescreen.build(models, options), None
+        entries = [store.get_or_compute(model) for model in models]
+        digests = [
+            _text_digest(entry.sbml)
+            if entry.sbml is not None
+            else model_digest(model)
+            for model, entry in zip(models, entries)
+        ]
+        signatures = [entry.signature for entry in entries]
+        return Prescreen.build(models, options, signatures=signatures), digests
     if not isinstance(prescreen, Prescreen):
         raise TypeError(
             f"prescreen must be None, a bool or a Prescreen, "
@@ -624,7 +637,7 @@ def _resolve_prescreen(
             "prescreen was built under different key options than "
             "this sweep's"
         )
-    return prescreen
+    return prescreen, None
 
 
 def _synthesized_outcome(
@@ -661,28 +674,30 @@ def _run_supervised(
     workers: int,
     store_root: Optional[str],
     screen: Optional[Prescreen],
+    digests: Optional[List[str]],
 ) -> Tuple[List[PairOutcome], int, int]:
     """``(outcomes, pruned, quarantined)`` of ``pairs`` run on
     ``workers`` supervised worker processes, in the order of ``pairs``
     (quarantined pairs absent).
 
     The workers hold ``models`` themselves and use the caller's store,
-    if any; only the sweep journal lives in a private temporary
-    directory, removed when the sweep ends, also when it raises.  The
-    models are serialised once, here: their digests give the journal
-    fingerprint and key the workers' store lookups.  There is one work
-    unit per worker, cut from ``pairs`` and balanced on the cost of
-    the pairs the prescreen lets through.
+    if any, looking entries up by ``digests`` (computed here when the
+    prescreen did not already).  Only the sweep journal lives in a
+    private temporary directory, removed when the sweep ends, also when
+    it raises; it is never resumed, so it binds no corpus digest.
+    There is one work unit per worker, cut from ``pairs`` and balanced
+    on the cost of the pairs the prescreen lets through.
     """
     from repro.core.coordinator import CoordinatorConfig, SweepCoordinator
 
-    digests = [model_digest(model) for model in models]
+    if store_root is not None and digests is None:
+        digests = [model_digest(model) for model in models]
     with tempfile.TemporaryDirectory(prefix="sbmlcompose-sweep-") as out_dir:
         report = SweepCoordinator(
             models,
             options,
             out_dir=out_dir,
-            fingerprint=_fingerprint_digests(digests),
+            fingerprint="private sweep",
             partition=partition_pairs(
                 sizes,
                 workers,
@@ -734,14 +749,16 @@ def _sweep(
     sizes = [model.network_size() for model in models]
     started = time.perf_counter()
     quarantined = 0
-    screen = _resolve_prescreen(prescreen, models, options, store)
+    screen, digests = _resolve_prescreen(prescreen, models, options, store)
     if workers > 1:
         outcomes, pruned, quarantined = _run_supervised(
-            models, sizes, pairs, options, workers, store_root, screen
+            models, sizes, pairs, options, workers, store_root, screen, digests
         )
     else:
         survivors = screen.survivors() if screen is not None else None
-        engine = _PairEngine(options, models, labels, store_root)
+        engine = _PairEngine(
+            options, models, labels, store_root, digests=digests
+        )
         outcomes = []
         pruned = 0
         for i, j in pairs:

@@ -44,17 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.artifact_store import (
-    ArtifactStore,
-    compute_artifacts,
-    model_digest,
-)
-from repro.core.compose import (
-    AccumState,
-    Composer,
-    ModelIndexSet,
-    _collect_initial_values,
-)
+from repro.core.compose import AccumState, Composer, _collect_initial_values
 from repro.core.options import ComposeOptions
 from repro.core.pattern_cache import PatternCache
 from repro.core.plan import MergePlan, PlanNode, make_plan
@@ -212,47 +202,16 @@ class ComposeSession:
     ----------
     options:
         Composition options; defaults to the paper's heavy semantics.
-    cache_patterns:
-        Keep a session-wide canonical-pattern cache.  Defaults to on
-        (sessions exist to reuse work); pass ``False`` to mirror the
-        one-shot default of ``ComposeOptions.memoize_patterns``.
-    artifact_store:
-        An :class:`~repro.core.artifact_store.ArtifactStore` (or a
-        directory path) giving the per-input artifact memo an on-disk
-        tier: artifacts are rehydrated by the input model's content
-        digest on a memo miss and spilled on first computation, so
-        they survive :meth:`spill`, new sessions and other processes
-        sweeping the same corpus.
+        The session always keeps a pattern cache, whatever
+        ``options.memoize_patterns`` says: sessions exist to reuse
+        work.
     """
 
-    def __init__(
-        self,
-        options: Optional[ComposeOptions] = None,
-        *,
-        cache_patterns: bool = True,
-        artifact_store: Optional[Union[ArtifactStore, str]] = None,
-    ):
+    def __init__(self, options: Optional[ComposeOptions] = None):
         self.options = options or ComposeOptions()
-        cache = None
-        if cache_patterns or self.options.memoize_patterns:
-            cache = PatternCache()
-        self._composer = Composer(self.options, pattern_cache=cache)
-        if artifact_store is not None and not isinstance(
-            artifact_store, ArtifactStore
-        ):
-            artifact_store = ArtifactStore(artifact_store)
-        self._store: Optional[ArtifactStore] = artifact_store
+        self._composer = Composer(self.options, pattern_cache=PatternCache())
         self._registries: Dict[int, UnitRegistry] = {}
         self._initials: Dict[int, Dict[str, float]] = {}
-        # Per-input phase-index rows rehydrated from the store (None
-        # when the entry predates store format 3 or was keyed under
-        # other options); only populated when a store is attached —
-        # in-memory sessions build each leaf target's indexes exactly
-        # once anyway, so rows would buy nothing there.
-        self._index_rows: Dict[int, Optional[ModelIndexSet]] = {}
-        # Content digests of pinned inputs, computed at most once per
-        # model (only when a store is attached).
-        self._digests: Dict[int, str] = {}
         # Keep cached models alive so the id()-keyed memos stay valid.
         self._pinned: Dict[int, Model] = {}
         # Guards the per-input memos for callers that share one
@@ -323,52 +282,12 @@ class ComposeSession:
             key = id(model)
             self._registries.pop(key, None)
             self._initials.pop(key, None)
-            self._index_rows.pop(key, None)
-            self._digests.pop(key, None)
             self._pinned.pop(key, None)
             return
         self._registries.clear()
         self._initials.clear()
-        self._index_rows.clear()
-        self._digests.clear()
         self._pinned.clear()
-        cache = self._composer._cache
-        self._composer = Composer(
-            self.options,
-            pattern_cache=PatternCache() if cache is not None else None,
-        )
-
-    def spill(self) -> int:
-        """Spill the per-input artifact memo to the attached store and
-        release the in-memory tier (including the pinned models).
-
-        Long-lived sessions over large corpora pin every input they
-        have seen; ``spill()`` bounds that memory while keeping the
-        work: the next compose of a spilled model rehydrates its
-        artifacts from disk by content digest instead of re-deriving
-        them.  Returns the number of inputs spilled.  Raises
-        :class:`ValueError` when the session has no artifact store.
-        """
-        if self._store is None:
-            raise ValueError(
-                "spill() needs a session artifact_store; construct the "
-                "session with ComposeSession(artifact_store=...)"
-            )
-        with self._artifacts_lock:
-            spilled = 0
-            for key, model in self._pinned.items():
-                digest = self._digests.get(key)
-                if digest is None:
-                    digest = model_digest(model)
-                if digest not in self._store:
-                    self._store.put(digest, compute_artifacts(model))
-                spilled += 1
-            self._registries.clear()
-            self._initials.clear()
-            self._index_rows.clear()
-            self._digests.clear()
-            self._pinned.clear()
-        return spilled
+        self._composer = Composer(self.options, pattern_cache=PatternCache())
 
     def _source_artifacts(
         self, model: Model
@@ -382,53 +301,10 @@ class ComposeSession:
             return registry, self._initials[key]
         with self._artifacts_lock:
             if key not in self._registries:
-                if self._store is not None:
-                    # On-disk tier: rehydrate by content digest, and
-                    # spill on a true miss so other shards/sessions
-                    # (and this session after a spill) reuse the work.
-                    digest = model_digest(model)
-                    artifacts = self._store.get_or_compute(model, digest)
-                    cache = self._composer._cache
-                    if cache is not None and artifacts.patterns:
-                        # The rehydrated pattern table seeds this
-                        # session's cache: patterns computed by any
-                        # other sweep/session over the same model are
-                        # never rebuilt here.
-                        cache.seed(artifacts.patterns)
-                    self._digests[key] = digest
-                    self._initials[key] = artifacts.initial
-                    index_set = artifacts.indexes
-                    if index_set is not None and not index_set.matches(
-                        self.options
-                    ):
-                        index_set = None
-                    self._index_rows[key] = index_set
-                    self._pinned[key] = model
-                    self._registries[key] = artifacts.registry
-                else:
-                    self._initials[key] = _collect_initial_values(model)
-                    self._pinned[key] = model
-                    self._registries[key] = model.unit_registry()
+                self._initials[key] = _collect_initial_values(model)
+                self._pinned[key] = model
+                self._registries[key] = model.unit_registry()
             return self._registries[key], self._initials[key]
-
-    def _leaf_index_rows(self, model: Model) -> Optional[ModelIndexSet]:
-        """Prebuilt phase-index rows for a *leaf* merge target.
-
-        Store-backed sessions rehydrate each input's index rows with
-        the rest of its artifacts; a step whose target is an unowned
-        leaf binds them to its private deep copy inside
-        ``compose_step``, skipping the target-side index build.  Owned
-        intermediates must never get rows: their ``source_owned``
-        moves mutate components in place, so no shared base could stay
-        valid — ``_merge_pair`` only calls this for unowned leaves.
-        """
-        if self._store is None:
-            return None
-        key = id(model)
-        if key not in self._registries:
-            # Rehydrates (and memoises) the full artifact entry.
-            self._source_artifacts(model)
-        return self._index_rows.get(key)
 
     # ------------------------------------------------------------------
     # Plan execution
@@ -507,14 +383,6 @@ class ComposeSession:
         registry = initial = None
         if not right_value.owned:  # leaf input: reusable cached artifacts
             registry, initial = self._source_artifacts(right)
-        # Prebuilt index rows only ever attach to unowned *leaf*
-        # targets (bound to the fresh copy compose_step makes).  An
-        # owned accumulator has been mutated by earlier steps —
-        # including source_owned component moves — so no shared,
-        # prebuilt base could describe it.
-        target_rows = (
-            self._leaf_index_rows(left) if not left_value.owned else None
-        )
         started = time.perf_counter()
         composed, report, state = self._composer.compose_step(
             left,
@@ -525,7 +393,6 @@ class ComposeSession:
             source_initial=initial,
             target_state=left_value.state if left_value.owned else None,
             source_state=right_value.state if right_value.owned else None,
-            target_indexes=target_rows,
         )
         seconds = time.perf_counter() - started
         step = ComposeStep(

@@ -65,6 +65,19 @@ __all__ = [
 
 Pair = Tuple[int, int]
 
+#: The per-shard tables of a journal and the types of the fields their
+#: readers use.  A ``completed`` entry must name its result file; any
+#: other field may be absent (its readers default it).
+_JOURNAL_TABLES = {
+    "completed": {"file": str, "pairs": int, "completed_at": (int, float)},
+    "leases": {
+        "worker": str,
+        "acquired_at": (int, float),
+        "expires_at": (int, float),
+    },
+    "retries": {"count": int, "steals": int},
+}
+
 
 def shard_result_filename(shard_id: int, shard_count: int) -> str:
     """The canonical result-CSV name for one shard of a sweep — the
@@ -305,7 +318,12 @@ class SweepCheckpoint:
 
     @staticmethod
     def _parse_journal(path: Path) -> Dict[str, object]:
+        """Read one journal copy.  A torn or shape-broken file raises
+        :class:`ValueError` (so :meth:`read_journal` falls back to the
+        backup); a format-less one raises :class:`SweepStateError`."""
         data = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("the journal is not a JSON object")
         if "format" not in data:
             # Readable, but from before journals carried a format (no
             # leases or retry counters): not a torn write the backup
@@ -318,13 +336,38 @@ class SweepCheckpoint:
         for key in ("fingerprint", "shard_count", "completed"):
             if key not in data:
                 raise ValueError(f"missing {key!r}")
-        if int(data["format"]) > SweepCheckpoint.FORMAT:
+        if not isinstance(data["format"], int):
+            raise ValueError("'format' is not an integer")
+        if data["format"] > SweepCheckpoint.FORMAT:
             raise ValueError(
                 f"journal format {data['format']} is newer than this "
                 f"version understands (max {SweepCheckpoint.FORMAT})"
             )
+        if not isinstance(data["fingerprint"], str):
+            raise ValueError("'fingerprint' is not a string")
+        shard_count = data["shard_count"]
+        if not isinstance(shard_count, int) or shard_count < 1:
+            raise ValueError("'shard_count' is not a positive integer")
         data.setdefault("leases", {})
         data.setdefault("retries", {})
+        for table, fields in _JOURNAL_TABLES.items():
+            if not isinstance(data[table], dict):
+                raise ValueError(f"{table!r} is not an object")
+            for shard_id, entry in data[table].items():
+                if not shard_id.isdecimal() or not isinstance(entry, dict):
+                    raise ValueError(
+                        f"{table!r} entry {shard_id!r} is not a shard id "
+                        f"mapped to an object"
+                    )
+                if table == "completed" and "file" not in entry:
+                    raise ValueError(f"completed shard {shard_id} names no file")
+                for field, types in fields.items():
+                    value = entry.get(field)
+                    if value is not None and not isinstance(value, types):
+                        raise ValueError(
+                            f"{table!r} entry {shard_id}: {field!r} has "
+                            f"the wrong type"
+                        )
         return data
 
     @staticmethod

@@ -499,20 +499,16 @@ class Prescreen:
         models: Sequence[Model],
         options: Optional[ComposeOptions] = None,
         *,
-        store=None,
         signatures: Optional[Sequence[Optional[ModelSignature]]] = None,
     ) -> "Prescreen":
         """Signatures for a whole corpus, reusing derived ones when possible.
 
         ``signatures`` holds signatures already derived for ``models``,
         position for position (a
-        :class:`~repro.core.artifact_store.CorpusManifest` build's, say).
-        Failing that, with ``store`` (an
-        :class:`~repro.core.artifact_store.ArtifactStore`), each
-        model's signature is rehydrated from its artifact entry
-        (computed and spilled on a miss).  Either is used only if it
-        matches the key options; a signature built under other options
-        is computed here.
+        :class:`~repro.core.artifact_store.CorpusManifest` build's, or
+        the artifact-store entries a store-backed sweep reads).  One is
+        used only if it matches the key options; a missing signature,
+        or one built under other options, is computed here.
         """
         options = options or ComposeOptions()
         if signatures is not None and len(signatures) != len(models):
@@ -524,10 +520,6 @@ class Prescreen:
             signature = None
             if signatures is not None:
                 signature = _usable(signatures[position], options)
-            if signature is None and store is not None:
-                signature = _usable(
-                    store.get_or_compute(model).signature, options
-                )
             if signature is None:
                 signature = ModelSignature.build(model, options)
             built.append(signature)

@@ -1,11 +1,11 @@
-"""The content-addressed artifact store + the session spill tier."""
+"""The content-addressed artifact store."""
 
 import hashlib
 import pickle
 
 import pytest
 
-from repro import ComposeSession, ModelBuilder, read_sbml, write_sbml
+from repro import ModelBuilder, read_sbml
 from repro.core.artifact_store import (
     ArtifactStore,
     CorpusManifest,
@@ -109,24 +109,27 @@ class TestArtifactStore:
         assert len(store) == 0
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Every model the artifact store's ``write_sbml`` serialises in
+    this process."""
+    from repro.core import artifact_store
+
+    counted = []
+    raw = artifact_store.write_sbml
+
+    def counting(model):
+        counted.append(model)
+        return raw(model)
+
+    monkeypatch.setattr(artifact_store, "write_sbml", counting)
+    return counted
+
+
 class TestSerialiseOnce:
     """Store-backed paths serialise a model through the module-level
     ``write_sbml`` (the name a tracer wraps) and never twice for one
     digest and blob."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        from repro.core import artifact_store
-
-        counted = []
-        raw = artifact_store.write_sbml
-
-        def counting(model):
-            counted.append(model)
-            return raw(model)
-
-        monkeypatch.setattr(artifact_store, "write_sbml", counting)
-        return counted
 
     def test_miss_without_digest_serialises_once(self, tmp_path, calls):
         store = ArtifactStore(tmp_path)
@@ -153,6 +156,41 @@ class TestSerialiseOnce:
         calls.clear()
         CorpusIndex().add_all(models, store=store)
         assert len(calls) == 6
+
+
+class TestSweepSerialisesOnlyForDigests:
+    """A sweep serialises a model in the parent process only where its
+    digest is used: once per model with a store (prescreen or not, one
+    worker or several, cold or warm), never without one."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        from repro.corpus import generate_corpus
+
+        return generate_corpus(count=6, seed=5)
+
+    @pytest.mark.parametrize("prescreen", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_store_backed_sweep_serialises_each_model_once(
+        self, corpus, tmp_path, calls, workers, prescreen
+    ):
+        from repro import match_all
+
+        expected = [o.key() for o in match_all(corpus).outcomes]
+        for temperature in ("cold", "warm"):
+            calls.clear()
+            matrix = match_all(
+                corpus, workers=workers, store=tmp_path, prescreen=prescreen
+            )
+            assert len(calls) == len(corpus), temperature
+            assert [o.key() for o in matrix.outcomes] == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_storeless_sweep_serialises_nothing(self, corpus, calls, workers):
+        from repro import match_all
+
+        match_all(corpus, workers=workers)
+        assert calls == []
 
 
 class TestStoreFormat:
@@ -295,53 +333,6 @@ class TestEvictPinning:
         # Cap 1 with 1 unpinned entry: nothing to evict.
         assert store.evict(max_entries=1, pinned=pinned) == 0
         assert len(store) == 3
-
-
-class TestSessionSpillTier:
-    def test_compose_identical_through_store(self, tmp_path):
-        models = [_model("a"), _model("b", species=("B", "C"))]
-        plain = ComposeSession().compose_all(models)
-        stored = ComposeSession(
-            artifact_store=ArtifactStore(tmp_path)
-        ).compose_all(models)
-        assert write_sbml(plain.model) == write_sbml(stored.model)
-        assert plain.report.mappings == stored.report.mappings
-
-    def test_spill_then_rehydrate(self, tmp_path):
-        models = [_model("a"), _model("b", species=("B", "C"))]
-        session = ComposeSession(artifact_store=str(tmp_path))
-        before = session.compose_all(models)
-        assert session.spill() > 0
-        # Memo released: pinned inputs are gone...
-        assert session._pinned == {}
-        # ...but composing again rehydrates from disk, same result.
-        after = session.compose_all(models)
-        assert write_sbml(before.model) == write_sbml(after.model)
-
-    def test_second_session_reuses_spilled_artifacts(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        models = [_model("a"), _model("b", species=("B", "C"))]
-        ComposeSession(artifact_store=store).compose_all(models)
-        entries = len(store)
-        assert entries > 0
-        fresh = ComposeSession(artifact_store=store)
-        result = fresh.compose_all([model.copy() for model in models])
-        assert len(store) == entries  # copies hit, nothing recomputed
-        assert sorted(result.model.global_ids()) == sorted(
-            ComposeSession().compose_all(models).model.global_ids()
-        )
-
-    def test_spill_without_store_raises(self):
-        with pytest.raises(ValueError):
-            ComposeSession().spill()
-
-    def test_invalidate_clears_digest_memo(self, tmp_path):
-        session = ComposeSession(artifact_store=str(tmp_path))
-        models = [_model("a"), _model("b", species=("B", "C"))]
-        session.compose_all(models)
-        session.invalidate()
-        assert session._digests == {}
-        assert session._pinned == {}
 
 
 class TestStoreStatsAndQuarantine:

@@ -8,9 +8,6 @@ The tentpole guarantees of :class:`~repro.core.compose.ModelIndexSet`:
   sweep's decide-only merges must copy and append to no model, and
   leave the shared bases *and the backing models* bit-identical
   (digest-compared) to their pre-merge state;
-* sessions attach rows only to unowned leaf targets; the
-  ``source_owned`` move path (owned accumulators, moved intermediates)
-  must never see a shared base;
 * stored rows keyed under other options are ignored, never misapplied.
 """
 
@@ -19,12 +16,8 @@ import pickle
 import pytest
 from reference_sweep import reference_outcomes
 
-from repro import ComposeSession, ModelBuilder, compose_all, match_all
-from repro.core.artifact_store import (
-    ArtifactStore,
-    compute_artifacts,
-    model_digest,
-)
+from repro import ModelBuilder, match_all
+from repro.core.artifact_store import model_digest
 from repro.core.compose import (
     BoundIndexSet,
     ModelIndexSet,
@@ -92,9 +85,9 @@ class TestModelIndexSet:
 
     def test_bind_never_pins_the_bound_model(self):
         """bind() returns a fresh view and keeps no reference to the
-        model — a memo here would pin a session step's composed
-        result alive for the artifact's lifetime.  Callers that want
-        reuse (the pair engine) hold the BoundIndexSet themselves."""
+        model — a memo here would pin the bound model alive for the
+        artifact's lifetime.  Callers that want reuse (the pair
+        engine) hold the BoundIndexSet themselves."""
         import weakref
 
         options = ComposeOptions()
@@ -221,84 +214,6 @@ class TestOverlayIsolation:
         assert [o.key() for o in warm.outcomes] == [
             o.key() for o in cold.outcomes
         ]
-
-
-class TestSessionIndexRows:
-    def _spy(self, session):
-        """Record (source_owned, got_indexes) per compose_step call."""
-        calls = []
-        original = session._composer.compose_step
-
-        def wrapper(first, second, **kwargs):
-            calls.append(
-                (
-                    kwargs.get("source_owned", False),
-                    kwargs.get("target_indexes") is not None,
-                )
-            )
-            return original(first, second, **kwargs)
-
-        session._composer.compose_step = wrapper
-        return calls
-
-    def test_store_backed_session_attaches_rows_to_leaf_targets(
-        self, tmp_path
-    ):
-        store = ArtifactStore(tmp_path / "artifacts")
-        models = [_model("a"), _model("b", k=0.25)]
-        session = ComposeSession(artifact_store=store)
-        calls = self._spy(session)
-        session.compose(models[0], models[1])
-        assert calls == [(False, True)]
-        assert session._leaf_index_rows(models[0]) is not None
-
-    def test_source_owned_steps_never_get_shared_bases(self, tmp_path):
-        """The session move path: every step after the first folds
-        into an owned, mutated accumulator — no prebuilt base can
-        describe it, so no step with an owned target (and no merge of
-        moved intermediates) may receive index rows."""
-        store = ArtifactStore(tmp_path / "artifacts")
-        models = [_model(f"m{i}", k=0.1 * (i + 1)) for i in range(4)]
-        for plan in ("fold", "tree"):
-            session = ComposeSession(artifact_store=store)
-            calls = self._spy(session)
-            result = session.compose_all(models, plan=plan)
-            # Exactly the steps whose target is an unowned leaf carry
-            # rows; fold has one (the first), the 4-model balanced
-            # tree has two (both leaf-leaf siblings).
-            expected_with_rows = {"fold": 1, "tree": 2}[plan]
-            assert sum(1 for _, has in calls if has) == expected_with_rows
-            # A source_owned step is a moved intermediate: never rows.
-            assert all(not has for owned, has in calls if owned)
-            # And the result matches a plain in-memory session.
-            reference = ComposeSession().compose_all(models, plan=plan)
-            assert sorted(result.model.global_ids()) == sorted(
-                reference.model.global_ids()
-            )
-            assert result.report.mappings == reference.report.mappings
-
-    def test_session_results_identical_with_and_without_rows(
-        self, tmp_path
-    ):
-        from repro import write_sbml
-
-        store = ArtifactStore(tmp_path / "artifacts")
-        models = [_model(f"m{i}", k=0.2 * (i + 1)) for i in range(3)]
-        with_store = ComposeSession(artifact_store=store).compose_all(models)
-        plain = ComposeSession().compose_all(models)
-        assert write_sbml(with_store.model) == write_sbml(plain.model)
-
-    def test_mismatched_options_rows_are_ignored(self, tmp_path):
-        """Stored rows are keyed under heavy defaults; a light-
-        semantics session must not bind them."""
-        store = ArtifactStore(tmp_path / "artifacts")
-        models = [_model("a"), _model("b", k=0.25)]
-        # Populate the store with heavy-keyed entries.
-        for model in models:
-            store.put(model_digest(model), compute_artifacts(model))
-        session = ComposeSession(ComposeOptions.light(), artifact_store=store)
-        session.compose(models[0], models[1])
-        assert session._leaf_index_rows(models[0]) is None
 
 
 class TestEngineOptionMismatch:

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro import ComposeSession, ModelBuilder, match_all
+from repro import ModelBuilder, match_all
 from repro.core.artifact_store import (
     ArtifactStore,
     compute_artifacts,
@@ -146,13 +146,6 @@ class TestSweepSeeding:
         rehydrated = store.get(digest)
         assert rehydrated is not None
         assert rehydrated.patterns == model_pattern_table(model)
-
-    def test_session_seeds_cache_from_store(self, tmp_path):
-        store = ArtifactStore(tmp_path / "artifacts")
-        a, b = _model("a"), _model("b", k=0.25)
-        session = ComposeSession(artifact_store=store)
-        session.compose(a, b)
-        assert session._composer._cache.seeded > 0
 
     def test_seeding_changes_no_outcome(self, tmp_path):
         models = [_model("a"), _model("b", k=0.25), _model("c", k=0.1)]

@@ -285,6 +285,22 @@ class TestJournalFormat2:
         assert resumed.begin(resume=True) == {0: "s0.csv"}
         assert resumed.missing_shards() == [1, 2]
 
+    def test_shape_broken_main_recovers_from_backup(self, tmp_path, capsys):
+        """Valid JSON of the wrong shape is treated like a torn write:
+        the backup is read instead."""
+        checkpoint = self._checkpoint(tmp_path)
+        checkpoint.begin()
+        checkpoint.mark_complete(0, "s0.csv", 2)
+        checkpoint.mark_complete(1, "s1.csv", 3)
+        journal = json.loads(checkpoint.path.read_text())
+        journal["completed"]["1"] = 7
+        checkpoint.path.write_text(json.dumps(journal))
+        recovered = SweepCheckpoint.read_journal(tmp_path)
+        assert "recovered" in capsys.readouterr().err
+        assert set(recovered["completed"]) == {"0"}
+        resumed = self._checkpoint(tmp_path)
+        assert resumed.begin(resume=True) == {0: "s0.csv"}
+
     def test_both_copies_corrupt_raises_cleanly(self, tmp_path):
         (tmp_path / SweepCheckpoint.FILENAME).write_text("{torn")
         (tmp_path / SweepCheckpoint.BACKUP_FILENAME).write_text("{also torn")

@@ -189,9 +189,12 @@ class TestPrescreen:
         plain = Prescreen.build(corpus)
         for model in corpus:
             store.get_or_compute(model)
-        stored = Prescreen.build(corpus, store=store)
-        # Rehydrated signatures come from the store's format-4 entries
-        # and must carry the exact same vectors.
+        stored = Prescreen.build(
+            corpus,
+            signatures=[store.get_or_compute(model).signature for model in corpus],
+        )
+        # Rehydrated signatures come from the store's entries and must
+        # carry the exact same vectors.
         for mine, theirs in zip(plain.signatures, stored.signatures):
             assert np.array_equal(mine.key_hashes, theirs.key_hashes)
             assert np.array_equal(

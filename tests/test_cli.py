@@ -295,6 +295,71 @@ def test_sweep_status_missing_journal(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+#: Shape breaks of a finished sweep's journal, by name.
+_JOURNAL_BREAKS = {
+    "not-an-object": lambda journal: 5,
+    "completed-entry-not-an-object": lambda journal: {
+        **journal, "completed": {"0": 7}
+    },
+    "completed-a-list": lambda journal: {**journal, "completed": []},
+    "shard-count-a-string": lambda journal: {**journal, "shard_count": "two"},
+}
+#: Shape-broken quarantine sidecars, by name.
+_BROKEN_SIDECARS = {
+    "a-list": [],
+    "pairs-a-number": {"pairs": 3},
+    "pair-not-an-object": {"pairs": [1]},
+    "pair-without-j": {"pairs": [{"i": 0}]},
+}
+
+
+@pytest.mark.parametrize(
+    "broken, how, command",
+    [
+        ("checkpoint.json", how, command)
+        for how in _JOURNAL_BREAKS
+        for command in ("sweep-status", "sweep-merge", "resume")
+    ]
+    + [
+        ("quarantine.json", how, command)
+        for how in _BROKEN_SIDECARS
+        for command in ("sweep-status", "resume-supervised")
+    ],
+)
+def test_malformed_sweep_state_is_a_named_error(
+    three_model_files, tmp_path, capsys, broken, how, command
+):
+    """A shape-broken journal (with no backup to fall back to) or
+    quarantine sidecar is an ``error:`` naming the file, exit 2 —
+    never a traceback."""
+    import json
+
+    paths = [str(path) for path in three_model_files]
+    out_dir = tmp_path / "sweepdir"
+    sweep = ["sweep", *paths, "--shards", "2", "--out-dir", str(out_dir)]
+    assert main(sweep) == 0
+    target = out_dir / broken
+    if broken == "checkpoint.json":
+        (out_dir / "checkpoint.json.bak").unlink()
+        payload = _JOURNAL_BREAKS[how](json.loads(target.read_text()))
+    else:
+        payload = _BROKEN_SIDECARS[how]
+    target.write_text(json.dumps(payload))
+    capsys.readouterr()
+    argv = {
+        "sweep-status": ["sweep-status", "--out-dir", str(out_dir)],
+        "sweep-merge": ["sweep-merge", "--out-dir", str(out_dir)],
+        "resume": sweep + ["--resume"],
+        "resume-supervised": sweep + ["--resume", "--workers", "2"],
+    }[command]
+    assert main(argv) == 2
+    errors = [
+        line for line in capsys.readouterr().err.splitlines()
+        if line.startswith("error:")
+    ]
+    assert errors and str(target) in errors[-1]
+
+
 def test_sweep_store_max_entries_pins_corpus(
     three_model_files, tmp_path, capsys
 ):
