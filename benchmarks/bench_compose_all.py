@@ -35,6 +35,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -145,14 +146,15 @@ def bench_compose_all_speedup(benchmark):
 # ---------------------------------------------------------------------------
 
 
-def _calibration_seconds(repeats: int = 5) -> float:
-    """Best-of wall time of a fixed pure-Python loop (dict probes,
-    string keys, a sort — the interpreter work a merge is made of).
+def _calibration_seconds(repeats: int = 5, statistic=min) -> float:
+    """``statistic`` (default: the best) of ``repeats`` wall times of a
+    fixed pure-Python loop (dict probes, string keys, a sort — the
+    interpreter work a merge is made of).
 
     Multiplying a throughput by it cancels the speed of the machine
     that measured it, so a baseline committed from one box gates runs
     on another."""
-    best = float("inf")
+    readings = []
     for _ in range(repeats):
         started = time.perf_counter()
         table: dict = {}
@@ -160,44 +162,57 @@ def _calibration_seconds(repeats: int = 5) -> float:
             key = f"id:{i % 1009}"
             table[key] = table.get(key, 0) + i
         sorted(table.items(), key=lambda item: item[1])
-        best = min(best, time.perf_counter() - started)
-    return best
+        readings.append(time.perf_counter() - started)
+    return statistic(readings)
 
 
 def _allpairs_numbers(
-    seed: int, stride: int, workers: int, rounds: int = 3
+    seed: int, stride: int, workers: int, rounds: int = 15
 ) -> dict:
     """The batched all-pairs sweep on the subsampled corpus.
 
     Single-worker by default: that is the tracked configuration (the
     regression gate compares it across PRs), because worker fan-out
     measures the machine where the engine's own speed is what the
-    repo optimises.  Best-of-``rounds``, matching the strategy rows.
-    The calibration loop
-    runs before and after the rounds (best of both), and the row
-    records ``pairs_per_calibration`` = pairs/s × ``calibration_s``:
-    pairs swept in one calibration loop's time, which is what the
-    regression gate compares.
+    repo optimises.  Every round sweeps the corpus once, and the
+    calibration loop runs between the rounds: a round's
+    ``calibration_s`` is the mean of the loop runs just before and
+    just after its sweep, the machine's speed around that sweep rather
+    than at its fastest.  Each round's ``pairs_per_calibration`` =
+    pairs/s × ``calibration_s`` (pairs swept in one calibration loop's
+    time) thus divides out the speed the machine had during that
+    round.  The row records the medians over the rounds; the
+    regression gate compares the median ``pairs_per_calibration``.
     """
     corpus = corpus_by_size(generate_corpus(seed=seed))[::stride]
-    calibration = _calibration_seconds()
-    matrix = match_all(corpus, workers=workers)
-    for _ in range(max(0, rounds - 1)):
-        candidate = match_all(corpus, workers=workers)
-        if candidate.seconds < matrix.seconds:
-            matrix = candidate
-    calibration = min(calibration, _calibration_seconds())
+    calibrations = [_calibration_seconds(statistic=statistics.mean)]
+    readings = []
+    for _ in range(max(1, rounds)):
+        matrix = match_all(corpus, workers=workers)
+        calibrations.append(_calibration_seconds(statistic=statistics.mean))
+        readings.append(
+            (matrix.seconds, statistics.mean(calibrations[-2:]))
+        )
+    seconds = statistics.median(run[0] for run in readings)
+    pairs = matrix.pair_count
     return {
         "engine": "match_all",
         "models": matrix.model_count,
-        "pairs": matrix.pair_count,
+        "pairs": pairs,
         "workers": matrix.workers,
-        "seconds": round(matrix.seconds, 6),
-        "pairs_per_second": round(matrix.pairs_per_second, 2),
-        "calibration_s": round(calibration, 6),
-        "pairs_per_calibration": round(
-            matrix.pairs_per_second * calibration, 3
+        "rounds": len(readings),
+        "seconds": round(seconds, 6),
+        "pairs_per_second": round(pairs / seconds, 2),
+        "calibration_s": round(
+            statistics.median(run[1] for run in readings), 6
         ),
+        "pairs_per_calibration": round(
+            statistics.median(pairs / run[0] * run[1] for run in readings),
+            3,
+        ),
+        "rounds_pairs_per_calibration": [
+            round(pairs / run[0] * run[1], 3) for run in readings
+        ],
     }
 
 
@@ -268,8 +283,9 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
-        "--stride", type=int, default=8,
-        help="corpus subsampling stride for the all-pairs section",
+        "--stride", type=int, default=4,
+        help="corpus subsampling stride for the all-pairs section "
+             "(default 4: 47 models, 1,128 pairs)",
     )
     parser.add_argument(
         "--workers", type=int, default=1,
@@ -278,12 +294,11 @@ def main(argv=None) -> int:
              "tracked/gated configuration)",
     )
     parser.add_argument(
-        "--allpairs-rounds", type=int, default=3,
-        help="best-of rounds for the all-pairs section (default 3: "
-             "the tracked/gated number needs noise immunity — a "
-             "single sweep right after the process-pool benchmarks "
-             "measures pool teardown, not the engine); independent "
-             "of --rounds, which drives the strategy rows",
+        "--allpairs-rounds", type=int, default=15,
+        help="rounds for the all-pairs section, each calibrated by "
+             "the loop runs beside it; the row and the gate take the "
+             "median (default 15); independent of --rounds, which "
+             "drives the strategy rows",
     )
     parser.add_argument(
         "--smoke", action="store_true",
@@ -292,10 +307,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--gate-allpairs", action="store_true",
-        help="fail (exit 1) when allpairs pairs/sec, normalised by an "
-             "in-process calibration loop, regresses more than 20%% "
-             "against the committed BENCH_compose.json baseline "
-             "(independent of --smoke)",
+        help="fail (exit 1) when the median over the all-pairs "
+             "rounds of pairs/sec, normalised by each round's "
+             "calibration loop, regresses more than 20%% against the "
+             "committed BENCH_compose.json baseline (independent of "
+             "--smoke)",
     )
     args = parser.parse_args(argv)
 
@@ -327,7 +343,9 @@ def main(argv=None) -> int:
         f"({allpairs['pairs_per_second']:.0f} pairs/s, "
         f"workers={allpairs['workers']}; calibration loop "
         f"{allpairs['calibration_s'] * 1000:.1f} ms, "
-        f"{allpairs['pairs_per_calibration']:.1f} pairs per loop)"
+        f"{allpairs['pairs_per_calibration']:.1f} pairs per loop; "
+        f"medians of {allpairs['rounds']} rounds, per round "
+        f"{allpairs['rounds_pairs_per_calibration']})"
     )
 
     path = write_bench_json(rows, allpairs, args.rounds, args.smoke)

@@ -81,7 +81,7 @@ def run(count: int, queries: int, top_k: int, seed: int = 42) -> dict:
     classify_seconds = []
     retrieval_seconds = []
     linear_seconds = []
-    prune_rates = []
+    pruned_shares = []
     blocked_counts = []
     for query in query_models:
         signature = ModelSignature.build(query)
@@ -91,7 +91,7 @@ def run(count: int, queries: int, top_k: int, seed: int = 42) -> dict:
         classify_seconds.append(classify)
         blocked = [hit for hit in hits if hit.blocked]
         blocked_counts.append(len(blocked))
-        prune_rates.append(1.0 - len(blocked) / len(library))
+        pruned_shares.append(1.0 - len(blocked) / len(library))
 
         selected = blocked[:top_k]
         chosen = [library[hit.position] for hit in selected]
@@ -126,7 +126,7 @@ def run(count: int, queries: int, top_k: int, seed: int = 42) -> dict:
         "blocked_candidates_mean": round(
             statistics.mean(blocked_counts), 2
         ),
-        "prune_rate_mean": round(statistics.mean(prune_rates), 4),
+        "pruned_share_mean": round(statistics.mean(pruned_shares), 4),
     }
 
 
@@ -205,7 +205,7 @@ def main(argv=None) -> int:
     print(f"  retrieve top-{args.top_k} (mean): {payload['query_retrieval_seconds_mean'] * 1000:6.1f} ms")
     print(f"  linear scan (mean): {payload['linear_scan_seconds_mean'] * 1000:9.1f} ms")
     print(f"  speedup vs linear:  {payload['retrieval_speedup_vs_linear']:9.2f}x")
-    print(f"  prune rate (mean):  {payload['prune_rate_mean']:9.2%}")
+    print(f"  prune rate (mean):  {payload['pruned_share_mean']:9.2%}")
 
     write_csv(
         "corpus_query.csv",

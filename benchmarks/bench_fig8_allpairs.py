@@ -141,9 +141,10 @@ _PR4_PAIRS_PER_SECOND = 462.38
 def bench_fig8_allpairs_throughput(benchmark, corpus_sample):
     """Single-worker sweep throughput on the 24-model sampled corpus.
 
-    This is the tracked configuration (``BENCH_compose.json``'s
-    ``allpairs`` section, gated in CI): one worker, whole sweep,
-    pairs per second.  Asserts the index-artifact acceptance bar —
+    The configuration ``BENCH_compose.json``'s ``allpairs`` row
+    tracks (on the 47-model corpus there, gated in CI): one worker,
+    whole sweep, pairs per second.  Asserts the index-artifact
+    acceptance bar —
     at least 1.3x the PR-4 baseline recorded above.
     """
     from repro.core.match_all import match_all

@@ -98,9 +98,9 @@ accumulated segments and tombstones (the LSM maintenance pass).  An
 index file that cannot be read is an ``error:`` (exit status 2)
 asking for a rebuild.  ``corpus query`` answers "find matches for
 this model" by walking the index's memory-mapped posting lists,
-running the full matcher only on the candidates the prescreen logic
-cannot synthesize (capped at ``--top-k``) — sublinear retrieval
-instead of a linear scan.  With
+running the full matcher, in this process, only on the candidates the
+prescreen logic cannot synthesize (capped at ``--top-k``) — sublinear
+retrieval instead of a linear scan.  With
 ``--top-k 0 --with-pruned --deterministic`` the result CSV is
 byte-identical to ``corpus query --linear`` over the same corpus
 files, which is exactly what the CI corpus smoke jobs diff.
@@ -119,7 +119,6 @@ from pathlib import Path
 from repro.core.artifact_store import (
     ArtifactStore,
     _fingerprint_digests,
-    corpus_fingerprint,
     model_digest,
 )
 from repro.core.compose import index_options_key
@@ -127,7 +126,9 @@ from repro.core.corpus_index import CorpusIndex
 from repro.core.match_all import (
     MatchMatrix,
     PairOutcome,
+    _PRIVATE_FINGERPRINT,
     _build_manifest,
+    _resolve_prescreen,
     match_all,
     match_all_sharded,
     match_query,
@@ -396,8 +397,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     corpus_query.add_argument(
         "--top-k", type=int, default=10, metavar="K",
-        help="run the full matcher on at most K index candidates "
-             "(0 = no cap; default 10)",
+        help="run the full matcher, in this process, on at most K "
+             "index candidates (0 = no cap; default 10)",
     )
     corpus_query.add_argument(
         "--with-pruned", action="store_true",
@@ -415,15 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     corpus_query.add_argument(
         "--semantics", choices=["heavy", "light", "none"], default="heavy",
-    )
-    corpus_query.add_argument(
-        "--store", type=Path, default=None, metavar="DIR",
-        help="artifact store for query/candidate artifacts",
-    )
-    corpus_query.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="match the candidates on N supervised worker processes "
-             "(default: 1, in this process)",
     )
 
     sweep_status = sub.add_parser(
@@ -583,9 +575,10 @@ def _cmd_sweep_supervised(args, models, options) -> int:
 def _run_coordinator(args, models, options, out_dir: Path) -> int:
     # A manifest and the store it populates only where something
     # outlives the call or crosses a host: --out-dir keeps the store,
-    # --listen serves remote workers from it.  Local workers hold the
-    # models themselves.  Either way each model is serialised once:
-    # its digest feeds the journal fingerprint (and the eviction pins).
+    # --listen serves remote workers from it; each model is serialised
+    # once, its digest feeding the journal fingerprint (and the
+    # eviction pins).  Otherwise local workers hold the models, and the
+    # private journal, never resumed, binds no digest.
     manifest = store_root = None
     if args.out_dir is not None or args.listen is not None:
         store_root = out_dir / "artifacts"
@@ -596,7 +589,7 @@ def _run_coordinator(args, models, options, out_dir: Path) -> int:
             manifest.digests, _sweep_extra(args)
         )
     else:
-        fingerprint = corpus_fingerprint(models, extra=_sweep_extra(args))
+        fingerprint = _PRIVATE_FINGERPRINT
     screen = (
         Prescreen.build(
             models,
@@ -689,12 +682,18 @@ def _run_coordinator(args, models, options, out_dir: Path) -> int:
 
 def _cmd_sweep_sharded(args, models, options) -> int:
     """Shards computed in this process, one after another, each
-    checkpointed — or just ``--shard-id I``, on ``--workers``."""
+    checkpointed — or just ``--shard-id I``, on ``--workers``.  One
+    pass over the corpus gives the digests the journal and the pins
+    bind and, with ``--prescreen``, one prescreen for every shard."""
     store = ArtifactStore(args.out_dir / "artifacts")
     store.check_writable()
+    if args.prescreen:
+        screen, digests = _resolve_prescreen(True, models, options, store)
+    else:
+        screen, digests = None, [model_digest(model) for model in models]
     checkpoint = SweepCheckpoint(
         args.out_dir,
-        fingerprint=corpus_fingerprint(models, extra=_sweep_extra(args)),
+        fingerprint=_fingerprint_digests(digests, _sweep_extra(args)),
         shard_count=args.shards,
     )
     # A single-shard run is by definition one piece of a multi-run
@@ -721,7 +720,7 @@ def _cmd_sweep_sharded(args, models, options) -> int:
             workers=args.workers,
             include_self=not args.no_self,
             store=store,
-            prescreen=args.prescreen or None,
+            prescreen=screen,
         )
         name = _shard_file(shard_id, args.shards)
         write_outcomes_csv(args.out_dir / name, matrix.outcomes)
@@ -729,11 +728,7 @@ def _cmd_sweep_sharded(args, models, options) -> int:
         print(f"wrote {args.out_dir / name}")
         print(matrix.summary(), file=sys.stderr)
     if args.store_max_entries is not None:
-        _evict_store(
-            store,
-            args.store_max_entries,
-            [model_digest(model) for model in models],
-        )
+        _evict_store(store, args.store_max_entries, digests)
     missing = checkpoint.missing_shards()
     if missing:
         print(
@@ -1023,19 +1018,6 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _query_signature(model, options, index, store):
-    """The query model's signature, rehydrated from the artifact
-    store when its entry was built under the index's key options."""
-    if store is not None:
-        candidate = store.get_or_compute(model).signature
-        if (
-            candidate is not None
-            and candidate.options_key == index.options_key
-        ):
-            return candidate
-    return ModelSignature.build(model, options)
-
-
 def _cmd_corpus_index(args) -> int:
     options = ComposeOptions(semantics=args.semantics)
     if args.store_max_entries is not None and args.store is None:
@@ -1119,21 +1101,11 @@ def _cmd_corpus_query(args) -> int:
     options = ComposeOptions(semantics=args.semantics)
     query_model = read_sbml_file(args.query).model
     query_label = args.query.stem
-    store = None
-    if args.store is not None:
-        store = ArtifactStore(args.store)
-        store.check_writable()
 
     if args.linear is not None:
         labels = [path.stem for path in args.linear]
         candidates = [read_sbml_file(path).model for path in args.linear]
-        matrix = match_query(
-            query_model,
-            candidates,
-            options,
-            workers=args.workers,
-            store=store,
-        )
+        matrix = match_query(query_model, candidates, options)
         rows = [
             replace(outcome, left=query_label, right=labels[outcome.j - 1])
             for outcome in matrix.outcomes
@@ -1156,7 +1128,7 @@ def _cmd_corpus_query(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        signature = _query_signature(query_model, options, index, store)
+        signature = ModelSignature.build(query_model, options)
         ranked = index.rank(index.query(signature))
         blocked = [hit for hit in ranked if hit.blocked]
         selected = blocked if args.top_k == 0 else blocked[: args.top_k]
@@ -1182,11 +1154,7 @@ def _cmd_corpus_query(args) -> int:
         rows = []
         if loaded:
             matrix = match_query(
-                query_model,
-                [candidate for _, candidate in loaded],
-                options,
-                workers=args.workers,
-                store=store,
+                query_model, [candidate for _, candidate in loaded], options
             )
             rows.extend(
                 replace(

@@ -41,7 +41,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.errors import ConflictError, MathError
 from repro.mathml.ast import Apply, Identifier, Lambda, MathNode, Number
 from repro.mathml.evaluator import Evaluator
-from repro.mathml.pattern import canonical_pattern
 from repro.core.conflicts import (
     compare_species_initial,
     compare_values,
@@ -107,10 +106,10 @@ class Composer:
     """Reusable composition engine bound to a set of options.
 
     A Composer instance keeps a pattern cache across :meth:`compose`
-    calls: model copies share their (immutable) math nodes with the
-    originals, so sweeps that compose the same models repeatedly — the
-    paper's Figure 8 experiment is 187 appearances per model — reuse
-    canonical patterns instead of rebuilding them.
+    calls — ``pattern_cache``, or one of its own: the cache is keyed
+    by structural digest, so sweeps that compose the same models
+    repeatedly — the paper's Figure 8 experiment is 187 appearances
+    per model — reuse canonical patterns instead of rebuilding them.
     """
 
     def __init__(
@@ -120,12 +119,9 @@ class Composer:
         pattern_cache: Optional[PatternCache] = None,
     ):
         self.options = options or ComposeOptions()
-        if pattern_cache is not None:
-            self._cache = pattern_cache
-        else:
-            self._cache = (
-                PatternCache() if self.options.memoize_patterns else None
-            )
+        self._cache = (
+            pattern_cache if pattern_cache is not None else PatternCache()
+        )
 
     # ------------------------------------------------------------------
     # Entry point
@@ -330,7 +326,7 @@ class _MergeState:
         target_registry: UnitRegistry,
         source_registry: UnitRegistry,
         initial_values: Tuple[Dict[str, float], Dict[str, float]],
-        pattern_cache: Optional[PatternCache] = None,
+        pattern_cache: PatternCache,
         source_owned: bool = False,
         decide_only: bool = False,
         indexes: Optional["BoundIndexSet"] = None,
@@ -519,11 +515,7 @@ class _MergeState:
         reduces to two cache reads.
         """
         if self.options.use_math_patterns:
-            if self._pattern_cache is not None:
-                return "math:" + self._pattern_cache.pattern(
-                    math, self._flat()
-                )
-            return "math:" + canonical_pattern(math, self._flat())
+            return "math:" + self._pattern_cache.pattern(math, self._flat())
         return "math:" + self.mapping.rewrite_math(math).digest()
 
     def math_equal(self, first: Optional[MathNode], second: Optional[MathNode]) -> bool:
@@ -1368,14 +1360,7 @@ def _law_comparison_math(
     )
     if not locals_items:
         return law.math
-    if state._pattern_cache is not None:
-        return state._pattern_cache.law_comparison_math(
-            law.math, locals_items
-        )
-    substitutions = {
-        name: Number(value) for name, value in locals_items
-    }
-    return law.math.substitute(substitutions)
+    return state._pattern_cache.law_comparison_math(law.math, locals_items)
 
 
 def _rows_reactions(
@@ -1736,7 +1721,7 @@ def index_options_key(options: ComposeOptions) -> Tuple:
 def _index_keyer(
     model: Model,
     options: ComposeOptions,
-    pattern_cache: Optional[PatternCache],
+    pattern_cache: PatternCache,
 ) -> _MergeState:
     """A degenerate merge state that key builders can run against:
     empty mapping, no registries — exactly the state a merge is in
@@ -1844,9 +1829,12 @@ class ModelIndexSet:
 
         ``pattern_cache`` lets the caller route the math-key work of
         the build through a shared (possibly pre-seeded) cache so
-        pattern computation stays once-per-expression.
+        pattern computation stays once-per-expression (the build makes
+        its own cache otherwise).
         """
         options = options or ComposeOptions()
+        if pattern_cache is None:
+            pattern_cache = PatternCache()
         keyer = _index_keyer(model, options, pattern_cache)
         rows = {
             name: list(builder(keyer, model))

@@ -45,7 +45,7 @@ can inject on demand:
   distinguished by exit code :data:`EXIT_QUARANTINED`.
 
 It is the one multi-worker sweep engine: ``match_all(...,
-workers=N)`` (and ``match_all_sharded``/``match_query``) runs it over
+workers=N)`` (and ``match_all_sharded``) runs it over
 a private temporary directory with one work unit per worker, and
 ``sbmlcompose sweep --workers N`` runs it over ``--out-dir`` (or a
 private directory without one).  Local workers are handed the corpus

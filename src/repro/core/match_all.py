@@ -95,6 +95,10 @@ __all__ = [
     "read_outcomes_csv",
 ]
 
+#: The journal fingerprint of a sweep in a private temporary directory:
+#: that journal is never resumed, so it binds no corpus digest.
+_PRIVATE_FINGERPRINT = "private sweep"
+
 
 @dataclass(frozen=True)
 class PairOutcome:
@@ -365,14 +369,11 @@ class _PairEngine:
         else:
             raise ValueError("models or a manifest are required")
         self._digests = list(digests) if digests is not None else None
-        # One composer — and one pattern cache — for the whole sweep.
-        # The cache is always on here (unlike one-shot merges, where
-        # ``options.memoize_patterns`` defaults off because small-law
-        # bookkeeping can cost more than it saves), so each expression's
-        # pattern is computed once per sweep: on its first probe, or
-        # never for an expression no pair compares.  Engines backed by
-        # a store (or a manifest) seed the cache from each model's
-        # stored pattern table instead.
+        # One composer — and one pattern cache — for the whole sweep,
+        # so each expression's pattern is computed once per sweep: on
+        # its first probe, or never for an expression no pair compares.
+        # Engines backed by a store (or a manifest) seed the cache from
+        # each model's stored pattern table instead.
         self.pattern_cache = PatternCache()
         self.composer = Composer(
             self.options, pattern_cache=self.pattern_cache
@@ -565,9 +566,6 @@ class _PairEngine:
             conflicts=len(report.conflicts),
         )
 
-    def run_pairs(self, pairs: Sequence[Tuple[int, int]]) -> List[PairOutcome]:
-        return [self.run_pair(i, j) for i, j in pairs]
-
 
 def _build_manifest(
     models: Sequence[Model],
@@ -684,7 +682,7 @@ def _run_supervised(
     if any, looking entries up by ``digests`` (computed here when the
     prescreen did not already).  Only the sweep journal lives in a
     private temporary directory, removed when the sweep ends, also when
-    it raises; it is never resumed, so it binds no corpus digest.
+    it raises (:data:`_PRIVATE_FINGERPRINT`).
     There is one work unit per worker, cut from ``pairs`` and balanced
     on the cost of the pairs the prescreen lets through.
     """
@@ -697,7 +695,7 @@ def _run_supervised(
             models,
             options,
             out_dir=out_dir,
-            fingerprint="private sweep",
+            fingerprint=_PRIVATE_FINGERPRINT,
             partition=partition_pairs(
                 sizes,
                 workers,
@@ -819,8 +817,9 @@ def match_all(
     (:class:`~repro.core.signature.Prescreen`): ``True`` builds one
     from the corpus (store-assisted when ``store`` is set), or pass a
     prebuilt instance covering exactly these models under the same
-    key options.  Pairs the prescreen proves trivial skip the phase
-    machinery and get synthesized outcomes; every returned row —
+    key options (``sweep --shards K --prescreen`` builds one and hands
+    it to every shard).  Pairs the prescreen proves trivial skip the
+    phase machinery and get synthesized outcomes; every returned row —
     synthesized or computed — is identical on its run-invariant
     fields (:meth:`PairOutcome.key`) to the unscreened sweep's, which
     the conformance matrix pins as its eighth path.
@@ -895,10 +894,6 @@ def match_query(
     target: Model,
     sources: Sequence[Model],
     options: Optional[ComposeOptions] = None,
-    *,
-    workers: int = 1,
-    store: Optional[Union[ArtifactStore, str, Path]] = None,
-    prescreen: Union[None, bool, Prescreen] = None,
 ) -> MatchMatrix:
     """Compose one query model (as target) against each source model.
 
@@ -906,19 +901,14 @@ def match_query(
     pairs are ``(0, j)`` for ``j = 1..len(sources)`` over the
     concatenated ``[target, *sources]`` list, so outcome rows carry
     the query at ``i=0`` and each candidate's position (in input
-    order) at ``j``.  ``prescreen`` covers the concatenated list (the
-    query model included) and synthesizes trivial candidates exactly
-    as in :func:`match_all`; everything else — workers, store tier —
-    behaves identically too, and each row's run-invariant fields match
-    what a full linear scan over the same candidate list would
-    produce.
+    order) at ``j``.  Every pair runs inline, in this process, with no
+    artifact store and no prescreen: a query matches the few
+    candidates its :class:`~repro.core.corpus_index.CorpusIndex` could
+    not screen, where a store lookup, a worker or a second screen each
+    costs more than the pair itself.  Each row's run-invariant fields
+    match what a full sweep over the same models would produce.
     """
     models = [target] + list(sources)
     return _sweep(
-        models,
-        [(0, j) for j in range(1, len(models))],
-        options,
-        workers,
-        store,
-        prescreen,
+        models, [(0, j) for j in range(1, len(models))], options, 1, None, None
     )

@@ -74,14 +74,6 @@ class ComposeOptions:
         Suffix used to de-collide ids from the second model.
     value_tolerance:
         Relative tolerance for numeric attribute comparisons.
-    memoize_patterns:
-        Cache canonical patterns per expression and mapping
-        restriction (paper §5 items 6-7: "algorithmic optimisation").
-        Measured finding (EXPERIMENTS.md): at BioModels scale the
-        bookkeeping costs more than it saves because kinetic-law
-        expressions are small, so the default is off; the option and
-        the :mod:`repro.core.pattern_cache` machinery exist for the
-        ablation and for workloads with genuinely large math.
     """
 
     semantics: str = SEMANTICS_HEAVY
@@ -93,7 +85,6 @@ class ComposeOptions:
     evaluate_initial_assignments: bool = True
     rename_suffix: str = "m2"
     value_tolerance: float = 1e-9
-    memoize_patterns: bool = False
 
     def __post_init__(self):
         if self.semantics not in (

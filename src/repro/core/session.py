@@ -46,7 +46,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.compose import AccumState, Composer, _collect_initial_values
 from repro.core.options import ComposeOptions
-from repro.core.pattern_cache import PatternCache
 from repro.core.plan import MergePlan, PlanNode, make_plan
 from repro.core.report import MergeReport
 from repro.sbml.model import Model
@@ -202,14 +201,11 @@ class ComposeSession:
     ----------
     options:
         Composition options; defaults to the paper's heavy semantics.
-        The session always keeps a pattern cache, whatever
-        ``options.memoize_patterns`` says: sessions exist to reuse
-        work.
     """
 
     def __init__(self, options: Optional[ComposeOptions] = None):
         self.options = options or ComposeOptions()
-        self._composer = Composer(self.options, pattern_cache=PatternCache())
+        self._composer = Composer(self.options)
         self._registries: Dict[int, UnitRegistry] = {}
         self._initials: Dict[int, Dict[str, float]] = {}
         # Keep cached models alive so the id()-keyed memos stay valid.
@@ -287,7 +283,7 @@ class ComposeSession:
         self._registries.clear()
         self._initials.clear()
         self._pinned.clear()
-        self._composer = Composer(self.options, pattern_cache=PatternCache())
+        self._composer = Composer(self.options)
 
     def _source_artifacts(
         self, model: Model

@@ -28,10 +28,11 @@ A :class:`ModelSignature` condenses one model into
   marking the one hash that stands for the whole component
   (:attr:`~ModelSignature.key_primary`).
 
-A :class:`Prescreen` holds one signature per corpus model and scores
-the entire pair matrix vectorially.  Its prune criterion is **sound**
-with respect to the full matcher: a pair ``(target, source)`` is
-pruned only when
+A :class:`Prescreen` holds one signature per corpus model and screens
+a sweep's entire pair matrix vectorially; corpus queries screen through
+a :class:`~repro.core.corpus_index.CorpusIndex` posting walk instead.
+Its prune criterion is **sound** with respect to the full matcher: a
+pair ``(target, source)`` is pruned only when
 
 1. neither model is empty (the Figure 5 line 1–2 short-circuit makes
    empty pairs trivially synthesizable, so those *are* pruned, with
@@ -405,14 +406,6 @@ class ModelSignature:
         """Whether this signature is valid under ``options``."""
         return self.options_key == index_options_key(options)
 
-    def overlap(self, other: "ModelSignature") -> int:
-        """Number of tagged match keys the two models share."""
-        return int(
-            np.intersect1d(
-                self.key_hashes, other.key_hashes, assume_unique=True
-            ).size
-        )
-
     def congruence(
         self, source: "ModelSignature"
     ) -> Tuple[int, bool, int]:
@@ -457,14 +450,14 @@ class Prescreen:
     """Vectorized structural prescreen over one corpus.
 
     Holds one :class:`ModelSignature` per model and computes, with
-    array operations only, the full pair matrices of shared-key counts
-    (:attr:`pair_scores`), congruence blocks (:attr:`pair_blocked`)
-    and synthesized union counts (:attr:`pair_united`), and from them
-    the boolean survivor matrix: ``survivors()[i, j]`` is ``True``
-    when the pair *must* run the full matcher, ``False`` when its
-    outcome is provably known and may be synthesized (see the module
-    docstring for the soundness argument).  Feed an instance — or just
-    ``prescreen=True`` — to :func:`~repro.core.match_all.match_all`.
+    array operations only, the full pair matrices of congruence blocks
+    (:attr:`pair_blocked`) and synthesized union counts
+    (:attr:`pair_united`), and from them the boolean survivor matrix:
+    ``survivors()[i, j]`` is ``True`` when the pair *must* run the
+    full matcher, ``False`` when its outcome is provably known and may
+    be synthesized (see the module docstring for the soundness
+    argument).  Feed an instance — or just ``prescreen=True`` — to
+    :func:`~repro.core.match_all.match_all` or ``match_all_sharded``.
     """
 
     def __init__(
@@ -488,7 +481,6 @@ class Prescreen:
             [signature.self_clean for signature in self.signatures],
             dtype=bool,
         )
-        self._scores: Optional[np.ndarray] = None
         self._blocked: Optional[np.ndarray] = None
         self._united: Optional[np.ndarray] = None
         self._survivors: Optional[np.ndarray] = None
@@ -529,25 +521,23 @@ class Prescreen:
         return len(self.signatures)
 
     def _pair_tables(self) -> None:
-        """Compute the three pair matrices in one grouped pass.
+        """Compute both pair matrices in one grouped pass.
 
         The corpus's concatenated key hashes are grouped with
         ``np.unique``; each hash shared by ``k`` models contributes to
-        every pair among those ``k`` — score always, plus either a
-        united increment (congruent twins) or a block (mismatched or
-        poisoned fingerprints) — accumulated per group with
-        ``np.ix_``, so the work is proportional to shared keys, not to
-        ``n²`` scans.  Under ``match_anything=False`` options every
-        overlap blocks (phases never probe, so twins rename instead of
-        uniting).
+        every pair among those ``k`` — a united increment (congruent
+        twins) or a block (mismatched or poisoned fingerprints) —
+        accumulated per group with ``np.ix_``, so the work is
+        proportional to shared keys, not to ``n²`` scans.  Under
+        ``match_anything=False`` options every overlap blocks (phases
+        never probe, so twins rename instead of uniting).
         """
-        if self._scores is not None:
+        if self._blocked is not None:
             return
         n = len(self.signatures)
         lengths = [
             signature.key_hashes.size for signature in self.signatures
         ]
-        scores = np.zeros((n, n), dtype=np.int64)
         blocked = np.zeros((n, n), dtype=bool)
         united = np.zeros((n, n), dtype=np.int64)
         allow_twins = self.options.match_anything
@@ -578,7 +568,6 @@ class Prescreen:
                 if group.size <= 1:
                     continue
                 ix = np.ix_(group, group)
-                scores[ix] += 1
                 if not allow_twins:
                     blocked[ix] = True
                     continue
@@ -592,8 +581,6 @@ class Prescreen:
             # Per-model hashes are distinct, so the group loop only
             # touched diagonal cells of *shared* hashes; each model's
             # self-pair shares every one of its own hashes.
-            diagonal = np.arange(n)
-            scores[diagonal, diagonal] = lengths
             for i, signature in enumerate(self.signatures):
                 if not allow_twins:
                     blocked[i, i] = lengths[i] > 0
@@ -605,16 +592,8 @@ class Prescreen:
                     united[i, i] = int(
                         np.count_nonzero(signature.key_primary)
                     )
-        self._scores = scores
         self._blocked = blocked
         self._united = united
-
-    @property
-    def pair_scores(self) -> np.ndarray:
-        """``n x n`` matrix of shared tagged-key counts (symmetric;
-        the diagonal holds each model's own distinct key count)."""
-        self._pair_tables()
-        return self._scores
 
     @property
     def pair_blocked(self) -> np.ndarray:
@@ -648,10 +627,6 @@ class Prescreen:
         self._survivors = nonempty_pair & needs_match
         return self._survivors
 
-    def should_prune(self, i: int, j: int) -> bool:
-        """Whether pair ``(target i, source j)`` is provably trivial."""
-        return not bool(self.survivors()[i, j])
-
     def synthesized_counts(self, i: int, j: int) -> Tuple[int, int, int, int]:
         """``(united, added, renamed, conflicts)`` for a pruned pair.
 
@@ -663,14 +638,3 @@ class Prescreen:
             return (0, 0, 0, 0)
         united = int(self.pair_united[i, j])
         return (united, int(self.component_counts[j]) - united, 0, 0)
-
-    def prune_rate(self, include_self: bool = True) -> float:
-        """Fraction of the upper-triangle pair matrix pruned."""
-        n = len(self.signatures)
-        survivors = self.survivors()
-        offset = 0 if include_self else 1
-        upper = np.triu(np.ones((n, n), dtype=bool), k=offset)
-        total = int(upper.sum())
-        if total == 0:
-            return 0.0
-        return 1.0 - int((survivors & upper).sum()) / total

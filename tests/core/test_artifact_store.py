@@ -1,6 +1,7 @@
 """The content-addressed artifact store."""
 
 import hashlib
+import json
 import pickle
 
 import pytest
@@ -191,6 +192,86 @@ class TestSweepSerialisesOnlyForDigests:
 
         match_all(corpus, workers=workers)
         assert calls == []
+
+
+class TestCliSweepDigestPass:
+    """The CLI's sweeps serialise a model in this process only for a
+    digest they use, and a sharded screened sweep screens once."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        from repro import write_sbml_file
+        from repro.corpus import generate_corpus
+
+        paths = []
+        for position, model in enumerate(generate_corpus(count=6, seed=5)):
+            path = tmp_path / f"m{position}.xml"
+            write_sbml_file(model, path)
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize("prescreen", [[], ["--prescreen"]])
+    def test_private_supervised_sweep_serialises_nothing(
+        self, files, tmp_path, calls, capsys, prescreen
+    ):
+        """``sweep --workers 2`` with no ``--out-dir`` or ``--listen``
+        journals into a private directory that is never resumed: its
+        fingerprint binds no corpus digest."""
+        from repro.cli import main
+
+        supervised = tmp_path / "supervised.csv"
+        assert main(
+            ["sweep", *files, "--workers", "2", *prescreen,
+             "--deterministic", "-o", str(supervised)]
+        ) == 0
+        assert calls == []
+        inline = tmp_path / "inline.csv"
+        assert main(
+            ["sweep", *files, "--deterministic", "-o", str(inline)]
+        ) == 0
+        assert supervised.read_bytes() == inline.read_bytes()
+
+    def test_sharded_prescreen_is_built_once_per_run(
+        self, files, tmp_path, monkeypatch, capsys
+    ):
+        """``sweep --shards K --out-dir D --prescreen`` builds one
+        prescreen and hands it to every shard; the journal fingerprint
+        from the same digest pass equals :func:`corpus_fingerprint`, so
+        a journal written before still resumes."""
+        from repro.cli import main
+        from repro.core.artifact_store import corpus_fingerprint
+        from repro.core.shards import SweepCheckpoint
+        from repro.core.signature import Prescreen
+        from repro.sbml.reader import read_sbml_file
+
+        builds = []
+        build = Prescreen.build.__func__
+
+        def counting(cls, *args, **kwargs):
+            builds.append(args)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Prescreen, "build", classmethod(counting))
+        out_dir = tmp_path / "sweep"
+        sharded = tmp_path / "sharded.csv"
+        assert main(
+            ["sweep", *files, "--shards", "4", "--out-dir", str(out_dir),
+             "--prescreen", "--deterministic", "-o", str(sharded)]
+        ) == 0
+        assert len(builds) == 1
+        journal = json.loads(
+            (out_dir / SweepCheckpoint.FILENAME).read_text(encoding="utf-8")
+        )
+        models = [read_sbml_file(path).model for path in files]
+        assert journal["fingerprint"] == corpus_fingerprint(
+            models,
+            extra=("semantics", "heavy", "include_self", True, "shards", 4),
+        )
+        full = tmp_path / "full.csv"
+        assert main(
+            ["sweep", *files, "--deterministic", "-o", str(full)]
+        ) == 0
+        assert sharded.read_bytes() == full.read_bytes()
 
 
 class TestStoreFormat:

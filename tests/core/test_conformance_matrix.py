@@ -305,9 +305,8 @@ def test_prescreen_never_prunes_a_matching_pair(seed):
     screen = Prescreen.build(models, ComposeOptions())
     full = match_all(models)
     by_pair = {(o.i, o.j): o for o in full.outcomes}
-    pruned_pairs = [
-        pair for pair in by_pair if screen.should_prune(*pair)
-    ]
+    survivors = screen.survivors()
+    pruned_pairs = [pair for pair in by_pair if not survivors[pair]]
     for i, j in pruned_pairs:
         outcome = by_pair[(i, j)]
         assert (outcome.renamed, outcome.conflicts) == (0, 0), (i, j)
@@ -485,7 +484,7 @@ def test_digest_shipped_supervised_sweep_conformance(corpora, tmp_path):
     assert manifest.fingerprint == corpus_fingerprint(models)
     engine = _PairEngine(None, store_root=str(store_root), manifest=manifest)
     assert engine.models is None  # every model comes out of the store
-    shipped = engine.run_pairs([(o.i, o.j) for o in inline.outcomes])
+    shipped = [engine.run_pair(o.i, o.j) for o in inline.outcomes]
     assert _csv(shipped) == reference
 
 

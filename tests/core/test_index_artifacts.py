@@ -237,7 +237,7 @@ class TestEngineOptionMismatch:
         bound indexes at all."""
         models = [_model("a"), _model("b", k=0.25)]
         engine = _PairEngine(None, models, stable_labels(models))
-        engine.run_pairs([(0, 1)])  # model 1 is source-only here
+        engine.run_pair(0, 1)  # model 1 is source-only here
         assert 0 in engine._indexes
         assert 1 not in engine._indexes
 

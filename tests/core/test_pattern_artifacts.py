@@ -115,7 +115,8 @@ class TestSweepSeeding:
             stable_labels(models),
             store_root=str(tmp_path / "artifacts"),
         )
-        engine.run_pairs([(0, 0), (0, 1), (1, 1)])
+        for i, j in [(0, 0), (0, 1), (1, 1)]:
+            engine.run_pair(i, j)
         assert engine.pattern_cache.seeded > 0
         # The sweep's empty-restriction probes land on seeded entries:
         # strictly more hits than a cold, unseeded cache would see.
@@ -126,7 +127,8 @@ class TestSweepSeeding:
         # is computed when a pair first probes it, then reused.
         models = [_model("a"), _model("b", k=0.25)]
         engine = _PairEngine(None, models, stable_labels(models))
-        engine.run_pairs([(0, 0), (0, 1), (1, 1)])
+        for i, j in [(0, 0), (0, 1), (1, 1)]:
+            engine.run_pair(i, j)
         cache = engine.pattern_cache
         assert cache.seeded == 0
         assert cache.misses > 0 and cache.hits > 0
@@ -213,7 +215,8 @@ class TestPerObjectCacheDiscipline:
             models,
             stable_labels(models),
         )
-        engine.run_pairs([(0, 1), (2, 3)])
+        engine.run_pair(0, 1)
+        engine.run_pair(2, 3)
         assert engine.pattern_cache.seeded == 0
 
 

@@ -10,7 +10,7 @@ import pickle
 
 import numpy as np
 import pytest
-from reference_query import query_survivors, query_tables
+from reference_query import query_scores, query_survivors, query_tables
 
 from repro import ComposeOptions, ModelBuilder
 from repro.core.artifact_store import ArtifactStore, CorpusManifest
@@ -125,10 +125,21 @@ class TestPrescreen:
         screen = Prescreen.build(corpus)
         n = len(corpus)
         assert len(screen) == n
-        assert screen.pair_scores.shape == (n, n)
+        for matrix in (
+            screen.pair_blocked,
+            screen.pair_united,
+            screen.survivors(),
+        ):
+            assert matrix.shape == (n, n)
+        assert np.array_equal(screen.pair_blocked, screen.pair_blocked.T)
+        # Shared-key counts, from the pairwise reference: each model
+        # shares every one of its own keys, and sharing is symmetric.
+        scores = np.array(
+            [query_scores(screen, signature) for signature in screen.signatures]
+        )
         for i, signature in enumerate(screen.signatures):
-            assert screen.pair_scores[i, i] == len(signature.key_hashes)
-        assert np.array_equal(screen.pair_scores, screen.pair_scores.T)
+            assert scores[i, i] == len(signature.key_hashes)
+        assert np.array_equal(scores, scores.T)
 
     def test_survivor_algebra(self, corpus):
         screen = Prescreen.build(corpus)
@@ -141,7 +152,7 @@ class TestPrescreen:
             & (screen.component_counts[None, :] != 0)
         )
         assert (survivors | ~blocked_nonempty).all()
-        rate = screen.prune_rate()
+        rate = 1.0 - survivors[np.triu_indices(len(corpus))].mean()
         assert 0.0 <= rate <= 1.0
         # The motivating case: BioModels-like corpora share the "cell"
         # compartment everywhere, yet congruence still prunes.
@@ -149,10 +160,11 @@ class TestPrescreen:
 
     def test_synthesized_counts_match_full_matcher(self, corpus):
         screen = Prescreen.build(corpus)
+        survivors = screen.survivors()
         full = {(o.i, o.j): o for o in match_all(corpus).outcomes}
         checked = 0
         for (i, j), outcome in full.items():
-            if not screen.should_prune(i, j):
+            if survivors[i, j]:
                 continue
             checked += 1
             assert screen.synthesized_counts(i, j) == (
@@ -165,8 +177,8 @@ class TestPrescreen:
 
     def test_empty_pair_short_circuits(self):
         screen = Prescreen.build([_model(), Model(id="empty")])
-        assert screen.should_prune(0, 1)
-        assert screen.should_prune(1, 0)
+        assert not screen.survivors()[0, 1]
+        assert not screen.survivors()[1, 0]
         assert screen.synthesized_counts(0, 1) == (0, 0, 0, 0)
 
     def test_none_semantics_blocks_every_overlap(self, corpus):
@@ -175,7 +187,9 @@ class TestPrescreen:
         # Twins rename instead of uniting under "none": no synthesized
         # union may ever be claimed, and any overlap must survive.
         assert not screen.pair_united.any()
-        overlap = screen.pair_scores > 0
+        overlap = np.array(
+            [query_scores(screen, signature) for signature in screen.signatures]
+        ) > 0
         np.fill_diagonal(overlap, False)
         assert (screen.pair_blocked | ~overlap).all()
 
@@ -205,8 +219,7 @@ class TestPrescreen:
     def test_query_tables_agree_with_pair_matrices(self, corpus):
         screen = Prescreen.build(corpus)
         for i, signature in enumerate(screen.signatures):
-            scores, blocked, united = query_tables(screen, signature)
-            assert np.array_equal(scores, screen.pair_scores[i])
+            _, blocked, united = query_tables(screen, signature)
             assert np.array_equal(blocked, screen.pair_blocked[i])
             # pair_united is only defined where the pair is not
             # blocked (congruence short-circuits to 0 on a block; the

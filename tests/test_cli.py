@@ -499,19 +499,38 @@ def test_corpus_query_byte_identical_to_linear_scan(
     assert indexed_csv.read_bytes() == linear_csv.read_bytes()
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_corpus_query_store_through_a_file_is_an_error(
-    corpus_files, tmp_path, capsys, workers
+def test_corpus_index_store_through_a_file_is_an_error(
+    corpus_files, tmp_path, capsys
 ):
     blocker = tmp_path / "afile"
     blocker.write_text("a file where the store should be")
     assert main(
-        ["corpus", "query", str(corpus_files[0]),
-         "--linear", *map(str, corpus_files[1:4]),
-         "--store", str(blocker), "--workers", workers]
+        ["corpus", "index", *map(str, corpus_files[:3]),
+         "--index", str(tmp_path / "corpus.idx"), "--store", str(blocker)]
     ) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(blocker) in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_corpus_query_store_through_a_file_is_an_error(
+    corpus_files, tmp_path, capsys, workers
+):
+    """A query matches its candidates in this process with no artifact
+    store: ``--store`` (here a file) and ``--workers`` are usage errors."""
+    blocker = tmp_path / "afile"
+    blocker.write_text("a file where the store should be")
+    with pytest.raises(SystemExit) as raised:
+        main(
+            ["corpus", "query", str(corpus_files[0]),
+             "--linear", *map(str, corpus_files[1:4]),
+             "--store", str(blocker), "--workers", workers]
+        )
+    assert raised.value.code == 2
+    assert (
+        f"unrecognized arguments: --store {blocker} --workers {workers}"
+        in capsys.readouterr().err
+    )
 
 
 def test_corpus_query_top_k_limits_full_matches(
