@@ -84,10 +84,9 @@ def bench_fig8_series(benchmark, corpus_sample):
     assert top[0] > mid[0]
 
 
-def bench_fig8_sharded_sweep(benchmark, corpus_sample, tmp_path):
-    """The Figure 8 sweep as a 4-shard run with a shared on-disk
-    artifact store — the deployment shape for corpora that don't fit
-    (or shouldn't monopolise) one machine.
+def bench_fig8_sharded_sweep(benchmark, corpus_sample):
+    """The Figure 8 sweep as a 4-shard run — the deployment shape for
+    corpora that don't fit (or shouldn't monopolise) one machine.
 
     Asserts the tentpole invariant while timing it: the union of the
     shard matrices equals the unsharded sweep on every run-invariant
@@ -97,15 +96,11 @@ def bench_fig8_sharded_sweep(benchmark, corpus_sample, tmp_path):
     from repro.core.shards import partition_pairs
 
     shard_count = 4
-    store = tmp_path / "artifacts"
 
     def sweep_sharded():
         return [
             match_all_sharded(
-                corpus_sample,
-                shards=shard_count,
-                shard_id=shard_id,
-                store=store,
+                corpus_sample, shards=shard_count, shard_id=shard_id
             )
             for shard_id in range(shard_count)
         ]
@@ -120,7 +115,7 @@ def bench_fig8_sharded_sweep(benchmark, corpus_sample, tmp_path):
     shards = partition_pairs(sizes, shard_count)
     mean_cost = sum(shard.cost for shard in shards) / shard_count
     emit("")
-    emit(f"Figure 8 sharded sweep — {shard_count} shards, shared store")
+    emit(f"Figure 8 sharded sweep — {shard_count} shards")
     for shard, part in zip(shards, parts):
         emit(
             f"  {shard.describe():>44}  "

@@ -2,15 +2,16 @@
 
 Local sweep workers are supervised processes that inherit the corpus
 their parent holds (forked; a spawned worker receives it pickled,
-once) and look up per-model artifacts in the shared
-:class:`~repro.core.artifact_store.ArtifactStore` by the parent's
-digests.  Only remote workers receive a ``(label, digest)`` manifest
-— a few dozen bytes per model — and rehydrate each model from the
-store.  This benchmark records:
+once) and derive its per-model artifacts in memory.  Only remote
+workers receive a ``(label, digest)`` manifest — a few dozen bytes
+per model — and rehydrate each model from an
+:class:`~repro.core.artifact_store.ArtifactStore`.  This benchmark
+records:
 
-* **pairs/s at 1/2/4/8 workers** over a store-backed sweep (the
-  worker-count ladder is CLI-overridable), plus the scaling
-  efficiency ``rate(N) / (N * rate(1))``;
+* **pairs/s at 1/2/4/8 workers** over the sweep users run, local
+  workers over the inherited corpus (the worker-count ladder is
+  CLI-overridable), plus the scaling efficiency
+  ``rate(N) / (N * rate(1))``;
 * **the remote boundary's payload** (the ``payload`` row): the pickled
   manifest a remote worker receives vs the pickled corpus — the
   remote worker's data volume grows with the corpus *length*, not its
@@ -154,32 +155,27 @@ def loopback_numbers(models, messages=500) -> dict:
     }
 
 
-def sweep_seconds(models, workers, store_root) -> float:
-    """One timed sweep against a pre-populated store: supervised
-    worker processes over the inherited corpus (``workers=1`` is the
-    serial in-process reference)."""
+def sweep_seconds(models, workers) -> float:
+    """One timed sweep: supervised worker processes over the inherited
+    corpus (``workers=1`` is the serial in-process reference)."""
     started = time.perf_counter()
-    matrix = match_all(models, workers=workers, store=store_root)
+    matrix = match_all(models, workers=workers)
     seconds = time.perf_counter() - started
     assert matrix.pair_count > 0
     return seconds
 
 
 def measure(models, worker_ladder, rounds) -> dict:
-    """Best-of-``rounds`` pairs/s per worker count, one shared
-    pre-populated store so every rung measures steady-state store
-    hits, not the one-time spill."""
+    """Best-of-``rounds`` pairs/s per worker count, plus the remote
+    boundary's payload numbers (untimed, over a scratch store)."""
     pairs = len(models) * (len(models) + 1) // 2
     scratch = Path(tempfile.mkdtemp(prefix="bench-scaling-"))
     results = {}
     try:
-        store_root = scratch / "artifacts"
-        # Populate the store (and the payload numbers) untimed.
-        payload = payload_numbers(models, store_root)
+        payload = payload_numbers(models, scratch / "artifacts")
         for workers in worker_ladder:
             best = min(
-                sweep_seconds(models, workers, store_root)
-                for _ in range(rounds)
+                sweep_seconds(models, workers) for _ in range(rounds)
             )
             results[workers] = {
                 "seconds": round(best, 6),

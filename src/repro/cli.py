@@ -6,7 +6,7 @@ Subcommands::
         [--plan fold|tree|greedy] [--log merge.log]
     sbmlcompose sweep a.xml b.xml c.xml [...] [--workers N] [-o pairs.csv] \
         [--shards K [--shard-id I] --out-dir DIR [--resume]] \
-        [--prescreen] [--deterministic] [--store-max-entries N] \
+        [--prescreen] [--deterministic] \
         [--worker-timeout S] [--max-retries N] [--poison-threshold K] \
         [--chaos FILE] [--listen HOST:PORT]
     sbmlcompose worker --connect HOST:PORT [--store DIR] [--chaos FILE]
@@ -44,12 +44,11 @@ With ``--shards K`` the pair matrix is partitioned deterministically
 (:func:`~repro.core.shards.partition_pairs`) and each shard's results
 land as a separate CSV under ``--out-dir``, journaled by a
 :class:`~repro.core.shards.SweepCheckpoint` so a killed sweep resumes
-(``--resume``) from the first incomplete shard; per-model artifacts
-are spilled to a content-addressed store under the same directory and
-shared by every shard.  Pass ``--shard-id I`` to compute exactly one
-shard (e.g. one shard per machine).  ``sweep-merge`` unions the shard
-files back into one report that is byte-identical to an unsharded
-``sweep --deterministic`` run of the same corpus.
+(``--resume``) from the first incomplete shard.  Pass ``--shard-id
+I`` to compute exactly one shard (e.g. one shard per machine).
+``sweep-merge`` unions the shard files back into one report that is
+byte-identical to an unsharded ``sweep --deterministic`` run of the
+same corpus.
 
 ``--workers 1`` (the default) computes every pair in this process.
 ``--workers N`` with N > 1, or ``--listen``, hands the sweep to the
@@ -61,19 +60,13 @@ quarantined to ``quarantine.json`` so the sweep completes without
 them (exit status 3 distinguishes that degraded completion).  With
 ``--out-dir`` the coordinator drives the ``--shards`` layout there;
 without, it works in a private temporary directory, one work unit per
-worker.  Local workers hold the models this process read and never
-parse or serialise one.  Only with ``--out-dir`` (whose artifact store
-outlives the run) or ``--listen`` (whose remote workers rehydrate from
-it) is the corpus spilled to the artifact store, once, behind a
-:class:`~repro.core.artifact_store.CorpusManifest` of ``(label,
-digest)`` pairs; local workers then look their entries up by those
-digests.  With ``--prescreen`` only the pairs the prescreen lets
-through reach a worker.  With ``--store-max-entries`` the active
-corpus's digests are pinned, so post-run eviction can never drop an
-entry a later run or a remote worker still needs.  ``sweep-status``
-reports leases, retry/steal counters and the quarantine alongside
-per-shard completion; ``store verify`` audits the artifact store,
-moving corrupt blobs into its ``corrupt/`` subdirectory.  ``--chaos
+worker.  Local workers hold the models this process read, never parse
+or serialise one and derive every per-model artifact in memory, as
+the inline sweep does.  With ``--prescreen`` only the pairs the
+prescreen lets through reach a worker.  ``sweep-status`` reports
+leases, retry/steal counters and the quarantine alongside per-shard
+completion; ``store verify`` audits an artifact store, moving corrupt
+blobs into its ``corrupt/`` subdirectory.  ``--chaos
 FILE`` arms the deterministic fault-injection harness
 (:mod:`repro.core.chaos`) — how CI's chaos smoke drives worker
 crashes, stalls and torn journal writes reproducibly.
@@ -82,10 +75,13 @@ crashes, stalls and torn journal writes reproducibly.
 — ``sbmlcompose worker --connect HOST:PORT`` run on any machine —
 over the framed socket transport (:mod:`repro.core.transport`).
 Remote workers speak the same announce-before-compute protocol as
-local ones and join the same lease/steal/quarantine machinery; a
-worker without the shared filesystem rehydrates store entries through
-the in-protocol digest-fetch request and caches them in its
-``--store`` directory (a private temporary store by default).
+local ones and join the same lease/steal/quarantine machinery.  They
+rehydrate the corpus from an artifact store in the coordinator's
+directory (``DIR/artifacts``), filled once, behind a
+:class:`~repro.core.artifact_store.CorpusManifest` of ``(label,
+digest)`` pairs; a worker without the shared filesystem fetches store
+entries through the in-protocol digest-fetch request and caches them
+in its ``--store`` directory (a private temporary store by default).
 ``--workers 0 --listen ...`` runs a listen-only coordinator that
 supervises remote workers exclusively.
 
@@ -119,6 +115,7 @@ from pathlib import Path
 from repro.core.artifact_store import (
     ArtifactStore,
     _fingerprint_digests,
+    corpus_fingerprint,
     model_digest,
 )
 from repro.core.compose import index_options_key
@@ -128,7 +125,6 @@ from repro.core.match_all import (
     PairOutcome,
     _PRIVATE_FINGERPRINT,
     _build_manifest,
-    _resolve_prescreen,
     match_all,
     match_all_sharded,
     match_query,
@@ -250,21 +246,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--out-dir", type=Path, default=None, metavar="DIR",
-        help="directory for shard CSVs, the checkpoint journal and "
-             "the shared per-model artifact store",
+        help="directory for shard CSVs and the checkpoint journal "
+             "(and, with --listen, the artifact store remote workers "
+             "rehydrate the corpus from)",
     )
     sweep.add_argument(
         "--resume", action="store_true",
         help="skip shards the checkpoint journal records as complete "
              "(refuses to resume onto a different corpus or layout)",
-    )
-    sweep.add_argument(
-        "--store-max-entries", type=int, default=None, metavar="N",
-        help="after the run, evict the least-recently-used artifact "
-             "store entries beyond N (the store grows one entry per "
-             "distinct model otherwise); this sweep's corpus entries "
-             "are pinned — later runs over the out-dir and remote "
-             "workers read them",
     )
     sweep.add_argument(
         "--prescreen", action="store_true",
@@ -546,21 +535,6 @@ def _print_outcomes(outcomes) -> None:
         )
 
 
-def _evict_store(store, max_entries, pinned) -> None:
-    """Post-run LRU eviction with this sweep's corpus entries pinned:
-    a concurrent or resumed run over the same out-dir looks up exactly
-    those entries, and its remote workers rehydrate models from
-    them."""
-    evicted = store.evict(max_entries=max_entries, pinned=pinned)
-    if evicted:
-        print(
-            f"evicted {evicted} artifact store entr"
-            f"{'y' if evicted == 1 else 'ies'} "
-            f"(LRU beyond {max_entries})",
-            file=sys.stderr,
-        )
-
-
 def _cmd_sweep_supervised(args, models, options) -> int:
     """``--workers N > 1`` or ``--listen``: hand the sweep to the
     fault-tolerant coordinator — over the ``--shards`` layout in
@@ -573,23 +547,20 @@ def _cmd_sweep_supervised(args, models, options) -> int:
 
 
 def _run_coordinator(args, models, options, out_dir: Path) -> int:
-    # A manifest and the store it populates only where something
-    # outlives the call or crosses a host: --out-dir keeps the store,
-    # --listen serves remote workers from it; each model is serialised
-    # once, its digest feeding the journal fingerprint (and the
-    # eviction pins).  Otherwise local workers hold the models, and the
-    # private journal, never resumed, binds no digest.
-    manifest = store_root = None
-    if args.out_dir is not None or args.listen is not None:
-        store_root = out_dir / "artifacts"
+    # Remote workers rehydrate the corpus from a manifest's store; its
+    # digests also give the journal fingerprint.  A private journal,
+    # never resumed, binds no digest.
+    manifest = None
+    fingerprint = _PRIVATE_FINGERPRINT
+    if args.listen is not None:
         manifest = _build_manifest(
-            models, stable_labels(models), str(store_root)
+            models, stable_labels(models), str(out_dir / "artifacts")
         )
         fingerprint = _fingerprint_digests(
             manifest.digests, _sweep_extra(args)
         )
-    else:
-        fingerprint = _PRIVATE_FINGERPRINT
+    elif args.out_dir is not None:
+        fingerprint = corpus_fingerprint(models, _sweep_extra(args))
     screen = (
         Prescreen.build(
             models,
@@ -616,7 +587,6 @@ def _run_coordinator(args, models, options, out_dir: Path) -> int:
         fingerprint=fingerprint,
         manifest=manifest,
         prescreen=screen,
-        store=store_root,
         config=CoordinatorConfig(
             # The config floor is 1 (it doubles as the report's worker
             # count); a listen-only coordinator passes local_workers=0
@@ -638,12 +608,6 @@ def _run_coordinator(args, models, options, out_dir: Path) -> int:
             file=sys.stderr,
         )
     report = coordinator.run()
-    if args.store_max_entries is not None:
-        _evict_store(
-            ArtifactStore(store_root),
-            args.store_max_entries,
-            manifest.digests,
-        )
     outcomes = _merged_sweep_outcomes(coordinator.checkpoint)
     if args.output is not None:
         write_outcomes_csv(
@@ -682,18 +646,11 @@ def _run_coordinator(args, models, options, out_dir: Path) -> int:
 
 def _cmd_sweep_sharded(args, models, options) -> int:
     """Shards computed in this process, one after another, each
-    checkpointed — or just ``--shard-id I``, on ``--workers``.  One
-    pass over the corpus gives the digests the journal and the pins
-    bind and, with ``--prescreen``, one prescreen for every shard."""
-    store = ArtifactStore(args.out_dir / "artifacts")
-    store.check_writable()
-    if args.prescreen:
-        screen, digests = _resolve_prescreen(True, models, options, store)
-    else:
-        screen, digests = None, [model_digest(model) for model in models]
+    checkpointed — or just ``--shard-id I``, on ``--workers``.  With
+    ``--prescreen``, one prescreen serves every shard."""
     checkpoint = SweepCheckpoint(
         args.out_dir,
-        fingerprint=_fingerprint_digests(digests, _sweep_extra(args)),
+        fingerprint=corpus_fingerprint(models, _sweep_extra(args)),
         shard_count=args.shards,
     )
     # A single-shard run is by definition one piece of a multi-run
@@ -702,6 +659,7 @@ def _cmd_sweep_sharded(args, models, options) -> int:
     completed = checkpoint.begin(
         resume=args.resume or args.shard_id is not None
     )
+    screen = Prescreen.build(models, options) if args.prescreen else None
     shard_ids = (
         [args.shard_id] if args.shard_id is not None else range(args.shards)
     )
@@ -719,7 +677,6 @@ def _cmd_sweep_sharded(args, models, options) -> int:
             shard_id=shard_id,
             workers=args.workers,
             include_self=not args.no_self,
-            store=store,
             prescreen=screen,
         )
         name = _shard_file(shard_id, args.shards)
@@ -727,8 +684,6 @@ def _cmd_sweep_sharded(args, models, options) -> int:
         checkpoint.mark_complete(shard_id, name, matrix.pair_count)
         print(f"wrote {args.out_dir / name}")
         print(matrix.summary(), file=sys.stderr)
-    if args.store_max_entries is not None:
-        _evict_store(store, args.store_max_entries, digests)
     missing = checkpoint.missing_shards()
     if missing:
         print(
@@ -770,11 +725,8 @@ def _sweep_usage_error(args):
             return "--shards needs --out-dir"
         if args.shard_id is not None:
             return "--shard-id needs --out-dir"
-        if args.store_max_entries is not None:
-            return (
-                "--store-max-entries needs --out-dir (only sharded "
-                "sweeps keep an on-disk artifact store)"
-            )
+        if args.resume:
+            return "--resume needs --out-dir"
     if args.shard_id is not None:
         if not 0 <= args.shard_id < args.shards:
             return f"--shard-id must be in [0, {args.shards})"

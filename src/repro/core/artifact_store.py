@@ -1,17 +1,16 @@
 """On-disk, content-addressed store for per-model artifacts.
 
-Sweeping a corpus shard-by-shard (or indexing it for queries) keeps
-re-needing the same derived per-model state: the used-id set, the
-unit registry and the evaluated initial-value environment.  In one process these live in a memo; across shard
-processes — or across a kill/resume cycle — the memo is gone, and
-re-deriving the artifacts repays exactly the per-pair preprocessing
-the batched engine exists to avoid.
+Local sweeps derive each model's artifacts in memory.  The store has
+two jobs: **remote sweep workers** rehydrate each model, with its
+artifacts, from it behind a :class:`CorpusManifest` (``sweep
+--listen``, ``worker --store``, digest-fetch), and the **corpus
+index** adopts stored signatures (``corpus index --store``).
 
-An :class:`ArtifactStore` spills those artifacts to disk, addressed by
+An :class:`ArtifactStore` spills per-model artifacts to disk, addressed by
 the **content digest** of the model that produced them
 (:func:`model_digest` — SHA-256 of the model's canonical SBML text).
-Content addressing makes the store safe to share between shard runs,
-resumed sweeps and unrelated corpora: a model rehydrates its own
+Content addressing makes the store safe to share between workers,
+index builds and unrelated corpora: a model rehydrates its own
 artifacts and nothing else, however it was loaded, and a model edited
 in place simply misses and recomputes.  Both writers —
 :meth:`ArtifactStore.get_or_compute` and :meth:`CorpusManifest.build`
@@ -27,7 +26,8 @@ that fails to deserialise is **quarantined** into a ``corrupt/``
 subdirectory on detection, so bit rot is diagnosed once instead of
 being re-read (and re-missed) on every future rehydration.
 :meth:`ArtifactStore.verify` — surfaced as ``sbmlcompose store verify``
-— scans the whole store and reports the same classification offline.
+— scans the whole store and reports the same classification offline;
+a root that is not a directory is an error, not an empty store.
 """
 
 from __future__ import annotations
@@ -493,7 +493,13 @@ class ArtifactStore:
         corrupt blobs are moved to ``corrupt/`` exactly as an online
         read would.  Entries that vanish mid-scan (concurrent evictor)
         are skipped.  The scan is read-only for healthy entries — no
-        mtimes are refreshed, so it never perturbs LRU eviction."""
+        mtimes are refreshed, so it never perturbs LRU eviction.  A root
+        that is not a directory raises :class:`~repro.errors.ReproError`
+        naming it: a mistyped path must not read as a clean store."""
+        if not self.root.is_dir():
+            raise ReproError(
+                f"no artifact store at {self.root}: not a directory"
+            )
         total = ok = 0
         corrupt: List[str] = []
         incompatible: List[str] = []

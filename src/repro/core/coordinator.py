@@ -50,10 +50,11 @@ a private temporary directory with one work unit per worker, and
 ``sbmlcompose sweep --workers N`` runs it over ``--out-dir`` (or a
 private directory without one).  Local workers are handed the corpus
 the coordinator holds — inherited, not copied, where processes fork —
-and never parse or serialise a model; they use an artifact store only
-when the sweep has one.  Only remote workers rehydrate the corpus
-from the store, through a :class:`~repro.core.artifact_store.CorpusManifest`
-of ``(label, digest)`` pairs.  With a prescreen only the pairs it
+and never parse or serialise a model; they derive every per-model
+artifact in memory.  Only remote workers rehydrate the corpus from an
+artifact store, through a
+:class:`~repro.core.artifact_store.CorpusManifest` of ``(label,
+digest)`` pairs.  With a prescreen only the pairs it
 lets through reach a worker: the rest get synthesized rows in their
 shard's results up front.
 
@@ -341,11 +342,9 @@ def _worker_main(
     conn,
     worker_name: str,
     options: Optional[ComposeOptions],
-    store_root: Optional[str],
     heartbeat_interval: float,
     models: Sequence[Model],
     labels: Sequence[str],
-    digests: Optional[Sequence[str]],
 ) -> None:
     """One supervised local worker: build the inline sweep's engine
     over the corpus it was started with, then loop — compute assigned
@@ -355,11 +354,10 @@ def _worker_main(
     message the coordinator already has.
 
     Under fork the models are the coordinator's own, inherited; under
-    spawn or forkserver they arrive pickled, once per worker.  With a
-    store, entries are looked up by the coordinator's ``digests``;
-    without one, artifacts are derived in memory as the inline sweep
-    derives them."""
-    engine = _PairEngine(options, models, labels, store_root, digests=digests)
+    spawn or forkserver they arrive pickled, once per worker.  Their
+    artifacts are derived in memory, as the inline sweep derives
+    them."""
+    engine = _PairEngine(options, models, labels)
     _worker_loop(conn, worker_name, engine, heartbeat_interval)
 
 
@@ -642,8 +640,8 @@ class SweepCoordinator:
     :meth:`run` executes (or resumes) the sweep and returns a
     :class:`SweepReport`.  All durable state lives in ``out_dir`` —
     the format-2 checkpoint journal (completions + leases + retry
-    counters), the per-shard result CSVs, the shared artifact store
-    when there is one (``store``, or ``out_dir/artifacts`` when
+    counters), the per-shard result CSVs, the artifact store remote
+    workers rehydrate from (``out_dir/artifacts``, only when
     listening), and the ``quarantine.json`` sidecar — so a crashed
     coordinator is restarted with ``resume=True`` over the same
     directory and picks up where the journal says it stopped.
@@ -651,16 +649,13 @@ class SweepCoordinator:
     The shards are ``partition_pairs(sizes, shards)`` unless
     ``partition`` hands over other work units (in-process sweeps cut
     one per worker from the pairs they run).  Local workers receive
-    ``models`` and build the inline engine over them, with the
-    artifact store at ``store`` when there is one (looked up by
-    ``digests``, or by the manifest's digests).  Remote workers
+    ``models`` and build the inline engine over them.  Remote workers
     receive the corpus :class:`~repro.core.artifact_store.CorpusManifest`
     — the one passed as ``manifest``, or one that :meth:`run` builds
-    into the store (``out_dir/artifacts`` unless ``store`` names
-    another) when the coordinator listens — and rehydrate every model
-    from the store.  With ``prescreen``, the pairs it prunes get
-    synthesized rows in their shard's results up front and never reach
-    a worker.
+    into ``out_dir/artifacts`` when the coordinator listens — and
+    rehydrate every model from that store.  With ``prescreen``, the
+    pairs it prunes get synthesized rows in their shard's results up
+    front and never reach a worker.
     """
 
     def __init__(
@@ -673,9 +668,7 @@ class SweepCoordinator:
         shards: Optional[int] = None,
         partition: Optional[Sequence[Shard]] = None,
         manifest: Optional[CorpusManifest] = None,
-        digests: Optional[Sequence[str]] = None,
         prescreen: Optional[Prescreen] = None,
-        store: Optional[Union[str, Path]] = None,
         config: Optional[CoordinatorConfig] = None,
         include_self: bool = True,
         resume: bool = False,
@@ -700,20 +693,15 @@ class SweepCoordinator:
         self.resume = resume
         self.progress = progress
         self.prescreen = prescreen
-        #: The artifact store workers use; a listening coordinator
-        #: needs one to serve remote workers from.
+        #: The artifact store remote workers rehydrate from; only a
+        #: listening coordinator has one.
         self.store_root: Optional[str] = (
-            str(store)
-            if store is not None
-            else str(self.out_dir / "artifacts")
-            if listen is not None
-            else None
+            str(self.out_dir / "artifacts") if listen is not None else None
         )
         #: What remote workers rehydrate the corpus from; built at the
         #: top of :meth:`run` when listening, unless the caller built
         #: it already.
         self.manifest: Optional[CorpusManifest] = manifest
-        self.digests = digests
         self.labels = stable_labels(self.models)
         self.checkpoint = SweepCheckpoint(
             self.out_dir,
@@ -900,13 +888,9 @@ class SweepCoordinator:
                 child_conn,
                 name,
                 self.options,
-                self.store_root,
                 self.config.effective_heartbeat,
                 self.models,
                 self.labels,
-                self.manifest.digests
-                if self.manifest is not None
-                else self.digests,
             ),
             name=f"sweep-{name}",
             daemon=True,

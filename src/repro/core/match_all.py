@@ -10,12 +10,12 @@ semanticSBML-era tooling re-parsed inputs per merge.  sirn-style
 structural identity search batches corpus-scale comparisons instead;
 :func:`match_all` is that idea for composition:
 
-* per-model artifacts are computed **once** and shared across all of
-  the model's pairs (handed to the engine as a carried
-  :class:`~repro.core.compose.AccumState`), optionally spilled to /
-  rehydrated from an on-disk
-  :class:`~repro.core.artifact_store.ArtifactStore` so they survive
-  across shard runs and resumed sweeps,
+* per-model artifacts are computed **once**, in memory, and shared
+  across all of the model's pairs (handed to the engine as a carried
+  :class:`~repro.core.compose.AccumState`); only a remote worker's
+  engine reads them from an
+  :class:`~repro.core.artifact_store.ArtifactStore`, together with the
+  models themselves,
 * one :class:`~repro.core.compose.Composer` and one digest-keyed
   :class:`~repro.core.pattern_cache.PatternCache` serve the whole
   sweep, so canonical patterns are computed per expression, not per
@@ -64,9 +64,7 @@ from repro.core.artifact_store import (
     ArtifactStore,
     CorpusManifest,
     ModelArtifacts,
-    _text_digest,
     compute_artifacts,
-    model_digest,
 )
 from repro.core.compose import (
     AccumState,
@@ -314,25 +312,18 @@ class _PairEngine:
     The artifact memo is filled under a lock, and the composer's
     pattern cache locks internally.
 
-    With ``store_root`` set, the in-memory memo gains an on-disk tier:
-    artifacts missing from the memo are rehydrated from the
-    content-addressed :class:`~repro.core.artifact_store.ArtifactStore`
-    and computed-then-spilled only on a true miss, so shard runs and
-    resumed sweeps share each model's preprocessing across processes.
-    ``digests`` — each model's
-    :func:`~repro.core.artifact_store.model_digest`, as the caller
-    already computed them — key those lookups without serialising the
-    models again.
-
-    Models come first: local workers hold the corpus they were started
-    with.  Only with ``models=None`` does the engine rehydrate its
-    corpus from ``manifest`` — the shape remote workers run in.  Each
-    model is then read from the store on first touch — the entry's
-    canonical SBML text is parsed once per worker, and the same entry
-    seeds the pattern table and phase-index rows, so a rehydrated
-    model composes exactly like an in-memory one.  A manifest digest
-    the store cannot resolve (evicted mid-sweep, or an entry without
-    the blob) raises :class:`~repro.errors.ReproError`.
+    An engine holds its models — the inline sweep's and every local
+    worker's — or, with ``models=None``, rehydrates them from
+    ``manifest``, the shape remote workers run in.  An engine that
+    holds its models derives each model's artifacts in memory, on first
+    use.  A manifest engine opens the
+    :class:`~repro.core.artifact_store.ArtifactStore` at ``store_root``
+    and reads each model on first touch: the entry's canonical SBML
+    text is parsed once per worker, and the same entry seeds the
+    pattern table and phase-index rows, so a rehydrated model composes
+    exactly like an in-memory one.  A manifest digest the store cannot
+    resolve (evicted mid-sweep, or an entry without the blob) raises
+    :class:`~repro.errors.ReproError`.
     """
 
     def __init__(
@@ -343,7 +334,6 @@ class _PairEngine:
         store_root: Optional[str] = None,
         manifest: Optional[CorpusManifest] = None,
         fetch=None,
-        digests: Optional[Sequence[str]] = None,
     ):
         self.options = options or ComposeOptions()
         self.manifest = manifest
@@ -353,6 +343,7 @@ class _PairEngine:
         #: local store misses.  Fetched bytes are cached into the
         #: local store, so each entry crosses the wire at most once.
         self._fetch = fetch
+        self.store: Optional[ArtifactStore] = None
         if models is not None:
             self.models = list(models)
             self.labels = list(labels)
@@ -363,22 +354,19 @@ class _PairEngine:
                     "models from"
                 )
             self.models = None
-            self.labels = (
-                list(labels) if labels is not None else list(manifest.labels)
-            )
+            self.labels = list(manifest.labels)
+            self.store = ArtifactStore(store_root)
         else:
             raise ValueError("models or a manifest are required")
-        self._digests = list(digests) if digests is not None else None
         # One composer — and one pattern cache — for the whole sweep,
         # so each expression's pattern is computed once per sweep: on
         # its first probe, or never for an expression no pair compares.
-        # Engines backed by a store (or a manifest) seed the cache from
-        # each model's stored pattern table instead.
+        # A manifest engine seeds the cache from each model's stored
+        # pattern table instead.
         self.pattern_cache = PatternCache()
         self.composer = Composer(
             self.options, pattern_cache=self.pattern_cache
         )
-        self.store = ArtifactStore(store_root) if store_root else None
         #: Per-model used ids, unit registry and initial values, handed
         #: to every decide-only merge as they are (merges never write
         #: them).
@@ -468,23 +456,16 @@ class _PairEngine:
             if hit is None:
                 # Manifest mode reads the manifest entry — the same
                 # store read that rehydrated (or will rehydrate) the
-                # model itself.  Store-backed artifacts stay complete,
-                # because other runs (with other semantics) rehydrate
-                # the same entry.  Without a store, neither a pattern
-                # table nor index rows are worth computing up front:
-                # patterns are computed on first probe, and a locally
-                # built index set routes its math keys through the
-                # sweep's own cache.
+                # model itself.  In memory, neither a pattern table nor
+                # index rows are worth computing up front: patterns are
+                # computed on first probe, and a locally built index
+                # set routes its math keys through the sweep's own
+                # cache.
                 if self.models is None:
                     artifacts = self._manifest_entry(index)
-                elif self.store is not None:
-                    artifacts = self.store.get_or_compute(
-                        self.models[index],
-                        self._digests[index] if self._digests else None,
-                    )
                 else:
                     artifacts = compute_artifacts(
-                        self._model(index),
+                        self.models[index],
                         with_patterns=False,
                         with_indexes=False,
                         with_sbml=False,
@@ -513,8 +494,9 @@ class _PairEngine:
                 model = self._model(index)
                 index_set = self._index_rows.get(index)
                 if index_set is None or not index_set.matches(self.options):
-                    # Stored rows absent (no store) or keyed under
-                    # other options: build locally, once per model.
+                    # Stored rows absent (in-memory engine) or keyed
+                    # under other options: build locally, once per
+                    # model.
                     index_set = ModelIndexSet.build(
                         model, self.options, self.pattern_cache
                     )
@@ -573,9 +555,8 @@ def _build_manifest(
     store_root: str,
 ) -> CorpusManifest:
     """Build (and store-populate) the corpus manifest that remote
-    workers rehydrate from and a kept store pins.  Raises
-    :class:`~repro.errors.ReproError` naming the store when it cannot
-    be written."""
+    workers rehydrate from.  Raises :class:`~repro.errors.ReproError`
+    naming the store when it cannot be written."""
     store = ArtifactStore(store_root)
     store.check_writable()
     try:
@@ -591,34 +572,19 @@ def _resolve_prescreen(
     prescreen: Union[None, bool, Prescreen],
     models: Sequence[Model],
     options: Optional[ComposeOptions],
-    store: Optional[ArtifactStore],
-) -> Tuple[Optional[Prescreen], Optional[List[str]]]:
-    """Normalize the ``prescreen=`` argument to ``(ready instance,
-    model digests)``.
+) -> Optional[Prescreen]:
+    """Normalize the ``prescreen=`` argument to a ready instance.
 
-    ``True`` builds one here.  With a store, each model's entry is read
-    once: it gives the model's signature, and the digest of its SBML
-    blob is returned so the sweep looks the entries up without
-    serialising the models again (``None`` otherwise).  A
-    caller-supplied :class:`~repro.core.signature.Prescreen` must cover
-    exactly this corpus and have been built under the same key-affecting
-    options as the sweep, or the synthesized outcomes could diverge
-    from what the full matcher would produce.
+    ``True`` builds one here.  A caller-supplied
+    :class:`~repro.core.signature.Prescreen` must cover exactly this
+    corpus and have been built under the same key-affecting options as
+    the sweep, or the synthesized outcomes could diverge from what the
+    full matcher would produce.
     """
     if prescreen is None or prescreen is False:
-        return None, None
+        return None
     if prescreen is True:
-        if store is None:
-            return Prescreen.build(models, options), None
-        entries = [store.get_or_compute(model) for model in models]
-        digests = [
-            _text_digest(entry.sbml)
-            if entry.sbml is not None
-            else model_digest(model)
-            for model, entry in zip(models, entries)
-        ]
-        signatures = [entry.signature for entry in entries]
-        return Prescreen.build(models, options, signatures=signatures), digests
+        return Prescreen.build(models, options)
     if not isinstance(prescreen, Prescreen):
         raise TypeError(
             f"prescreen must be None, a bool or a Prescreen, "
@@ -635,7 +601,7 @@ def _resolve_prescreen(
             "prescreen was built under different key options than "
             "this sweep's"
         )
-    return prescreen, None
+    return prescreen
 
 
 def _synthesized_outcome(
@@ -670,26 +636,20 @@ def _run_supervised(
     pairs: Sequence[Pair],
     options: Optional[ComposeOptions],
     workers: int,
-    store_root: Optional[str],
     screen: Optional[Prescreen],
-    digests: Optional[List[str]],
 ) -> Tuple[List[PairOutcome], int, int]:
     """``(outcomes, pruned, quarantined)`` of ``pairs`` run on
     ``workers`` supervised worker processes, in the order of ``pairs``
     (quarantined pairs absent).
 
-    The workers hold ``models`` themselves and use the caller's store,
-    if any, looking entries up by ``digests`` (computed here when the
-    prescreen did not already).  Only the sweep journal lives in a
-    private temporary directory, removed when the sweep ends, also when
-    it raises (:data:`_PRIVATE_FINGERPRINT`).
+    The workers hold ``models`` themselves.  Only the sweep journal
+    lives in a private temporary directory, removed when the sweep
+    ends, also when it raises (:data:`_PRIVATE_FINGERPRINT`).
     There is one work unit per worker, cut from ``pairs`` and balanced
     on the cost of the pairs the prescreen lets through.
     """
     from repro.core.coordinator import CoordinatorConfig, SweepCoordinator
 
-    if store_root is not None and digests is None:
-        digests = [model_digest(model) for model in models]
     with tempfile.TemporaryDirectory(prefix="sbmlcompose-sweep-") as out_dir:
         report = SweepCoordinator(
             models,
@@ -702,9 +662,7 @@ def _run_supervised(
                 pairs=pairs,
                 runs=screen.survivors() if screen is not None else None,
             ),
-            digests=digests,
             prescreen=screen,
-            store=store_root,
             config=CoordinatorConfig(workers=workers),
             progress=False,
         ).run()
@@ -725,7 +683,6 @@ def _sweep(
     pairs: Sequence[Pair],
     options: Optional[ComposeOptions],
     workers: int,
-    store: Optional[Union[ArtifactStore, str, Path]],
     prescreen: Union[None, bool, Prescreen],
 ) -> MatchMatrix:
     """The engine behind every sweep entry point: ``pairs`` of
@@ -737,26 +694,18 @@ def _sweep(
     workers = int(workers)
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    store_root = None
-    if store is not None:
-        if not isinstance(store, ArtifactStore):
-            store = ArtifactStore(store)
-        store.check_writable()
-        store_root = str(store.root)
     labels = stable_labels(models)
     sizes = [model.network_size() for model in models]
     started = time.perf_counter()
     quarantined = 0
-    screen, digests = _resolve_prescreen(prescreen, models, options, store)
+    screen = _resolve_prescreen(prescreen, models, options)
     if workers > 1:
         outcomes, pruned, quarantined = _run_supervised(
-            models, sizes, pairs, options, workers, store_root, screen, digests
+            models, sizes, pairs, options, workers, screen
         )
     else:
         survivors = screen.survivors() if screen is not None else None
-        engine = _PairEngine(
-            options, models, labels, store_root, digests=digests
-        )
+        engine = _PairEngine(options, models, labels)
         outcomes = []
         pruned = 0
         for i, j in pairs:
@@ -784,7 +733,6 @@ def match_all(
     workers: int = 1,
     backend: str = "process",
     include_self: bool = True,
-    store: Optional[Union[ArtifactStore, str, Path]] = None,
     prescreen: Union[None, bool, Prescreen] = None,
 ) -> MatchMatrix:
     """Compose every unordered pair of ``models``, batched.
@@ -794,35 +742,32 @@ def match_all(
     pairing order ("smallest with smallest, ... largest with
     largest").  ``include_self=False`` drops the ``i == j`` self-pairs.
     The inputs are never mutated and the composed models are not
-    retained; each pair yields a :class:`PairOutcome`.
+    retained; each pair yields a :class:`PairOutcome`.  Each model's
+    artifacts are derived once, in memory, and shared by its pairs.
 
     ``workers=1`` (the default) runs every pair inline.  ``workers >
     1`` runs the pairs the prescreen lets through on that many
     supervised worker processes
     (:class:`~repro.core.coordinator.SweepCoordinator`): each worker
     holds the corpus this call was given (inherited, not copied, where
-    processes fork) and builds the inline engine over it, so without a
-    store nothing is written to disk but the sweep's private journal;
-    a worker that dies has its work stolen and retried, and a pair that
-    keeps killing its worker is quarantined — its row is absent and
+    processes fork) and builds the inline engine over it, so nothing
+    is written to disk but the sweep's private journal; a worker that
+    dies has its work stolen and retried, and a pair that keeps
+    killing its worker is quarantined — its row is absent and
     :attr:`MatchMatrix.quarantined` counts it.
     ``backend`` names the worker kind and accepts only ``"process"``.
-    ``store`` (an :class:`~repro.core.artifact_store.ArtifactStore` or
-    a directory path) adds the on-disk artifact tier, shared by the
-    workers; a store that cannot be created or written raises
-    :class:`~repro.errors.ReproError` before any pair runs.  Outcomes
-    are returned in pair order regardless of scheduling.
+    Outcomes are returned in pair order regardless of scheduling.
 
     ``prescreen`` enables the vectorized structural prescreen
     (:class:`~repro.core.signature.Prescreen`): ``True`` builds one
-    from the corpus (store-assisted when ``store`` is set), or pass a
-    prebuilt instance covering exactly these models under the same
-    key options (``sweep --shards K --prescreen`` builds one and hands
-    it to every shard).  Pairs the prescreen proves trivial skip the
-    phase machinery and get synthesized outcomes; every returned row —
-    synthesized or computed — is identical on its run-invariant
-    fields (:meth:`PairOutcome.key`) to the unscreened sweep's, which
-    the conformance matrix pins as its eighth path.
+    from the corpus, or pass a prebuilt instance covering exactly these
+    models under the same key options (``sweep --shards K
+    --prescreen`` builds one and hands it to every shard).  Pairs the
+    prescreen proves trivial skip the phase machinery and get
+    synthesized outcomes; every returned row — synthesized or computed
+    — is identical on its run-invariant fields
+    (:meth:`PairOutcome.key`) to the unscreened sweep's, which the
+    conformance matrix pins as its eighth path.
     :attr:`MatchMatrix.pruned` counts the synthesized pairs.
     """
     if backend != "process":
@@ -836,7 +781,6 @@ def match_all(
         enumerate_pairs(len(models), include_self),
         options,
         workers,
-        store,
         prescreen,
     )
 
@@ -849,7 +793,6 @@ def match_all_sharded(
     shard_id: int,
     workers: int = 1,
     include_self: bool = True,
-    store: Optional[Union[ArtifactStore, str, Path]] = None,
     prescreen: Union[None, bool, Prescreen] = None,
 ) -> MatchMatrix:
     """Compute one shard of the all-pairs sweep.
@@ -863,11 +806,6 @@ def match_all_sharded(
     their matrices (:meth:`MatchMatrix.union`) is identical, pair for
     pair, to one unsharded :func:`match_all` over the same corpus.
 
-    ``store`` points the engine at an on-disk artifact store shared by
-    all shards: the first shard to touch a model spills its derived
-    artifacts (used-id set, unit registry, evaluated initial values,
-    pattern table and phase-index rows) and every later shard — or a
-    resumed sweep — rehydrates them instead of recomputing.
     ``workers`` and ``prescreen`` are honoured exactly as in
     :func:`match_all` — the prescreen's synthesis is deterministic and
     per-pair, so every shard prunes the same pairs the unsharded
@@ -884,7 +822,7 @@ def match_all_sharded(
     shard = partition_pairs(sizes, shards, include_self=include_self)[
         shard_id
     ]
-    matrix = _sweep(models, shard.pairs, options, workers, store, prescreen)
+    matrix = _sweep(models, shard.pairs, options, workers, prescreen)
     matrix.shard_id = shard_id
     matrix.shard_count = shards
     return matrix
@@ -910,5 +848,5 @@ def match_query(
     """
     models = [target] + list(sources)
     return _sweep(
-        models, [(0, j) for j in range(1, len(models))], options, 1, None, None
+        models, [(0, j) for j in range(1, len(models))], options, 1, None
     )

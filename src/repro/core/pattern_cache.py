@@ -18,9 +18,9 @@ Cache keys are the **structural digests** of the expressions
 (:meth:`~repro.mathml.ast.MathNode.digest`), not object ids: the
 digest is stable across processes and model copies, so entries can be
 *seeded* from per-model pattern tables computed once per model and
-spilled to the artifact store — the sweep-level reuse behind
-:func:`~repro.core.match_all.match_all` — and the cache no longer has
-to pin node objects alive to keep its keys valid.
+spilled to the artifact store — what a remote sweep worker seeds its
+cache from — and the cache no longer has to pin node objects alive to
+keep its keys valid.
 """
 
 from __future__ import annotations

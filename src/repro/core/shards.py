@@ -419,9 +419,16 @@ class SweepCheckpoint:
         completed shard id -> result file name is returned.  Leases
         and retry counters are adopted as-is on resume; *expired*
         leases are dropped (their holders are gone), unexpired ones
-        are kept for the coordinator to honour until they lapse.
+        are kept for the coordinator to honour until they lapse.  An
+        ``out_dir`` that cannot be written raises :class:`SweepStateError`.
         """
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            tempfile.TemporaryFile(dir=self.out_dir).close()
+        except OSError as exc:
+            raise SweepStateError(
+                f"cannot write the sweep directory {self.out_dir}: {exc}"
+            ) from exc
         existing: Optional[Dict[str, object]] = None
         if resume and (self.path.is_file() or self.backup_path.is_file()):
             existing = self.read_journal(self.out_dir)

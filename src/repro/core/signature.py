@@ -497,8 +497,8 @@ class Prescreen:
 
         ``signatures`` holds signatures already derived for ``models``,
         position for position (a
-        :class:`~repro.core.artifact_store.CorpusManifest` build's, or
-        the artifact-store entries a store-backed sweep reads).  One is
+        :class:`~repro.core.artifact_store.CorpusManifest` build's, as
+        a listening sweep has them).  One is
         used only if it matches the key options; a missing signature,
         or one built under other options, is computed here.
         """

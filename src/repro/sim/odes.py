@@ -16,6 +16,7 @@ simulator covers the SBML subset the corpus and examples use:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -247,8 +248,12 @@ class OdeSimulator:
         delays honoured via a pending queue).  ``record`` defaults to
         every species.
         """
-        if t_end <= 0:
-            raise SimulationError(f"t_end must be positive, got {t_end}")
+        if not (math.isfinite(t_end) and t_end > 0):
+            raise SimulationError(
+                f"t_end must be finite and positive, got {t_end}"
+            )
+        if steps < 1:
+            raise SimulationError(f"steps must be at least 1, got {steps}")
         base_env = self.initial_environment()
         y = np.array(
             [base_env[name] for name in self.state_ids], dtype=float

@@ -160,31 +160,14 @@ class TestSerialiseOnce:
 
 
 class TestSweepSerialisesOnlyForDigests:
-    """A sweep serialises a model in the parent process only where its
-    digest is used: once per model with a store (prescreen or not, one
-    worker or several, cold or warm), never without one."""
+    """An in-process sweep derives every artifact in memory and
+    serialises no model, with one worker or several."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
         from repro.corpus import generate_corpus
 
         return generate_corpus(count=6, seed=5)
-
-    @pytest.mark.parametrize("prescreen", [False, True])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_store_backed_sweep_serialises_each_model_once(
-        self, corpus, tmp_path, calls, workers, prescreen
-    ):
-        from repro import match_all
-
-        expected = [o.key() for o in match_all(corpus).outcomes]
-        for temperature in ("cold", "warm"):
-            calls.clear()
-            matrix = match_all(
-                corpus, workers=workers, store=tmp_path, prescreen=prescreen
-            )
-            assert len(calls) == len(corpus), temperature
-            assert [o.key() for o in matrix.outcomes] == expected
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_storeless_sweep_serialises_nothing(self, corpus, calls, workers):
@@ -231,13 +214,28 @@ class TestCliSweepDigestPass:
         ) == 0
         assert supervised.read_bytes() == inline.read_bytes()
 
+    @pytest.mark.parametrize("prescreen", [[], ["--prescreen"]])
+    def test_sharded_sweep_serialises_each_model_once(
+        self, files, tmp_path, calls, capsys, prescreen
+    ):
+        """``sweep --shards 4 --out-dir D`` serialises each model once,
+        for the journal fingerprint; the shards derive their artifacts
+        in memory."""
+        from repro.cli import main
+
+        assert main(
+            ["sweep", *files, "--shards", "4",
+             "--out-dir", str(tmp_path / "sweep"), *prescreen]
+        ) == 0
+        assert len(calls) == len(files)
+
     def test_sharded_prescreen_is_built_once_per_run(
         self, files, tmp_path, monkeypatch, capsys
     ):
         """``sweep --shards K --out-dir D --prescreen`` builds one
         prescreen and hands it to every shard; the journal fingerprint
-        from the same digest pass equals :func:`corpus_fingerprint`, so
-        a journal written before still resumes."""
+        is :func:`corpus_fingerprint`, so a journal written before
+        still resumes."""
         from repro.cli import main
         from repro.core.artifact_store import corpus_fingerprint
         from repro.core.shards import SweepCheckpoint
@@ -368,9 +366,9 @@ class TestCorpusManifest:
             CorpusManifest.build(self._corpus(), ["only-one"], store)
 
     def test_evict_pinned_on_manifest_keeps_corpus(self, tmp_path):
-        """``--store-max-entries`` eviction during an active sweep must
-        never drop a corpus entry a digest-shipped worker is about to
-        rehydrate: pinning on ``manifest.digests`` exempts them."""
+        """Eviction while remote workers sweep must never drop a corpus
+        entry one is about to rehydrate: pinning on
+        ``manifest.digests`` exempts them."""
         store = ArtifactStore(tmp_path)
         manifest = CorpusManifest.build(
             self._corpus(), ["a", "b", "c"], store

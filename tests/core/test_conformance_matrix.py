@@ -18,18 +18,14 @@ Equality strength per path:
   input order (fold/tree).  The greedy plan reorders inputs, so its
   component *order* may differ while ids/content match;
 * the sharded sweep — the union of any shard layout and worker count
-  equals the unsharded sweep on every run-invariant field, both when
-  the per-model artifacts (including the pattern tables that seed the
-  engine's PatternCache) are computed fresh and when they rehydrate
-  from a populated artifact store;
+  equals the unsharded sweep on every run-invariant field;
 * the **prebuilt-index sweep** (the seventh path) — the engine, which
   materialises each model's twelve phase indexes once
   (``ModelIndexSet``) and merges through copy-on-write overlays, is
   byte-identical on the deterministic CSV to a test-side reference
   (``reference_sweep.reference_outcomes``) that calls
   ``Composer.compose_step(..., decide_only=True)`` without
-  ``target_indexes`` for each pair, and stays identical when the index
-  rows rehydrate from a store.  A hypothesis property additionally
+  ``target_indexes`` for each pair.  A hypothesis property additionally
   pins ``OverlayIndex`` against a freshly built index — identical
   first-registration-wins hits for any interleaving of adds and
   probes, on real ``biomodels_like`` index rows, across all three
@@ -38,7 +34,7 @@ Equality strength per path:
   prescreen prunes pairs whose outcome the twin-congruence check can
   synthesize and the pair engine never runs them; the resulting
   matrix is byte-identical to the full sweep on the deterministic
-  CSV, in memory, through a store, and shared across shards — and,
+  CSV, in memory and shared across shards — and,
   on supervised workers, as ``match_all(workers=2, prescreen=True)``,
   as a ``sweep --prescreen --shards 2 --workers 2 --out-dir`` run and
   as a ``sweep --prescreen --listen`` run served by a loopback remote
@@ -47,15 +43,15 @@ Equality strength per path:
   renames and zero conflicts;
 * the **supervised and digest-shipped sweep** (the ninth path) —
   supervised local worker processes hold the corpus they were started
-  with and share the caller's artifact store, if any; their matrix is
+  with and derive its artifacts in memory; their matrix is
   byte-identical to the in-memory sweep on the deterministic CSV —
-  populating a store and reading it back, with no store at all,
-  through the coordinator directly, and (a hypothesis property) for
-  any shard layout and worker count.  The manifest engine that remote
-  workers run — a ``(label, digest)`` manifest instead of the corpus,
-  each model rehydrated from the store's canonical SBML blob on first
-  touch — is run in-process over every pair of a corpus and must
-  produce the same bytes;
+  through ``match_all``, through the coordinator directly, and (a
+  hypothesis property) for any shard layout and worker count.  The
+  manifest engine that remote workers run — a ``(label, digest)``
+  manifest instead of the corpus, each model rehydrated from the
+  store's canonical SBML blob on first touch, with its stored pattern
+  table and index rows — is run in-process over every pair of a
+  corpus and must produce the same bytes;
 * the **remote supervised sweep** (the tenth path) — workers joined
   over loopback TCP (``sbmlcompose worker``) receive the manifest and
   compute shards through the framed socket transport and the
@@ -170,9 +166,7 @@ def test_conformance(path, corpus_name, references):
 @pytest.mark.parametrize(
     "shards,workers", [(2, 1), (5, 1), (2, 3), (2, 2)]
 )
-def test_sharded_sweep_conformance(
-    corpus_name, shards, workers, corpora, tmp_path
-):
+def test_sharded_sweep_conformance(corpus_name, shards, workers, corpora):
     """The sweep path of the matrix: any shard layout and fanout
     unions back to the unsharded engine, field for field."""
     models = corpora[corpus_name]
@@ -183,29 +177,11 @@ def test_sharded_sweep_conformance(
             shards=shards,
             shard_id=shard_id,
             workers=workers,
-            store=tmp_path / "artifacts",
         )
         for shard_id in range(shards)
     ]
     merged = MatchMatrix.union(parts)
     assert [o.key() for o in merged.outcomes] == [
-        o.key() for o in reference.outcomes
-    ]
-    # Second pass over the now-populated store: every per-model
-    # artifact — including the canonical pattern tables that seed the
-    # pair engine's PatternCache — rehydrates from disk instead of
-    # being computed, and the outcomes must not move.
-    rehydrated = [
-        match_all_sharded(
-            models,
-            shards=shards,
-            shard_id=shard_id,
-            workers=workers,
-            store=tmp_path / "artifacts",
-        )
-        for shard_id in range(shards)
-    ]
-    assert [o.key() for o in MatchMatrix.union(rehydrated).outcomes] == [
         o.key() for o in reference.outcomes
     ]
 
@@ -226,20 +202,13 @@ def _csv(outcomes) -> str:
 
 
 @pytest.mark.parametrize("corpus_name", ["chain", "curated"])
-def test_prebuilt_index_sweep_conformance(corpus_name, corpora, tmp_path):
+def test_prebuilt_index_sweep_conformance(corpus_name, corpora):
     """Prebuilt per-model phase indexes (the engine) must be
-    byte-identical to the fresh-index reference — with indexes built
-    in memory and rehydrated from a store."""
+    byte-identical to the fresh-index reference."""
     models = corpora[corpus_name]
     fresh = _csv(reference_outcomes(models))
 
     assert _deterministic_csv(match_all(models)) == fresh
-
-    # Store-backed pass: rows are spilled on the first sweep and
-    # rehydrated (pickle round-trip included) on the second.
-    store_dir = tmp_path / "artifacts"
-    assert _deterministic_csv(match_all(models, store=store_dir)) == fresh
-    assert _deterministic_csv(match_all(models, store=store_dir)) == fresh
 
 
 # ---------------------------------------------------------------------------
@@ -248,30 +217,16 @@ def test_prebuilt_index_sweep_conformance(corpus_name, corpora, tmp_path):
 
 
 @pytest.mark.parametrize("corpus_name", ["chain", "curated"])
-def test_prescreen_sweep_conformance(corpus_name, corpora, tmp_path):
+def test_prescreen_sweep_conformance(corpus_name, corpora):
     """The prescreened sweep — trivial pairs pruned by the twin
     congruence check and their rows synthesized from signatures — must
-    be byte-identical to the full sweep: in memory, with signatures
-    rehydrated from a store, and as one shared ``Prescreen`` instance
-    driving every shard of a sharded sweep."""
+    be byte-identical to the full sweep: in memory, and as one shared
+    ``Prescreen`` instance driving every shard of a sharded sweep."""
     models = corpora[corpus_name]
     full = _deterministic_csv(match_all(models))
 
     screened = match_all(models, prescreen=True)
     assert _deterministic_csv(screened) == full
-
-    # Store-backed pass: signatures spill with the other artifacts on
-    # the first sweep and rehydrate (pickle round-trip included) on the
-    # second.
-    store_dir = tmp_path / "artifacts"
-    assert (
-        _deterministic_csv(match_all(models, prescreen=True, store=store_dir))
-        == full
-    )
-    assert (
-        _deterministic_csv(match_all(models, prescreen=True, store=store_dir))
-        == full
-    )
 
     # One Prescreen shared across every shard of a sharded sweep: the
     # pair matrix is scored once, each shard prunes its own slice, the
@@ -410,26 +365,13 @@ def test_prescreened_supervised_sweep_conformance(corpora, tmp_path):
 
 
 @pytest.mark.parametrize("corpus_name", ["chain", "curated"])
-def test_digest_shipped_sweep_conformance(corpus_name, corpora, tmp_path):
-    """Supervised workers — which hold the corpus and share the
-    caller's artifact store — must be byte-identical to the in-memory
-    sweep on the deterministic CSV: populating the store, reading it
-    back, with no store, and as a sharded union."""
+def test_digest_shipped_sweep_conformance(corpus_name, corpora):
+    """Supervised workers — which hold the corpus and derive its
+    artifacts in memory — must be byte-identical to the in-memory
+    sweep on the deterministic CSV, whole and as a sharded union."""
     models = corpora[corpus_name]
     reference = _deterministic_csv(match_all(models))
-    store_dir = tmp_path / "artifacts"
 
-    # Populating the store...
-    assert (
-        _deterministic_csv(match_all(models, workers=2, store=store_dir))
-        == reference
-    )
-    # ...and a second pass rehydrating every artifact from it.
-    assert (
-        _deterministic_csv(match_all(models, workers=2, store=store_dir))
-        == reference
-    )
-    # No store: workers derive every artifact in memory.
     assert _deterministic_csv(match_all(models, workers=2)) == reference
     # Sharded union.
     parts = [
@@ -438,7 +380,6 @@ def test_digest_shipped_sweep_conformance(corpus_name, corpora, tmp_path):
             shards=2,
             shard_id=shard_id,
             workers=2,
-            store=store_dir,
         )
         for shard_id in range(2)
     ]
@@ -618,7 +559,7 @@ def test_remote_supervised_sweep_conformance(corpora, tmp_path):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_digest_shipped_invariant_over_shards_and_workers(
-    seed, shards, workers, tmp_path_factory
+    seed, shards, workers
 ):
     """Shard layout and worker count must not leak into the
     supervised sweep: for any BioModels-like corpus, the union of
@@ -626,14 +567,12 @@ def test_digest_shipped_invariant_over_shards_and_workers(
     serial in-memory sweep."""
     models = generate_corpus(count=4, seed=seed)
     reference = _deterministic_csv(match_all(models))
-    store_dir = tmp_path_factory.mktemp("digest-shipped-store")
     parts = [
         match_all_sharded(
             models,
             shards=shards,
             shard_id=shard_id,
             workers=workers,
-            store=store_dir,
         )
         for shard_id in range(shards)
     ]

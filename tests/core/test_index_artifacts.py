@@ -219,15 +219,27 @@ class TestOverlayIsolation:
 class TestEngineOptionMismatch:
     def test_engine_rebuilds_rows_for_other_semantics(self, tmp_path):
         """A store populated under heavy defaults serves a light-
-        semantics sweep: the stored rows are ignored (fingerprint
-        mismatch), local rows are built, outcomes equal the fresh
-        light sweep."""
+        semantics manifest engine: the stored rows are ignored
+        (fingerprint mismatch), local rows are built, outcomes equal
+        the fresh light sweep."""
+        from repro.core.artifact_store import ArtifactStore, CorpusManifest
+        from repro.core.shards import enumerate_pairs
+
         models = [_model("a"), _model("b", k=0.25), _model("c", k=0.1)]
-        store = tmp_path / "artifacts"
-        match_all(models, store=store)  # heavy pass populates
+        store_root = tmp_path / "artifacts"
+        manifest = CorpusManifest.build(
+            models, stable_labels(models), ArtifactStore(store_root)
+        )
         light = ComposeOptions.light()
-        stored = match_all(models, light, store=store)
-        assert [o.key() for o in stored.outcomes] == [
+        engine = _PairEngine(
+            light, store_root=str(store_root), manifest=manifest
+        )
+        stored = [
+            engine.run_pair(i, j) for i, j in enumerate_pairs(len(models))
+        ]
+        rows = engine._index_rows[0]
+        assert rows is not None and not rows.matches(light)
+        assert [o.key() for o in stored] == [
             o.key() for o in reference_outcomes(models, light)
         ]
 

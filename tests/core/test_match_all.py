@@ -9,7 +9,6 @@ from repro import ModelBuilder, compose_all, match_all, match_all_sharded
 from repro.core import chaos
 from repro.core.match_all import MatchMatrix
 from repro.core.options import ComposeOptions
-from repro.errors import ReproError
 
 
 def _module_model(model_id, species, parameter, value=0.5):
@@ -129,17 +128,6 @@ class TestMatchAll:
         # Sweep workers are processes; there is no thread backend.
         with pytest.raises(ValueError):
             match_all(corpus, workers=2, backend="thread")
-
-    def test_store_tier_transparent(self, corpus, tmp_path):
-        from repro.core.artifact_store import ArtifactStore
-
-        plain = match_all(corpus)
-        stored = match_all(corpus, store=tmp_path / "artifacts")
-        assert [o.key() for o in plain.outcomes] == [
-            o.key() for o in stored.outcomes
-        ]
-        # Every model spilled exactly once, shared across its pairs.
-        assert len(ArtifactStore(tmp_path / "artifacts")) == len(corpus)
 
 
 class TestOverlayReads:
@@ -320,27 +308,9 @@ class TestOverlayReads:
 
 
 class TestDigestShipping:
-    """The format-5 store boundary: process workers share the caller's
-    store and leave blob-carrying entries in it, and the manifest
-    engine that remote workers run rehydrates each model from such an
-    entry on first touch."""
-
-    def test_workers_populate_and_rehydrate_from_the_store(
-        self, corpus, tmp_path
-    ):
-        from repro.core.artifact_store import ArtifactStore
-
-        reference = [o.key() for o in match_all(corpus).outcomes]
-        for _ in range(2):  # populate the store, then rehydrate from it
-            matrix = match_all(corpus, workers=2, store=tmp_path / "store")
-            assert [o.key() for o in matrix.outcomes] == reference
-        # One blob-carrying (worker-rehydratable) entry per model.
-        store = ArtifactStore(tmp_path / "store")
-        assert len(store) == len(corpus)
-        assert all(
-            store.get(digest).sbml is not None
-            for digest in (p.stem for p in store.root.glob("??/*.pkl"))
-        )
+    """The format-5 store boundary: the manifest engine that remote
+    workers run rehydrates each model from a blob-carrying store entry
+    on first touch."""
 
     def test_manifest_payload_does_not_grow_with_corpus(self, tmp_path):
         """The acceptance number: a remote worker's handshake payload
@@ -430,9 +400,8 @@ def _sweep_temp_dirs(root):
 
 class TestSupervisedWorkers:
     """``workers > 1`` runs on supervised worker processes: a worker
-    death is stolen and retried, a poison pair is quarantined, a store
-    that cannot be written is a named error, and the private journal
-    directory never outlives the call."""
+    death is stolen and retried, a poison pair is quarantined, and the
+    private journal directory never outlives the call."""
 
     @pytest.fixture(autouse=True)
     def private_tempdir(self, tmp_path, monkeypatch):
@@ -488,16 +457,17 @@ class TestSupervisedWorkers:
         assert [o.key() for o in matrix.outcomes] == expected
         assert _sweep_temp_dirs(private_tempdir) == []
 
-    def test_unwritable_store_raises_naming_it(
-        self, corpus, tmp_path, private_tempdir
+    def test_private_journal_is_removed_when_the_sweep_raises(
+        self, corpus, monkeypatch, private_tempdir
     ):
-        blocker = tmp_path / "not-a-directory"
-        blocker.write_text("a file where the store should be")
-        with pytest.raises(ReproError) as excinfo:
-            match_all(corpus, workers=2, store=blocker)
-        assert str(blocker) in str(excinfo.value)
-        # The private journal directory is gone although the call raised.
-        assert _sweep_temp_dirs(private_tempdir) == []
+        from repro.core.coordinator import SweepCoordinator
+
+        def fail(self):
+            raise RuntimeError("coordinator failed")
+
+        monkeypatch.setattr(SweepCoordinator, "run", fail)
+        with pytest.raises(RuntimeError, match="coordinator failed"):
+            match_all(corpus, workers=2)
         assert os.listdir(private_tempdir) == []
 
     def test_local_workers_neither_parse_nor_build_a_manifest(
@@ -524,21 +494,70 @@ class TestSupervisedWorkers:
         assert os.listdir(private_tempdir) == []
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("prescreen", [None, True])
-def test_unusable_store_is_one_named_error(
-    corpus, tmp_path, workers, prescreen
-):
-    """A store root that cannot be created fails before any pair runs,
-    with one error naming it, however the sweep runs."""
-    blocker = tmp_path / "afile"
-    blocker.write_text("a file where the store should be")
-    for store in (blocker, blocker / "artifacts"):
-        with pytest.raises(ReproError) as excinfo:
-            match_all(
-                corpus, workers=workers, store=store, prescreen=prescreen
+class TestLocalSweepsOpenNoStore:
+    """Local sweeps derive every per-model artifact in memory: no
+    inline engine, local worker or CLI sweep constructs an artifact
+    store, and ``sweep --out-dir D`` leaves no ``D/artifacts``.  Only
+    remote workers and the corpus index read a store."""
+
+    @pytest.fixture(autouse=True)
+    def no_store(self, monkeypatch):
+        from repro.core.artifact_store import ArtifactStore
+
+        def refuse(self, root):
+            raise AssertionError(
+                f"a local sweep opened an artifact store at {root}"
             )
-        assert str(store) in str(excinfo.value)
+
+        monkeypatch.setattr(ArtifactStore, "__init__", refuse)
+
+    @pytest.mark.parametrize("prescreen", [None, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_api_sweeps(self, corpus, workers, prescreen):
+        expected = [o.key() for o in match_all(corpus).outcomes]
+        matrix = match_all(corpus, workers=workers, prescreen=prescreen)
+        assert matrix.quarantined == 0
+        assert [o.key() for o in matrix.outcomes] == expected
+        parts = [
+            match_all_sharded(
+                corpus,
+                shards=2,
+                shard_id=shard_id,
+                workers=workers,
+                prescreen=prescreen,
+            )
+            for shard_id in range(2)
+        ]
+        assert [o.key() for o in MatchMatrix.union(parts).outcomes] == (
+            expected
+        )
+
+    @pytest.mark.parametrize("prescreen", [[], ["--prescreen"]])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_cli_out_dir_sweeps(
+        self, corpus, tmp_path, capsys, workers, prescreen
+    ):
+        from repro import write_sbml_file
+        from repro.cli import main
+
+        files = []
+        for model in corpus:
+            path = tmp_path / f"{model.id}.xml"
+            write_sbml_file(model, path)
+            files.append(str(path))
+        out_dir = tmp_path / "sweep"
+        sharded = tmp_path / "sharded.csv"
+        assert main(
+            ["sweep", *files, "--shards", "2", "--out-dir", str(out_dir),
+             "--workers", workers, *prescreen, "--deterministic",
+             "-o", str(sharded)]
+        ) == 0
+        assert not (out_dir / "artifacts").exists()
+        inline = tmp_path / "inline.csv"
+        assert main(
+            ["sweep", *files, "--deterministic", "-o", str(inline)]
+        ) == 0
+        assert sharded.read_bytes() == inline.read_bytes()
 
 
 class TestMatchAllSharded:

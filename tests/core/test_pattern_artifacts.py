@@ -14,6 +14,7 @@ import pytest
 from repro import ModelBuilder, match_all
 from repro.core.artifact_store import (
     ArtifactStore,
+    CorpusManifest,
     compute_artifacts,
     model_digest,
 )
@@ -101,20 +102,24 @@ class TestSeededPatternCache:
         assert mapped != cache.pattern(law, {})
 
 
+def _manifest_engine(models, store_root):
+    """The engine remote workers run: every model and its pattern
+    table come out of the store behind a manifest."""
+    manifest = CorpusManifest.build(
+        models, stable_labels(models), ArtifactStore(store_root)
+    )
+    return _PairEngine(None, store_root=str(store_root), manifest=manifest)
+
+
 class TestSweepSeeding:
     def test_pair_engine_seeds_from_artifacts(self, tmp_path):
-        # A store-backed engine seeds its cache from the stored
-        # pattern tables.
+        # A manifest engine seeds its cache from the stored pattern
+        # tables.
         models = [
             _model("a"),
             _model("b", k=0.25),
         ]
-        engine = _PairEngine(
-            None,
-            models,
-            stable_labels(models),
-            store_root=str(tmp_path / "artifacts"),
-        )
+        engine = _manifest_engine(models, tmp_path / "artifacts")
         for i, j in [(0, 0), (0, 1), (1, 1)]:
             engine.run_pair(i, j)
         assert engine.pattern_cache.seeded > 0
@@ -151,9 +156,11 @@ class TestSweepSeeding:
 
     def test_seeding_changes_no_outcome(self, tmp_path):
         models = [_model("a"), _model("b", k=0.25), _model("c", k=0.1)]
-        with_store = match_all(models, store=tmp_path / "artifacts")
+        engine = _manifest_engine(models, tmp_path / "artifacts")
         plain = match_all(models)
-        assert [o.key() for o in with_store.outcomes] == [
+        seeded = [engine.run_pair(o.i, o.j) for o in plain.outcomes]
+        assert engine.pattern_cache.seeded > 0
+        assert [o.key() for o in seeded] == [
             o.key() for o in plain.outcomes
         ]
 

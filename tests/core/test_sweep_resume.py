@@ -373,9 +373,8 @@ def test_sweep_rejects_incompatible_flags(model_files, tmp_path, capsys):
 def test_supervised_sweep_serialises_each_model_once(
     tmp_path, monkeypatch, capsys
 ):
-    """A supervised sharded sweep writes each model's SBML once: the
-    manifest build's digests also give the journal fingerprint and the
-    ``--store-max-entries`` pins."""
+    """A supervised sharded sweep writes each model's SBML once in
+    this process, for the journal fingerprint."""
     import importlib
 
     from repro.corpus import generate_corpus
@@ -397,6 +396,5 @@ def test_supervised_sweep_serialises_each_model_once(
     monkeypatch.setattr(store_module, "write_sbml", counting)
     out_dir = tmp_path / "sweep"
     assert main(["sweep", *files, "--shards", "2", "--workers", "2",
-                 "--out-dir", str(out_dir), "--prescreen",
-                 "--store-max-entries", "4"]) == 0
+                 "--out-dir", str(out_dir), "--prescreen"]) == 0
     assert sorted(written) == sorted(model.id for model in models)

@@ -210,6 +210,39 @@ def test_simulate_to_terminal(model_files, capsys):
     assert "final:" in out
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--steps", "0"), ("--steps", "-3"), ("--t-end", "nan"),
+     ("--t-end", "inf")],
+)
+def test_simulate_rejects_bad_arguments_by_name(
+    model_files, capsys, flag, value
+):
+    path_a, _ = model_files
+    assert main(["simulate", str(path_a), flag, value]) == 2
+    err = capsys.readouterr().err
+    name = flag[2:].replace("-", "_")
+    assert err.startswith(f"error: {name} must be")
+    assert f"got {value}" in err
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_store_verify_on_a_non_store_is_an_error(tmp_path, capsys, kind):
+    """A mistyped path must not read as a clean audit; an existing empty
+    directory is still a clean store with no entries."""
+    target = tmp_path / "nosuchdir"
+    if kind == "file":
+        target = tmp_path / "afile"
+        target.write_text("not an artifact store")
+    assert main(["store", "verify", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(target) in err
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["store", "verify", str(empty)]) == 0
+    assert capsys.readouterr().out == "0 entries, 0 ok\n"
+
+
 def test_split(tmp_path, monkeypatch, capsys):
     model = (
         ModelBuilder("two")
@@ -360,46 +393,33 @@ def test_malformed_sweep_state_is_a_named_error(
     assert errors and str(target) in errors[-1]
 
 
-def test_sweep_store_max_entries_pins_corpus(
+def test_sweep_store_max_entries_is_a_usage_error(
     three_model_files, tmp_path, capsys
 ):
-    """Post-run eviction never drops this sweep's corpus entries —
-    digest-shipped workers of a concurrent or resumed run over the
-    same out-dir rehydrate models from exactly those entries."""
-    from repro.core.artifact_store import ArtifactStore, model_digest
-    from repro import read_sbml_file
-
-    path_a, path_b, path_c = three_model_files
-    out_dir = tmp_path / "sweepdir"
-    # Plant a non-corpus entry: it is evictable, the corpus is not.
-    store = ArtifactStore(out_dir / "artifacts")
-    stray = "ab" + "0" * 62
-    from repro.core.artifact_store import ModelArtifacts
-    store.put(stray, ModelArtifacts(used_ids=set(), registry=None, initial={}))
-    assert main([
-        "sweep", str(path_a), str(path_b), str(path_c),
-        "--shards", "2", "--out-dir", str(out_dir),
-        "--store-max-entries", "0",
-    ]) == 0
-    err = capsys.readouterr().err
-    assert "evicted 1 artifact store entry" in err
-    assert stray not in store
-    digests = {
-        model_digest(read_sbml_file(path).model)
-        for path in (path_a, path_b, path_c)
-    }
-    for digest in digests:
-        assert digest in store
-    assert len(store) == 3
+    """Sweeps keep no artifact store to evict from: local sweeps derive
+    per-model artifacts in memory."""
+    with pytest.raises(SystemExit) as raised:
+        main(
+            ["sweep", *map(str, three_model_files), "--shards", "2",
+             "--out-dir", str(tmp_path / "sweep"),
+             "--store-max-entries", "4"]
+        )
+    assert raised.value.code == 2
+    assert (
+        "unrecognized arguments: --store-max-entries 4"
+        in capsys.readouterr().err
+    )
 
 
-def test_sweep_store_max_entries_needs_out_dir(three_model_files, capsys):
-    path_a, path_b, path_c = three_model_files
-    assert main([
-        "sweep", str(path_a), str(path_b), str(path_c),
-        "--store-max-entries", "1",
-    ]) == 2
-    assert "--out-dir" in capsys.readouterr().err
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_resume_needs_out_dir(three_model_files, capsys, workers):
+    """Without an out-dir there is no journal to resume from; the
+    sweep must not silently rerun from scratch."""
+    assert main(
+        ["sweep", *map(str, three_model_files), "--resume",
+         "--workers", workers]
+    ) == 2
+    assert "error: --resume needs --out-dir" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
