@@ -2,11 +2,11 @@
 
 Local sweep workers are supervised processes that inherit the corpus
 their parent holds (forked; a spawned worker receives it pickled,
-once) and derive its per-model artifacts in memory.  Only remote
-workers receive a ``(label, digest)`` manifest — a few dozen bytes
-per model — and rehydrate each model from an
-:class:`~repro.core.artifact_store.ArtifactStore`.  This benchmark
-records:
+once) and derive its per-model artifacts in memory.  Remote workers
+build the same engine over a ``(label, digest)``
+:class:`~repro.core.artifact_store.CorpusManifest` — a few dozen bytes
+per model — and fetch each model's canonical SBML text from the
+coordinator on first touch.  This benchmark records:
 
 * **pairs/s at 1/2/4/8 workers** over the sweep users run, local
   workers over the inherited corpus (the worker-count ladder is
@@ -14,8 +14,9 @@ records:
   ``rate(N) / (N * rate(1))``;
 * **the remote boundary's payload** (the ``payload`` row): the pickled
   manifest a remote worker receives vs the pickled corpus — the
-  remote worker's data volume grows with the corpus *length*, not its
-  content;
+  handshake grows with the corpus *length*, not its content — and the
+  digest-fetch replies a remote worker that touches every model pulls
+  afterwards (``fetched_bytes``);
 * **the remote boundary's messages** (the ``loopback`` row): bytes per
   framed ``pair-done`` message and the round-trip latency of the
   socket transport on loopback TCP vs a ``multiprocessing`` pipe —
@@ -46,15 +47,13 @@ import multiprocessing
 import os
 import pickle
 import platform
-import shutil
 import sys
-import tempfile
 import threading
 import time
 from pathlib import Path
 
 from repro.core import transport
-from repro.core.artifact_store import ArtifactStore, CorpusManifest
+from repro.core.artifact_store import CorpusManifest
 from repro.core.match_all import match_all
 from repro.corpus import generate_corpus
 
@@ -77,20 +76,33 @@ DEFAULT_WORKERS = (1, 2, 4, 8)
 DEFAULT_GATE_EFFICIENCY = 0.15
 
 
-def payload_numbers(models, store_root) -> dict:
+def payload_numbers(models) -> dict:
     """Remote-worker payload bytes: the manifest vs the pickled
-    corpus."""
+    corpus, and the digest-fetch replies (``("sbml", digest, text)``,
+    framed as on the wire) a remote worker that touches every model
+    pulls."""
     labels = [model.id or f"model-{i}" for i, model in enumerate(models)]
-    manifest = CorpusManifest.build(models, labels, ArtifactStore(store_root))
+    manifest = CorpusManifest.build(models, labels)
     manifest_bytes = len(pickle.dumps(manifest))
     corpus_bytes = len(pickle.dumps(list(models)))
+    fetched_bytes = sum(
+        transport._HEADER.size
+        + len(
+            pickle.dumps(
+                ("sbml", digest, text), protocol=pickle.HIGHEST_PROTOCOL
+            )
+        )
+        for digest, text in zip(manifest.digests, manifest.texts)
+    )
     return {
         "models": len(models),
         "manifest_bytes": manifest_bytes,
         "pickled_corpus_bytes": corpus_bytes,
+        "fetched_bytes": fetched_bytes,
         "bytes_per_model": {
             "manifest": round(manifest_bytes / len(models), 1),
             "pickled_corpus": round(corpus_bytes / len(models), 1),
+            "fetched": round(fetched_bytes / len(models), 1),
         },
         "ratio": round(corpus_bytes / manifest_bytes, 1),
     }
@@ -167,22 +179,16 @@ def sweep_seconds(models, workers) -> float:
 
 def measure(models, worker_ladder, rounds) -> dict:
     """Best-of-``rounds`` pairs/s per worker count, plus the remote
-    boundary's payload numbers (untimed, over a scratch store)."""
+    boundary's payload numbers (untimed)."""
     pairs = len(models) * (len(models) + 1) // 2
-    scratch = Path(tempfile.mkdtemp(prefix="bench-scaling-"))
+    payload = payload_numbers(models)
     results = {}
-    try:
-        payload = payload_numbers(models, scratch / "artifacts")
-        for workers in worker_ladder:
-            best = min(
-                sweep_seconds(models, workers) for _ in range(rounds)
-            )
-            results[workers] = {
-                "seconds": round(best, 6),
-                "pairs_per_second": round(pairs / best, 2),
-            }
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+    for workers in worker_ladder:
+        best = min(sweep_seconds(models, workers) for _ in range(rounds))
+        results[workers] = {
+            "seconds": round(best, 6),
+            "pairs_per_second": round(pairs / best, 2),
+        }
     base_rate = results[worker_ladder[0]]["pairs_per_second"]
     for workers, row in results.items():
         row["efficiency"] = round(
@@ -259,7 +265,9 @@ def main(argv=None) -> int:
         f"remote payload: manifest {payload['manifest_bytes']} B vs "
         f"pickled corpus {payload['pickled_corpus_bytes']} B "
         f"({payload['ratio']}x smaller, "
-        f"{payload['bytes_per_model']['manifest']} B/model)"
+        f"{payload['bytes_per_model']['manifest']} B/model); "
+        f"digest-fetch of every model {payload['fetched_bytes']} B "
+        f"({payload['bytes_per_model']['fetched']} B/model)"
     )
     emit(
         f"remote boundary: pair-done frame "

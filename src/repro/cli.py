@@ -9,7 +9,7 @@ Subcommands::
         [--prescreen] [--deterministic] \
         [--worker-timeout S] [--max-retries N] [--poison-threshold K] \
         [--chaos FILE] [--listen HOST:PORT]
-    sbmlcompose worker --connect HOST:PORT [--store DIR] [--chaos FILE]
+    sbmlcompose worker --connect HOST:PORT [--chaos FILE]
     sbmlcompose sweep-status --out-dir DIR
     sbmlcompose sweep-merge --out-dir DIR [-o merged.csv]
     sbmlcompose store verify DIR [--keep-corrupt]
@@ -65,8 +65,9 @@ or serialise one and derive every per-model artifact in memory, as
 the inline sweep does.  With ``--prescreen`` only the pairs the
 prescreen lets through reach a worker.  ``sweep-status`` reports
 leases, retry/steal counters and the quarantine alongside per-shard
-completion; ``store verify`` audits an artifact store, moving corrupt
-blobs into its ``corrupt/`` subdirectory.  ``--chaos
+completion; ``store verify`` audits an artifact store (the one
+``corpus index --store`` keeps), moving corrupt and unreadable entries
+into its ``corrupt/`` subdirectory.  ``--chaos
 FILE`` arms the deterministic fault-injection harness
 (:mod:`repro.core.chaos`) — how CI's chaos smoke drives worker
 crashes, stalls and torn journal writes reproducibly.
@@ -75,15 +76,14 @@ crashes, stalls and torn journal writes reproducibly.
 — ``sbmlcompose worker --connect HOST:PORT`` run on any machine —
 over the framed socket transport (:mod:`repro.core.transport`).
 Remote workers speak the same announce-before-compute protocol as
-local ones and join the same lease/steal/quarantine machinery.  They
-rehydrate the corpus from an artifact store in the coordinator's
-directory (``DIR/artifacts``), filled once, behind a
+local ones, join the same lease/steal/quarantine machinery and build
+the same in-memory engine.  They receive a
 :class:`~repro.core.artifact_store.CorpusManifest` of ``(label,
-digest)`` pairs; a worker without the shared filesystem fetches store
-entries through the in-protocol digest-fetch request and caches them
-in its ``--store`` directory (a private temporary store by default).
-``--workers 0 --listen ...`` runs a listen-only coordinator that
-supervises remote workers exclusively.
+digest)`` pairs and fetch each model's canonical SBML text, which this
+process holds in memory, through the in-protocol digest-fetch request
+on first touch; nothing is written to disk for them.  ``--workers 0
+--listen ...`` runs a listen-only coordinator that supervises remote
+workers exclusively.
 
 ``corpus`` is the search subsystem: ``corpus index`` builds (or
 incrementally updates) a persistent, segmented
@@ -114,6 +114,7 @@ from pathlib import Path
 
 from repro.core.artifact_store import (
     ArtifactStore,
+    CorpusManifest,
     _fingerprint_digests,
     corpus_fingerprint,
     model_digest,
@@ -124,7 +125,6 @@ from repro.core.match_all import (
     MatchMatrix,
     PairOutcome,
     _PRIVATE_FINGERPRINT,
-    _build_manifest,
     match_all,
     match_all_sharded,
     match_query,
@@ -246,9 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--out-dir", type=Path, default=None, metavar="DIR",
-        help="directory for shard CSVs and the checkpoint journal "
-             "(and, with --listen, the artifact store remote workers "
-             "rehydrate the corpus from)",
+        help="directory for shard CSVs and the checkpoint journal",
     )
     sweep.add_argument(
         "--resume", action="store_true",
@@ -307,13 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="the coordinator's sweep --listen address",
     )
     worker.add_argument(
-        "--store", type=Path, default=None, metavar="DIR",
-        help="local artifact store: point at the shared store when "
-             "there is one; default is a private temporary store "
-             "filled on demand through the digest-fetch protocol "
-             "(and removed at exit)",
-    )
-    worker.add_argument(
         "--chaos", type=Path, default=None, metavar="FILE",
         help="arm the deterministic fault-injection spec in FILE for "
              "this worker (the spec's state_dir must be reachable)",
@@ -351,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     corpus_index.add_argument(
         "--store", type=Path, default=None, metavar="DIR",
-        help="artifact store to rehydrate signatures from / spill "
+        help="artifact store to adopt signatures from / spill "
              "model artifacts to",
     )
     corpus_index.add_argument(
@@ -424,11 +415,12 @@ def _build_parser() -> argparse.ArgumentParser:
     store_sub = store.add_subparsers(dest="store_command", required=True)
     store_verify = store_sub.add_parser(
         "verify",
-        help="scan every store entry, quarantining corrupt blobs",
+        help="scan every store entry, quarantining corrupt and "
+             "unreadable ones",
     )
     store_verify.add_argument(
         "store_dir", type=Path, metavar="DIR",
-        help="the artifact store directory (e.g. SWEEP_DIR/artifacts)",
+        help="the artifact store directory (a corpus index --store DIR)",
     )
     store_verify.add_argument(
         "--keep-corrupt", action="store_true",
@@ -547,29 +539,19 @@ def _cmd_sweep_supervised(args, models, options) -> int:
 
 
 def _run_coordinator(args, models, options, out_dir: Path) -> int:
-    # Remote workers rehydrate the corpus from a manifest's store; its
-    # digests also give the journal fingerprint.  A private journal,
-    # never resumed, binds no digest.
+    # Remote workers fetch the corpus through a manifest; its digests
+    # also give the journal fingerprint.  A private journal, never
+    # resumed, binds no digest.
     manifest = None
     fingerprint = _PRIVATE_FINGERPRINT
     if args.listen is not None:
-        manifest = _build_manifest(
-            models, stable_labels(models), str(out_dir / "artifacts")
-        )
+        manifest = CorpusManifest.build(models, stable_labels(models))
         fingerprint = _fingerprint_digests(
             manifest.digests, _sweep_extra(args)
         )
     elif args.out_dir is not None:
         fingerprint = corpus_fingerprint(models, _sweep_extra(args))
-    screen = (
-        Prescreen.build(
-            models,
-            options,
-            signatures=manifest.signatures if manifest is not None else None,
-        )
-        if args.prescreen
-        else None
-    )
+    screen = Prescreen.build(models, options) if args.prescreen else None
     partition = None
     if args.out_dir is None:
         partition = partition_pairs(
@@ -1199,7 +1181,7 @@ def _cmd_worker(args) -> int:
     if args.chaos is not None:
         chaos.install(chaos.ChaosSpec.load(args.chaos))
     try:
-        return run_remote_worker(host, port, store_dir=args.store)
+        return run_remote_worker(host, port)
     finally:
         if args.chaos is not None:
             chaos.uninstall()

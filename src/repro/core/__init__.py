@@ -21,8 +21,8 @@ Public API:
   checkpointed runs; :mod:`~repro.core.shards` partitions the pair
   matrix and journals sweep progress.
 * :class:`~repro.core.artifact_store.ArtifactStore` — on-disk,
-  content-addressed per-model artifacts that remote sweep workers
-  rehydrate the corpus from and corpus indexes adopt signatures from.
+  content-addressed per-model artifacts that corpus indexes adopt
+  signatures from.
 * :class:`~repro.core.signature.ModelSignature` /
   :class:`~repro.core.signature.Prescreen` — per-model structural
   signatures and the vectorized all-pairs prescreen

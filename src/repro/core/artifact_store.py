@@ -1,30 +1,28 @@
 """On-disk, content-addressed store for per-model artifacts.
 
-Local sweeps derive each model's artifacts in memory.  The store has
-two jobs: **remote sweep workers** rehydrate each model, with its
-artifacts, from it behind a :class:`CorpusManifest` (``sweep
---listen``, ``worker --store``, digest-fetch), and the **corpus
-index** adopts stored signatures (``corpus index --store``).
+Sweeps derive each model's artifacts in memory, locally and on remote
+workers alike.  The store has two jobs: the **corpus index** adopts
+stored signatures from it (``corpus index --store``), and ``store
+verify`` audits it.  A :class:`CorpusManifest` is not stored at all:
+it is the ``(label, digest)`` description of a corpus that a listening
+coordinator hands remote workers, and it keeps each model's canonical
+SBML text in memory, to answer their digest-fetch requests.
 
 An :class:`ArtifactStore` spills per-model artifacts to disk, addressed by
 the **content digest** of the model that produced them
 (:func:`model_digest` — SHA-256 of the model's canonical SBML text).
-Content addressing makes the store safe to share between workers,
-index builds and unrelated corpora: a model rehydrates its own
-artifacts and nothing else, however it was loaded, and a model edited
-in place simply misses and recomputes.  Both writers —
-:meth:`ArtifactStore.get_or_compute` and :meth:`CorpusManifest.build`
-— store complete entries (pattern table, index rows, signature and
-the SBML text), and when they compute the digest themselves they
-store the very text they hashed.  Every entry goes through one atomic
-write (:meth:`ArtifactStore.put_blob`: temp file + rename), so a
-killed writer never leaves a torn entry; a corrupt or
-format-incompatible entry reads as a miss, never an error — but not
-a *silent* one: the store counts hits, misses, corrupt and
-format-incompatible reads (:meth:`ArtifactStore.stats`), and a blob
-that fails to deserialise is **quarantined** into a ``corrupt/``
-subdirectory on detection, so bit rot is diagnosed once instead of
-being re-read (and re-missed) on every future rehydration.
+Content addressing makes the store safe to share between index builds
+and unrelated corpora: a model rehydrates its own artifacts and
+nothing else, however it was loaded, and a model edited in place
+simply misses and recomputes.  Every entry goes through one atomic
+write (:meth:`ArtifactStore.put`: temp file + rename), so a killed
+writer never leaves a torn entry; a corrupt, unreadable or
+format-incompatible entry reads as a miss, never an error — but not a
+*silent* one: the store counts hits, misses, corrupt and
+format-incompatible reads (:meth:`ArtifactStore.stats`), and an entry
+that cannot be read or deserialised is **quarantined** into a
+``corrupt/`` subdirectory on detection, so bit rot is diagnosed once
+instead of being re-read (and re-missed) on every future lookup.
 :meth:`ArtifactStore.verify` — surfaced as ``sbmlcompose store verify``
 — scans the whole store and reports the same classification offline;
 a root that is not a directory is an error, not an empty store.
@@ -51,8 +49,7 @@ from typing import (
 )
 
 from repro.core import chaos
-from repro.core.compose import ModelIndexSet, _collect_initial_values
-from repro.core.pattern_cache import PatternCache, model_pattern_table
+from repro.core.compose import _collect_initial_values
 from repro.errors import ReproError
 from repro.sbml.model import Model
 from repro.sbml.writer import write_sbml
@@ -71,14 +68,11 @@ __all__ = [
 #: The one entry layout the store reads and writes.  Bump it when the
 #: pickled artifact layout changes: entries of any other format read
 #: as counted ``incompatible`` misses and are recomputed and rewritten
-#: in this format — the store is a cache.  Format 5 carries the
-#: pattern table, the phase-index rows, the structural signature and
-#: the model's canonical SBML text (the exact bytes
-#: :func:`model_digest` hashes), which is what lets sweep workers
-#: rehydrate the *model* — not just its artifacts — from the store.
-#: (Format-5 entries may also carry a per-collection id table that
-#: nothing reads any more; it is ignored.)
-_FORMAT = 5
+#: in this format — the store is a cache.  Format 6 carries the used
+#: ids, unit registry, initial values and structural signature; the
+#: pattern tables, phase-index rows and SBML text that format 5 also
+#: stored had no reader left.
+_FORMAT = 6
 
 
 def model_digest(model: Model) -> str:
@@ -137,97 +131,49 @@ class ModelArtifacts:
     What :class:`~repro.core.compose.AccumState` carries for an
     accumulator, precomputed for an *input* — the used-id set, the
     unit registry and the evaluated initial-value environment — plus
-    the model's canonical **pattern table**
-    (:func:`~repro.core.pattern_cache.model_pattern_table`): the
-    Figure 7 pattern of every expression the model carries, keyed by
-    structural digest, used to seed each composition's
-    :class:`~repro.core.pattern_cache.PatternCache` so pattern work
-    happens once per model instead of once per pair.
+    the model's structural signature, which the corpus index adopts
+    from a store entry instead of deriving it.
     """
 
     used_ids: Set[str]
     registry: UnitRegistry
     initial: Dict[str, float]
-    #: expression digest -> canonical pattern (empty restriction).
-    patterns: Dict[str, str] = field(default_factory=dict)
-    #: Per-model phase-index rows, or ``None`` when skipped
-    #: (``with_indexes=False``).  Tagged with the key-affecting
-    #: options they were built under; consumers must check
-    #: :meth:`~repro.core.compose.ModelIndexSet.matches` and rebuild
-    #: locally on a mismatch.
-    indexes: Optional[ModelIndexSet] = None
-    #: Structural signature (same options discipline as ``indexes``:
-    #: check :meth:`~repro.core.signature.ModelSignature.matches` and
-    #: rebuild on mismatch), or ``None`` when skipped.
+    #: Structural signature under the paper-default options, or
+    #: ``None`` when skipped.  Consumers check
+    #: :meth:`~repro.core.signature.ModelSignature.matches` (or its
+    #: ``options_key``) and build their own on a mismatch.
     signature: Optional["ModelSignature"] = None
-    #: The model's canonical SBML text — the exact string
-    #: :func:`model_digest` hashes, so ``sha256(sbml) == digest`` for
-    #: a healthy entry.  Sweep workers parse the model back out of
-    #: this blob; ``None`` when skipped (a manifest build fills it in
-    #: place when the parent still holds the model).
-    sbml: Optional[str] = None
 
 
 def compute_artifacts(
-    model: Model,
-    with_patterns: bool = True,
-    with_indexes: bool = True,
-    with_sbml: bool = True,
+    model: Model, with_signature: bool = True
 ) -> ModelArtifacts:
     """Derive a model's artifacts from scratch (the store's miss path,
     and the single source of truth for what gets spilled).
 
-    ``with_patterns=False`` skips the canonical pattern table — for
-    callers whose options can never consult patterns (light/structural
-    semantics) and who are not spilling to a shared store (a stored
-    entry should stay complete, since other runs with other semantics
-    rehydrate it).  ``with_indexes=False`` likewise skips the
-    phase-index rows, which are computed under the paper-default heavy
-    options (the fingerprint travels with them; a consumer running
-    other semantics rebuilds in memory), and implies skipping the
-    signature, which is derived from those rows.
-    ``with_sbml=False`` skips the canonical SBML blob — for callers
-    who already serialised the model (a manifest build pays
-    :func:`write_sbml` once for the digest and attaches that same
-    text) or whose entries never feed digest-shipped workers."""
+    ``with_signature=False`` skips the structural signature: the sweep
+    engine never reads one, and only a stored entry, which the corpus
+    index adopts, needs it."""
     used_ids = set(model.global_ids()) | {
         ud.id for ud in model.unit_definitions if ud.id
     }
-    patterns = model_pattern_table(model) if with_patterns else {}
-    indexes = None
     signature = None
-    if with_indexes:
-        # Route the index build's math keys through a cache seeded
-        # with the pattern table just computed, so each expression's
-        # pattern is derived exactly once per model.
-        cache = PatternCache()
-        if patterns:
-            cache.seed(patterns)
-        indexes = ModelIndexSet.build(
-            model, _artifact_options(), pattern_cache=cache
-        )
+    if with_signature:
         from repro.core.signature import ModelSignature
 
         signature = ModelSignature.build(
-            model,
-            _artifact_options(),
-            index_set=indexes,
-            used_ids=used_ids,
-            pattern_cache=cache,
+            model, _artifact_options(), used_ids=used_ids
         )
     return ModelArtifacts(
         used_ids=used_ids,
         registry=model.unit_registry(),
         initial=_collect_initial_values(model),
-        patterns=patterns,
-        indexes=indexes,
         signature=signature,
-        sbml=write_sbml(model) if with_sbml else None,
     )
 
 
-#: Options the stored index rows are computed under — the paper
-#: default, which is what sweeps overwhelmingly run.  Built lazily
+#: Options the stored signature is computed under — the paper
+#: default, which is what indexes overwhelmingly run.  Built lazily
 #: (constructing options builds the synonym table) and shared.
 _ARTIFACT_OPTIONS = None
 
@@ -247,28 +193,25 @@ class CorpusManifest:
 
     An ordered ``(label, digest)`` list plus the corpus fingerprint —
     a flat description whose pickle is a few dozen bytes per model.
-    Workers resolve each digest against a shared :class:`ArtifactStore`
-    on first touch: the entry carries the model's canonical SBML text
-    (parse once per worker) *and* the pattern table, index rows and
-    signature derived from it, so a rehydrated model is seeded exactly
-    like an in-memory one.
+    Workers fetch each model's canonical SBML text by digest on first
+    touch (``("fetch", digest)``), check it against the digest and
+    parse it once.
 
-    Build with :meth:`build`, which also guarantees the store side of
-    the contract: after it returns, every manifest digest resolves to
-    an entry with a non-``None`` ``sbml`` blob (pre-existing blob-less
-    entries are filled in place).  Entry order is corpus order — pair
-    indexes ``(i, j)`` are positional on it.
+    Build with :meth:`build`, which keeps the texts it serialised in
+    memory (:attr:`texts`) for the coordinator that answers those
+    fetches.  Entry order is corpus order — pair indexes ``(i, j)``
+    are positional on it.
     """
 
     #: ``(label, digest)`` per model, in corpus order.
     entries: Tuple[Tuple[str, str], ...]
     #: :func:`corpus_fingerprint` of the corpus (no extras).
     fingerprint: str
-    #: Each model's artifact signature (``None`` where its entry has
-    #: none), as the build derived or loaded it, so that the sweep's
-    #: prescreen need not derive it again.  Not part of the manifest
-    #: proper: not compared, and not shipped to workers.
-    signatures: Tuple = field(default=(), compare=False, repr=False)
+    #: Each model's canonical SBML text, in corpus order: the exact
+    #: string its digest hashes.  Not part of the manifest proper: not
+    #: compared, and not shipped to workers, which fetch the texts
+    #: they touch.
+    texts: Tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     def __reduce__(self):
         return (CorpusManifest, (self.entries, self.fingerprint))
@@ -279,9 +222,7 @@ class CorpusManifest:
 
     @property
     def digests(self) -> Tuple[str, ...]:
-        """Corpus digests in order — also the ``pinned=`` set that
-        keeps :meth:`ArtifactStore.evict` from dropping an entry a
-        live worker could still rehydrate-miss."""
+        """Corpus digests in order."""
         return tuple(digest for _, digest in self.entries)
 
     def __len__(self) -> int:
@@ -289,44 +230,21 @@ class CorpusManifest:
 
     @classmethod
     def build(
-        cls,
-        models: Sequence[Model],
-        labels: Sequence[str],
-        store: ArtifactStore,
+        cls, models: Sequence[Model], labels: Sequence[str]
     ) -> "CorpusManifest":
-        """Manifest for ``models``, populating ``store`` so every
-        entry is worker-rehydratable (SBML blob present).
-
-        Serialises each model once — that text is both the digest
-        input and the stored blob — and writes only on a miss or on an
-        entry missing the blob (filled in place, other artifact fields
-        kept).  Raises ``OSError`` if the store cannot be written.
-        """
+        """Manifest for ``models``, serialising each model once: that
+        text is both the digest input and what a fetch is answered
+        with."""
         if len(models) != len(labels):
             raise ValueError(
                 f"{len(models)} models but {len(labels)} labels"
             )
-        entries = []
-        signatures = []
-        for model, label in zip(models, labels):
-            text = write_sbml(model)
-            digest = _text_digest(text)
-            artifacts = store.get(digest)
-            if artifacts is None:
-                artifacts = compute_artifacts(model, with_sbml=False)
-                artifacts.sbml = text
-                store.put(digest, artifacts)
-            elif artifacts.sbml is None:
-                artifacts.sbml = text
-                store.put(digest, artifacts)
-            entries.append((label, digest))
-            signatures.append(artifacts.signature)
+        texts = tuple(write_sbml(model) for model in models)
+        digests = [_text_digest(text) for text in texts]
         return cls(
-            entries=tuple(entries),
-            fingerprint=_fingerprint_digests(
-                [digest for _, digest in entries]
-            ),
-            signatures=tuple(signatures),
+            entries=tuple(zip(labels, digests)),
+            fingerprint=_fingerprint_digests(digests),
+            texts=texts,
         )
 
 
@@ -336,7 +254,7 @@ class StoreVerifyReport:
 
     total: int
     ok: int
-    #: Digests whose blobs failed to deserialise at all.
+    #: Digests whose entries could not be read or deserialised at all.
     corrupt: List[str]
     #: Digests that deserialise but carry another format number
     #: (left in place; a read recomputes and rewrites them).
@@ -376,15 +294,15 @@ class ArtifactStore:
     last one win harmlessly.
 
     Unhealthy entries degrade, but loudly: every read outcome is
-    counted (:meth:`stats`), and a blob that fails to deserialise is
-    moved into ``root/corrupt/`` the moment it is detected — the next
-    read of that digest is an honest miss that recomputes and rewrites
-    a good entry, instead of paying the failed deserialisation on
-    every rehydration forever.  The quarantined bytes are kept (not
+    counted (:meth:`stats`), and an entry that cannot be read or
+    deserialised is moved into ``root/corrupt/`` the moment it is
+    detected — the next read of that digest is an honest miss that
+    recomputes and rewrites a good entry, instead of paying the failed
+    read on every lookup forever.  The quarantined bytes are kept (not
     deleted) for post-mortem.
     """
 
-    #: Subdirectory corrupt blobs are moved into (outside the
+    #: Subdirectory corrupt entries are moved into (outside the
     #: ``??/*.pkl`` entry namespace, so quarantined files are never
     #: counted, listed, or evicted as entries).
     CORRUPT_DIR = "corrupt"
@@ -416,22 +334,30 @@ class ArtifactStore:
 
     def stats(self) -> Dict[str, int]:
         """Read-outcome counters for this store instance: ``hits``,
-        ``misses`` (absent entries), ``corrupt`` (failed to
-        deserialise; quarantined) and ``incompatible`` (another format
-        number; left in place).  In-memory and per-instance — for a
-        persistent whole-store audit use :meth:`verify`."""
+        ``misses`` (absent entries), ``corrupt`` (unreadable or failed
+        to deserialise; quarantined) and ``incompatible`` (another
+        format number; left in place).  In-memory and per-instance —
+        for a persistent whole-store audit use :meth:`verify`."""
         return dict(self._stats)
 
     def _quarantine_blob(self, path: Path) -> Optional[Path]:
-        """Move a corrupt blob into ``corrupt/``; best effort (a
-        read-only store leaves it where it is and just counts it)."""
+        """Move a corrupt entry into ``corrupt/``, beside any earlier
+        one of the same digest; best effort (a read-only store leaves
+        it where it is and just counts it)."""
         dest = self.root / self.CORRUPT_DIR / path.name
         try:
             dest.parent.mkdir(parents=True, exist_ok=True)
+            if dest.exists():
+                dest = dest.with_name(f"{path.stem}-{time.time_ns()}.pkl")
             os.replace(path, dest)
         except OSError:
             return None
         return dest
+
+    def _corrupt(self, path: Path) -> None:
+        """Count a corrupt read and quarantine the entry."""
+        self._stats["corrupt"] += 1
+        self._quarantine_blob(path)
 
     @staticmethod
     def _decode(data: bytes):
@@ -449,16 +375,22 @@ class ArtifactStore:
     def get(self, digest: str) -> Optional[ModelArtifacts]:
         """The stored artifacts for ``digest``, or ``None`` on miss.
 
-        A torn, corrupt or format-incompatible entry is a miss too —
-        the caller recomputes and overwrites.  Corrupt blobs are
-        additionally counted and quarantined to ``corrupt/`` so the
-        failure is diagnosed once, not re-paid on every read.
+        A torn, corrupt, unreadable or format-incompatible entry is a
+        miss too — the caller recomputes and overwrites.  Corrupt and
+        unreadable entries are additionally counted and quarantined to
+        ``corrupt/`` so the failure is diagnosed once, not re-paid on
+        every read.
         """
         path = self.path_for(digest)
         try:
             data = path.read_bytes()
         except (FileNotFoundError, NotADirectoryError):
             self._stats["misses"] += 1
+            return None
+        except OSError:
+            # Something unreadable in the entry's place (a directory,
+            # a file without read permission) is corrupt too.
+            self._corrupt(path)
             return None
         if chaos.advice("artifact-read", "corrupt", digest=digest):
             # Simulated bit rot: garble the blob on disk (what a bad
@@ -471,8 +403,7 @@ class ArtifactStore:
         try:
             fmt, artifacts = self._decode(data)
         except Exception:
-            self._stats["corrupt"] += 1
-            self._quarantine_blob(path)
+            self._corrupt(path)
             return None
         if artifacts is None:
             self._stats["incompatible"] += 1
@@ -488,14 +419,15 @@ class ArtifactStore:
         return artifacts
 
     def verify(self, quarantine: bool = True) -> StoreVerifyReport:
-        """Scan every entry and classify it: ok, corrupt, or
-        format-incompatible.  With ``quarantine`` (the default),
-        corrupt blobs are moved to ``corrupt/`` exactly as an online
-        read would.  Entries that vanish mid-scan (concurrent evictor)
-        are skipped.  The scan is read-only for healthy entries — no
-        mtimes are refreshed, so it never perturbs LRU eviction.  A root
-        that is not a directory raises :class:`~repro.errors.ReproError`
-        naming it: a mistyped path must not read as a clean store."""
+        """Scan every entry and classify it: ok, corrupt (unreadable
+        or undecodable), or format-incompatible.  With ``quarantine``
+        (the default), corrupt entries are moved to ``corrupt/``
+        exactly as an online read would.  Entries that vanish mid-scan
+        (concurrent evictor) are skipped.  The scan is read-only for
+        healthy entries — no mtimes are refreshed, so it never perturbs
+        LRU eviction.  A root that is not a directory raises
+        :class:`~repro.errors.ReproError` naming it: a mistyped path
+        must not read as a clean store."""
         if not self.root.is_dir():
             raise ReproError(
                 f"no artifact store at {self.root}: not a directory"
@@ -505,23 +437,26 @@ class ArtifactStore:
         incompatible: List[str] = []
         quarantined: List[Path] = []
         for path in sorted(self.root.glob("??/*.pkl")):
-            digest = path.stem
             try:
                 data = path.read_bytes()
-            except OSError:
+            except FileNotFoundError:
                 continue
+            except OSError:
+                # Unreadable in place (a directory, no read
+                # permission): empty bytes, which decode as corrupt.
+                data = b""
             total += 1
             try:
                 _, artifacts = self._decode(data)
             except Exception:
-                corrupt.append(digest)
+                corrupt.append(path.stem)
                 if quarantine:
                     moved = self._quarantine_blob(path)
                     if moved is not None:
                         quarantined.append(moved)
                 continue
             if artifacts is None:
-                incompatible.append(digest)
+                incompatible.append(path.stem)
             else:
                 ok += 1
         return StoreVerifyReport(
@@ -532,31 +467,16 @@ class ArtifactStore:
             quarantined=quarantined,
         )
 
-    def get_blob(self, digest: str) -> Optional[bytes]:
-        """The raw on-disk bytes of an entry, or ``None`` when absent.
-
-        The coordinator's digest-fetch server reads through this: the
-        entry travels to a remote worker verbatim (no decode/re-encode
-        round trip), and the worker's own :meth:`get` performs the
-        usual corrupt/format screening after :meth:`put_blob` lands
-        the bytes in its local store."""
-        try:
-            return self.path_for(digest).read_bytes()
-        except OSError:
-            return None
-
-    def put_blob(self, digest: str, data: bytes) -> Path:
-        """Store raw entry bytes under ``digest`` atomically — the
-        receiving half of digest-fetch.  The bytes are trusted to be a
-        store entry; a lying peer degrades into an ordinary corrupt
-        entry (quarantined on first read), never an import error."""
+    def put(self, digest: str, artifacts: ModelArtifacts) -> Path:
+        """Store ``artifacts`` under ``digest`` atomically (temp file +
+        rename); returns the entry's path."""
         path = self.path_for(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         handle = tempfile.NamedTemporaryFile(
             dir=path.parent, prefix=f".{digest[:8]}-", delete=False
         )
         try:
-            handle.write(data)
+            pickle.dump({"format": _FORMAT, "artifacts": artifacts}, handle)
             handle.close()
             os.replace(handle.name, path)
         except BaseException:
@@ -568,30 +488,17 @@ class ArtifactStore:
             raise
         return path
 
-    def put(self, digest: str, artifacts: ModelArtifacts) -> Path:
-        """Store ``artifacts`` under ``digest`` atomically; returns the
-        entry's path."""
-        return self.put_blob(
-            digest,
-            pickle.dumps({"format": _FORMAT, "artifacts": artifacts}),
-        )
-
     def get_or_compute(
         self, model: Model, digest: Optional[str] = None
     ) -> ModelArtifacts:
         """Rehydrate a model's artifacts, computing and spilling them
         on first sight.  Pass ``digest`` when the caller already paid
-        for :func:`model_digest`; otherwise the model is serialised
-        once, for both the digest and the stored SBML blob."""
-        text = None
+        for :func:`model_digest`."""
         if digest is None:
-            text = write_sbml(model)
-            digest = _text_digest(text)
+            digest = model_digest(model)
         artifacts = self.get(digest)
         if artifacts is None:
-            artifacts = compute_artifacts(model, with_sbml=text is None)
-            if text is not None:
-                artifacts.sbml = text
+            artifacts = compute_artifacts(model)
             self.put(digest, artifacts)
         return artifacts
 

@@ -1705,8 +1705,9 @@ def index_options_key(options: ComposeOptions) -> Tuple:
     *keys* (not in index shape — the strategy is chosen at bind time).
 
     Two option sets with equal fingerprints produce byte-identical
-    rows for any model, so a :class:`ModelIndexSet` tagged with this
-    key can be reused across processes and store rehydrations.  The
+    rows (and signatures) for any model, so artifacts tagged with this
+    key can be reused across processes, and remote sweep workers can
+    prove they decoded the coordinator's options faithfully.  The
     synonym table participates by content fingerprint because name
     keys canonicalise through it.
     """
@@ -1800,11 +1801,8 @@ class ModelIndexSet:
     model's indexes *n − 1* times.  A ``ModelIndexSet`` captures the
     index **rows** — ``(component position, key tuple)`` per phase,
     keyed exactly as the phase mergers key them — once per model.
-    Rows are plain data: picklable into the
-    :class:`~repro.core.artifact_store.ArtifactStore` (format 3) and
-    positional, so rehydrated rows re-bind to any model with the same
-    content digest (equal canonical serialisation implies equal
-    component order).  :meth:`bind` materialises them against a live
+    Rows are plain positional data, which a structural signature is
+    derived from too.  :meth:`bind` materialises them against a live
     model as frozen per-phase bases; merges then probe copy-on-write
     overlays so the shared bases — and the backing model — stay
     bit-identical however many decide-only merges reuse them.
@@ -1828,9 +1826,8 @@ class ModelIndexSet:
         """Compute a model's index rows under the empty mapping.
 
         ``pattern_cache`` lets the caller route the math-key work of
-        the build through a shared (possibly pre-seeded) cache so
-        pattern computation stays once-per-expression (the build makes
-        its own cache otherwise).
+        the build through a shared cache so pattern computation stays
+        once-per-expression (the build makes its own cache otherwise).
         """
         options = options or ComposeOptions()
         if pattern_cache is None:

@@ -48,14 +48,15 @@ It is the one multi-worker sweep engine: ``match_all(...,
 workers=N)`` (and ``match_all_sharded``) runs it over
 a private temporary directory with one work unit per worker, and
 ``sbmlcompose sweep --workers N`` runs it over ``--out-dir`` (or a
-private directory without one).  Local workers are handed the corpus
-the coordinator holds — inherited, not copied, where processes fork —
-and never parse or serialise a model; they derive every per-model
-artifact in memory.  Only remote workers rehydrate the corpus from an
-artifact store, through a
+private directory without one).  Every worker builds the inline
+sweep's engine and derives every per-model artifact in memory.  Local
+workers are handed the corpus the coordinator holds — inherited, not
+copied, where processes fork — and never parse or serialise a model.
+Remote workers receive a
 :class:`~repro.core.artifact_store.CorpusManifest` of ``(label,
-digest)`` pairs.  With a prescreen only the pairs it
-lets through reach a worker: the rest get synthesized rows in their
+digest)`` pairs and fetch each model's canonical SBML text from the
+coordinator's memory on first touch.  With a prescreen only the pairs
+it lets through reach a worker: the rest get synthesized rows in their
 shard's results up front.
 
 Workers talk to the coordinator over per-worker duplex pipes polled
@@ -73,10 +74,9 @@ announce-before-compute tuples as a pipe worker and sits behind the
 same :class:`_WorkerHandle`, so leases, heartbeat timeouts, work
 stealing, retry budgets and quarantine apply unchanged — a vanished
 TCP peer reads as EOF exactly like a dead child process.  A remote
-worker without the shared filesystem rehydrates missing store entries
-through the in-protocol **digest-fetch** request (``("fetch",
-digest)`` answered by ``("artifact", digest, bytes)``), caching them
-in its own local store.
+worker loads each model it touches through the in-protocol
+**digest-fetch** request (``("fetch", digest)`` answered by ``("sbml",
+digest, text)``), once per model.
 
 Liveness and backoff clocks are **monotonic** (``time.monotonic``):
 an NTP step on the coordinator host can neither spuriously kill a
@@ -96,18 +96,18 @@ import sys
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core import chaos, transport
-from repro.core.artifact_store import ArtifactStore, CorpusManifest
+from repro.core.artifact_store import CorpusManifest
 from repro.core.match_all import (
     MatchMatrix,
     PairOutcome,
+    _FetchedModels,
     _PairEngine,
-    _build_manifest,
     _synthesized_outcome,
     write_outcomes_csv,
 )
@@ -429,7 +429,7 @@ class _FetchChannel:
 
     Presents the pipe surface to :func:`_worker_loop` while also
     serving the engine's digest-fetch callback: a fetch sends
-    ``("fetch", digest)`` and reads until the matching ``artifact``
+    ``("fetch", digest)`` and reads until the matching ``sbml``
     reply, parking any interleaved coordinator messages (a ``stop``,
     say) in a queue the main loop drains first.
     """
@@ -451,46 +451,35 @@ class _FetchChannel:
             return True
         return self._conn.poll(timeout)
 
-    def fetch(self, digest: str) -> Optional[bytes]:
+    def fetch(self, digest: str) -> Optional[str]:
         self._conn.send(("fetch", digest))
         while True:
             message = self._conn.recv()
             if (
                 isinstance(message, tuple)
                 and message
-                and message[0] == "artifact"
+                and message[0] == "sbml"
                 and message[1] == digest
             ):
                 return message[2]
             self._parked.append(message)
 
 
-def run_remote_worker(
-    host: str,
-    port: int,
-    store_dir: Optional[Union[str, Path]] = None,
-    progress: bool = True,
-) -> int:
+def run_remote_worker(host: str, port: int, progress: bool = True) -> int:
     """One remote sweep worker: dial the coordinator, handshake, run
     the standard worker loop until stopped or disconnected.
 
-    ``store_dir`` is the worker's *local* artifact store — point it at
-    the shared filesystem when there is one, or leave it ``None`` for
-    a private temporary store filled on demand through digest-fetch.
-    Returns a process exit code: 0 after a clean ``stop``, 2 when the
-    handshake failed or the connection was lost mid-sweep.
+    The worker builds the same in-memory engine as a local worker,
+    over the welcome's corpus manifest: each model is fetched from the
+    coordinator on first touch.  Returns a process exit code: 0 after
+    a clean ``stop``, 2 when the handshake failed or the connection
+    was lost mid-sweep.
     """
 
     def log(message: str) -> None:
         if progress:
             print(f"worker: {message}", file=sys.stderr)
 
-    cleanup: Optional[Path] = None
-    if store_dir is None:
-        import tempfile
-
-        cleanup = Path(tempfile.mkdtemp(prefix="repro-worker-store-"))
-        store_dir = cleanup
     try:
         conn = transport.connect(host, port)
     except transport.TransportError as exc:
@@ -499,10 +488,7 @@ def run_remote_worker(
     try:
         try:
             welcome = transport.client_handshake(
-                conn,
-                host=_socket.gethostname(),
-                pid=os.getpid(),
-                has_store=cleanup is None,
+                conn, host=_socket.gethostname(), pid=os.getpid()
             )
         except transport.HandshakeError as exc:
             log(f"handshake failed: {exc}")
@@ -515,15 +501,13 @@ def run_remote_worker(
         channel = _FetchChannel(conn)
         engine = _PairEngine(
             welcome.get("options"),
-            store_root=str(store_dir),
-            manifest=manifest,
-            fetch=channel.fetch,
+            _FetchedModels(manifest, channel.fetch),
+            manifest.labels,
         )
         log(
             f"connected to {host}:{port} as {name} "
             f"({len(manifest)} manifest entr"
-            f"{'y' if len(manifest) == 1 else 'ies'}, "
-            f"local store {store_dir})"
+            f"{'y' if len(manifest) == 1 else 'ies'})"
         )
         clean = _worker_loop(
             channel, name, engine, welcome.get("heartbeat_interval", 5.0)
@@ -532,10 +516,6 @@ def run_remote_worker(
         return 0 if clean else 2
     finally:
         conn.close()
-        if cleanup is not None:
-            import shutil
-
-            shutil.rmtree(cleanup, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -640,11 +620,10 @@ class SweepCoordinator:
     :meth:`run` executes (or resumes) the sweep and returns a
     :class:`SweepReport`.  All durable state lives in ``out_dir`` —
     the format-2 checkpoint journal (completions + leases + retry
-    counters), the per-shard result CSVs, the artifact store remote
-    workers rehydrate from (``out_dir/artifacts``, only when
-    listening), and the ``quarantine.json`` sidecar — so a crashed
-    coordinator is restarted with ``resume=True`` over the same
-    directory and picks up where the journal says it stopped.
+    counters), the per-shard result CSVs and the ``quarantine.json``
+    sidecar — so a crashed coordinator is restarted with
+    ``resume=True`` over the same directory and picks up where the
+    journal says it stopped.
 
     The shards are ``partition_pairs(sizes, shards)`` unless
     ``partition`` hands over other work units (in-process sweeps cut
@@ -652,10 +631,11 @@ class SweepCoordinator:
     ``models`` and build the inline engine over them.  Remote workers
     receive the corpus :class:`~repro.core.artifact_store.CorpusManifest`
     — the one passed as ``manifest``, or one that :meth:`run` builds
-    into ``out_dir/artifacts`` when the coordinator listens — and
-    rehydrate every model from that store.  With ``prescreen``, the
-    pairs it prunes get synthesized rows in their shard's results up
-    front and never reach a worker.
+    when the coordinator listens — and build the same engine, fetching
+    each model's SBML text, which the manifest holds in memory, on
+    first touch.  With ``prescreen``, the pairs it prunes get
+    synthesized rows in their shard's results up front and never reach
+    a worker.
     """
 
     def __init__(
@@ -693,15 +673,12 @@ class SweepCoordinator:
         self.resume = resume
         self.progress = progress
         self.prescreen = prescreen
-        #: The artifact store remote workers rehydrate from; only a
-        #: listening coordinator has one.
-        self.store_root: Optional[str] = (
-            str(self.out_dir / "artifacts") if listen is not None else None
-        )
-        #: What remote workers rehydrate the corpus from; built at the
+        #: What remote workers load the corpus through; built at the
         #: top of :meth:`run` when listening, unless the caller built
         #: it already.
         self.manifest: Optional[CorpusManifest] = manifest
+        #: Digest -> canonical SBML text, for answering digest-fetch.
+        self._texts: Dict[str, str] = {}
         self.labels = stable_labels(self.models)
         self.checkpoint = SweepCheckpoint(
             self.out_dir,
@@ -724,7 +701,6 @@ class SweepCoordinator:
         self._remote_serial = 0
         self._mp = mp.get_context()
         self._hostname = _socket.gethostname()
-        self._store: Optional[ArtifactStore] = None
         #: Local pipe workers to keep alive; defaults to the config's
         #: worker count.  Zero is valid only in listen mode — a
         #: coordinator that supervises remote workers exclusively.
@@ -813,15 +789,13 @@ class SweepCoordinator:
                 f"resuming: {len(completed)} shard(s) already complete, "
                 f"{len(self._states)} to go"
             )
-        if (
-            self.manifest is None
-            and self._listener is not None
-            and self._states
-        ):
-            # Populate the store up front so every remote worker
-            # rehydrates the corpus from it.
-            self.manifest = _build_manifest(
-                self.models, self.labels, self.store_root
+        if self._listener is not None and self._states:
+            if self.manifest is None:
+                self.manifest = CorpusManifest.build(
+                    self.models, self.labels
+                )
+            self._texts = dict(
+                zip(self.manifest.digests, self.manifest.texts)
             )
         try:
             while self._open:
@@ -873,11 +847,6 @@ class SweepCoordinator:
     # Worker pool
     # ------------------------------------------------------------------
 
-    def _artifact_store(self) -> ArtifactStore:
-        if self._store is None:
-            self._store = ArtifactStore(self.store_root)
-        return self._store
-
     def _spawn_worker(self) -> _WorkerHandle:
         self._serial += 1
         name = f"w{self._serial}"
@@ -924,8 +893,8 @@ class SweepCoordinator:
                 continue
             # Escalate: polite stop, then SIGTERM, then SIGKILL — and
             # *re-join after the kill*, because a kill without a final
-            # join leaves the worker a zombie holding its store
-            # handles until the coordinator itself exits.
+            # join leaves the worker a zombie until the coordinator
+            # itself exits.
             worker.process.join(timeout=2.0)
             if worker.process.is_alive():
                 self._log(
@@ -1111,8 +1080,7 @@ class SweepCoordinator:
         self._workers[name] = handle
         self._log(
             f"worker {name}: connected from {host} "
-            f"(pid {hello.get('pid')}, "
-            f"{'own store' if hello.get('has_store') else 'digest-fetch'})"
+            f"(pid {hello.get('pid')}, models by digest-fetch)"
         )
 
     def _drain(self, worker: _WorkerHandle) -> None:
@@ -1160,19 +1128,13 @@ class SweepCoordinator:
         if kind in ("ready", "heartbeat"):
             return
         if kind == "fetch":
-            # Digest-fetch: a remote worker without the shared
-            # filesystem asks for a store entry's raw bytes.  Served
-            # inline (the event loop is already draining this worker),
-            # restricted to manifest digests — the only entries a
-            # worker has any business rehydrating.
+            # Digest-fetch: a remote worker asks for a manifest
+            # model's canonical SBML text (anything else answers
+            # None).  Served inline: the event loop is already
+            # draining this worker.
             _, digest = message
-            data = (
-                self._artifact_store().get_blob(digest)
-                if digest in self.manifest.digests
-                else None
-            )
             try:
-                worker.conn.send(("artifact", digest, data))
+                worker.conn.send(("sbml", digest, self._texts.get(digest)))
             except (OSError, BrokenPipeError):
                 worker.eof = True
             return

@@ -12,10 +12,9 @@ structural identity search batches corpus-scale comparisons instead;
 
 * per-model artifacts are computed **once**, in memory, and shared
   across all of the model's pairs (handed to the engine as a carried
-  :class:`~repro.core.compose.AccumState`); only a remote worker's
-  engine reads them from an
-  :class:`~repro.core.artifact_store.ArtifactStore`, together with the
-  models themselves,
+  :class:`~repro.core.compose.AccumState`) — by the inline sweep, by
+  every local worker and by every remote worker, which fetches each
+  model's canonical SBML text from its coordinator on first touch,
 * one :class:`~repro.core.compose.Composer` and one digest-keyed
   :class:`~repro.core.pattern_cache.PatternCache` serve the whole
   sweep, so canonical patterns are computed per expression, not per
@@ -51,6 +50,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
+    Callable,
     Dict,
     List,
     Optional,
@@ -61,9 +61,8 @@ from typing import (
 
 from repro.core import chaos
 from repro.core.artifact_store import (
-    ArtifactStore,
     CorpusManifest,
-    ModelArtifacts,
+    _text_digest,
     compute_artifacts,
 )
 from repro.core.compose import (
@@ -305,64 +304,75 @@ def read_outcomes_csv(path: Union[str, Path]) -> List[PairOutcome]:
     return outcomes
 
 
+class _FetchedModels:
+    """A remote worker's corpus: the models of a
+    :class:`~repro.core.artifact_store.CorpusManifest`, each fetched
+    from the coordinator on first touch.
+
+    ``fetch(digest)`` returns the model's canonical SBML text, or
+    ``None``.  Each text is checked against its manifest digest and
+    parsed once; a position is fetched at most once.  A missing, empty
+    or mismatched text raises :class:`~repro.errors.ReproError` naming
+    the model's label and digest, which fails the pair that touched it
+    like any other pair error.
+    """
+
+    def __init__(
+        self,
+        manifest: CorpusManifest,
+        fetch: Callable[[str], Optional[str]],
+    ):
+        self.manifest = manifest
+        self._fetch = fetch
+        self._models: Dict[int, Model] = {}
+
+    def __len__(self) -> int:
+        return len(self.manifest)
+
+    def __getitem__(self, index: int) -> Model:
+        model = self._models.get(index)
+        if model is None:
+            label, digest = self.manifest.entries[index]
+            text = self._fetch(digest)
+            if not text:
+                problem = "sent no SBML for it"
+            elif _text_digest(text) != digest:
+                problem = "sent SBML that does not hash to that digest"
+            else:
+                problem = None
+            if problem is not None:
+                raise ReproError(
+                    f"remote worker cannot load model {label!r} (digest "
+                    f"{digest}): the coordinator {problem}"
+                )
+            model = read_sbml(text).model
+            self._models[index] = model
+        return model
+
+
 class _PairEngine:
     """Shared-artifact pairwise composer: the inline sweep's engine and
-    each supervised worker's.
+    every supervised worker's, local or remote.
 
+    The engine derives each model's artifacts in memory, on first use.
+    ``models`` is any sequence: the corpus itself, or a remote worker's
+    :class:`_FetchedModels`, which fetches each model on first touch.
     The artifact memo is filled under a lock, and the composer's
     pattern cache locks internally.
-
-    An engine holds its models — the inline sweep's and every local
-    worker's — or, with ``models=None``, rehydrates them from
-    ``manifest``, the shape remote workers run in.  An engine that
-    holds its models derives each model's artifacts in memory, on first
-    use.  A manifest engine opens the
-    :class:`~repro.core.artifact_store.ArtifactStore` at ``store_root``
-    and reads each model on first touch: the entry's canonical SBML
-    text is parsed once per worker, and the same entry seeds the
-    pattern table and phase-index rows, so a rehydrated model composes
-    exactly like an in-memory one.  A manifest digest the store cannot
-    resolve (evicted mid-sweep, or an entry without the blob) raises
-    :class:`~repro.errors.ReproError`.
     """
 
     def __init__(
         self,
         options: Optional[ComposeOptions],
-        models: Optional[Sequence[Model]] = None,
-        labels: Optional[Sequence[str]] = None,
-        store_root: Optional[str] = None,
-        manifest: Optional[CorpusManifest] = None,
-        fetch=None,
+        models: Sequence[Model],
+        labels: Sequence[str],
     ):
         self.options = options or ComposeOptions()
-        self.manifest = manifest
-        #: Digest-fetch callback for remote workers without the shared
-        #: filesystem: ``fetch(digest) -> Optional[bytes]`` (raw
-        #: store-entry bytes, or ``None``), consulted only when the
-        #: local store misses.  Fetched bytes are cached into the
-        #: local store, so each entry crosses the wire at most once.
-        self._fetch = fetch
-        self.store: Optional[ArtifactStore] = None
-        if models is not None:
-            self.models = list(models)
-            self.labels = list(labels)
-        elif manifest is not None:
-            if store_root is None:
-                raise ValueError(
-                    "a manifest engine needs a store_root to rehydrate "
-                    "models from"
-                )
-            self.models = None
-            self.labels = list(manifest.labels)
-            self.store = ArtifactStore(store_root)
-        else:
-            raise ValueError("models or a manifest are required")
+        self.models = models
+        self.labels = list(labels)
         # One composer — and one pattern cache — for the whole sweep,
         # so each expression's pattern is computed once per sweep: on
         # its first probe, or never for an expression no pair compares.
-        # A manifest engine seeds the cache from each model's stored
-        # pattern table instead.
         self.pattern_cache = PatternCache()
         self.composer = Composer(
             self.options, pattern_cache=self.pattern_cache
@@ -377,75 +387,8 @@ class _PairEngine:
         #: model is target of merges through copy-on-write overlays
         #: over them instead of rebuilding them.
         self._indexes: Dict[int, BoundIndexSet] = {}
-        #: Stored index rows rehydrated with the rest of a model's
-        #: artifacts, held until (and unless) the model becomes a
-        #: target.
-        self._index_rows: Dict[int, Optional[ModelIndexSet]] = {}
         self._sizes: Dict[int, int] = {}
-        #: Manifest mode only: models parsed back out of store entries,
-        #: and the entries themselves (one store read serves both the
-        #: model and its artifacts — "parse once per worker").
-        self._rehydrated: Dict[int, Model] = {}
-        self._entries: Dict[int, ModelArtifacts] = {}
-        # Re-entrant: rehydrating a model inside ``_model_artifacts``'s
-        # critical section re-takes the lock through ``_model``.
-        self._lock = threading.RLock()
-
-    def _manifest_entry(self, index: int) -> ModelArtifacts:
-        """The store entry behind manifest position ``index``, read
-        once per worker.  Raises when the digest no longer resolves to
-        a rehydratable (blob-carrying) entry."""
-        entry = self._entries.get(index)
-        if entry is not None:
-            return entry
-        with self._lock:
-            entry = self._entries.get(index)
-            if entry is None:
-                label, digest = self.manifest.entries[index]
-                entry = self.store.get(digest)
-                if (
-                    (entry is None or entry.sbml is None)
-                    and self._fetch is not None
-                ):
-                    # Remote rehydration: pull the raw entry bytes
-                    # from the coordinator, land them in the local
-                    # store (so every later pair — and every later
-                    # sweep against this store — hits locally), then
-                    # re-read through the normal screening path.
-                    data = self._fetch(digest)
-                    if data:
-                        self.store.put_blob(digest, data)
-                        entry = self.store.get(digest)
-                if entry is None or entry.sbml is None:
-                    problem = (
-                        "has no entry for it"
-                        if entry is None
-                        else "has an entry with no SBML blob"
-                    )
-                    raise ReproError(
-                        f"sweep worker cannot rehydrate model "
-                        f"{label!r} (digest {digest[:12]}...): store at "
-                        f"{self.store.root} {problem}.  If an eviction "
-                        f"removed it mid-sweep, pin the corpus "
-                        f"(evict(pinned=manifest.digests))."
-                    )
-                self._entries[index] = entry
-        return entry
-
-    def _model(self, index: int) -> Model:
-        """The corpus model at ``index`` — directly in in-memory mode,
-        parsed (once) from its store entry in manifest mode."""
-        if self.models is not None:
-            return self.models[index]
-        model = self._rehydrated.get(index)
-        if model is not None:
-            return model
-        with self._lock:
-            model = self._rehydrated.get(index)
-            if model is None:
-                model = read_sbml(self._manifest_entry(index).sbml).model
-                self._rehydrated[index] = model
-        return model
+        self._lock = threading.Lock()
 
     def _model_artifacts(self, index: int) -> AccumState:
         hit = self._artifacts.get(index)
@@ -454,25 +397,13 @@ class _PairEngine:
         with self._lock:
             hit = self._artifacts.get(index)
             if hit is None:
-                # Manifest mode reads the manifest entry — the same
-                # store read that rehydrated (or will rehydrate) the
-                # model itself.  In memory, neither a pattern table nor
-                # index rows are worth computing up front: patterns are
-                # computed on first probe, and a locally built index
-                # set routes its math keys through the sweep's own
-                # cache.
-                if self.models is None:
-                    artifacts = self._manifest_entry(index)
-                else:
-                    artifacts = compute_artifacts(
-                        self.models[index],
-                        with_patterns=False,
-                        with_indexes=False,
-                        with_sbml=False,
-                    )
-                if artifacts.patterns:
-                    self.pattern_cache.seed(artifacts.patterns)
-                self._index_rows[index] = artifacts.indexes
+                # Neither a pattern table nor index rows are worth
+                # computing up front: patterns are computed on first
+                # probe, and a model's index set is built on its first
+                # use as a target, through the sweep's own cache.
+                artifacts = compute_artifacts(
+                    self.models[index], with_signature=False
+                )
                 hit = AccumState(
                     used_ids=artifacts.used_ids,
                     registry=artifacts.registry,
@@ -483,31 +414,24 @@ class _PairEngine:
 
     def _target_indexes(self, index: int) -> BoundIndexSet:
         """The model's bound phase indexes, built on first use as a
-        pair target (never for source-only models).  Call after
-        :meth:`_model_artifacts` has populated the rows memo."""
+        pair target (never for source-only models)."""
         bound = self._indexes.get(index)
         if bound is not None:
             return bound
         with self._lock:
             bound = self._indexes.get(index)
             if bound is None:
-                model = self._model(index)
-                index_set = self._index_rows.get(index)
-                if index_set is None or not index_set.matches(self.options):
-                    # Stored rows absent (in-memory engine) or keyed
-                    # under other options: build locally, once per
-                    # model.
-                    index_set = ModelIndexSet.build(
-                        model, self.options, self.pattern_cache
-                    )
-                bound = index_set.bind(model, self.options)
+                model = self.models[index]
+                bound = ModelIndexSet.build(
+                    model, self.options, self.pattern_cache
+                ).bind(model, self.options)
                 self._indexes[index] = bound
         return bound
 
     def _model_size(self, index: int) -> int:
         size = self._sizes.get(index)
         if size is None:
-            size = self._model(index).network_size()
+            size = self.models[index].network_size()
             self._sizes[index] = size
         return size
 
@@ -516,8 +440,8 @@ class _PairEngine:
         # mid-pair, a "raise" fault is a poison pair, a "stall" fault
         # is a live-but-stuck worker.  Free when chaos is unarmed.
         chaos.trip("pair-start", i=i, j=j)
-        left = self._model(i)
-        right = self._model(j)
+        left = self.models[i]
+        right = self.models[j]
         target_state = self._model_artifacts(i)
         source_state = self._model_artifacts(j)
         indexes = self._target_indexes(i)
@@ -547,25 +471,6 @@ class _PairEngine:
             renamed=len(report.renamed),
             conflicts=len(report.conflicts),
         )
-
-
-def _build_manifest(
-    models: Sequence[Model],
-    labels: Sequence[str],
-    store_root: str,
-) -> CorpusManifest:
-    """Build (and store-populate) the corpus manifest that remote
-    workers rehydrate from.  Raises :class:`~repro.errors.ReproError`
-    naming the store when it cannot be written."""
-    store = ArtifactStore(store_root)
-    store.check_writable()
-    try:
-        return CorpusManifest.build(models, labels, store)
-    except OSError as exc:
-        raise ReproError(
-            f"cannot populate the artifact store at {store_root} that "
-            f"sweep workers rehydrate the corpus from: {exc}"
-        ) from exc
 
 
 def _resolve_prescreen(

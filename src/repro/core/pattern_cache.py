@@ -16,11 +16,11 @@ how the mapping grows.
 
 Cache keys are the **structural digests** of the expressions
 (:meth:`~repro.mathml.ast.MathNode.digest`), not object ids: the
-digest is stable across processes and model copies, so entries can be
-*seeded* from per-model pattern tables computed once per model and
-spilled to the artifact store — what a remote sweep worker seeds its
-cache from — and the cache no longer has to pin node objects alive to
-keep its keys valid.
+digest is stable across model copies, so structurally equal
+expressions from different models share one entry, and the cache does
+not have to pin node objects alive to keep its keys valid.  Entries
+are computed on first probe: a sweep probes only about half of the
+expressions its models carry, so nothing is tabulated up front.
 """
 
 from __future__ import annotations
@@ -31,55 +31,7 @@ from typing import Dict, FrozenSet, Mapping, Tuple
 from repro.mathml.ast import MathNode, Number
 from repro.mathml.pattern import canonical_pattern
 
-__all__ = ["PatternCache", "model_pattern_table"]
-
-
-def model_pattern_table(model) -> Dict[str, str]:
-    """The canonical patterns of every expression a model carries,
-    keyed by structural digest, under the **empty** mapping
-    restriction (the case the :class:`PatternCache` docstring notes is
-    the overwhelming majority during composition).
-
-    This is a pure function of the model, so it is computed once per
-    model — by :func:`~repro.core.artifact_store.compute_artifacts` —
-    stored in the artifact store under the model's content digest, and
-    used to seed each composition's :class:`PatternCache` instead of
-    re-deriving the patterns pair by pair.
-
-    Besides the raw expressions (:meth:`~repro.sbml.model.Model.all_math`),
-    the table covers the *local-parameter-substituted* kinetic-law
-    forms, because those — not the raw laws — are what reaction
-    equality actually probes (:func:`~repro.core.compose._law_comparison_math`).
-    """
-    table: Dict[str, str] = {}
-
-    def add(math) -> None:
-        if math is None:
-            return
-        digest = math.digest()
-        if digest not in table:
-            table[digest] = canonical_pattern(math)
-
-    for math in model.all_math():
-        add(math)
-    for reaction in model.reactions:
-        law = reaction.kinetic_law
-        if law is None or law.math is None:
-            continue
-        locals_items = tuple(
-            sorted(
-                (parameter.id, parameter.value)
-                for parameter in law.parameters
-                if parameter.id is not None and parameter.value is not None
-            )
-        )
-        if locals_items:
-            add(
-                law.math.substitute(
-                    {name: Number(value) for name, value in locals_items}
-                )
-            )
-    return table
+__all__ = ["PatternCache"]
 
 
 class PatternCache:
@@ -90,11 +42,6 @@ class PatternCache:
     the pattern under each distinct *relevant* mapping restriction —
     and, because the keys are digests, structurally equal expressions
     from different models (or model copies) share one entry.
-
-    :meth:`seed` preloads the empty-restriction entries from a
-    per-model pattern table (:func:`model_pattern_table`), which is
-    how the all-pairs engine turns per-pair pattern building into a
-    once-per-model artifact.
 
     The cache is shared by every merge a session executes, including
     merges running concurrently on the parallel executor's worker
@@ -111,30 +58,11 @@ class PatternCache:
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
-        #: Entries preloaded via :meth:`seed` (probes of them count as
-        #: hits — the work they saved happened once, per model).
-        self.seeded = 0
 
     def _identifier_set(self, math: MathNode) -> FrozenSet[str]:
         # Identifiers plus user-function call names — everything the
         # composition mapping can rewrite.  Cached on the node itself.
         return math.referenced_names()
-
-    def seed(self, table: Mapping[str, str]) -> int:
-        """Preload empty-restriction patterns from a per-model table
-        (digest → pattern).  Existing entries win — seeding is
-        idempotent and safe under concurrency.  Returns the number of
-        entries actually added."""
-        added = 0
-        with self._lock:
-            patterns = self._patterns
-            for digest, pattern in table.items():
-                key = (digest, ())
-                if key not in patterns:
-                    patterns[key] = pattern
-                    added += 1
-            self.seeded += added
-        return added
 
     def pattern(self, math: MathNode, mapping: Mapping[str, str]) -> str:
         """The canonical pattern of ``math`` under ``mapping``."""
@@ -182,4 +110,4 @@ class PatternCache:
     def stats(self) -> str:
         total = self.hits + self.misses
         rate = self.hits / total if total else 0.0
-        return f"{self.hits}/{total} hits ({rate:.0%}), {self.seeded} seeded"
+        return f"{self.hits}/{total} hits ({rate:.0%})"

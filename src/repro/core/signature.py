@@ -85,7 +85,6 @@ import numpy as np
 
 from repro.core.compose import ModelIndexSet, index_options_key
 from repro.core.options import ComposeOptions
-from repro.core.pattern_cache import PatternCache
 from repro.sbml.model import Model
 
 __all__ = [
@@ -297,21 +296,15 @@ class ModelSignature:
         model: Model,
         options: Optional[ComposeOptions] = None,
         *,
-        index_set: Optional[ModelIndexSet] = None,
         used_ids: Optional[Set[str]] = None,
-        pattern_cache: Optional[PatternCache] = None,
     ) -> "ModelSignature":
         """Compute a model's signature.
 
-        ``index_set``/``used_ids`` let callers that already computed
-        the model's artifacts (the store's miss path, the sweep
-        engine) share the work; an index set built under different
-        key options is rebuilt locally, exactly as the pair engine
-        rebuilds stale index artifacts.
+        ``used_ids`` lets a caller that already derived the model's
+        used-id set (the store's miss path) share it.
         """
         options = options or ComposeOptions()
-        if index_set is None or not index_set.matches(options):
-            index_set = ModelIndexSet.build(model, options, pattern_cache)
+        index_set = ModelIndexSet.build(model, options)
         if used_ids is None:
             used_ids = set(model.global_ids()) | {
                 ud.id for ud in model.unit_definitions if ud.id
@@ -436,16 +429,6 @@ class ModelSignature:
         return int(shared.size), False, united
 
 
-def _usable(
-    signature: Optional[ModelSignature], options: ComposeOptions
-) -> Optional[ModelSignature]:
-    """``signature`` if it was built under ``options``' key options,
-    else ``None``."""
-    if signature is not None and signature.matches(options):
-        return signature
-    return None
-
-
 class Prescreen:
     """Vectorized structural prescreen over one corpus.
 
@@ -490,32 +473,13 @@ class Prescreen:
         cls,
         models: Sequence[Model],
         options: Optional[ComposeOptions] = None,
-        *,
-        signatures: Optional[Sequence[Optional[ModelSignature]]] = None,
     ) -> "Prescreen":
-        """Signatures for a whole corpus, reusing derived ones when possible.
-
-        ``signatures`` holds signatures already derived for ``models``,
-        position for position (a
-        :class:`~repro.core.artifact_store.CorpusManifest` build's, as
-        a listening sweep has them).  One is
-        used only if it matches the key options; a missing signature,
-        or one built under other options, is computed here.
-        """
+        """Derive one signature per model and screen the corpus."""
         options = options or ComposeOptions()
-        if signatures is not None and len(signatures) != len(models):
-            raise ValueError(
-                f"{len(signatures)} signatures for {len(models)} models"
-            )
-        built = []
-        for position, model in enumerate(models):
-            signature = None
-            if signatures is not None:
-                signature = _usable(signatures[position], options)
-            if signature is None:
-                signature = ModelSignature.build(model, options)
-            built.append(signature)
-        return cls(built, options)
+        return cls(
+            [ModelSignature.build(model, options) for model in models],
+            options,
+        )
 
     def __len__(self) -> int:
         return len(self.signatures)

@@ -74,10 +74,12 @@ __all__ = [
     "parse_address",
 ]
 
-#: Bump on any incompatible change to framing or handshake payloads;
-#: mismatched peers refuse each other at the handshake instead of
-#: mis-decoding frames.
-PROTOCOL_VERSION = 1
+#: Bump on any incompatible change to framing, handshake payloads or
+#: message meanings; mismatched peers refuse each other at the
+#: handshake instead of mis-decoding frames.  Version 2: the hello no
+#: longer says whether the worker keeps a store, and digest-fetch
+#: answers with a model's SBML text instead of a store entry.
+PROTOCOL_VERSION = 2
 
 #: ``>I`` — 4-byte big-endian payload length prefix.
 _HEADER = struct.Struct(">I")
@@ -116,7 +118,7 @@ def options_fingerprint(options: Optional[ComposeOptions]) -> str:
     """Stable digest of the key-affecting compose options.
 
     Hashes :func:`~repro.core.compose.index_options_key` — the same
-    fingerprint that gates stored index-row reuse — so two processes
+    fingerprint that gates stored signature reuse — so two processes
     agreeing on this value produce byte-identical pair outcomes.
     ``None`` means the defaults (what the coordinator passes when no
     options were given).
@@ -381,7 +383,6 @@ def client_handshake(
     *,
     host: str,
     pid: int,
-    has_store: bool,
 ) -> dict:
     """Worker side: send hello, validate the welcome, return it.
 
@@ -401,7 +402,6 @@ def client_handshake(
                 "protocol": PROTOCOL_VERSION,
                 "host": host,
                 "pid": pid,
-                "has_store": has_store,
             },
         )
     )

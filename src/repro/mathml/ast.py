@@ -274,11 +274,10 @@ class MathNode:
 
         Stability: the digest is deterministic across processes and
         machines for a given repo version (it hashes a canonical
-        serialisation, not ``id()``/``hash()``), which is what allows
-        digest-keyed artifacts to be spilled to disk and rehydrated by
-        other workers.  It is *not* guaranteed stable across releases
-        that change the serialisation — persisted artifact stores
-        version their format for exactly that reason.
+        serialisation, not ``id()``/``hash()``), which is what lets
+        pattern caches in different processes and over different model
+        copies agree.  It is *not* guaranteed stable across releases
+        that change the serialisation.
         """
         cached = getattr(self, "_digest", None)
         if cached is None:

@@ -113,8 +113,14 @@ class GillespieSimulator:
         The trajectory is piecewise constant; sampling uses the value
         in force at each grid time.
         """
-        if t_end <= 0:
-            raise SimulationError(f"t_end must be positive, got {t_end}")
+        if not (np.isfinite(t_end) and t_end > 0):
+            raise SimulationError(
+                f"t_end must be finite and positive, got {t_end}"
+            )
+        if grid_points < 1:
+            raise SimulationError(
+                f"grid_points must be at least 1, got {grid_points}"
+            )
         rng = rng if rng is not None else np.random.default_rng()
         counts = self.initial_counts()
         base_env = self._base_env()

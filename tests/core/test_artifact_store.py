@@ -17,6 +17,21 @@ from repro.core.artifact_store import (
 )
 
 
+def _garble(path):
+    """Bit rot: bytes that do not decode."""
+    path.write_bytes(b"bit rot")
+
+
+def _block(path):
+    """A directory in the entry's place: exists, but cannot be read."""
+    path.unlink()
+    path.mkdir()
+
+
+#: The ways an entry goes corrupt; every corrupt-read test runs each.
+SPOILERS = (_garble, _block)
+
+
 def _model(model_id="m", species=("A", "B"), value=0.5):
     builder = ModelBuilder(model_id).compartment("cell", size=1.0)
     for name in species:
@@ -82,15 +97,15 @@ class TestArtifactStore:
         assert first.used_ids == second.used_ids
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        model = _model()
-        digest = model_digest(model)
-        path = store.put(digest, compute_artifacts(model))
-        path.write_bytes(b"torn write")
-        assert store.get(digest) is None
-        # get_or_compute self-heals the entry.
-        assert store.get_or_compute(model) is not None
-        assert store.get(digest) is not None
+        for spoil in SPOILERS:
+            store = ArtifactStore(tmp_path / spoil.__name__)
+            model = _model()
+            digest = model_digest(model)
+            spoil(store.put(digest, compute_artifacts(model)))
+            assert store.get(digest) is None
+            # get_or_compute self-heals the entry.
+            assert store.get_or_compute(model) is not None
+            assert store.get(digest) is not None
 
     def test_format_mismatch_is_a_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -133,11 +148,15 @@ class TestSerialiseOnce:
     digest and blob."""
 
     def test_miss_without_digest_serialises_once(self, tmp_path, calls):
+        from repro.sbml.writer import write_sbml
+
         store = ArtifactStore(tmp_path)
-        artifacts = store.get_or_compute(_model())
+        model = _model()
+        store.get_or_compute(model)
         assert len(calls) == 1
-        # The stored blob is the very text the key hashes.
-        digest = hashlib.sha256(artifacts.sbml.encode("utf-8")).hexdigest()
+        # The entry is keyed by the hash of the one text serialised.
+        text = write_sbml(model)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert store.get(digest) is not None
 
     def test_store_backed_add_all_serialises_each_model_once(
@@ -151,9 +170,9 @@ class TestSerialiseOnce:
         store = ArtifactStore(tmp_path)
         store.get_or_compute(models[0])
         calls.clear()
-        # One warm model, five cold: the digest, plus the blob on a miss.
+        # One warm model, five cold: only the digest, hit or miss.
         CorpusIndex().add_all(models, store=store)
-        assert len(calls) == 6 + 5
+        assert len(calls) == 6
         calls.clear()
         CorpusIndex().add_all(models, store=store)
         assert len(calls) == 6
@@ -276,16 +295,15 @@ class TestStoreFormat:
     def test_older_formats_are_counted_misses_rewritten_as_current(
         self, tmp_path
     ):
-        """The store reads one format: entries of formats 2–4 (which
-        lack the index rows, the signature or the SBML blob) are
-        counted ``incompatible`` misses, recomputed and rewritten in
-        the current format, which round-trips every artifact — the
-        blob is the exact text the digest hashes."""
+        """The store reads one format: entries of formats 2–5 (format
+        5 also carried pattern tables, index rows and the SBML text)
+        are counted ``incompatible`` misses, recomputed and rewritten
+        in the current format, which round-trips every artifact."""
         model = _model()
         digest = model_digest(model)
-        for version in (2, 3, 4):
+        for version in (2, 3, 4, 5):
             store = ArtifactStore(tmp_path / f"format{version}")
-            artifacts = compute_artifacts(model, with_sbml=False)
+            artifacts = compute_artifacts(model)
             path = store.path_for(digest)
             path.parent.mkdir(parents=True)
             path.write_bytes(
@@ -295,18 +313,14 @@ class TestStoreFormat:
             assert store.stats()["incompatible"] == 1
             assert path.exists()  # left in place, not quarantined
             rewritten = store.get_or_compute(model, digest)
-            assert pickle.loads(path.read_bytes())["format"] == 5
+            assert pickle.loads(path.read_bytes())["format"] == 6
             hit = store.get(digest)
             assert hit is not None and store.stats()["hits"] == 1
             assert hit.used_ids == rewritten.used_ids
-            assert hit.indexes.rows == compute_artifacts(model).indexes.rows
+            assert hit.initial == rewritten.initial
             assert hit.signature.options_key == (
                 compute_artifacts(model).signature.options_key
             )
-            assert hashlib.sha256(hit.sbml.encode("utf-8")).hexdigest() == (
-                digest
-            )
-            assert model_digest(read_sbml(hit.sbml).model) == digest
         # A stray field an older writer of this format left behind is
         # ignored, not an error.
         store = ArtifactStore(tmp_path / "stray")
@@ -314,6 +328,12 @@ class TestStoreFormat:
         computed.id_sets = {"species": frozenset({"A", "B"})}
         store.put(digest, computed)
         assert store.get(digest).signature is not None
+
+    def test_engine_artifacts_skip_the_signature(self):
+        model = _model()
+        artifacts = compute_artifacts(model, with_signature=False)
+        assert artifacts.signature is None
+        assert artifacts.used_ids == compute_artifacts(model).used_ids
 
 
 class TestCorpusManifest:
@@ -324,11 +344,10 @@ class TestCorpusManifest:
             _model("c", species=("C", "D")),
         ]
 
-    def test_build_populates_store_and_orders_entries(self, tmp_path):
-        store = ArtifactStore(tmp_path)
+    def test_build_keeps_texts_and_orders_entries(self, tmp_path):
         models = self._corpus()
         labels = ["a", "b", "c"]
-        manifest = CorpusManifest.build(models, labels, store)
+        manifest = CorpusManifest.build(models, labels)
         assert len(manifest) == 3
         assert manifest.labels == ("a", "b", "c")
         assert manifest.digests == tuple(
@@ -337,42 +356,36 @@ class TestCorpusManifest:
         # Fingerprint agrees byte-for-byte with the model-side one the
         # checkpoint journal computes.
         assert manifest.fingerprint == corpus_fingerprint(models)
-        # Every entry is worker-rehydratable: a format-5 blob carrier.
-        for model, digest in zip(models, manifest.digests):
-            entry = store.get(digest)
-            assert entry is not None and entry.sbml is not None
-            assert model_digest(read_sbml(entry.sbml).model) == digest
+        # Every text is the one its digest hashes, and parses back to
+        # the model.
+        for text, digest in zip(manifest.texts, manifest.digests):
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+            assert model_digest(read_sbml(text).model) == digest
+        # The build writes nothing to disk.
+        assert list(tmp_path.iterdir()) == []
 
-    def test_build_upgrades_blobless_entries_in_place(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        model = _model()
-        digest = model_digest(model)
-        store.put(digest, compute_artifacts(model, with_sbml=False))
-        assert store.get(digest).sbml is None
-        CorpusManifest.build([model], ["m"], store)
-        assert store.get(digest).sbml is not None
+    def test_texts_stay_out_of_its_pickle(self):
+        manifest = CorpusManifest.build(self._corpus(), ["a", "b", "c"])
+        assert len(manifest.texts) == 3
+        shipped = pickle.loads(pickle.dumps(manifest))
+        assert shipped == manifest
+        assert shipped.texts == ()
+        assert len(pickle.dumps(manifest)) < sum(
+            len(text) for text in manifest.texts
+        )
 
-    def test_build_does_not_rewrite_complete_entries(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        model = _model()
-        manifest = CorpusManifest.build([model], ["m"], store)
-        payload = store.path_for(manifest.digests[0]).read_bytes()
-        CorpusManifest.build([model.copy()], ["m"], store)
-        assert store.path_for(manifest.digests[0]).read_bytes() == payload
-
-    def test_build_rejects_mismatched_labels(self, tmp_path):
-        store = ArtifactStore(tmp_path)
+    def test_build_rejects_mismatched_labels(self):
         with pytest.raises(ValueError):
-            CorpusManifest.build(self._corpus(), ["only-one"], store)
+            CorpusManifest.build(self._corpus(), ["only-one"])
 
     def test_evict_pinned_on_manifest_keeps_corpus(self, tmp_path):
-        """Eviction while remote workers sweep must never drop a corpus
-        entry one is about to rehydrate: pinning on
-        ``manifest.digests`` exempts them."""
+        """Pinning a store on ``manifest.digests`` exempts the corpus
+        entries from eviction."""
         store = ArtifactStore(tmp_path)
-        manifest = CorpusManifest.build(
-            self._corpus(), ["a", "b", "c"], store
-        )
+        corpus = self._corpus()
+        manifest = CorpusManifest.build(corpus, ["a", "b", "c"])
+        for model in corpus:
+            store.get_or_compute(model)
         stray = _model("stray", species=("X", "Y"))
         store.get_or_compute(stray)
         evicted = store.evict(max_entries=0, pinned=manifest.digests)
@@ -436,20 +449,33 @@ class TestStoreStatsAndQuarantine:
         assert stats["misses"] == 1 and stats["hits"] == 1
 
     def test_corrupt_read_is_counted_and_quarantined(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        model = _model()
-        digest = model_digest(model)
-        path = store.put(digest, compute_artifacts(model))
-        path.write_bytes(b"bit rot")
-        assert store.get(digest) is None
-        assert store.stats()["corrupt"] == 1
-        # The bad blob moved to corrupt/ — diagnosed once, not re-paid.
-        assert not path.exists()
-        moved = tmp_path / ArtifactStore.CORRUPT_DIR / path.name
-        assert moved.read_bytes() == b"bit rot"
-        # The slot is free again: recompute self-heals it.
-        assert store.get_or_compute(model) is not None
-        assert store.get(digest) is not None
+        for spoil in SPOILERS:
+            store = ArtifactStore(tmp_path / spoil.__name__)
+            model = _model()
+            digest = model_digest(model)
+            path = store.put(digest, compute_artifacts(model))
+            spoil(path)
+            assert store.get(digest) is None
+            assert store.stats()["corrupt"] == 1
+            assert store.stats()["misses"] == 0
+            # The bad entry moved to corrupt/ — diagnosed once, not
+            # re-paid.
+            assert not path.exists()
+            moved = store.root / ArtifactStore.CORRUPT_DIR / path.name
+            assert moved.exists()
+            if spoil is _garble:
+                assert moved.read_bytes() == b"bit rot"
+            # The slot is free again: recompute self-heals it.
+            assert store.get_or_compute(model) is not None
+            assert store.get(digest) is not None
+            # Going bad again quarantines beside the first, and the
+            # entry still self-heals.
+            spoil(path)
+            assert store.get(digest) is None
+            assert store.stats()["corrupt"] == 2
+            assert moved.exists()
+            assert len(list(moved.parent.iterdir())) == 2
+            assert store.get_or_compute(model) is not None
 
     def test_incompatible_read_is_counted_not_quarantined(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -473,30 +499,33 @@ class TestStoreVerify:
         assert report.summary() == "2 entries, 2 ok"
 
     def test_verify_quarantines_corrupt_entries(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        model = _model()
-        good = _model("other", species=("X", "Y"))
-        store.get_or_compute(good)
-        path = store.put(model_digest(model), compute_artifacts(model))
-        path.write_bytes(b"garbage")
-        report = store.verify()
-        assert not report.clean
-        assert report.corrupt == [model_digest(model)]
-        assert report.ok == 1
-        assert [p.parent.name for p in report.quarantined] == [
-            ArtifactStore.CORRUPT_DIR
-        ]
-        assert not path.exists()
-        assert "1 corrupt (1 quarantined)" in report.summary()
+        for spoil in SPOILERS:
+            store = ArtifactStore(tmp_path / spoil.__name__)
+            model = _model()
+            good = _model("other", species=("X", "Y"))
+            store.get_or_compute(good)
+            path = store.put(model_digest(model), compute_artifacts(model))
+            spoil(path)
+            report = store.verify()
+            assert not report.clean
+            assert report.total == 2
+            assert report.corrupt == [model_digest(model)]
+            assert report.ok == 1
+            assert [p.parent.name for p in report.quarantined] == [
+                ArtifactStore.CORRUPT_DIR
+            ]
+            assert not path.exists()
+            assert "1 corrupt (1 quarantined)" in report.summary()
 
     def test_verify_keep_corrupt_leaves_blob_in_place(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        model = _model()
-        path = store.put(model_digest(model), compute_artifacts(model))
-        path.write_bytes(b"garbage")
-        report = store.verify(quarantine=False)
-        assert report.corrupt and not report.quarantined
-        assert path.exists()
+        for spoil in SPOILERS:
+            store = ArtifactStore(tmp_path / spoil.__name__)
+            model = _model()
+            path = store.put(model_digest(model), compute_artifacts(model))
+            spoil(path)
+            report = store.verify(quarantine=False)
+            assert report.corrupt and not report.quarantined
+            assert path.exists()
 
     def test_verify_counts_incompatible_in_place(self, tmp_path):
         store = ArtifactStore(tmp_path)

@@ -47,11 +47,11 @@ Equality strength per path:
   byte-identical to the in-memory sweep on the deterministic CSV —
   through ``match_all``, through the coordinator directly, and (a
   hypothesis property) for any shard layout and worker count.  The
-  manifest engine that remote workers run — a ``(label, digest)``
-  manifest instead of the corpus, each model rehydrated from the
-  store's canonical SBML blob on first touch, with its stored pattern
-  table and index rows — is run in-process over every pair of a
-  corpus and must produce the same bytes;
+  engine that remote workers run — the same in-memory engine over a
+  ``(label, digest)`` manifest instead of the corpus, each model
+  fetched as canonical SBML text and parsed on first touch — is run
+  in-process over every pair of a corpus and must produce the same
+  bytes;
 * the **remote supervised sweep** (the tenth path) — workers joined
   over loopback TCP (``sbmlcompose worker``) receive the manifest and
   compute shards through the framed socket transport and the
@@ -387,16 +387,19 @@ def test_digest_shipped_sweep_conformance(corpus_name, corpora):
 
 
 def test_digest_shipped_supervised_sweep_conformance(corpora, tmp_path):
-    """The ninth path through the coordinator and through the manifest
-    engine.  A coordinator's local workers hold the corpus, and its
+    """The ninth path through the coordinator and through the fetched
+    corpus.  A coordinator's local workers hold the corpus, and its
     shard-CSV union is byte-identical to the in-memory unsharded
-    sweep.  The manifest engine — the one remote workers run, which
-    rehydrates every model from the store's SBML blob — is run
-    in-process over every pair and must produce the same bytes, so
-    remote-style rehydration keeps an oracle without TCP."""
-    from repro.core.artifact_store import ArtifactStore, CorpusManifest
+    sweep.  The engine remote workers run — over a pickled manifest,
+    fetching every model's canonical SBML text from the manifest the
+    coordinator holds — is run in-process over every pair and must
+    produce the same bytes, so remote-style loading keeps an oracle
+    without TCP."""
+    import pickle
+
+    from repro.core.artifact_store import CorpusManifest
     from repro.core.coordinator import CoordinatorConfig, SweepCoordinator
-    from repro.core.match_all import _PairEngine
+    from repro.core.match_all import _FetchedModels, _PairEngine
     from repro.core.session import stable_labels
 
     models = corpora["curated"]
@@ -418,15 +421,18 @@ def test_digest_shipped_supervised_sweep_conformance(corpora, tmp_path):
     merged = MatchMatrix.union(report.matrices)
     assert _deterministic_csv(merged) == reference
 
-    store_root = tmp_path / "artifacts"
-    manifest = CorpusManifest.build(
-        models, stable_labels(models), ArtifactStore(store_root)
-    )
+    manifest = CorpusManifest.build(models, stable_labels(models))
     assert manifest.fingerprint == corpus_fingerprint(models)
-    engine = _PairEngine(None, store_root=str(store_root), manifest=manifest)
-    assert engine.models is None  # every model comes out of the store
-    shipped = [engine.run_pair(o.i, o.j) for o in inline.outcomes]
-    assert _csv(shipped) == reference
+    texts = dict(zip(manifest.digests, manifest.texts))
+    shipped = pickle.loads(pickle.dumps(manifest))
+    fetched = _FetchedModels(shipped, texts.get)
+    engine = _PairEngine(None, fetched, shipped.labels)
+    result = [engine.run_pair(o.i, o.j) for o in inline.outcomes]
+    assert _csv(result) == reference
+    # Every model was parsed back from its text: none is the original.
+    assert all(
+        fetched[i] is not model for i, model in enumerate(models)
+    )
 
 
 def test_remote_supervised_sweep_conformance(corpora, tmp_path):
@@ -435,7 +441,7 @@ def test_remote_supervised_sweep_conformance(corpora, tmp_path):
     chaos-killed mid-shard (its shard stolen and retried) and one pair
     quarantined as poison — must still merge to a CSV byte-identical
     to the unsharded in-memory sweep minus exactly the quarantined
-    pair.  Socket framing, the handshake, digest-fetch rehydration and
+    pair.  Socket framing, the handshake, digest-fetch loading and
     steal/retry/quarantine are all on the wire here; none of them may
     leak into the answer."""
     import os
@@ -546,6 +552,8 @@ def test_remote_supervised_sweep_conformance(corpora, tmp_path):
     assert sorted(codes) == [-9, 0]
     merged = MatchMatrix.union(report.matrices)
     assert _deterministic_csv(merged) == expected.getvalue()
+    # Remote workers fetched the corpus from memory: no store on disk.
+    assert not (out / "artifacts").exists()
 
 
 @given(

@@ -8,7 +8,7 @@ The tentpole guarantees of :class:`~repro.core.compose.ModelIndexSet`:
   sweep's decide-only merges must copy and append to no model, and
   leave the shared bases *and the backing models* bit-identical
   (digest-compared) to their pre-merge state;
-* stored rows keyed under other options are ignored, never misapplied.
+* an engine builds its rows under its own options, never the defaults.
 """
 
 import pickle
@@ -217,29 +217,24 @@ class TestOverlayIsolation:
 
 
 class TestEngineOptionMismatch:
-    def test_engine_rebuilds_rows_for_other_semantics(self, tmp_path):
-        """A store populated under heavy defaults serves a light-
-        semantics manifest engine: the stored rows are ignored
-        (fingerprint mismatch), local rows are built, outcomes equal
-        the fresh light sweep."""
-        from repro.core.artifact_store import ArtifactStore, CorpusManifest
+    def test_engine_rebuilds_rows_for_other_semantics(self):
+        """An engine running light semantics builds every target's
+        rows under its own options — never the paper-default rows a
+        stored signature is derived from — and its outcomes equal the
+        fresh light sweep's."""
         from repro.core.shards import enumerate_pairs
 
         models = [_model("a"), _model("b", k=0.25), _model("c", k=0.1)]
-        store_root = tmp_path / "artifacts"
-        manifest = CorpusManifest.build(
-            models, stable_labels(models), ArtifactStore(store_root)
-        )
         light = ComposeOptions.light()
-        engine = _PairEngine(
-            light, store_root=str(store_root), manifest=manifest
-        )
-        stored = [
+        engine = _PairEngine(light, models, stable_labels(models))
+        swept = [
             engine.run_pair(i, j) for i, j in enumerate_pairs(len(models))
         ]
-        rows = engine._index_rows[0]
-        assert rows is not None and not rows.matches(light)
-        assert [o.key() for o in stored] == [
+        heavy_rows = ModelIndexSet.build(models[0], ComposeOptions()).rows
+        light_rows = ModelIndexSet.build(models[0], light).rows
+        assert light_rows != heavy_rows
+        assert engine._indexes[0]._rows == light_rows
+        assert [o.key() for o in swept] == [
             o.key() for o in reference_outcomes(models, light)
         ]
 

@@ -308,19 +308,19 @@ class TestOverlayReads:
 
 
 class TestDigestShipping:
-    """The format-5 store boundary: the manifest engine that remote
-    workers run rehydrates each model from a blob-carrying store entry
-    on first touch."""
+    """The remote boundary: a remote worker receives a
+    :class:`~repro.core.artifact_store.CorpusManifest` and builds the
+    in-memory engine over :class:`~repro.core.match_all._FetchedModels`,
+    which fetches each model's SBML text on first touch."""
 
-    def test_manifest_payload_does_not_grow_with_corpus(self, tmp_path):
+    def test_manifest_payload_does_not_grow_with_corpus(self):
         """The acceptance number: a remote worker's handshake payload
         is a few dozen bytes per manifest entry, versus the full
         serialised corpus."""
         import pickle
 
-        from repro.core.artifact_store import ArtifactStore, CorpusManifest
+        from repro.core.artifact_store import CorpusManifest
 
-        store = ArtifactStore(tmp_path / "store")
         small = [
             _module_model(f"m{i}", ["A", "B", "C"], f"k{i}")
             for i in range(4)
@@ -329,12 +329,8 @@ class TestDigestShipping:
             _module_model(f"m{i}", ["A", "B", "C"], f"k{i}")
             for i in range(4, 16)
         ]
-        manifest_small = CorpusManifest.build(
-            small, [m.id for m in small], store
-        )
-        manifest_large = CorpusManifest.build(
-            large, [m.id for m in large], store
-        )
+        manifest_small = CorpusManifest.build(small, [m.id for m in small])
+        manifest_large = CorpusManifest.build(large, [m.id for m in large])
         per_entry = (
             len(pickle.dumps(manifest_large)) - len(pickle.dumps(manifest_small))
         ) / (len(large) - len(small))
@@ -344,54 +340,98 @@ class TestDigestShipping:
         assert per_entry < 200  # a label + a hex digest, flat
         assert per_entry < per_model / 5
 
-    def test_rehydrate_miss_is_a_repro_error(self, corpus, tmp_path):
-        from repro.core.artifact_store import ArtifactStore, CorpusManifest
+    @staticmethod
+    def _fetched(corpus, answer):
+        """``(models, fetched digests)`` for a remote worker's view of
+        ``corpus``, whose coordinator replies ``answer(digest, text)``.
+        The manifest crosses a pickle, as the welcome carries it."""
+        import pickle
+
+        from repro.core.artifact_store import CorpusManifest
+        from repro.core.match_all import _FetchedModels
+
+        manifest = CorpusManifest.build(corpus, [m.id for m in corpus])
+        texts = dict(zip(manifest.digests, manifest.texts))
+        fetched = []
+
+        def fetch(digest):
+            fetched.append(digest)
+            return answer(digest, texts.get(digest))
+
+        shipped = pickle.loads(pickle.dumps(manifest))
+        assert shipped.texts == ()
+        return _FetchedModels(shipped, fetch), fetched
+
+    def test_fetches_each_model_at_most_once(self, corpus):
+        from repro.core.artifact_store import model_digest
+        from repro.core.match_all import _PairEngine
+        from repro.core.shards import enumerate_pairs
+
+        models, fetched = self._fetched(corpus, lambda digest, text: text)
+        assert len(models) == len(corpus)
+        assert fetched == []  # nothing crosses before a pair needs it
+        engine = _PairEngine(None, models, [m.id for m in corpus])
+        engine.run_pair(0, 1)
+        assert len(fetched) == 2
+        outcomes = [
+            engine.run_pair(i, j) for i, j in enumerate_pairs(len(corpus))
+        ]
+        assert sorted(fetched) == sorted(
+            model_digest(model) for model in corpus
+        )
+        assert [o.key() for o in outcomes] == [
+            o.key() for o in match_all(corpus).outcomes
+        ]
+        assert models[0] is models[0]
+
+    def test_rehydrate_miss_is_a_repro_error(self, corpus):
+        """A coordinator with no text for a digest replies ``None``."""
+        from repro.core.artifact_store import model_digest
         from repro.core.match_all import _PairEngine
         from repro.errors import ReproError
 
-        store = ArtifactStore(tmp_path / "store")
-        manifest = CorpusManifest.build(
-            corpus, [m.id for m in corpus], store
-        )
-        store.clear()  # eviction raced the sweep
-        engine = _PairEngine(
-            ComposeOptions(),
-            None,
-            None,
-            str(tmp_path / "store"),
-            manifest=manifest,
-        )
-        with pytest.raises(ReproError, match="cannot rehydrate"):
+        models, _ = self._fetched(corpus, lambda digest, text: None)
+        engine = _PairEngine(None, models, [m.id for m in corpus])
+        with pytest.raises(ReproError, match="sent no SBML") as raised:
             engine.run_pair(0, 1)
+        assert "'m1'" in str(raised.value)
+        assert model_digest(corpus[0]) in str(raised.value)
 
-    def test_blobless_entry_is_a_repro_error(self, corpus, tmp_path):
-        from repro.core.artifact_store import (
-            ArtifactStore,
-            CorpusManifest,
-            compute_artifacts,
-            model_digest,
-        )
-        from repro.core.match_all import _PairEngine
+    def test_blobless_entry_is_a_repro_error(self, corpus):
+        """An empty reply carries no model either."""
+        from repro.core.artifact_store import model_digest
         from repro.errors import ReproError
 
-        store = ArtifactStore(tmp_path / "store")
-        manifest = CorpusManifest.build(
-            corpus, [m.id for m in corpus], store
+        models, _ = self._fetched(corpus, lambda digest, text: "")
+        with pytest.raises(ReproError, match="sent no SBML") as raised:
+            models[2]
+        assert "'m3'" in str(raised.value)
+        assert model_digest(corpus[2]) in str(raised.value)
+
+    def test_wrong_digest_text_is_a_repro_error(self, corpus, monkeypatch):
+        """A text that does not hash to its digest is refused before
+        it is parsed."""
+        import importlib
+
+        from repro.core.artifact_store import model_digest
+        from repro.errors import ReproError
+        from repro.sbml.writer import write_sbml
+
+        other = write_sbml(corpus[3])
+        models, _ = self._fetched(corpus, lambda digest, text: other)
+        parsed = []
+        monkeypatch.setattr(
+            importlib.import_module("repro.core.match_all"),
+            "read_sbml",
+            parsed.append,
         )
-        # Overwrite one entry with a pre-format-5 (blob-less) payload.
-        store.put(
-            model_digest(corpus[0]),
-            compute_artifacts(corpus[0], with_sbml=False),
-        )
-        engine = _PairEngine(
-            ComposeOptions(),
-            None,
-            None,
-            str(tmp_path / "store"),
-            manifest=manifest,
-        )
-        with pytest.raises(ReproError, match="no SBML blob"):
-            engine.run_pair(0, 1)
+        with pytest.raises(
+            ReproError, match="does not hash to that digest"
+        ) as raised:
+            models[0]
+        assert parsed == []
+        assert "'m1'" in str(raised.value)
+        assert model_digest(corpus[0]) in str(raised.value)
 
 
 def _sweep_temp_dirs(root):
@@ -498,7 +538,8 @@ class TestLocalSweepsOpenNoStore:
     """Local sweeps derive every per-model artifact in memory: no
     inline engine, local worker or CLI sweep constructs an artifact
     store, and ``sweep --out-dir D`` leaves no ``D/artifacts``.  Only
-    remote workers and the corpus index read a store."""
+    the corpus index reads a store; remote workers open none either
+    (``test_remote_sweep.py``)."""
 
     @pytest.fixture(autouse=True)
     def no_store(self, monkeypatch):

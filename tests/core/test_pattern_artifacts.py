@@ -1,9 +1,10 @@
-"""Sweep-level pattern artifacts and artifact-store eviction.
+"""Sweep-level pattern caching and artifact-store eviction.
 
-Covers the tentpole seeding path — per-model canonical pattern tables
-computed once, stored by content digest, and seeded into each
-composition's :class:`~repro.core.pattern_cache.PatternCache` — plus
-the store's LRU eviction policy.
+Covers the sweep engine's digest-keyed
+:class:`~repro.core.pattern_cache.PatternCache` — each expression's
+pattern computed on first probe and shared by every later pair — the
+per-object key caches sweeps keep on their inputs, and the store's LRU
+eviction policy.
 """
 
 import os
@@ -14,12 +15,11 @@ import pytest
 from repro import ModelBuilder, match_all
 from repro.core.artifact_store import (
     ArtifactStore,
-    CorpusManifest,
     compute_artifacts,
     model_digest,
 )
 from repro.core.match_all import _PairEngine
-from repro.core.pattern_cache import PatternCache, model_pattern_table
+from repro.core.pattern_cache import PatternCache
 from repro.core.session import stable_labels
 from repro.mathml import canonical_pattern, parse_infix
 
@@ -36,52 +36,7 @@ def _model(model_id="m", formula="k * A", k=0.5):
     )
 
 
-class TestModelPatternTable:
-    def test_covers_model_math(self):
-        model = _model()
-        table = model_pattern_table(model)
-        law = model.reactions[0].kinetic_law.math
-        assert table[law.digest()] == canonical_pattern(law)
-
-    def test_covers_law_comparison_form(self):
-        # Reaction equality probes the locals-substituted law, not the
-        # raw one; the table must cover that form too.
-        model = _model()
-        table = model_pattern_table(model)
-        substituted = parse_infix("0.5 * A")
-        assert table[substituted.digest()] == canonical_pattern(substituted)
-
-    def test_pure_function_of_model(self):
-        assert model_pattern_table(_model()) == model_pattern_table(_model())
-
-
 class TestSeededPatternCache:
-    def test_seeded_probe_is_a_hit(self):
-        model = _model()
-        law = model.reactions[0].kinetic_law.math
-
-        unseeded = PatternCache()
-        unseeded.pattern(law, {})
-        assert unseeded.hits == 0 and unseeded.misses == 1
-
-        seeded = PatternCache()
-        seeded.seed(model_pattern_table(model))
-        result = seeded.pattern(law, {})
-        # Strictly more hits than the unseeded cache for the same
-        # probe sequence — the satellite's invariant.
-        assert seeded.hits == 1 and seeded.misses == 0
-        assert seeded.hits > unseeded.hits
-        assert result == canonical_pattern(law)
-
-    def test_seeding_is_idempotent_and_lossless(self):
-        table = model_pattern_table(_model())
-        cache = PatternCache()
-        first = cache.seed(table)
-        second = cache.seed(table)
-        assert first == len(table)
-        assert second == 0
-        assert cache.seeded == len(table)
-
     def test_structurally_equal_copies_share_entries(self):
         # Digest keys: a model copy's math (same objects or not) hits
         # the same entries — no per-object duplication.
@@ -96,46 +51,22 @@ class TestSeededPatternCache:
         model = _model()
         law = model.reactions[0].kinetic_law.math
         cache = PatternCache()
-        cache.seed(model_pattern_table(model))
+        unmapped = cache.pattern(law, {})
         mapped = cache.pattern(law, {"A": "glc"})
         assert mapped == canonical_pattern(law, {"A": "glc"})
-        assert mapped != cache.pattern(law, {})
-
-
-def _manifest_engine(models, store_root):
-    """The engine remote workers run: every model and its pattern
-    table come out of the store behind a manifest."""
-    manifest = CorpusManifest.build(
-        models, stable_labels(models), ArtifactStore(store_root)
-    )
-    return _PairEngine(None, store_root=str(store_root), manifest=manifest)
+        assert mapped != unmapped
+        assert cache.pattern(law, {}) == unmapped
 
 
 class TestSweepSeeding:
-    def test_pair_engine_seeds_from_artifacts(self, tmp_path):
-        # A manifest engine seeds its cache from the stored pattern
-        # tables.
-        models = [
-            _model("a"),
-            _model("b", k=0.25),
-        ]
-        engine = _manifest_engine(models, tmp_path / "artifacts")
-        for i, j in [(0, 0), (0, 1), (1, 1)]:
-            engine.run_pair(i, j)
-        assert engine.pattern_cache.seeded > 0
-        # The sweep's empty-restriction probes land on seeded entries:
-        # strictly more hits than a cold, unseeded cache would see.
-        assert engine.pattern_cache.hits > 0
-
     def test_storeless_engine_computes_patterns_on_first_probe(self):
-        # Without a store nothing is tabulated up front: each pattern
-        # is computed when a pair first probes it, then reused.
+        # Nothing is tabulated up front: each pattern is computed when
+        # a pair first probes it, then reused.
         models = [_model("a"), _model("b", k=0.25)]
         engine = _PairEngine(None, models, stable_labels(models))
         for i, j in [(0, 0), (0, 1), (1, 1)]:
             engine.run_pair(i, j)
         cache = engine.pattern_cache
-        assert cache.seeded == 0
         assert cache.misses > 0 and cache.hits > 0
         # Every entry was computed by a probe: the locals-substituted
         # law the reaction comparison probes is there, the raw law no
@@ -144,25 +75,6 @@ class TestSweepSeeding:
         raw = models[0].reactions[0].kinetic_law.math
         assert (parse_infix("0.5 * A").digest(), ()) in cache._patterns
         assert (raw.digest(), ()) not in cache._patterns
-
-    def test_artifacts_carry_patterns_through_store(self, tmp_path):
-        model = _model()
-        store = ArtifactStore(tmp_path / "artifacts")
-        digest = model_digest(model)
-        store.put(digest, compute_artifacts(model))
-        rehydrated = store.get(digest)
-        assert rehydrated is not None
-        assert rehydrated.patterns == model_pattern_table(model)
-
-    def test_seeding_changes_no_outcome(self, tmp_path):
-        models = [_model("a"), _model("b", k=0.25), _model("c", k=0.1)]
-        engine = _manifest_engine(models, tmp_path / "artifacts")
-        plain = match_all(models)
-        seeded = [engine.run_pair(o.i, o.j) for o in plain.outcomes]
-        assert engine.pattern_cache.seeded > 0
-        assert [o.key() for o in seeded] == [
-            o.key() for o in plain.outcomes
-        ]
 
 
 class TestPerObjectCacheDiscipline:
@@ -212,8 +124,7 @@ class TestPerObjectCacheDiscipline:
 
     def test_patternless_sweep_skips_pattern_tables(self):
         # With use_math_patterns off, math_key never consults the
-        # cache, so the engine must not pay for per-model pattern
-        # tables (no store attached — nothing to share them with).
+        # cache, so the engine computes no pattern at all.
         from repro.core.options import ComposeOptions
 
         models = self._chain()
@@ -224,7 +135,8 @@ class TestPerObjectCacheDiscipline:
         )
         engine.run_pair(0, 1)
         engine.run_pair(2, 3)
-        assert engine.pattern_cache.seeded == 0
+        assert engine.pattern_cache.misses == 0
+        assert not engine.pattern_cache._patterns
 
 
 class TestEventRuleKeyCaches:
@@ -399,5 +311,6 @@ class TestEviction:
         store.evict(max_entries=0)
         assert digest not in store
         artifacts = store.get_or_compute(model, digest)
-        assert artifacts.patterns == model_pattern_table(model)
+        assert artifacts.used_ids == compute_artifacts(model).used_ids
+        assert artifacts.signature is not None
         assert digest in store

@@ -3,12 +3,13 @@
 Real processes, real TCP (loopback), deterministic chaos: these tests
 spawn ``sbmlcompose worker`` subprocesses against a listening
 coordinator and pin the promises the remote boundary makes — a worker
-with an *empty* local store completes shards through digest-fetch
+that opens no artifact store completes shards through digest-fetch
 alone, a remote death mid-shard is stolen and retried exactly like a
 local pipe-worker death, and a chaos-dropped accept kills only the
 dropped worker.
 """
 
+import io
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import pytest
 from repro.core import chaos
 from repro.core.artifact_store import corpus_fingerprint
 from repro.core.coordinator import CoordinatorConfig, SweepCoordinator
-from repro.core.match_all import match_all
+from repro.core.match_all import MatchMatrix, match_all, write_outcomes
 from repro.corpus.curated import (
     drug_inhibition,
     glycolysis_lower,
@@ -29,6 +30,21 @@ from repro.corpus.curated import (
 
 SHARDS = 3
 SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+#: ``sbmlcompose worker`` with ``ArtifactStore.__init__`` patched to
+#: raise, as ``test_match_all.py::TestLocalSweepsOpenNoStore`` patches
+#: it in-process.
+STORELESS_WORKER = """
+import sys
+from repro.cli import main
+from repro.core.artifact_store import ArtifactStore
+
+def refuse(self, root):
+    raise AssertionError(f"a remote worker opened a store at {root}")
+
+ArtifactStore.__init__ = refuse
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +92,7 @@ def _coordinator(corpus, fingerprint, out_dir, **kwargs):
     )
 
 
-def _spawn_worker(port, store=None, **popen_kwargs):
+def _spawn_worker(port, entry=("-m", "repro.cli"), **popen_kwargs):
     """One ``sbmlcompose worker`` subprocess dialed at the
     coordinator.  Inherits the environment, so a spec armed with
     ``chaos.active`` (which publishes ``REPRO_CHAOS``) arms the remote
@@ -84,14 +100,11 @@ def _spawn_worker(port, store=None, **popen_kwargs):
     env = dict(os.environ, PYTHONPATH=SRC)
     argv = [
         sys.executable,
-        "-m",
-        "repro.cli",
+        *entry,
         "worker",
         "--connect",
         f"127.0.0.1:{port}",
     ]
-    if store is not None:
-        argv += ["--store", str(store)]
     return subprocess.Popen(argv, env=env, **popen_kwargs)
 
 
@@ -114,29 +127,43 @@ def _reap(procs, timeout=60):
     return codes
 
 
+def _deterministic_csv(outcomes):
+    handle = io.StringIO()
+    write_outcomes(handle, outcomes, deterministic=True)
+    return handle.getvalue()
+
+
 class TestDigestFetch:
     def test_empty_store_worker_completes_sweep(
-        self, corpus, fingerprint, reference_keys, tmp_path
+        self, corpus, fingerprint, tmp_path, monkeypatch
     ):
         # Listen-only coordinator: every pair is computed by a remote
-        # worker whose local store starts EMPTY — the corpus crosses
-        # the wire exclusively as digest-fetch replies.
-        coordinator = _coordinator(
-            corpus, fingerprint, tmp_path / "sweep", local_workers=0
-        )
+        # worker that keeps no store at all — the corpus crosses the
+        # wire exclusively as digest-fetch replies, served from the
+        # coordinator's memory.  Neither side may open a store.
+        from repro.core.artifact_store import ArtifactStore
+
+        reference = _deterministic_csv(match_all(corpus).outcomes)
+
+        def refuse(self, root):
+            raise AssertionError(
+                f"a listening coordinator opened an artifact store at {root}"
+            )
+
+        monkeypatch.setattr(ArtifactStore, "__init__", refuse)
+        out = tmp_path / "sweep"
+        coordinator = _coordinator(corpus, fingerprint, out, local_workers=0)
         _, port = coordinator.listen_address
-        store = tmp_path / "worker-store"
-        proc = _spawn_worker(port, store=store)
+        proc = _spawn_worker(port, entry=("-c", STORELESS_WORKER))
         try:
             report = coordinator.run()
         finally:
             (code,) = _reap([proc])
         assert report.exit_code == 0
         assert code == 0
-        assert _computed_keys(report) == reference_keys
-        # The fetch path really ran: every corpus model is now cached
-        # in the worker's own store.
-        assert len(list(store.rglob("*.pkl"))) >= len(corpus)
+        merged = MatchMatrix.union(report.matrices)
+        assert _deterministic_csv(merged.outcomes) == reference
+        assert not (out / "artifacts").exists()
 
     def test_listen_only_without_listen_rejected(self, corpus, fingerprint, tmp_path):
         with pytest.raises(ValueError):
@@ -149,6 +176,42 @@ class TestDigestFetch:
                 config=CoordinatorConfig(workers=1),
                 local_workers=0,
             )
+
+
+class _ScriptedConnection:
+    """The pipe surface over a fixed list of incoming messages."""
+
+    def __init__(self, incoming):
+        self.incoming = list(incoming)
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+
+    def recv(self):
+        return self.incoming.pop(0)
+
+    def poll(self, timeout=0.0):
+        return bool(self.incoming)
+
+
+class TestFetchChannel:
+    def test_fetch_parks_interleaved_messages(self):
+        """A fetch reads until its own ``sbml`` reply; a ``stop`` or a
+        reply for another digest that arrives first is handed to the
+        worker loop afterwards, in order."""
+        from repro.core.coordinator import _FetchChannel
+
+        conn = _ScriptedConnection(
+            [("stop",), ("sbml", "other", "<x/>"), ("sbml", "d1", "<y/>")]
+        )
+        channel = _FetchChannel(conn)
+        assert channel.fetch("d1") == "<y/>"
+        assert conn.sent == [("fetch", "d1")]
+        assert channel.poll(0)
+        assert channel.recv() == ("stop",)
+        assert channel.recv() == ("sbml", "other", "<x/>")
+        assert not channel.poll(0)
 
 
 class TestRemoteDeath:

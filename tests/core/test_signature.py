@@ -3,17 +3,15 @@
 Byte-identity of the prescreened sweep lives in the conformance
 matrix (the eighth path); this file pins the signature layer itself —
 vector layout, congruence semantics, the option gates, the survivor
-algebra, and the store-assisted build path.
+algebra, and prescreens over stored or handed signatures.
 """
-
-import pickle
 
 import numpy as np
 import pytest
 from reference_query import query_scores, query_survivors, query_tables
 
 from repro import ComposeOptions, ModelBuilder
-from repro.core.artifact_store import ArtifactStore, CorpusManifest
+from repro.core.artifact_store import ArtifactStore
 from repro.core.match_all import match_all
 from repro.core.options import SEMANTICS_NONE
 from repro.core.signature import (
@@ -203,9 +201,8 @@ class TestPrescreen:
         plain = Prescreen.build(corpus)
         for model in corpus:
             store.get_or_compute(model)
-        stored = Prescreen.build(
-            corpus,
-            signatures=[store.get_or_compute(model).signature for model in corpus],
+        stored = Prescreen(
+            [store.get_or_compute(model).signature for model in corpus]
         )
         # Rehydrated signatures come from the store's entries and must
         # carry the exact same vectors.
@@ -214,6 +211,8 @@ class TestPrescreen:
             assert np.array_equal(
                 mine.key_fingerprints, theirs.key_fingerprints
             )
+            assert np.array_equal(mine.key_primary, theirs.key_primary)
+            assert np.array_equal(mine.counts, theirs.counts)
         assert np.array_equal(plain.survivors(), stored.survivors())
 
     def test_query_tables_agree_with_pair_matrices(self, corpus):
@@ -240,36 +239,17 @@ class TestPrescreen:
         with pytest.raises(ValueError):
             query_tables(screen, foreign)
 
-    def test_handed_signatures_are_used_when_they_match(self, corpus, tmp_path):
-        manifest = CorpusManifest.build(
-            corpus, [model.id for model in corpus], ArtifactStore(tmp_path)
-        )
-        plain = Prescreen.build(corpus)
-        handed = Prescreen.build(corpus, signatures=manifest.signatures)
-        for mine, theirs in zip(manifest.signatures, handed.signatures):
+    def test_handed_signatures_are_used_when_they_match(self, corpus):
+        signatures = [ModelSignature.build(model) for model in corpus]
+        handed = Prescreen(signatures)
+        for mine, theirs in zip(signatures, handed.signatures):
             assert theirs is mine
-        assert np.array_equal(plain.survivors(), handed.survivors())
-        # Built under other key options, they are rebuilt instead.
-        options = ComposeOptions(semantics=SEMANTICS_NONE)
-        rebuilt = Prescreen.build(corpus, options, signatures=manifest.signatures)
-        assert all(
-            theirs is not mine
-            for mine, theirs in zip(manifest.signatures, rebuilt.signatures)
-        )
         assert np.array_equal(
-            rebuilt.survivors(), Prescreen.build(corpus, options).survivors()
+            Prescreen.build(corpus).survivors(), handed.survivors()
         )
+        # Built under other key options, they are refused.
         with pytest.raises(ValueError):
-            Prescreen.build(corpus, signatures=manifest.signatures[:-1])
-
-    def test_manifest_signatures_stay_out_of_its_pickle(self, corpus, tmp_path):
-        manifest = CorpusManifest.build(
-            corpus, [model.id for model in corpus], ArtifactStore(tmp_path)
-        )
-        assert len(manifest.signatures) == len(corpus)
-        shipped = pickle.loads(pickle.dumps(manifest))
-        assert shipped == manifest
-        assert shipped.signatures == ()
+            Prescreen(signatures, ComposeOptions(semantics=SEMANTICS_NONE))
 
     def test_screened_process_sweep_builds_each_signature_once(
         self, corpus, monkeypatch

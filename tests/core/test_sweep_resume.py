@@ -398,3 +398,33 @@ def test_supervised_sweep_serialises_each_model_once(
     assert main(["sweep", *files, "--shards", "2", "--workers", "2",
                  "--out-dir", str(out_dir), "--prescreen"]) == 0
     assert sorted(written) == sorted(model.id for model in models)
+
+
+def test_listening_sweep_journal_resumes_in_process(model_files, tmp_path):
+    """A listening coordinator journals under the corpus fingerprint
+    any ``--out-dir`` sweep uses, so an in-process ``--resume`` picks
+    up its journal, and it leaves no artifact store behind."""
+    from repro.core.artifact_store import corpus_fingerprint
+    from repro.sbml.reader import read_sbml_file
+
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", *model_files, "--shards", str(SHARDS),
+                 "--workers", "1", "--listen", "127.0.0.1:0",
+                 "--out-dir", str(out_dir)]) == 0
+    assert not (out_dir / "artifacts").exists()
+    journal = SweepCheckpoint.read_journal(out_dir)
+    models = [read_sbml_file(path).model for path in model_files]
+    assert journal["fingerprint"] == corpus_fingerprint(
+        models,
+        extra=("semantics", "heavy", "include_self", True,
+               "shards", SHARDS),
+    )
+    assert sorted(int(k) for k in journal["completed"]) == list(range(SHARDS))
+    merged = tmp_path / "merged.csv"
+    assert main(["sweep", *model_files, "--shards", str(SHARDS),
+                 "--out-dir", str(out_dir), "--resume", "--deterministic",
+                 "-o", str(merged)]) == 0
+    unsharded = tmp_path / "unsharded.csv"
+    assert main(["sweep", *model_files, "--deterministic",
+                 "-o", str(unsharded)]) == 0
+    assert merged.read_bytes() == unsharded.read_bytes()

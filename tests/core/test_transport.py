@@ -256,9 +256,7 @@ class TestHandshake:
 
             thread = threading.Thread(target=serve)
             thread.start()
-            welcome = client_handshake(
-                client, host="box-b", pid=777, has_store=False
-            )
+            welcome = client_handshake(client, host="box-b", pid=777)
             thread.join()
             assert welcome["name"] == "r1"
             assert welcome["manifest"] == {"m": 1}
@@ -266,7 +264,7 @@ class TestHandshake:
             assert welcome["options_fingerprint"] == options_fingerprint(None)
             assert result["hello"]["host"] == "box-b"
             assert result["hello"]["pid"] == 777
-            assert result["hello"]["has_store"] is False
+            assert result["hello"]["protocol"] == PROTOCOL_VERSION
         finally:
             client.close()
             server.close()
@@ -353,9 +351,7 @@ class TestHandshake:
         thread.start()
         try:
             with pytest.raises(HandshakeError) as excinfo:
-                client_handshake(
-                    client, host="box-b", pid=1, has_store=False
-                )
+                client_handshake(client, host="box-b", pid=1)
             thread.join()
             assert "fingerprint mismatch" in str(excinfo.value)
             # The worker sent the reject back so the coordinator's log
@@ -378,9 +374,7 @@ class TestHandshake:
             )
             server_thread.start()
             with pytest.raises(HandshakeError) as excinfo:
-                client_handshake(
-                    client, host="box-b", pid=1, has_store=True
-                )
+                client_handshake(client, host="box-b", pid=1)
             server_thread.join()
             assert "no manifest" in str(excinfo.value)
         finally:
@@ -392,9 +386,7 @@ class TestHandshake:
         server.close()
         try:
             with pytest.raises(HandshakeError):
-                client_handshake(
-                    client, host="box-b", pid=1, has_store=True
-                )
+                client_handshake(client, host="box-b", pid=1)
         finally:
             client.close()
 

@@ -1,9 +1,12 @@
 """Unit tests for the Gillespie SSA simulator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro import ModelBuilder
+from repro.corpus import glycolysis_upper
 from repro.errors import SimulationError
 from repro.sim import GillespieSimulator, simulate_stochastic
 
@@ -111,6 +114,26 @@ class TestSSAValidation:
     def test_negative_t_end_rejected(self):
         with pytest.raises(SimulationError):
             GillespieSimulator(decay_model()).run(-1.0)
+
+    @pytest.mark.parametrize(
+        "t_end, grid_points, named",
+        [
+            (float("nan"), 101, "t_end"),
+            (float("inf"), 101, "t_end"),
+            (1.0, 0, "grid_points"),
+            (1.0, -1, "grid_points"),
+        ],
+        ids=["nan-t_end", "inf-t_end", "zero-grid", "negative-grid"],
+    )
+    def test_hostile_run_arguments_rejected(self, t_end, grid_points, named):
+        # A SimulationError naming the argument, before numpy sees it
+        # (no RuntimeWarning, no ValueError, no empty trace).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match=named):
+                simulate_stochastic(
+                    glycolysis_upper(), t_end, grid_points=grid_points
+                )
 
     def test_max_events_guard(self):
         model = birth_death_model(birth=1e6, death=0.0)

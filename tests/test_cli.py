@@ -649,6 +649,41 @@ def test_corpus_index_evict_and_store_pinning(
         assert store.get(digest) is not None
 
 
+def test_corpus_index_store_with_an_unreadable_entry(
+    corpus_files, tmp_path, capsys
+):
+    """A directory in an entry's place is a corrupt miss: ``store
+    verify`` reports it, and ``corpus index --store`` quarantines it
+    and recomputes the entry instead of dying."""
+    from repro.core.artifact_store import ArtifactStore, model_digest
+    from repro.sbml.reader import read_sbml_file
+
+    store_dir = tmp_path / "store"
+    store = ArtifactStore(store_dir)
+    digest = model_digest(read_sbml_file(corpus_files[0]).model)
+    store.path_for(digest).mkdir(parents=True)
+    assert main(["store", "verify", str(store_dir), "--keep-corrupt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "1 entry, 0 ok, 1 corrupt\n"
+    assert f"corrupt: {digest}" in captured.err
+    assert main(
+        ["corpus", "index", str(corpus_files[0]),
+         "--index", str(tmp_path / "corpus.idx"), "--store", str(store_dir)]
+    ) == 0
+    capsys.readouterr()
+    assert (store_dir / ArtifactStore.CORRUPT_DIR / f"{digest}.pkl").is_dir()
+    assert store.get(digest).signature is not None
+    assert main(["store", "verify", str(store_dir)]) == 0
+
+
+def test_worker_store_is_a_usage_error(tmp_path, capsys):
+    """Remote workers keep no store: ``worker --store`` is gone."""
+    with pytest.raises(SystemExit) as raised:
+        main(["worker", "--connect", "127.0.0.1:9", "--store", str(tmp_path)])
+    assert raised.value.code == 2
+    assert "unrecognized arguments: --store" in capsys.readouterr().err
+
+
 def test_corpus_query_stale_file_warns(corpus_files, tmp_path, capsys):
     index_file = tmp_path / "corpus.idx"
     assert main(
