@@ -46,7 +46,7 @@ from repro.core.conflicts import (
     compare_values,
     reconcile_rate_constants,
 )
-from repro.core.index import ComponentIndex, OverlayIndex, make_index
+from repro.core.index import ComponentIndex, HashIndex, OverlayIndex, make_index
 from repro.core.mapping import IdMapping
 from repro.core.options import CONFLICTS_ERROR, ComposeOptions
 from repro.core.pattern_cache import PatternCache
@@ -69,6 +69,7 @@ __all__ = [
     "AccumState",
     "ModelIndexSet",
     "BoundIndexSet",
+    "SourceKeyMap",
     "index_options_key",
 ]
 
@@ -147,6 +148,7 @@ class Composer:
         carry_state: bool = True,
         decide_only: bool = False,
         target_indexes: Optional["BoundIndexSet"] = None,
+        source_keys: Optional["SourceKeyMap"] = None,
     ) -> Tuple[Optional[Model], MergeReport, Optional[AccumState]]:
         """One merge step of ``second`` into ``first``, with carried
         accumulator state.
@@ -185,6 +187,12 @@ class Composer:
           of the index from scratch.  Phases whose fresh keys would
           depend on a non-empty id mapping fall back to the fresh
           build.
+        * ``source_keys`` supplies ``second``'s :class:`SourceKeyMap`
+          (the all-pairs engine keeps one per model).  A decide-only
+          merge that also has ``target_indexes`` under the ``hash``
+          strategy then decides only the species and reactions that
+          can meet the target one at a time, and claims the rest in
+          bulk with the same outcome.
 
         Returns ``(model, report, state)`` where ``state`` is the
         updated :class:`AccumState` for the returned model, or ``None``
@@ -259,6 +267,12 @@ class Composer:
             decide_only=decide_only,
             indexes=target_indexes,
         )
+        if (
+            decide_only
+            and target_indexes is not None
+            and self.options.index == "hash"
+        ):
+            state.source_keys = source_keys
 
         # Figure 4 phase order, each phase timed into report.timings.
         for phase_name, phase in _PHASES:
@@ -346,6 +360,9 @@ class _MergeState:
         self.source_owned = source_owned
         self.decide_only = decide_only
         self.indexes = indexes
+        #: The source's :class:`SourceKeyMap` when this merge claims
+        #: misses in bulk (see :func:`_merge_in_runs`), else ``None``.
+        self.source_keys: Optional[SourceKeyMap] = None
         self.match_anything = options.match_anything
         # Ids claimed for components *added* by this merge (as opposed
         # to united into existing target components): with
@@ -838,26 +855,28 @@ def _rows_species(
 
 
 def _compose_species(state: _MergeState) -> None:
-    index = state.phase_index("species")
-    for species in state.source.species:
-        keys = _species_keys(state, species, mapped=True)
-        match = index.find(keys) if state.match_anything else None
-        if match is not None and _species_equal(state, match, species):
-            state.unite("species", match.id, species.id)
-            _check_species_conflicts(state, match, species)
-            continue
-        compartment = state.resolve_ref(species.compartment)
-        if state.decide_only:
-            state.adopted_species[state.claim_id(species.id)] = compartment
-        else:
-            duplicate = state.adopt(
-                species,
-                compartment=compartment,
-                species_type=state.resolve_ref(species.species_type),
-                substance_units=state.resolve_ref(species.substance_units),
-            )
-            state.append(duplicate, species.id, state.target.add_species)
-        state.report.added["species"] += 1
+    _merge_in_runs(state, "species", "species", _merge_species)
+
+
+def _merge_species(state: _MergeState, index, species: Species) -> None:
+    keys = _species_keys(state, species, mapped=True)
+    match = index.find(keys) if state.match_anything else None
+    if match is not None and _species_equal(state, match, species):
+        state.unite("species", match.id, species.id)
+        _check_species_conflicts(state, match, species)
+        return
+    compartment = state.resolve_ref(species.compartment)
+    if state.decide_only:
+        state.adopted_species[state.claim_id(species.id)] = compartment
+    else:
+        duplicate = state.adopt(
+            species,
+            compartment=compartment,
+            species_type=state.resolve_ref(species.species_type),
+            substance_units=state.resolve_ref(species.substance_units),
+        )
+        state.append(duplicate, species.id, state.target.add_species)
+    state.report.added["species"] += 1
 
 
 def _species_keys(state: _MergeState, species: Species, mapped: bool) -> List[str]:
@@ -1374,23 +1393,25 @@ def _rows_reactions(
 
 
 def _compose_reactions(state: _MergeState) -> None:
-    index = state.phase_index("reactions")
-    for reaction in state.source.reactions:
-        signature = _reaction_signature(state, reaction, mapped=True)
-        keys = [f"id:{state.resolve_ref(reaction.id)}", signature]
-        match = index.find(keys) if state.match_anything else None
-        if match is not None and _reactions_equal(state, match, reaction, signature):
-            state.unite("reaction", match.id, reaction.id)
-            continue
-        if state.decide_only:
-            state.claim_id(reaction.id)
-        else:
-            state.append(
-                _rewrite_reaction(state, reaction),
-                reaction.id,
-                state.target.add_reaction,
-            )
-        state.report.added["reaction"] += 1
+    _merge_in_runs(state, "reactions", "reaction", _merge_reaction)
+
+
+def _merge_reaction(state: _MergeState, index, reaction: Reaction) -> None:
+    signature = _reaction_signature(state, reaction, mapped=True)
+    keys = [f"id:{state.resolve_ref(reaction.id)}", signature]
+    match = index.find(keys) if state.match_anything else None
+    if match is not None and _reactions_equal(state, match, reaction, signature):
+        state.unite("reaction", match.id, reaction.id)
+        return
+    if state.decide_only:
+        state.claim_id(reaction.id)
+    else:
+        state.append(
+            _rewrite_reaction(state, reaction),
+            reaction.id,
+            state.target.add_reaction,
+        )
+    state.report.added["reaction"] += 1
 
 
 def _reactions_equal(
@@ -1698,6 +1719,170 @@ _MAPPING_FREE_PHASES = frozenset(
         "reactions",
     )
 )
+
+
+# ---------------------------------------------------------------------------
+# Deciding only what overlaps: bulk claims of the species and reactions
+# that miss the target
+# ---------------------------------------------------------------------------
+
+
+def _participants(reaction: Reaction) -> List[Optional[str]]:
+    return [
+        reference.species
+        for references in (
+            reaction.reactants,
+            reaction.products,
+            reaction.modifiers,
+        )
+        for reference in references
+    ]
+
+
+#: Per bulk phase, the names besides its id that a component's mapped
+#: keys and its claim resolve: a species' compartment, a reaction's
+#: participants.
+_BULK_REFERENCES = {
+    "species": lambda species: (species.compartment,),
+    "reactions": _participants,
+}
+
+
+class _PhaseKeys:
+    """One source model's unmapped keys for one bulk phase."""
+
+    __slots__ = ("positions", "shared", "always", "ids", "references", "starts")
+
+    def __init__(self, state: _MergeState, name: str):
+        components = getattr(state.source, _PHASE_LISTS[name])
+        #: Unmapped key -> position of the first component keyed by it.
+        self.positions: Dict[str, int] = {}
+        #: ``(key, position)`` of every later component sharing a key.
+        self.shared: List[Tuple[str, int]] = []
+        for position, keys in _ROW_BUILDERS[name](state, state.source):
+            for key in keys:
+                if self.positions.setdefault(key, position) != position:
+                    self.shared.append((key, position))
+        self.ids = [component.id for component in components]
+        #: Positions every merge decides one at a time: no id, or the
+        #: id of an earlier component (which renames it).
+        always: Set[int] = set()
+        seen: Set[Optional[str]] = set()
+        for position, component_id in enumerate(self.ids):
+            if component_id is None or component_id in seen:
+                always.add(position)
+            seen.add(component_id)
+        self.always = frozenset(always)
+        #: Every component's references, flat; component ``p`` owns
+        #: ``references[starts[p]:starts[p + 1]]``.
+        self.references: List[Optional[str]] = []
+        self.starts = [0]
+        references_of = _BULK_REFERENCES[name]
+        for component in components:
+            self.references.extend(references_of(component))
+            self.starts.append(len(self.references))
+
+    def decided(self, base: HashIndex, match_anything: bool) -> List[int]:
+        """The positions, in source order, that are decided one at a
+        time against ``base``: every one with an unmapped key in it,
+        plus :attr:`always`."""
+        if not match_anything:
+            # Nothing is probed, so nothing can hit.
+            return sorted(self.always)
+        positions = self.positions
+        base_keys = base.keys()
+        hits = {positions[key] for key in base_keys & positions.keys()}
+        hits.update(
+            position for key, position in self.shared if key in base_keys
+        )
+        return sorted(hits.union(self.always))
+
+
+class SourceKeyMap:
+    """A source model's unmapped species and reaction keys, for the
+    bulk claims of decide-only merges (:func:`_merge_in_runs`).
+
+    Each phase's map is built on first use from the same row builders
+    the target bases are built from, so its keys are the exact
+    strings a probe would use while nothing the component references
+    is mapped.  It holds a position per key, not a container per key.
+    The all-pairs engine keeps one per model for one options set;
+    like the bound bases, a racing duplicate build is identical.
+    """
+
+    __slots__ = ("_phases",)
+
+    def __init__(self):
+        self._phases: Dict[str, _PhaseKeys] = {}
+
+    def for_phase(self, state: _MergeState, name: str) -> _PhaseKeys:
+        keys = self._phases.get(name)
+        if keys is None:
+            keys = self._phases[name] = _PhaseKeys(state, name)
+        return keys
+
+
+def _merge_in_runs(state: _MergeState, name: str, kind: str, merge_one) -> None:
+    """Run one phase: ``merge_one(state, index, component)`` on each
+    source component in order, or, with :attr:`_MergeState.source_keys`
+    set, only on those that can meet the target.
+
+    The frozen hash base never grows in these phases, so a component
+    none of whose unmapped keys the base holds misses it.  Between two
+    decided components lies a run of such misses.  The per-component
+    path would claim each one's own id, since nothing renames it,
+    exactly when all of these hold, and then the run is claimed in one
+    step:
+
+    * no id of the run is used by the target or already claimed by
+      this merge (a collision would rename it),
+    * the mapping table holds none of its ids or references (its
+      probe keys are then its unmapped keys, and its id and
+      compartment resolve to themselves).
+
+    Ids within a run are distinct and never ``None``, since
+    :attr:`_PhaseKeys.always` decides those one at a time.  A run that
+    fails a check is decided one component at a time, so ids, renames
+    and the order of fresh ids are what the per-component path gives.
+    """
+    index = state.phase_index(name)
+    components = getattr(state.source, _PHASE_LISTS[name])
+    if state.source_keys is None:
+        for component in components:
+            merge_one(state, index, component)
+        return
+    phase = state.source_keys.for_phase(state, name)
+    ids, references, starts = phase.ids, phase.references, phase.starts
+    used_ids, added_ids = state.used_ids, state.added_ids
+    table = state.mapping._table
+    count = len(components)
+    start = 0
+    for stop in (*phase.decided(index.base, state.match_anything), count):
+        if start < stop:
+            run_ids = ids[start:stop]
+            run_references = references[starts[start] : starts[stop]]
+            if (
+                used_ids.isdisjoint(run_ids)
+                and added_ids.isdisjoint(run_ids)
+                and (
+                    not table
+                    or (
+                        table.keys().isdisjoint(run_ids)
+                        and table.keys().isdisjoint(run_references)
+                    )
+                )
+            ):
+                added_ids.update(run_ids)
+                if name == "species":
+                    # Each unmapped compartment resolves to itself.
+                    state.adopted_species.update(zip(run_ids, run_references))
+                state.report.added[kind] += stop - start
+            else:
+                for component in components[start:stop]:
+                    merge_one(state, index, component)
+        if stop < count:
+            merge_one(state, index, components[stop])
+        start = stop + 1
 
 
 def index_options_key(options: ComposeOptions) -> Tuple:

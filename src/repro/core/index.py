@@ -25,7 +25,7 @@ a lookup probes the caller's keys in order and returns the first hit.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, KeysView, List, Optional, Sequence, Tuple
 
 __all__ = [
     "ComponentIndex",
@@ -88,6 +88,10 @@ class HashIndex(ComponentIndex):
 
     def find_one(self, key: str) -> Optional[object]:
         return self._table.get(key)
+
+    def keys(self) -> KeysView[str]:
+        """Every registered key, as a live set-like view."""
+        return self._table.keys()
 
     def __len__(self) -> int:
         return self._count

@@ -70,6 +70,7 @@ from repro.core.compose import (
     BoundIndexSet,
     Composer,
     ModelIndexSet,
+    SourceKeyMap,
     index_options_key,
 )
 from repro.core.options import ComposeOptions
@@ -387,6 +388,9 @@ class _PairEngine:
         #: model is target of merges through copy-on-write overlays
         #: over them instead of rebuilding them.
         self._indexes: Dict[int, BoundIndexSet] = {}
+        #: Per-model source keys, each phase's built on the model's
+        #: first use as a pair's source.
+        self._source_keys: Dict[int, SourceKeyMap] = {}
         self._sizes: Dict[int, int] = {}
         self._lock = threading.Lock()
 
@@ -445,6 +449,9 @@ class _PairEngine:
         target_state = self._model_artifacts(i)
         source_state = self._model_artifacts(j)
         indexes = self._target_indexes(i)
+        source_keys = self._source_keys.get(j)
+        if source_keys is None:
+            source_keys = self._source_keys.setdefault(j, SourceKeyMap())
         size = self._model_size(i) + self._model_size(j)
         started = time.perf_counter()
         # Decide-only: the merge runs against the untouched left model,
@@ -457,6 +464,7 @@ class _PairEngine:
             source_state=source_state,
             decide_only=True,
             target_indexes=indexes,
+            source_keys=source_keys,
         )
         seconds = time.perf_counter() - started
         return PairOutcome(

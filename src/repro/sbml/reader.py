@@ -19,7 +19,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from typing import Dict, List, Optional
 
-from repro.errors import MathParseError, SBMLParseError
+from repro.errors import MathParseError, ReproError, SBMLError, SBMLParseError
 from repro.mathml.ast import Lambda
 from repro.mathml.parser import local_name, parse_math_element
 from repro.sbml.components import (
@@ -123,9 +123,27 @@ def read_sbml(text: str) -> Document:
 
 
 def read_sbml_file(path) -> Document:
-    """Parse an SBML document from a file path."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return read_sbml(handle.read())
+    """Parse an SBML document from a file path.
+
+    Every failure is a :class:`~repro.errors.ReproError` whose message
+    starts with the path: :func:`read_sbml`'s own error with the path
+    prepended, an :class:`~repro.errors.SBMLParseError` for text that
+    is not UTF-8, and an :class:`~repro.errors.SBMLError` for a file
+    that cannot be read at all (missing, a directory, no permission).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise SBMLParseError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
+    except OSError as exc:
+        raise SBMLError(f"{path}: {exc.strerror or exc}") from exc
+    try:
+        return read_sbml(text)
+    except ReproError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _sbase(element: ET.Element, children: Dict[str, ET.Element]) -> tuple:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.errors import IncompatibleUnitsError
+from repro.errors import IncompatibleUnitsError, UnitError
 from repro.units.kinds import DIMENSION_NAMES, kind_decomposition, normalize_kind
 
 __all__ = ["Unit", "UnitDefinition", "CanonicalUnit"]
@@ -63,9 +63,10 @@ class CanonicalUnit:
 
         Raises :class:`IncompatibleUnitsError` when dimensions differ
         (e.g. moles vs. molecules — conversion then needs context like
-        the Figure 6 reaction-order rules, not a plain factor).
+        the Figure 6 reaction-order rules, not a plain factor), and
+        when ``other`` has a zero factor, which no value converts into.
         """
-        if not self.same_dimensions(other):
+        if not self.same_dimensions(other) or other.factor == 0.0:
             raise IncompatibleUnitsError(
                 f"cannot convert between {self.describe()} and "
                 f"{other.describe()}"
@@ -130,10 +131,24 @@ class UnitDefinition:
     units: List[Unit] = field(default_factory=list)
 
     def canonical(self) -> CanonicalUnit:
-        """Reduce the whole definition to canonical form."""
+        """Reduce the whole definition to canonical form.
+
+        Raises :class:`~repro.errors.UnitError`, naming the definition
+        and the factor, when a factor has no finite value: a zero
+        multiplier under a negative exponent, or a magnitude past the
+        float range.
+        """
         result = CanonicalUnit.dimensionless()
         for unit in self.units:
-            result = result * unit.canonical()
+            try:
+                factor = unit.canonical()
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise UnitError(
+                    f"unit definition {self.id!r}: factor "
+                    f"({unit.multiplier:g} * 10^{unit.scale} * "
+                    f"{unit.kind})^{unit.exponent} has no finite value"
+                ) from exc
+            result = result * factor
         return result
 
     def same_unit(self, other: "UnitDefinition") -> bool:

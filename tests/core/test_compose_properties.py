@@ -18,10 +18,18 @@ from repro.eval import models_equivalent
 from repro.sbml import validate_model
 
 SPECIES_POOL = [f"sp{i}" for i in range(12)]
+#: Compartment ids of colliding models; ``cyto`` is drawn or not.
+COLLIDING_COMPARTMENTS = ["cell", "cyto"]
+#: Ids any component of a colliding model may take: species ids,
+#: compartment ids, and the fresh ids renames produce (``<id>_m2``
+#: under the default rename suffix).
+COLLIDING_IDS = SPECIES_POOL[:4] + COLLIDING_COMPARTMENTS + ["sp0_m2", "cell_m2"]
+#: Species names of colliding models, repeated within a compartment.
+COLLIDING_NAMES = [None, "ATP", "ADP"]
 
 
 @st.composite
-def models(draw, pool=None, model_id="m"):
+def models(draw, pool=None, model_id="m", collide=False):
     """A small random-but-valid mass-action model.
 
     Reactant→product pairs are unique within one model: a model with
@@ -29,20 +37,50 @@ def models(draw, pool=None, model_id="m"):
     looked up per Figure 5, so reaction-count commutativity only holds
     on duplicate-free inputs (real models never carry two byte-equal
     reactions; the engine treats them as the modelling error they are).
+
+    ``collide=True`` draws models whose ids collide across component
+    types and with fresh rename ids: species, parameters and reactions
+    take ids from :data:`COLLIDING_IDS` (a species may share its
+    compartment's id), species names repeat within a compartment, a
+    second compartment may be named like the first, and reactions may
+    repeat a reactant→product pair.  These exercise
+    every path of the sweep's bulk claims, not the algebra above.
     """
     pool = pool if pool is not None else SPECIES_POOL
+    if collide:
+        pool = COLLIDING_IDS
     species = draw(
         st.lists(
             st.sampled_from(pool), min_size=1, max_size=6, unique=True
         )
     )
     builder = ModelBuilder(model_id).compartment("cell", size=1.0)
-    for name in species:
-        builder.species(
-            name, float(draw(st.integers(min_value=0, max_value=20)))
+    compartments = ["cell"]
+    if collide and draw(st.booleans()):
+        # Named "cell", it unites with another model's "cell" by name.
+        builder.compartment(
+            "cyto", size=2.0, name=draw(st.sampled_from([None, "cell"]))
         )
+        compartments.append("cyto")
+    for name in species:
+        initial = float(draw(st.integers(min_value=0, max_value=20)))
+        if collide:
+            builder.species(
+                name,
+                initial,
+                compartment=draw(st.sampled_from(compartments)),
+                name=draw(st.sampled_from(COLLIDING_NAMES)),
+            )
+        else:
+            builder.species(name, initial)
+    if collide:
+        for parameter in draw(
+            st.lists(st.sampled_from(COLLIDING_IDS), max_size=2, unique=True)
+        ):
+            builder.parameter(parameter, 0.5)
     n_reactions = draw(st.integers(min_value=0, max_value=4))
     used_pairs = set()
+    used_ids = set()
     for index in range(n_reactions):
         if len(species) < 2:
             break
@@ -56,12 +94,18 @@ def models(draw, pool=None, model_id="m"):
                 )
             )
         )
-        if pair in used_pairs:
+        if pair in used_pairs and not collide:
             continue
         used_pairs.add(pair)
+        reaction_id = f"r_{pair[0]}_{pair[1]}_{index}"
+        if collide:
+            reaction_id = draw(st.sampled_from(COLLIDING_IDS + [reaction_id]))
+            if reaction_id in used_ids:
+                continue
+            used_ids.add(reaction_id)
         k = draw(st.integers(min_value=1, max_value=9)) / 10.0
         builder.reaction(
-            f"r_{pair[0]}_{pair[1]}_{index}",
+            reaction_id,
             [pair[0]],
             [pair[1]],
             formula=f"k_loc * {pair[0]}",

@@ -65,16 +65,25 @@ import io
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from reference_sweep import reference_outcomes
+from test_compose_properties import models as colliding_models
 
-from repro import compose_all, match_all, match_all_sharded, write_sbml
+from repro import (
+    ModelBuilder,
+    compose_all,
+    match_all,
+    match_all_sharded,
+    write_sbml,
+)
 from repro.cli import main
+from repro.core import compose
 from repro.core.artifact_store import corpus_fingerprint
 from repro.core.compose import ModelIndexSet
 from repro.core.index import OverlayIndex, make_index
@@ -209,6 +218,167 @@ def test_prebuilt_index_sweep_conformance(corpus_name, corpora):
     fresh = _csv(reference_outcomes(models))
 
     assert _deterministic_csv(match_all(models)) == fresh
+
+
+def _renamed_twin(model, renamed):
+    """A copy of ``model`` whose compartments and species in
+    ``renamed`` take new ids but keep their labels as names, so they
+    unite with the originals by name and map to different ids."""
+    twin = model.copy()
+    twin.id = "twin"
+    mapping = {old: f"{old}_t" for old in renamed}
+    for component in (*twin.compartments, *twin.species):
+        if component.id in mapping:
+            component.name = component.name or component.id
+            component.id = mapping[component.id]
+    for species in twin.species:
+        species.compartment = mapping.get(species.compartment, species.compartment)
+    for reaction in twin.reactions:
+        for reference in (
+            *reaction.reactants,
+            *reaction.products,
+            *reaction.modifiers,
+        ):
+            reference.species = mapping.get(reference.species, reference.species)
+        law = reaction.kinetic_law
+        if law is not None and law.math is not None:
+            law.math = law.math.rename(mapping)
+    return twin
+
+
+@st.composite
+def colliding_pairs(draw):
+    """A target and a source for the bulk-claim property: independent
+    colliding models, or the target and a twin of it with some ids
+    renamed, and sometimes a species or reaction whose id repeats an
+    earlier one of its own model."""
+    first = draw(colliding_models(model_id="m1", collide=True))
+    if draw(st.booleans()):
+        second = draw(colliding_models(model_id="m2", collide=True))
+    else:
+        ids = [c.id for c in (*first.compartments, *first.species)]
+        second = _renamed_twin(first, draw(st.sets(st.sampled_from(ids))))
+    for model in (first, second):
+        if draw(st.booleans()):
+            # Appended past the builder, which rejects repeated ids.
+            for components in (model.species, model.reactions):
+                if components and draw(st.booleans()):
+                    components.append(draw(st.sampled_from(components)).copy())
+    return first, second
+
+
+# The source's "cyto" compartment unites with the target's "cell" by
+# name, so its species "cyto" probes and claims as "cell": a rename.
+_MAPPED_ID_PAIR = (
+    ModelBuilder("t").compartment("cell", size=1.0).species("A", 1.0).build(),
+    ModelBuilder("s")
+    .compartment("cell", size=1.0)
+    .compartment("cyto", size=1.0, name="cell")
+    .species("cyto", 1.0, compartment="cell")
+    .build(),
+)
+
+# The source repeats a species id that misses the target: the second
+# copy renames.
+_REPEATED_ID_PAIR = (
+    _MAPPED_ID_PAIR[0],
+    ModelBuilder("s").compartment("cell", size=1.0).species("B", 1.0).build(),
+)
+_REPEATED_ID_PAIR[1].species.append(_REPEATED_ID_PAIR[1].species[0].copy())
+# The source's compartment "sp0" renames to "sp0_m2", the id of the
+# source's species, which then renames too.
+_FRESH_ID_PAIR = (
+    ModelBuilder("t").compartment("cell", size=1.0).species("sp0", 1.0).build(),
+    ModelBuilder("s")
+    .compartment("cell", size=1.0)
+    .compartment("sp0", size=1.0)
+    .species("sp0_m2", 1.0, compartment="cell")
+    .build(),
+)
+
+
+@given(pair=colliding_pairs())
+@example(pair=_MAPPED_ID_PAIR)
+@example(pair=_REPEATED_ID_PAIR)
+@example(pair=_FRESH_ID_PAIR)
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_bulk_claims_match_the_per_component_reference(pair):
+    """The engine claims the species and reactions that miss the
+    target in bulk; the reference decides every component one at a
+    time.  On pairs whose ids collide across component types, with
+    fresh rename ids and within one model, whose names repeat within
+    a compartment, and whose ids map to different ones by name, the
+    two agree on every run-invariant field under every semantics."""
+    models = list(pair)
+    for options in (
+        ComposeOptions(),
+        ComposeOptions.light(),
+        ComposeOptions.structural(),
+    ):
+        assert [o.key() for o in match_all(models, options).outcomes] == [
+            o.key() for o in reference_outcomes(models, options)
+        ]
+
+
+def test_disjoint_pair_decides_no_species_or_reaction_singly(monkeypatch):
+    """Two models that share no key: the engine neither probes nor
+    claims any species or reaction one at a time."""
+    calls = Counter()
+    current = [None]
+    phases = []
+    for name, phase in compose._PHASES:
+
+        def timed(state, name=name, phase=phase):
+            current[0] = name
+            phase(state)
+
+        phases.append((name, timed))
+    monkeypatch.setattr(compose, "_PHASES", tuple(phases))
+    claim_id = compose._MergeState.claim_id
+    find = OverlayIndex.find
+
+    def counting_claim(state, component_id):
+        calls[current[0], "claim_id"] += 1
+        return claim_id(state, component_id)
+
+    def counting_find(index, keys):
+        calls[current[0], "find"] += 1
+        return find(index, keys)
+
+    monkeypatch.setattr(compose._MergeState, "claim_id", counting_claim)
+    monkeypatch.setattr(OverlayIndex, "find", counting_find)
+
+    def chain(prefix):
+        return (
+            ModelBuilder(prefix)
+            .compartment(f"{prefix}_cell", size=1.0)
+            .species(f"{prefix}_A", 1.0)
+            .species(f"{prefix}_B", 0.0)
+            .species(f"{prefix}_C", 0.0)
+            .parameter(f"{prefix}_k", 0.5)
+            .mass_action(
+                f"{prefix}_r1", [f"{prefix}_A"], [f"{prefix}_B"], f"{prefix}_k"
+            )
+            .mass_action(
+                f"{prefix}_r2", [f"{prefix}_B"], [f"{prefix}_C"], f"{prefix}_k"
+            )
+            .build()
+        )
+
+    (outcome,) = match_all(
+        [chain("left"), chain("right")], include_self=False
+    ).outcomes
+    assert (outcome.united, outcome.added, outcome.renamed) == (0, 7, 0)
+    for phase in ("species", "reactions"):
+        assert calls[phase, "claim_id"] == 0
+        assert calls[phase, "find"] == 0
+    # The other phases still decide one at a time.
+    assert calls["compartments", "find"] == 1
+    assert calls["parameters", "claim_id"] == 1
 
 
 # ---------------------------------------------------------------------------

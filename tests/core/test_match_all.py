@@ -9,6 +9,9 @@ from repro import ModelBuilder, compose_all, match_all, match_all_sharded
 from repro.core import chaos
 from repro.core.match_all import MatchMatrix
 from repro.core.options import ComposeOptions
+from repro.core.signature import ModelSignature
+from repro.errors import UnitError
+from repro.units.definitions import Unit, UnitDefinition
 
 
 def _module_model(model_id, species, parameter, value=0.5):
@@ -119,6 +122,27 @@ class TestMatchAll:
             corpus, ComposeOptions.structural(), include_self=False
         )
         assert all(o.united == 0 for o in matrix.outcomes)
+
+    @pytest.mark.parametrize("prescreen", [False, True])
+    @pytest.mark.parametrize(
+        "unit, factor",
+        [
+            (Unit("second", -1, 0, 0.0), "(0 * 10^0 * second)^-1"),
+            (Unit("litre", 1, 400, 1.0), "(1 * 10^400 * litre)^1"),
+        ],
+    )
+    def test_unit_factor_without_finite_value_is_a_unit_error(
+        self, corpus, prescreen, unit, factor
+    ):
+        bad = _module_model("m5", ["A", "E"], "k5")
+        bad.unit_definitions.append(UnitDefinition("bad_unit", units=[unit]))
+        message = f"unit definition 'bad_unit': factor {factor}"
+        with pytest.raises(UnitError) as raised:
+            match_all([*corpus, bad], prescreen=prescreen)
+        assert str(raised.value).startswith(message)
+        with pytest.raises(UnitError) as raised:
+            ModelSignature.build(bad)
+        assert str(raised.value).startswith(message)
 
     def test_invalid_arguments(self, corpus):
         with pytest.raises(ValueError):

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro import ModelBuilder, write_sbml_file
+from repro import ModelBuilder, write_sbml, write_sbml_file
 from repro.cli import main
+from repro.units.definitions import Unit, UnitDefinition
 
 
 @pytest.fixture
@@ -731,3 +732,82 @@ def test_merge_deep_math_is_an_error_not_a_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "kineticLaw of 'r1'" in err and "deeper than" in err
+
+
+def _unreadable_model(tmp_path, kind):
+    path = tmp_path / "bad.xml"
+    if kind == "directory":
+        path.mkdir()
+        return path
+    text = write_sbml(
+        ModelBuilder("bad").compartment("cell", size=1.0).species("A", 1.0).build()
+    )
+    if kind == "bad number":
+        marked = text.replace(
+            'initialConcentration="1.0"', 'initialAmount="lots"'
+        )
+        assert marked != text
+        path.write_text(marked, encoding="utf-8")
+    else:
+        marked = text.replace("<model", "<!-- café --><model", 1)
+        path.write_bytes(marked.encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["bad number", "latin-1", "directory"])
+def test_unreadable_model_error_names_the_file(
+    model_files, tmp_path, capsys, kind
+):
+    bad = _unreadable_model(tmp_path, kind)
+    assert main(["merge", str(model_files[0]), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    assert "Traceback" not in err
+
+
+def _zero_factor_model(tmp_path, exponent):
+    model = (
+        ModelBuilder("zero")
+        .compartment("cell", size=1.0)
+        .species("A", 1.0)
+        .build()
+    )
+    model.unit_definitions.append(
+        UnitDefinition("zero_unit", units=[Unit("litre", exponent, 0, 0.0)])
+    )
+    model.compartments[0].units = "zero_unit"
+    path = tmp_path / f"zero{exponent}.xml"
+    write_sbml_file(model, path)
+    return path
+
+
+def test_merge_zero_factor_unit_is_an_error_not_a_traceback(
+    model_files, tmp_path, capsys
+):
+    zero = _zero_factor_model(tmp_path, -1)
+    assert main(["merge", str(model_files[0]), str(zero)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unit definition 'zero_unit': ")
+    assert "(0 * 10^0 * litre)^-1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exponent", [0, 1])
+def test_merge_zero_factor_with_non_negative_exponent_composes(
+    tmp_path, exponent
+):
+    # The compartment sizes differ in declared units, so the merge
+    # tries to convert between litre and the zero-factor unit.
+    zero = _zero_factor_model(tmp_path, exponent)
+    litre = (
+        ModelBuilder("litre")
+        .compartment("cell", size=2.0)
+        .species("A", 1.0)
+        .build()
+    )
+    litre.compartments[0].units = "litre"
+    partner = tmp_path / "litre.xml"
+    write_sbml_file(litre, partner)
+    for first, second in ((zero, partner), (partner, zero)):
+        out = tmp_path / "merged.xml"
+        assert main(["merge", str(first), str(second), "-o", str(out)]) == 0
