@@ -93,13 +93,30 @@ def _best_of(fn: Callable[[], object], rounds: int) -> float:
 
 
 def compare(models: Sequence[Model], rounds: int = 5):
-    """(label, seconds, speedup-vs-naive) for each strategy."""
-    naive = _best_of(lambda: naive_cold_fold(models), rounds)
-    rows = [("naive-cold-fold", naive, 1.0)]
-    for plan in ("fold", "tree", "greedy"):
-        seconds = _best_of(lambda: session_compose(models, plan), rounds)
-        rows.append((f"session-{plan}", seconds, naive / seconds))
-    return rows
+    """``(label, seconds, calibration_s, speedup-vs-naive)`` for each
+    strategy: its best of ``rounds`` wall times, and the calibration
+    loop beside it.
+
+    The loop runs before the first strategy and after each one, as
+    between the all-pairs rounds: a strategy's ``calibration_s`` is
+    the mean of the loop runs just before and just after its own
+    runs, so ``seconds / calibration_s`` is its cost in calibration
+    loops, which divides out the speed the machine had meanwhile."""
+    strategies = [("naive-cold-fold", lambda: naive_cold_fold(models))] + [
+        (f"session-{plan}", lambda plan=plan: session_compose(models, plan))
+        for plan in ("fold", "tree", "greedy")
+    ]
+    calibrations = [_calibration_seconds(statistic=statistics.mean)]
+    timed = []
+    for label, run in strategies:
+        seconds = _best_of(run, rounds)
+        calibrations.append(_calibration_seconds(statistic=statistics.mean))
+        timed.append((label, seconds, statistics.mean(calibrations[-2:])))
+    naive = timed[0][1]
+    return [
+        (label, seconds, calibration, naive / seconds)
+        for label, seconds, calibration in timed
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +152,9 @@ def bench_compose_all_speedup(benchmark):
     )
     emit("")
     emit(f"compose_all — {CHAIN_LENGTH}-model corpus chain")
-    for label, seconds, speedup in rows:
+    for label, seconds, _, speedup in rows:
         emit(f"  {label:>18}: {seconds * 1000:8.2f} ms  ({speedup:.2f}x)")
-    by_label = {label: speedup for label, _, speedup in rows}
+    by_label = {label: speedup for label, _, _, speedup in rows}
     assert by_label["session-greedy"] > 1.0
 
 
@@ -252,9 +269,11 @@ def write_bench_json(
         "strategies": {
             label: {
                 "seconds": round(seconds, 6),
+                "calibration_s": round(calibration, 6),
+                "seconds_per_calibration": round(seconds / calibration, 3),
                 "speedup_vs_naive": round(speedup, 3),
             }
-            for label, seconds, speedup in rows
+            for label, seconds, calibration, speedup in rows
         },
         "allpairs": allpairs,
         **{
@@ -322,14 +341,20 @@ def main(argv=None) -> int:
     rows = compare(models, rounds=args.rounds)
     print(f"\ncompose_all — {CHAIN_LENGTH}-model corpus chain "
           f"(best of {args.rounds})")
-    print(f"{'strategy':>18} {'ms':>10} {'speedup':>9}")
-    for label, seconds, speedup in rows:
-        print(f"{label:>18} {seconds * 1000:>10.2f} {speedup:>8.2f}x")
+    print(f"{'strategy':>18} {'ms':>10} {'per calib':>10} {'speedup':>9}")
+    for label, seconds, calibration, speedup in rows:
+        print(
+            f"{label:>18} {seconds * 1000:>10.2f} "
+            f"{seconds / calibration:>10.3f} {speedup:>8.2f}x"
+        )
 
     write_csv(
         "compose_all_chain.csv",
-        ["strategy", "seconds", "speedup_vs_naive"],
-        [(label, f"{s:.6f}", f"{x:.3f}") for label, s, x in rows],
+        ["strategy", "seconds", "calibration_s", "speedup_vs_naive"],
+        [
+            (label, f"{s:.6f}", f"{c:.6f}", f"{x:.3f}")
+            for label, s, c, x in rows
+        ],
     )
 
     baseline = _read_committed_baseline()
@@ -375,7 +400,7 @@ def main(argv=None) -> int:
                 )
                 return 1
 
-    by_label = {label: speedup for label, _, speedup in rows}
+    by_label = {label: speedup for label, _, _, speedup in rows}
     greedy = by_label["session-greedy"]
     print(f"\nsession-greedy speedup vs naive cold fold: {greedy:.2f}x "
           f"(acceptance bar: {ACCEPTANCE_SPEEDUP:.2f}x)")

@@ -2,14 +2,14 @@
 
 The corpus subsystem's claim is sublinear retrieval: a query against
 a ``CorpusIndex`` touches only the posting lists of the query's own
-signature keys, classifies every library model with the vectorized
-congruence check, and runs the full matcher on the handful of
+signature keys, classifies every library model with the prescreen's
+prune rule, and runs the full matcher on the handful of
 candidates the prescreen could not synthesize — instead of composing
 the query against all *n* library models.  This benchmark measures
 that claim on a BioModels-like library (1000 models by default):
 
 * index build + save/load wall time (the amortized cost);
-* per-query classification latency (posting walk + congruence + rank);
+* per-query classification latency (posting walk + prune rule + rank);
 * the prune rate (fraction of the library never fully matched);
 * end-to-end top-K retrieval (classify + full-match the top blocked
   candidates) against the linear ``match_query`` scan over the whole

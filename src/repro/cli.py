@@ -108,6 +108,7 @@ import argparse
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
@@ -123,8 +124,8 @@ from repro.core.compose import index_options_key
 from repro.core.corpus_index import CorpusIndex
 from repro.core.match_all import (
     MatchMatrix,
-    PairOutcome,
     _PRIVATE_FINGERPRINT,
+    _synthesized_outcome,
     match_all,
     match_all_sharded,
     match_query,
@@ -132,7 +133,7 @@ from repro.core.match_all import (
     write_outcomes,
     write_outcomes_csv,
 )
-from repro.core.signature import ModelSignature, Prescreen
+from repro.core.signature import ModelSignature, Prescreen, synthesized_counts
 from repro.core.options import ComposeOptions
 from repro.core.plan import plan_names
 from repro.core import chaos
@@ -151,7 +152,7 @@ from repro.core.shards import (
     shard_result_filename,
 )
 from repro.core.session import ComposeSession, stable_labels
-from repro.errors import ReproError
+from repro.errors import ReproError, UnitError
 from repro.eval.sbml_diff import diff_models
 from repro.graph.decompose import connected_components
 from repro.sbml.reader import read_sbml_file
@@ -465,6 +466,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _unit_errors_name_the_file(paths, models):
+    """Start a :class:`UnitError` from a unit definition that fails
+    only once merged (where no path is known) with the path of the
+    first file holding a definition that fails with the same message."""
+    try:
+        yield
+    except UnitError as exc:
+        for path, model in zip(paths, models):
+            for definition in model.unit_definitions:
+                try:
+                    definition.canonical()
+                except UnitError as own:
+                    if str(own) == str(exc):
+                        raise UnitError(f"{path}: {exc}") from exc
+        raise
+
+
 def _cmd_merge(args) -> int:
     if len(args.models) < 2:
         print("error: merge needs at least two models", file=sys.stderr)
@@ -477,7 +496,8 @@ def _cmd_merge(args) -> int:
     if args.strict:
         options = options.strict()
     session = ComposeSession(options)
-    result = session.compose_all(models, plan=args.plan)
+    with _unit_errors_name_the_file(args.models, models):
+        result = session.compose_all(models, plan=args.plan)
     text = write_sbml(result.model)
     if args.output is not None:
         args.output.write_text(text, encoding="utf-8")
@@ -736,13 +756,14 @@ def _cmd_sweep(args) -> int:
         # environment, for every worker process it spawns).
         chaos.install(chaos.ChaosSpec.load(args.chaos))
     try:
-        if args.shard_id is None and (
-            args.workers != 1 or args.listen is not None
-        ):
-            return _cmd_sweep_supervised(args, models, options)
-        if args.out_dir is not None:
-            return _cmd_sweep_sharded(args, models, options)
-        return _cmd_sweep_unsharded(args, models, options)
+        with _unit_errors_name_the_file(args.models, models):
+            if args.shard_id is None and (
+                args.workers != 1 or args.listen is not None
+            ):
+                return _cmd_sweep_supervised(args, models, options)
+            if args.out_dir is not None:
+                return _cmd_sweep_sharded(args, models, options)
+            return _cmd_sweep_unsharded(args, models, options)
     finally:
         if args.chaos is not None:
             chaos.uninstall()
@@ -1105,22 +1126,15 @@ def _cmd_corpus_query(args) -> int:
             for hit in ranked:
                 if hit.blocked:
                     continue
-                united, added, renamed, conflicts = hit.synthesized_counts(
-                    signature.component_count
-                )
                 entry = index.get(hit.digest)
+                size = query_size + int(entry.signature.counts[25])
+                counts = synthesized_counts(
+                    signature.component_count, hit.component_count, hit.united
+                )
                 rows.append(
-                    PairOutcome(
-                        i=0,
-                        j=hit.position + 1,
-                        left=query_label,
-                        right=hit.label,
-                        size=query_size + int(entry.signature.counts[25]),
-                        seconds=0.0,
-                        united=united,
-                        added=added,
-                        renamed=renamed,
-                        conflicts=conflicts,
+                    _synthesized_outcome(
+                        0, hit.position + 1, query_label, hit.label, size,
+                        counts,
                     )
                 )
         rows.sort(key=lambda outcome: (outcome.i, outcome.j))

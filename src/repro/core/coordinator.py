@@ -764,7 +764,9 @@ class SweepCoordinator:
                 for i, j in shard.pairs:
                     if not survivors[i, j]:
                         state.outcomes[(i, j)] = _synthesized_outcome(
-                            self.prescreen, i, j, self.labels, sizes
+                            i, j, self.labels[i], self.labels[j],
+                            sizes[i] + sizes[j],
+                            self.prescreen.synthesized_counts(i, j),
                         )
                         state.pruned += 1
             lease = self.checkpoint.leases.get(shard.shard_id)

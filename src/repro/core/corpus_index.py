@@ -45,8 +45,8 @@ segment and clears both — the LSM merge, surfaced as ``corpus index
 --compact``.
 
 :meth:`query` classifies every live model exactly as the prescreen's
-pair logic would — candidates surfaced by the posting walk get the
-full congruence check against the (mmap-backed) stored signature,
+row would — the candidates surfaced by the posting walk go through the
+prescreen's own rule against their (mmap-backed) stored signatures,
 everything else is disjoint by construction — so running the full
 matcher on the surviving candidates (``sbmlcompose corpus query``)
 reproduces the linear scan's rows byte for byte, whatever mix of
@@ -79,7 +79,13 @@ import numpy as np
 from repro.core import chaos
 from repro.core.compose import index_options_key
 from repro.core.options import ComposeOptions
-from repro.core.signature import COUNTS_LENGTH, ModelSignature
+from repro.core.signature import (
+    COUNTS_LENGTH,
+    ModelSignature,
+    gate,
+    pair_counts,
+    source_run,
+)
 from repro.sbml.model import Model
 
 __all__ = [
@@ -133,8 +139,8 @@ class QueryHit:
     ``blocked=True`` means the pair must run the full matcher (some
     shared key is not congruent-twin-owned, or the source is not
     self-clean); otherwise the outcome is synthesizable with ``united``
-    twins, exactly as in
-    :meth:`~repro.core.signature.Prescreen.synthesized_counts`.
+    twins: :func:`~repro.core.signature.synthesized_counts` of the
+    query's and this model's component counts and ``united``.
     """
 
     digest: str
@@ -146,14 +152,6 @@ class QueryHit:
     blocked: bool
     united: int
     component_count: int
-
-    def synthesized_counts(
-        self, query_component_count: int
-    ) -> Tuple[int, int, int, int]:
-        """``(united, added, renamed, conflicts)`` when not blocked."""
-        if query_component_count == 0 or self.component_count == 0:
-            return (0, 0, 0, 0)
-        return (self.united, self.component_count - self.united, 0, 0)
 
 
 def _concatenate(arrays: Sequence[np.ndarray], dtype) -> np.ndarray:
@@ -664,74 +662,77 @@ class CorpusIndex:
 
         The posting walk (binary search per segment plus the tail
         dicts) surfaces only models sharing at least one key with the
-        query; those get the exact congruence check against their
-        mmap-backed stored signature.  All other models are disjoint
-        *by construction of the index* — their hits carry ``score=0``,
-        block only when the indexed model is not self-clean, and never
-        touch the signature arrays at all.  Hits come back in
-        insertion order; rank with :meth:`rank`.
+        query; the prescreen's rule classifies the query against their
+        mmap-backed stored signatures in one kernel call.  All other
+        models are disjoint *by construction of the index* — their hits
+        carry ``score=0`` and block only when the indexed model is not
+        self-clean.  Hits come back in insertion order; rank with
+        :meth:`rank`.
         """
         if signature.options_key != self.options_key:
             raise ValueError(
                 "query signature was built under different key options "
                 "than this index's"
             )
-        allow_twins = self.options.match_anything
         query_hashes = np.asarray(signature.key_hashes, dtype=np.uint64)
         candidates: Set[str] = set()
         for segment in self._segments:
-            for ordinal in segment.candidates(query_hashes):
-                digest = segment.digests[ordinal]
-                if digest not in self._tombstones:
-                    candidates.add(digest)
+            candidates.update(
+                segment.digests[ordinal]
+                for ordinal in segment.candidates(query_hashes)
+            )
         for hash_value in signature.key_hashes:
             candidates.update(self._tail_postings.get(int(hash_value), ()))
-        hits: List[QueryHit] = []
-        for position, (_, digest, segment_index, ordinal) in enumerate(
-            self._live_order()
-        ):
+        live = self._live_order()
+        labels: List[str] = []
+        component_counts: List[int] = []
+        self_clean: List[bool] = []
+        sources: List[ModelSignature] = []
+        positions: List[int] = []
+        for position, (_, digest, segment_index, ordinal) in enumerate(live):
             if segment_index < 0:
                 entry = self._tail_entries[digest]
-                label = entry.label
-                source_clean = entry.signature.self_clean
-                source_count = entry.signature.component_count
-                source = entry.signature
+                label, source = entry.label, entry.signature
+                component_counts.append(source.component_count)
+                self_clean.append(source.self_clean)
             else:
                 segment = self._segments[segment_index]
                 override = self._overrides.get(digest, {})
                 label = override.get("label", segment.labels[ordinal])
-                source_clean = bool(segment.self_clean[ordinal])
-                source_count = int(segment.component_counts[ordinal])
+                component_counts.append(int(segment.component_counts[ordinal]))
+                self_clean.append(bool(segment.self_clean[ordinal]))
                 source = None
+            labels.append(label)
             if digest in candidates:
                 if source is None:
-                    source = self._segments[segment_index].signature(
-                        ordinal
-                    )
-                score, blocked, united = signature.congruence(source)
-                if not allow_twins:
-                    blocked, united = score > 0, 0
-            else:
-                score, blocked, united = 0, False, 0
-            if not source_clean:
-                blocked = True
-            if signature.component_count == 0 or source_count == 0:
-                # Figure 5 line 1–2 short-circuit: trivially
-                # synthesizable whatever the overlap.
-                blocked = False
-                united = 0
-            hits.append(
-                QueryHit(
-                    digest=digest,
-                    label=label,
-                    position=position,
-                    score=score,
-                    blocked=blocked,
-                    united=united,
-                    component_count=source_count,
-                )
+                    source = segment.signature(ordinal)
+                sources.append(source)
+                positions.append(position)
+        counts = pair_counts(
+            signature, source_run(sources, positions), len(live)
+        )
+        _, united, survives = gate(
+            counts,
+            match_anything=self.options.match_anything,
+            target_count=signature.component_count,
+            source_counts=np.array(component_counts, dtype=np.int64),
+            source_clean=np.array(self_clean, dtype=bool),
+        )
+        scores, blocked, twins = (
+            counts[0].tolist(), survives.tolist(), united.tolist()
+        )
+        return [
+            QueryHit(
+                digest=digest,
+                label=labels[position],
+                position=position,
+                score=scores[position],
+                blocked=blocked[position],
+                united=twins[position],
+                component_count=component_counts[position],
             )
-        return hits
+            for position, (_, digest, _, _) in enumerate(live)
+        ]
 
     @staticmethod
     def rank(hits: Sequence[QueryHit]) -> List[QueryHit]:

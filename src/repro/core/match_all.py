@@ -518,29 +518,14 @@ def _resolve_prescreen(
 
 
 def _synthesized_outcome(
-    screen: Prescreen,
-    i: int,
-    j: int,
-    labels: Sequence[str],
-    sizes: Sequence[int],
+    i: int, j: int, left: str, right: str, size: int, counts: Tuple
 ) -> PairOutcome:
-    """The prescreen-synthesized row for a pruned pair — identical on
+    """The row of a pair the prescreen prunes, from its
+    :func:`~repro.core.signature.synthesized_counts` — identical on
     every run-invariant field (:meth:`PairOutcome.key`) to what
     :meth:`_PairEngine.run_pair` would have produced, with zero wall
     time (nothing ran)."""
-    united, added, renamed, conflicts = screen.synthesized_counts(i, j)
-    return PairOutcome(
-        i=i,
-        j=j,
-        left=labels[i],
-        right=labels[j],
-        size=sizes[i] + sizes[j],
-        seconds=0.0,
-        united=united,
-        added=added,
-        renamed=renamed,
-        conflicts=conflicts,
-    )
+    return PairOutcome(i, j, left, right, size, 0.0, *counts)
 
 
 def _run_supervised(
@@ -625,8 +610,12 @@ def _sweep(
             if survivors is None or survivors[i, j]:
                 outcomes.append(engine.run_pair(i, j))
             else:
+                size = sizes[i] + sizes[j]
+                counts = screen.synthesized_counts(i, j)
                 outcomes.append(
-                    _synthesized_outcome(screen, i, j, labels, sizes)
+                    _synthesized_outcome(
+                        i, j, labels[i], labels[j], size, counts
+                    )
                 )
                 pruned += 1
     return MatchMatrix(

@@ -22,17 +22,19 @@ A :class:`ModelSignature` condenses one model into
   exposes — every non-``id:`` key of its
   :class:`~repro.core.compose.ModelIndexSet` rows (tagged by phase) and
   every used id (tagged ``ids``) — sorted into a ``uint64`` array so
-  pair overlaps reduce to array intersections, with two aligned
+  pair overlaps reduce to binary searches, with two aligned
   side-arrays: the owning component's **congruence fingerprint**
   (:attr:`~ModelSignature.key_fingerprints`) and a **primary** flag
   marking the one hash that stands for the whole component
   (:attr:`~ModelSignature.key_primary`).
 
-A :class:`Prescreen` holds one signature per corpus model and screens
-a sweep's entire pair matrix vectorially; corpus queries screen through
-a :class:`~repro.core.corpus_index.CorpusIndex` posting walk instead.
-Its prune criterion is **sound** with respect to the full matcher: a
-pair ``(target, source)`` is pruned only when
+The prune rule is written once: :func:`pair_counts` classifies one
+target against a run of sources, :func:`gate` applies its three
+gates and :func:`synthesized_counts` gives a pruned pair's outcome.
+A :class:`Prescreen` runs it once per target row of a sweep, a
+:class:`~repro.core.corpus_index.CorpusIndex` query once over the
+candidates of its posting walk.  The rule is **sound** with respect
+to the full matcher: a pair ``(target, source)`` is pruned only when
 
 1. neither model is empty (the Figure 5 line 1–2 short-circuit makes
    empty pairs trivially synthesizable, so those *are* pruned, with
@@ -64,9 +66,9 @@ it adopts verbatim and ``claim_id`` never renames.  The outcome is
 ``conflicts = 0``.
 
 Under ``semantics="none"`` options (``match_anything`` false) the
-phases never probe, twins rename instead of uniting, and the
-prescreen automatically falls back to the disjointness-only
-criterion: any key overlap blocks pruning.
+phases never probe, twins rename instead of uniting, and the twin
+gate falls back to the disjointness-only criterion: any key overlap
+blocks pruning.
 
 Hash collisions only ever *reduce* pruning (two distinct keys hashing
 together makes a pair look overlapping; ambiguous ownership zeroes the
@@ -91,7 +93,11 @@ __all__ = [
     "COUNTS_LENGTH",
     "ModelSignature",
     "Prescreen",
+    "gate",
     "key_hash",
+    "pair_counts",
+    "source_run",
+    "synthesized_counts",
 ]
 
 #: Length of the criteria-count vector (see :func:`_criteria_counts`).
@@ -399,43 +405,100 @@ class ModelSignature:
         """Whether this signature is valid under ``options``."""
         return self.options_key == index_options_key(options)
 
-    def congruence(
-        self, source: "ModelSignature"
-    ) -> Tuple[int, bool, int]:
-        """``(shared, blocked, united)`` of this target vs. one source.
 
-        ``blocked`` is ``True`` when some shared key is not owned by
-        identical twins on both sides — the pair must run the full
-        matcher.  When not blocked, ``united`` is the number of
-        distinct twin components (shared *primary* hashes).  Callers
-        must additionally apply the option gate (twin synthesis is
-        only valid when ``options.match_anything``) — the
-        :class:`Prescreen` does.
-        """
-        shared, mine, theirs = np.intersect1d(
-            self.key_hashes,
-            source.key_hashes,
-            assume_unique=True,
-            return_indices=True,
-        )
-        if shared.size == 0:
-            return 0, False, 0
-        target_fps = self.key_fingerprints[mine]
-        source_fps = source.key_fingerprints[theirs]
-        clean = (target_fps == source_fps) & (target_fps != 0)
-        if not bool(clean.all()):
-            return int(shared.size), True, 0
-        united = int(np.count_nonzero(self.key_primary[mine]))
-        return int(shared.size), False, united
+_NO_KEYS = np.empty(0, dtype=np.uint64)
+
+#: ``(hashes, fingerprints, owners)``: see :func:`source_run`.
+SourceRun = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def source_run(
+    signatures: Sequence[ModelSignature], positions: Sequence[int]
+) -> SourceRun:
+    """The sources' key hashes and congruence fingerprints back to
+    back, each key owned by its source's position in the row."""
+    lengths = [s.key_hashes.size for s in signatures]
+    return (
+        np.concatenate([_NO_KEYS, *(s.key_hashes for s in signatures)]),
+        np.concatenate([_NO_KEYS, *(s.key_fingerprints for s in signatures)]),
+        np.repeat(np.asarray(positions, dtype=np.intp), lengths),
+    )
+
+
+def pair_counts(
+    target: ModelSignature, run: SourceRun, size: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule's kernel: ``(shared, noncongruent, united)`` key counts
+    of ``target`` against every owner of ``run``, as ``size``-long
+    vectors.
+
+    The sources' hashes are binary-searched into the target's sorted
+    ones.  A shared key is *congruent* when both owners carry the same
+    nonzero fingerprint; ``united`` counts the congruent keys primary
+    in the target (one per twin component).
+    """
+    keys = target.key_hashes
+    if keys.size == 0:
+        return tuple(np.zeros(size, dtype=np.int64) for _ in range(3))
+    hashes, fingerprints, owners = run
+    at = np.minimum(np.searchsorted(keys, hashes), keys.size - 1)
+    hit = keys[at] == hashes
+    at, owners = at[hit], owners[hit]
+    target_fps = target.key_fingerprints[at]
+    congruent = (target_fps == fingerprints[hit]) & (target_fps != 0)
+    twins = owners[congruent & target.key_primary[at]]
+    return (
+        np.bincount(owners, minlength=size),
+        np.bincount(owners[~congruent], minlength=size),
+        np.bincount(twins, minlength=size),
+    )
+
+
+def gate(
+    counts: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    *,
+    match_anything: bool,
+    target_count: int,
+    source_counts: np.ndarray,
+    source_clean: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule's three gates over :func:`pair_counts`: ``(blocked,
+    united, survives)`` per source.
+
+    * **Twins**: ``blocked`` when a shared key is not congruent; a
+      blocked pair unites nothing.  Under ``match_anything=False`` the
+      phases never probe and twins rename, so every overlap blocks.
+    * **Self-clean source**: an unclean source ``survives``, that is,
+      runs the full matcher.
+    * **Empty model**: a pair with an empty side never does (Figure 5
+      lines 1–2).
+    """
+    shared, noncongruent, united = counts
+    blocked = (noncongruent if match_anything else shared) > 0
+    survives = (
+        (blocked | ~source_clean) & (source_counts != 0) & (target_count != 0)
+    )
+    return blocked, np.where(blocked, 0, united), survives
+
+
+def synthesized_counts(
+    target_count: int, source_count: int, united: int
+) -> Tuple[int, int, int, int]:
+    """``(united, added, renamed, conflicts)`` of a pair the rule
+    prunes: every twin unites and every other source component is
+    adopted verbatim; a pair with an empty side adds nothing."""
+    if target_count == 0 or source_count == 0:
+        return (0, 0, 0, 0)
+    return (united, source_count - united, 0, 0)
 
 
 class Prescreen:
     """Vectorized structural prescreen over one corpus.
 
-    Holds one :class:`ModelSignature` per model and computes, with
-    array operations only, the full pair matrices of congruence blocks
-    (:attr:`pair_blocked`) and synthesized union counts
-    (:attr:`pair_united`), and from them the boolean survivor matrix:
+    Holds one :class:`ModelSignature` per model and, when built, fills
+    one target row at a time through the prune rule the pair matrices
+    of congruence blocks (:attr:`pair_blocked`), synthesized union
+    counts (:attr:`pair_united`) and survivors:
     ``survivors()[i, j]`` is ``True`` when the pair *must* run the
     full matcher, ``False`` when its outcome is provably known and may
     be synthesized (see the module docstring for the soundness
@@ -464,9 +527,15 @@ class Prescreen:
             [signature.self_clean for signature in self.signatures],
             dtype=bool,
         )
-        self._blocked: Optional[np.ndarray] = None
-        self._united: Optional[np.ndarray] = None
-        self._survivors: Optional[np.ndarray] = None
+        n = len(self.signatures)
+        #: ``n x n``: ``True`` when some shared key is not owned by
+        #: congruent identical twins — the pair cannot be synthesized.
+        self.pair_blocked = np.zeros((n, n), dtype=bool)
+        #: ``n x n``: the number of distinct identical-twin components
+        #: the pair shares (``0`` where :attr:`pair_blocked`).
+        self.pair_united = np.zeros((n, n), dtype=np.int64)
+        self._survivors = np.zeros((n, n), dtype=bool)
+        self._fill_rows()
 
     @classmethod
     def build(
@@ -484,96 +553,37 @@ class Prescreen:
     def __len__(self) -> int:
         return len(self.signatures)
 
-    def _pair_tables(self) -> None:
-        """Compute both pair matrices in one grouped pass.
-
-        The corpus's concatenated key hashes are grouped with
-        ``np.unique``; each hash shared by ``k`` models contributes to
-        every pair among those ``k`` — a united increment (congruent
-        twins) or a block (mismatched or poisoned fingerprints) —
-        accumulated per group with ``np.ix_``, so the work is
-        proportional to shared keys, not to ``n²`` scans.  Under
-        ``match_anything=False`` options every overlap blocks (phases
-        never probe, so twins rename instead of uniting).
-        """
-        if self._blocked is not None:
-            return
+    def _fill_rows(self) -> None:
+        """Fill the pair tables one target row at a time through the
+        rule.  A key that one model alone holds meets no other model's,
+        so the run keeps the keys two or more models hold, in hash
+        order (the binary searches then walk the target's keys in
+        step); each self pair is counted against the target's own
+        keys."""
         n = len(self.signatures)
-        lengths = [
-            signature.key_hashes.size for signature in self.signatures
-        ]
-        blocked = np.zeros((n, n), dtype=bool)
-        united = np.zeros((n, n), dtype=np.int64)
-        allow_twins = self.options.match_anything
-        if n and sum(lengths):
-            all_hashes = np.concatenate(
-                [signature.key_hashes for signature in self.signatures]
+        hashes, fingerprints, owners = source_run(self.signatures, range(n))
+        _, inverse, holders = np.unique(
+            hashes, return_inverse=True, return_counts=True
+        )
+        common = np.flatnonzero(holders[inverse] > 1)
+        common = common[np.argsort(inverse[common], kind="stable")]
+        run = (hashes[common], fingerprints[common], owners[common])
+        for i, target in enumerate(self.signatures):
+            counts = pair_counts(target, run, n)
+            own = pair_counts(target, source_run([target], [0]), 1)
+            for count, self_pair in zip(counts, own):
+                count[i] = self_pair[0]
+            (
+                self.pair_blocked[i],
+                self.pair_united[i],
+                self._survivors[i],
+            ) = gate(
+                counts,
+                match_anything=self.options.match_anything,
+                target_count=int(self.component_counts[i]),
+                source_counts=self.component_counts,
+                source_clean=self.self_clean,
             )
-            all_fps = np.concatenate(
-                [
-                    signature.key_fingerprints
-                    for signature in self.signatures
-                ]
-            )
-            all_primary = np.concatenate(
-                [signature.key_primary for signature in self.signatures]
-            )
-            owners = np.repeat(np.arange(n), lengths)
-            _, inverse, per_key = np.unique(
-                all_hashes, return_inverse=True, return_counts=True
-            )
-            order = np.argsort(inverse, kind="stable")
-            boundaries = np.cumsum(per_key)[:-1]
-            for group, fps, prim in zip(
-                np.split(owners[order], boundaries),
-                np.split(all_fps[order], boundaries),
-                np.split(all_primary[order], boundaries),
-            ):
-                if group.size <= 1:
-                    continue
-                ix = np.ix_(group, group)
-                if not allow_twins:
-                    blocked[ix] = True
-                    continue
-                clean_pair = (fps[:, None] == fps[None, :]) & (
-                    fps[:, None] != 0
-                )
-                blocked[ix] |= ~clean_pair
-                # Congruent pairs share identical components, so the
-                # primary flag agrees between the two sides.
-                united[ix] += clean_pair & prim[:, None]
-            # Per-model hashes are distinct, so the group loop only
-            # touched diagonal cells of *shared* hashes; each model's
-            # self-pair shares every one of its own hashes.
-            for i, signature in enumerate(self.signatures):
-                if not allow_twins:
-                    blocked[i, i] = lengths[i] > 0
-                    united[i, i] = 0
-                else:
-                    blocked[i, i] = bool(
-                        np.any(signature.key_fingerprints == 0)
-                    )
-                    united[i, i] = int(
-                        np.count_nonzero(signature.key_primary)
-                    )
-        self._blocked = blocked
-        self._united = united
-
-    @property
-    def pair_blocked(self) -> np.ndarray:
-        """``n x n`` boolean matrix: ``True`` when some shared key is
-        not owned by congruent identical twins — synthesis is off the
-        table and the pair must run the full matcher."""
-        self._pair_tables()
-        return self._blocked
-
-    @property
-    def pair_united(self) -> np.ndarray:
-        """``n x n`` matrix of synthesized union counts: the number of
-        distinct identical-twin components shared by the pair (valid
-        where :attr:`pair_blocked` is ``False``)."""
-        self._pair_tables()
-        return self._united
 
     def survivors(self) -> np.ndarray:
         """Boolean pair matrix: ``True`` = run the full matcher.
@@ -583,22 +593,13 @@ class Prescreen:
         empty (trivially synthesizable) or every shared key is owned
         by congruent identical twins *and* the source is self-clean.
         """
-        if self._survivors is not None:
-            return self._survivors
-        empty = self.component_counts == 0
-        nonempty_pair = ~empty[:, None] & ~empty[None, :]
-        needs_match = self.pair_blocked | ~self.self_clean[None, :]
-        self._survivors = nonempty_pair & needs_match
         return self._survivors
 
     def synthesized_counts(self, i: int, j: int) -> Tuple[int, int, int, int]:
-        """``(united, added, renamed, conflicts)`` for a pruned pair.
-
-        Empty pairs short-circuit (Figure 5 lines 1–2: the result *is*
-        the other model, nothing is added); otherwise every twin
-        unites and every other source component is adopted verbatim.
-        """
-        if self.component_counts[i] == 0 or self.component_counts[j] == 0:
-            return (0, 0, 0, 0)
-        united = int(self.pair_united[i, j])
-        return (united, int(self.component_counts[j]) - united, 0, 0)
+        """``(united, added, renamed, conflicts)`` for a pruned pair
+        (:func:`synthesized_counts`)."""
+        return synthesized_counts(
+            int(self.component_counts[i]),
+            int(self.component_counts[j]),
+            int(self.pair_united[i, j]),
+        )

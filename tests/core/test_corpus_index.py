@@ -14,14 +14,23 @@ import pickle
 
 import numpy as np
 import pytest
-from reference_query import query_scores, query_survivors
+from reference_query import (
+    OPTION_SETS,
+    gated_corpus,
+    query_scores,
+    query_survivors,
+)
 
 from repro import ComposeOptions, ModelBuilder
 from repro.core.artifact_store import ArtifactStore, model_digest
 from repro.core.corpus_index import CorpusIndex
 from repro.core.match_all import match_query
 from repro.core.options import SEMANTICS_NONE
-from repro.core.signature import ModelSignature, Prescreen
+from repro.core.signature import (
+    ModelSignature,
+    Prescreen,
+    synthesized_counts,
+)
 from repro.corpus import generate_corpus
 
 
@@ -137,22 +146,53 @@ class TestMaintenance:
 
 
 class TestQuery:
-    def test_agrees_with_prescreen(self, index, corpus):
-        screen = Prescreen.build(corpus)
-        for position, model in enumerate(corpus):
-            signature = ModelSignature.build(model)
+    def test_agrees_with_prescreen(self, corpus):
+        """The index against the per-pair reference under every option
+        set, on a corpus that exercises all three gates (see
+        ``gated_corpus``)."""
+        models = gated_corpus(corpus)
+        for options in OPTION_SETS:
+            screen = Prescreen.build(models, options)
+            index = CorpusIndex(options)
+            index.add_all(models)
+            for position, model in enumerate(models):
+                signature = ModelSignature.build(model, options)
+                hits = index.query(signature)
+                assert [hit.position for hit in hits] == list(
+                    range(len(models))
+                )
+                # blocked == "must run the full matcher", exactly the
+                # prescreen's survivor vector for this query.
+                assert np.array_equal(
+                    np.array([hit.blocked for hit in hits]),
+                    query_survivors(screen, signature),
+                )
+                scores = query_scores(screen, signature)
+                assert [hit.score for hit in hits] == list(scores)
+                self_hit = hits[position]
+                assert self_hit.score == len(signature.key_hashes)
+
+    @pytest.mark.parametrize(
+        "options", OPTION_SETS, ids=["heavy", "light", "structural"]
+    )
+    def test_query_rows_equal_prescreen_rows(self, corpus, options, tmp_path):
+        """Each model of the corpus as the query: the index's hits are
+        the prescreen's row for that model, with half the corpus in a
+        sealed (mmap-backed) segment and half in the tail."""
+        models = gated_corpus(corpus)
+        screen = Prescreen.build(models, options)
+        index = CorpusIndex(options)
+        half = len(models) // 2
+        index.add_all(models[:half])
+        index.save(tmp_path / "corpus.idx")
+        index.add_all(models[half:])
+        for i, signature in enumerate(screen.signatures):
             hits = index.query(signature)
-            assert [hit.position for hit in hits] == list(range(len(corpus)))
-            # blocked == "must run the full matcher", exactly the
-            # prescreen's survivor vector for this query.
-            assert np.array_equal(
-                np.array([hit.blocked for hit in hits]),
-                query_survivors(screen, signature),
+            assert [hit.score for hit in hits] == list(
+                query_scores(screen, signature)
             )
-            scores = query_scores(screen, signature)
-            assert [hit.score for hit in hits] == list(scores)
-            self_hit = hits[position]
-            assert self_hit.score == len(signature.key_hashes)
+            assert [hit.blocked for hit in hits] == list(screen.survivors()[i])
+            assert [hit.united for hit in hits] == list(screen.pair_united[i])
 
     def test_classification_matches_full_matcher(self, index, corpus):
         """A non-blocked hit's synthesized counts equal the full
@@ -165,7 +205,9 @@ class TestQuery:
         for hit, outcome in zip(hits, matrix.outcomes):
             if hit.blocked:
                 continue
-            assert hit.synthesized_counts(signature.component_count) == (
+            assert synthesized_counts(
+                signature.component_count, hit.component_count, hit.united
+            ) == (
                 outcome.united,
                 outcome.added,
                 outcome.renamed,

@@ -2,13 +2,21 @@
 
 Byte-identity of the prescreened sweep lives in the conformance
 matrix (the eighth path); this file pins the signature layer itself —
-vector layout, congruence semantics, the option gates, the survivor
-algebra, and prescreens over stored or handed signatures.
+vector layout, the prune rule's kernel and gates against the per-pair
+oracle in ``reference_query.py``, the survivor algebra, and
+prescreens over stored or handed signatures.
 """
 
 import numpy as np
 import pytest
-from reference_query import query_scores, query_survivors, query_tables
+from reference_query import (
+    OPTION_SETS,
+    congruence,
+    gated_corpus,
+    query_scores,
+    query_survivors,
+    query_tables,
+)
 
 from repro import ComposeOptions, ModelBuilder
 from repro.core.artifact_store import ArtifactStore
@@ -18,7 +26,10 @@ from repro.core.signature import (
     COUNTS_LENGTH,
     ModelSignature,
     Prescreen,
+    gate,
     key_hash,
+    pair_counts,
+    source_run,
 )
 from repro.corpus import generate_corpus
 from repro.sbml import Model
@@ -33,6 +44,22 @@ def _model(model_id="m", species=("A", "B"), value=0.5):
         f"r_{model_id}", [species[0]], [species[-1]], "k"
     )
     return builder.build()
+
+
+def _classify(target, source):
+    """``(shared, blocked, united)`` of one pair through the row
+    kernel and the twin gate, checked against the per-pair oracle."""
+    counts = pair_counts(target, source_run([source], [0]), 1)
+    blocked, united, _ = gate(
+        counts,
+        match_anything=True,
+        target_count=target.component_count,
+        source_counts=np.array([source.component_count]),
+        source_clean=np.array([source.self_clean]),
+    )
+    row = (int(counts[0][0]), bool(blocked[0]), int(united[0]))
+    assert row == congruence(target, source)
+    return row
 
 
 class TestModelSignature:
@@ -68,7 +95,7 @@ class TestModelSignature:
 
     def test_self_congruence_is_never_blocked(self):
         signature = ModelSignature.build(_model())
-        shared, blocked, united = signature.congruence(signature)
+        shared, blocked, united = _classify(signature, signature)
         assert shared == len(signature.key_hashes)
         assert not blocked
         # Every component unites exactly once with its own twin.
@@ -77,7 +104,7 @@ class TestModelSignature:
     def test_shared_twins_unite_disjoint_rest_adds(self):
         left = ModelSignature.build(_model("a", species=("A", "B")))
         right = ModelSignature.build(_model("b", species=("X", "Y")))
-        shared, blocked, united = left.congruence(right)
+        shared, blocked, united = _classify(left, right)
         # "cell" and "k" are identical twins; everything else is
         # disjoint — the canonical prunable pair.
         assert shared > 0
@@ -89,19 +116,20 @@ class TestModelSignature:
         right = ModelSignature.build(
             _model("b", species=("X", "Y"), value=0.9)
         )
-        shared, blocked, united = left.congruence(right)
+        shared, blocked, united = _classify(left, right)
         # Same parameter id "k", different value: the full matcher
-        # would report a conflict, so congruence must block.
+        # would report a conflict, so the twin gate must block.
         assert shared > 0
         assert blocked
+        assert united == 0
 
     def test_value_twins_are_congruent(self):
         left = ModelSignature.build(_model("a"))
         right = ModelSignature.build(_model("a"))
-        shared, blocked, united = left.congruence(right)
+        shared, blocked, united = _classify(left, right)
         assert not blocked and united == left.component_count
         different = ModelSignature.build(_model("a", value=0.7))
-        _, blocked, _ = left.congruence(different)
+        _, blocked, _ = _classify(left, different)
         assert blocked  # same parameter id, different value
 
     def test_empty_model_signature(self):
@@ -216,20 +244,23 @@ class TestPrescreen:
         assert np.array_equal(plain.survivors(), stored.survivors())
 
     def test_query_tables_agree_with_pair_matrices(self, corpus):
-        screen = Prescreen.build(corpus)
-        for i, signature in enumerate(screen.signatures):
-            _, blocked, united = query_tables(screen, signature)
-            assert np.array_equal(blocked, screen.pair_blocked[i])
-            # pair_united is only defined where the pair is not
-            # blocked (congruence short-circuits to 0 on a block; the
-            # matrix path accumulates the tables independently).
-            valid = ~blocked
-            assert np.array_equal(
-                united[valid], screen.pair_united[i][valid]
-            )
-            assert np.array_equal(
-                query_survivors(screen, signature), screen.survivors()[i]
-            )
+        """The prescreen's row kernel against the per-pair oracle
+        under heavy, light and structural options, on a corpus that
+        exercises all three gates: twins (every overlap blocking under
+        structural options), a source that is not self-clean, and an
+        empty model."""
+        for options in OPTION_SETS:
+            screen = Prescreen.build(gated_corpus(corpus), options)
+            assert not screen.self_clean.all()
+            assert (screen.component_counts == 0).any()
+            for i, signature in enumerate(screen.signatures):
+                _, blocked, united = query_tables(screen, signature)
+                assert np.array_equal(blocked, screen.pair_blocked[i])
+                assert np.array_equal(united, screen.pair_united[i])
+                assert np.array_equal(
+                    query_survivors(screen, signature),
+                    screen.survivors()[i],
+                )
 
     def test_query_rejects_mismatched_signature(self, corpus):
         screen = Prescreen.build(corpus)

@@ -787,7 +787,19 @@ def test_merge_zero_factor_unit_is_an_error_not_a_traceback(
     zero = _zero_factor_model(tmp_path, -1)
     assert main(["merge", str(model_files[0]), str(zero)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: unit definition 'zero_unit': ")
+    assert err.startswith(f"error: {zero}: unit definition 'zero_unit': ")
+    assert "(0 * 10^0 * litre)^-1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--prescreen"]], ids=["full", "screened"])
+def test_sweep_zero_factor_unit_error_names_the_file(
+    model_files, tmp_path, capsys, flags
+):
+    zero = _zero_factor_model(tmp_path, -1)
+    assert main(["sweep", str(model_files[0]), str(zero), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {zero}: unit definition 'zero_unit': ")
     assert "(0 * 10^0 * litre)^-1" in err
     assert "Traceback" not in err
 
