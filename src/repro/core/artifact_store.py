@@ -68,11 +68,12 @@ __all__ = [
 #: The one entry layout the store reads and writes.  Bump it when the
 #: pickled artifact layout changes: entries of any other format read
 #: as counted ``incompatible`` misses and are recomputed and rewritten
-#: in this format — the store is a cache.  Format 6 carries the used
-#: ids, unit registry, initial values and structural signature; the
-#: pattern tables, phase-index rows and SBML text that format 5 also
-#: stored had no reader left.
-_FORMAT = 6
+#: in this format — the store is a cache.  Format 7 carries the used
+#: ids, unit registry, initial values and structural signature, like
+#: format 6, whose signatures fingerprinted components by ``repr``;
+#: the pattern tables, phase-index rows and SBML text that format 5
+#: also stored had no reader left.
+_FORMAT = 7
 
 
 def model_digest(model: Model) -> str:
@@ -161,9 +162,7 @@ def compute_artifacts(
     if with_signature:
         from repro.core.signature import ModelSignature
 
-        signature = ModelSignature.build(
-            model, _artifact_options(), used_ids=used_ids
-        )
+        signature = ModelSignature.build(model, _artifact_options())
     return ModelArtifacts(
         used_ids=used_ids,
         registry=model.unit_registry(),

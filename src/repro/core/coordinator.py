@@ -103,6 +103,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core import chaos, transport
 from repro.core.artifact_store import CorpusManifest
+from repro.core.compose import ModelIndexSet
 from repro.core.match_all import (
     MatchMatrix,
     PairOutcome,
@@ -345,6 +346,7 @@ def _worker_main(
     heartbeat_interval: float,
     models: Sequence[Model],
     labels: Sequence[str],
+    index_sets: Optional[Sequence[ModelIndexSet]],
 ) -> None:
     """One supervised local worker: build the inline sweep's engine
     over the corpus it was started with, then loop — compute assigned
@@ -353,11 +355,12 @@ def _worker_main(
     synchronous; a SIGKILL one instruction later cannot retract a
     message the coordinator already has.
 
-    Under fork the models are the coordinator's own, inherited; under
-    spawn or forkserver they arrive pickled, once per worker.  Their
-    artifacts are derived in memory, as the inline sweep derives
-    them."""
-    engine = _PairEngine(options, models, labels)
+    Under fork the models — and the index rows a prescreen built for
+    them, when it did — are the coordinator's own, inherited; under
+    spawn or forkserver they arrive pickled, once per worker.  Every
+    other artifact is derived in memory, as the inline sweep derives
+    it."""
+    engine = _PairEngine(options, models, labels, index_sets)
     _worker_loop(conn, worker_name, engine, heartbeat_interval)
 
 
@@ -862,6 +865,9 @@ class SweepCoordinator:
                 self.config.effective_heartbeat,
                 self.models,
                 self.labels,
+                self.prescreen.index_sets
+                if self.prescreen is not None
+                else None,
             ),
             name=f"sweep-{name}",
             daemon=True,

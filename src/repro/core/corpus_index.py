@@ -11,9 +11,10 @@ digests, used ids), semanticSBML-style: annotation-like evidence is
 precomputed at index time, so a query touches only the posting lists
 its own keys hit.
 
-Format 2 replaces the monolithic pickle (format 1: the whole index —
-156k posting lists at just 1000 models — unpickled on every open)
-with an **LSM-shaped directory**:
+Since format 2 the monolithic pickle (format 1: the whole index —
+156k posting lists at just 1000 models — unpickled on every open) is
+an **LSM-shaped directory** (format 3 keeps it, with fingerprints
+built from math digests):
 
 * ``manifest.json`` (+ ``manifest.json.bak``) — the commit point: the
   segment list, tombstones, entry overrides and the LRU/insertion
@@ -95,11 +96,12 @@ __all__ = [
 ]
 
 #: On-disk format version.  Format 1 was the monolithic single-file
-#: pickle; format 2 is the segmented directory.  Old formats are
-#: rejected at load with a rebuild hint (an index is cheap to rebuild
-#: from its corpus — unlike the artifact store there is no
-#: partial-rehydration tier).
-_FORMAT = 2
+#: pickle; format 2 is the segmented directory; format 3 keeps that
+#: layout with congruence fingerprints built from math digests instead
+#: of ``repr``.  Old formats are rejected at load with a rebuild hint
+#: (an index is cheap to rebuild from its corpus — unlike the artifact
+#: store there is no partial-rehydration tier).
+_FORMAT = 3
 
 _MANIFEST = "manifest.json"
 _MANIFEST_BAK = "manifest.json.bak"
@@ -969,9 +971,12 @@ class CorpusIndex:
                 f"`corpus index` (an index is cheap to rebuild)"
             )
         payload, manifest = cls._read_manifest(path)
-        if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
+        found = payload.get("format") if isinstance(payload, dict) else None
+        if found != _FORMAT:
             raise ValueError(
-                f"{path}: not a format-{_FORMAT} corpus index"
+                f"{path}: a format-{found} corpus index; this version "
+                f"reads only format {_FORMAT} — delete the directory and "
+                f"rerun `corpus index` (an index is cheap to rebuild)"
             )
         options_path = path / _OPTIONS_FILE
         try:

@@ -14,7 +14,9 @@ structural identity search batches corpus-scale comparisons instead;
   across all of the model's pairs (handed to the engine as a carried
   :class:`~repro.core.compose.AccumState`) — by the inline sweep, by
   every local worker and by every remote worker, which fetches each
-  model's canonical SBML text from its coordinator on first touch,
+  model's canonical SBML text from its coordinator on first touch;
+  the index rows of a screened sweep come from its prescreen, which
+  the inline sweep and local workers share,
 * one :class:`~repro.core.compose.Composer` and one digest-keyed
   :class:`~repro.core.pattern_cache.PatternCache` serve the whole
   sweep, so canonical patterns are computed per expression, not per
@@ -358,8 +360,11 @@ class _PairEngine:
     The engine derives each model's artifacts in memory, on first use.
     ``models`` is any sequence: the corpus itself, or a remote worker's
     :class:`_FetchedModels`, which fetches each model on first touch.
-    The artifact memo is filled under a lock, and the composer's
-    pattern cache locks internally.
+    ``index_sets``, when given, holds each model's index rows under
+    the engine's options (a :class:`~repro.core.signature.Prescreen`
+    keeps the ones it built); a target binds them instead of building
+    its own.  The artifact memo is filled under a lock, and the
+    composer's pattern cache locks internally.
     """
 
     def __init__(
@@ -367,10 +372,12 @@ class _PairEngine:
         options: Optional[ComposeOptions],
         models: Sequence[Model],
         labels: Sequence[str],
+        index_sets: Optional[Sequence[ModelIndexSet]] = None,
     ):
         self.options = options or ComposeOptions()
         self.models = models
         self.labels = list(labels)
+        self.index_sets = index_sets
         # One composer — and one pattern cache — for the whole sweep,
         # so each expression's pattern is computed once per sweep: on
         # its first probe, or never for an expression no pair compares.
@@ -417,8 +424,9 @@ class _PairEngine:
         return hit
 
     def _target_indexes(self, index: int) -> BoundIndexSet:
-        """The model's bound phase indexes, built on first use as a
-        pair target (never for source-only models)."""
+        """The model's bound phase indexes, bound on first use as a
+        pair target (never for source-only models) from its handed
+        rows, or from rows built here."""
         bound = self._indexes.get(index)
         if bound is not None:
             return bound
@@ -426,9 +434,13 @@ class _PairEngine:
             bound = self._indexes.get(index)
             if bound is None:
                 model = self.models[index]
-                bound = ModelIndexSet.build(
-                    model, self.options, self.pattern_cache
-                ).bind(model, self.options)
+                if self.index_sets is not None:
+                    rows = self.index_sets[index]
+                else:
+                    rows = ModelIndexSet.build(
+                        model, self.options, self.pattern_cache
+                    )
+                bound = rows.bind(model, self.options)
                 self._indexes[index] = bound
         return bound
 
@@ -603,7 +615,12 @@ def _sweep(
         )
     else:
         survivors = screen.survivors() if screen is not None else None
-        engine = _PairEngine(options, models, labels)
+        engine = _PairEngine(
+            options,
+            models,
+            labels,
+            screen.index_sets if screen is not None else None,
+        )
         outcomes = []
         pruned = 0
         for i, j in pairs:

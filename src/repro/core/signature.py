@@ -41,8 +41,8 @@ to the full matcher: a pair ``(target, source)`` is pruned only when
    ``united=0, added=0``),
 2. every shared key hash is **congruent** — owned, in each model, by
    exactly one component, and the two owners are identical twins
-   (equal fingerprints: same phase, byte-equal ``repr`` including the
-   id) of a synthesizable kind — and
+   (equal fingerprints: same phase and class, equal in every field,
+   maths by digest, the id included) of a synthesizable kind — and
 3. the source is **self-clean** (:func:`_self_clean`): no duplicate
    global id across its collections, no duplicate initial-assignment
    symbol, no duplicate rule key — the ways a source can unite or
@@ -81,13 +81,29 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.compose import ModelIndexSet, index_options_key
 from repro.core.options import ComposeOptions
+from repro.sbml.components import (
+    AlgebraicRule,
+    AssignmentRule,
+    Compartment,
+    CompartmentType,
+    Constraint,
+    Event,
+    FunctionDefinition,
+    InitialAssignment,
+    Parameter,
+    RateRule,
+    Reaction,
+    Species,
+    SpeciesType,
+)
 from repro.sbml.model import Model
+from repro.units.definitions import UnitDefinition
 
 __all__ = [
     "COUNTS_LENGTH",
@@ -153,13 +169,6 @@ _ID_ATTRS = (
 
 _ID_ATTR_SET = frozenset(_ID_ATTRS)
 
-#: ``(phase name, collection attr)`` for the id-bearing collections.
-_ID_SOURCES = tuple(
-    (phase, attr)
-    for phase, attr in zip(_PHASE_NAMES, _PHASE_ATTRS)
-    if attr in _ID_ATTR_SET
-)
-
 
 def key_hash(tag: str, key: str) -> int:
     """64-bit hash of one tagged match key.
@@ -176,29 +185,168 @@ def key_hash(tag: str, key: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+def _math(node) -> str:
+    """A math field: its cached digest, or ``None``."""
+    return "None" if node is None else node.digest()
+
+
+def _base(component) -> str:
+    return (
+        f"{component.id!r},{component.name!r},{component.metaid!r},"
+        f"{component.notes!r},{component.sbo_term!r},"
+        f"{component.annotations!r}"
+    )
+
+
+def _parameter(parameter: Parameter) -> str:
+    return (
+        f"{_base(parameter)},{parameter.value!r},{parameter.units!r},"
+        f"{parameter.constant!r}"
+    )
+
+
+def _unit_definition(definition: UnitDefinition) -> str:
+    units = ",".join(
+        [
+            f"({unit.kind!r},{unit.exponent!r},{unit.scale!r},"
+            f"{unit.multiplier!r})"
+            for unit in definition.units
+        ]
+    )
+    return f"{definition.id!r},{definition.name!r},[{units}]"
+
+
+def _compartment(compartment: Compartment) -> str:
+    return (
+        f"{_base(compartment)},{compartment.size!r},{compartment.units!r},"
+        f"{compartment.spatial_dimensions!r},"
+        f"{compartment.compartment_type!r},{compartment.outside!r},"
+        f"{compartment.constant!r}"
+    )
+
+
+def _species(species: Species) -> str:
+    return (
+        f"{_base(species)},{species.compartment!r},"
+        f"{species.initial_amount!r},{species.initial_concentration!r},"
+        f"{species.substance_units!r},{species.has_only_substance_units!r},"
+        f"{species.boundary_condition!r},{species.constant!r},"
+        f"{species.species_type!r},{species.charge!r}"
+    )
+
+
+def _math_component(component) -> str:
+    return f"{_base(component)},{_math(component.math)}"
+
+
+def _initial_assignment(assignment: InitialAssignment) -> str:
+    return (
+        f"{_base(assignment)},{assignment.symbol!r},"
+        f"{_math(assignment.math)}"
+    )
+
+
+def _variable_rule(rule) -> str:
+    return f"{_base(rule)},{_math(rule.math)},{rule._variable!r}"
+
+
+def _constraint(constraint: Constraint) -> str:
+    return (
+        f"{_base(constraint)},{_math(constraint.math)},"
+        f"{constraint.message!r}"
+    )
+
+
+def _references(references) -> str:
+    return ",".join(
+        [f"({ref.species!r},{ref.stoichiometry!r})" for ref in references]
+    )
+
+
+def _reaction(reaction: Reaction) -> str:
+    law = reaction.kinetic_law
+    if law is None:
+        law_text = "None"
+    else:
+        parameters = ",".join([f"({_parameter(p)})" for p in law.parameters])
+        law_text = f"({_base(law)},{_math(law.math)},[{parameters}])"
+    modifiers = ",".join([repr(ref.species) for ref in reaction.modifiers])
+    return (
+        f"{_base(reaction)},[{_references(reaction.reactants)}],"
+        f"[{_references(reaction.products)}],[{modifiers}],{law_text},"
+        f"{reaction.reversible!r},{reaction.fast!r}"
+    )
+
+
+def _math_holder(holder) -> str:
+    """An event's trigger or delay: ``None``, or its math wrapped."""
+    return "None" if holder is None else f"({_math(holder.math)})"
+
+
+def _event(event: Event) -> str:
+    assignments = ",".join(
+        [
+            f"({assignment.variable!r},{_math(assignment.math)})"
+            for assignment in event.assignments
+        ]
+    )
+    return (
+        f"{_base(event)},{_math_holder(event.trigger)},"
+        f"{_math_holder(event.delay)},[{assignments}]"
+    )
+
+
+#: One formatter per component class: every dataclass field, in field
+#: order — strings, numbers and bools by ``repr``, each math field by
+#: its cached :meth:`~repro.mathml.ast.MathNode.digest` (equal iff the
+#: trees' ``repr`` is), nested references, laws, local parameters,
+#: units and event assignments inline.  Every value is written so that
+#: the text parses back, field by field, so the text is exactly as
+#: fine as the component's own dataclass ``repr``.
+_FORMATTERS: Dict[type, Callable[..., str]] = {
+    FunctionDefinition: _math_component,
+    UnitDefinition: _unit_definition,
+    CompartmentType: _base,
+    SpeciesType: _base,
+    Compartment: _compartment,
+    Species: _species,
+    Parameter: _parameter,
+    InitialAssignment: _initial_assignment,
+    AlgebraicRule: _math_component,
+    AssignmentRule: _variable_rule,
+    RateRule: _variable_rule,
+    Constraint: _constraint,
+    Reaction: _reaction,
+    Event: _event,
+}
+
+
 def _component_fingerprint(phase: str, component) -> int:
     """Congruence fingerprint of one component, ``0`` = never prunable.
 
     Two components with equal nonzero fingerprints are identical twins
-    — same phase, byte-equal dataclass ``repr`` (which covers the id
-    and every semantic field, maths included: the AST nodes are frozen
-    dataclasses) — and a twin provably unites *cleanly*: the phase
-    equality gates compare identical maths, units and values, and the
-    conflict checks compare a value with itself
+    — same phase, same class, equal in every field, maths by digest
+    (:data:`_FORMATTERS`) — and a twin provably unites *cleanly*: the
+    phase equality gates compare identical maths, units and values,
+    and the conflict checks compare a value with itself
     (``compare_values(v, v)`` and ``compare_values(None, None)`` are
     both equal with no note).  The one kind condition: a **constant
     parameter without a value** falls through ``provably_equal``
     ("no way of confirming whether they are intended to be equal",
     paper §3) into the rename branch, so it gets the ``0`` sentinel
-    and any pair sharing its keys runs the full matcher.
+    and any pair sharing its keys runs the full matcher.  So does a
+    component of a class the table does not know.
     """
-    if (
+    formatter = _FORMATTERS.get(type(component))
+    if formatter is None or (
         phase == "parameters"
         and component.constant
         and component.value is None
     ):
         return 0
-    fingerprint = key_hash("twin:" + phase, repr(component))
+    fingerprint = key_hash(
+        "twin:" + phase, type(component).__name__ + ":" + formatter(component)
+    )
     # ``0`` is reserved as the "not synthesizable" sentinel.
     return fingerprint or 1
 
@@ -237,26 +385,20 @@ def _criteria_counts(model: Model) -> np.ndarray:
     return counts
 
 
-def _self_clean(model: Model, index_set: ModelIndexSet) -> bool:
+def _self_clean(index_set: ModelIndexSet, repeated_id: bool) -> bool:
     """Whether the model can be merged into a congruent-or-disjoint
     target without interacting with *itself*.
 
     Three self-interactions exist even then: a global id repeated
-    across the source's own collections makes ``claim_id`` rename the
-    second occurrence (the first added one registered the id as used);
-    the initial-assignment and rule phases index source components as
-    they add them, so a repeated initial-assignment symbol or rule key
-    makes the source unite (or conflict) with its own earlier
-    component.  A source that is not self-clean is never pruned — the
-    full matcher decides.
+    across the source's own collections (``repeated_id``) makes
+    ``claim_id`` rename the second occurrence (the first added one
+    registered the id as used); the initial-assignment and rule phases
+    index source components as they add them, so a repeated
+    initial-assignment symbol or rule key makes the source unite (or
+    conflict) with its own earlier component.  A source that is not
+    self-clean is never pruned — the full matcher decides.
     """
-    ids: List[str] = []
-    for attr in _ID_ATTRS:
-        for component in getattr(model, attr):
-            component_id = getattr(component, "id", None)
-            if component_id is not None:
-                ids.append(component_id)
-    if len(ids) != len(set(ids)):
+    if repeated_id:
         return False
     for phase in ("initialAssignments", "rules"):
         keys = [row[1] for row in index_set.rows.get(phase, ())]
@@ -270,10 +412,10 @@ class ModelSignature:
     """Cheap structural summary of one model, under one option set.
 
     Stored in each :class:`~repro.core.artifact_store.ArtifactStore`
-    entry next to the pattern table and index rows it is derived
-    from; like those, it is tagged with the key-affecting options
-    fingerprint (:func:`~repro.core.compose.index_options_key`) and
-    consumers must check :meth:`matches` before trusting it.
+    entry; like the index rows it is derived from, it is tagged with
+    the key-affecting options fingerprint
+    (:func:`~repro.core.compose.index_options_key`) and consumers must
+    check :meth:`matches` before trusting it.
     """
 
     options_key: Tuple
@@ -302,67 +444,53 @@ class ModelSignature:
         model: Model,
         options: Optional[ComposeOptions] = None,
         *,
-        used_ids: Optional[Set[str]] = None,
+        index_set: Optional[ModelIndexSet] = None,
     ) -> "ModelSignature":
         """Compute a model's signature.
 
-        ``used_ids`` lets a caller that already derived the model's
-        used-id set (the store's miss path) share it.
+        ``index_set`` lets a caller that already derived the model's
+        index rows under ``options`` (the prescreen) share them.
         """
         options = options or ComposeOptions()
-        index_set = ModelIndexSet.build(model, options)
-        if used_ids is None:
-            used_ids = set(model.global_ids()) | {
-                ud.id for ud in model.unit_definitions if ud.id
-            }
-
-        fingerprints: Dict[int, int] = {}
-        primary: Dict[int, bool] = {}
-
-        def record(hash_value: int, fingerprint: int, is_primary: bool):
-            if hash_value in fingerprints:
-                # Two owners for one key (or a cross-tag hash
-                # collision): congruence can no longer identify a
-                # single twin — poison the hash.
-                fingerprints[hash_value] = 0
-                primary[hash_value] = False
-            else:
-                fingerprints[hash_value] = fingerprint
-                primary[hash_value] = is_primary and fingerprint != 0
-
-        fingerprint_memo: Dict[int, int] = {}
-
-        def fingerprint_of(phase: str, component) -> int:
-            token = id(component)
-            if token not in fingerprint_memo:
-                fingerprint_memo[token] = _component_fingerprint(
-                    phase, component
-                )
-            return fingerprint_memo[token]
-
-        hashes = [key_hash("ids", used) for used in used_ids]
-        for phase, attr in _ID_SOURCES:
-            for component in getattr(model, attr):
-                component_id = getattr(component, "id", None)
-                if component_id is not None:
-                    record(
-                        key_hash("ids", component_id),
-                        fingerprint_of(phase, component),
-                        True,
-                    )
+        if index_set is None:
+            index_set = ModelIndexSet.build(model, options)
+        elif not index_set.matches(options):
+            raise ValueError(
+                "index_set was built under different key options"
+            )
+        # One record per (key, owner): the key's hash, the owner's
+        # fingerprint and whether the key stands for the whole owner.
+        # Each used id is hashed once; a key with two or more owners
+        # (or a cross-tag collision) is resolved below.
+        id_hashes: Dict[str, int] = {}
+        id_count = 0
+        hashes: List[int] = []
+        fingerprints: List[int] = []
+        primary: List[bool] = []
         for phase, attr in zip(_PHASE_NAMES, _PHASE_ATTRS):
             collection = getattr(model, attr)
+            owned = [_component_fingerprint(phase, c) for c in collection]
+            has_ids = attr in _ID_ATTR_SET
+            if has_ids:
+                for component, fingerprint in zip(collection, owned):
+                    component_id = component.id
+                    if component_id is None:
+                        continue
+                    id_count += 1
+                    hash_value = id_hashes.get(component_id)
+                    if hash_value is None:
+                        hash_value = key_hash("ids", component_id)
+                        id_hashes[component_id] = hash_value
+                    hashes.append(hash_value)
+                    fingerprints.append(fingerprint)
+                    primary.append(True)
             for position, keys in index_set.rows.get(phase, ()):
-                component = collection[position]
-                component_fingerprint = fingerprint_of(phase, component)
+                fingerprint = owned[position]
                 # The component's "counts as one united twin" marker
                 # rides on its ids hash when it has a global id, else
                 # on its first phase key (ia symbol, rule key,
                 # constraint math key).
-                primary_pending = not (
-                    attr in _ID_ATTR_SET
-                    and getattr(component, "id", None) is not None
-                )
+                pending = not (has_ids and collection[position].id is not None)
                 for key in dict.fromkeys(keys):
                     # ``id:`` keys are subsumed by the used-id hashes:
                     # a phase probe on ``id:x`` can only hit when the
@@ -372,33 +500,30 @@ class ModelSignature:
                     # ``claim_id``).
                     if key.startswith("id:"):
                         continue
-                    hash_value = key_hash(phase, key)
-                    hashes.append(hash_value)
-                    record(
-                        hash_value, component_fingerprint, primary_pending
-                    )
-                    primary_pending = False
-        key_hashes = (
-            np.unique(np.array(hashes, dtype=np.uint64))
-            if hashes
-            else np.empty(0, dtype=np.uint64)
+                    hashes.append(key_hash(phase, key))
+                    fingerprints.append(fingerprint)
+                    primary.append(pending)
+                    pending = False
+        key_hashes, at = np.unique(
+            np.array(hashes, dtype=np.uint64), return_inverse=True
         )
-        key_fingerprints = np.array(
-            [fingerprints.get(int(value), 0) for value in key_hashes],
-            dtype=np.uint64,
-        )
-        key_primary = np.array(
-            [primary.get(int(value), False) for value in key_hashes],
-            dtype=bool,
-        )
+        # A key owned once keeps its owner's fingerprint and primary
+        # flag; a key owned twice is poisoned (``0``, not primary).
+        single = np.bincount(at, minlength=key_hashes.size)[at] == 1
+        key_fingerprints = np.zeros(key_hashes.size, dtype=np.uint64)
+        key_fingerprints[at[single]] = np.array(
+            fingerprints, dtype=np.uint64
+        )[single]
+        key_primary = np.zeros(key_hashes.size, dtype=bool)
+        key_primary[at[single]] = np.array(primary, dtype=bool)[single]
         return cls(
             options_key=index_options_key(options),
             component_count=model.component_count(),
             counts=_criteria_counts(model),
             key_hashes=key_hashes,
             key_fingerprints=key_fingerprints,
-            key_primary=key_primary,
-            self_clean=_self_clean(model, index_set),
+            key_primary=key_primary & (key_fingerprints != 0),
+            self_clean=_self_clean(index_set, len(id_hashes) < id_count),
         )
 
     def matches(self, options: ComposeOptions) -> bool:
@@ -535,6 +660,11 @@ class Prescreen:
         #: the pair shares (``0`` where :attr:`pair_blocked`).
         self.pair_united = np.zeros((n, n), dtype=np.int64)
         self._survivors = np.zeros((n, n), dtype=bool)
+        #: Per model, the index rows its signature was derived from,
+        #: when :meth:`build` derived them (``None`` for handed
+        #: signatures): the sweep engine binds a target's rows instead
+        #: of building them again.
+        self.index_sets: Optional[List[ModelIndexSet]] = None
         self._fill_rows()
 
     @classmethod
@@ -543,12 +673,19 @@ class Prescreen:
         models: Sequence[Model],
         options: Optional[ComposeOptions] = None,
     ) -> "Prescreen":
-        """Derive one signature per model and screen the corpus."""
+        """Derive one signature per model and screen the corpus,
+        keeping each model's index rows (:attr:`index_sets`)."""
         options = options or ComposeOptions()
-        return cls(
-            [ModelSignature.build(model, options) for model in models],
+        index_sets = [ModelIndexSet.build(model, options) for model in models]
+        screen = cls(
+            [
+                ModelSignature.build(model, options, index_set=rows)
+                for model, rows in zip(models, index_sets)
+            ],
             options,
         )
+        screen.index_sets = index_sets
+        return screen
 
     def __len__(self) -> int:
         return len(self.signatures)

@@ -266,11 +266,14 @@ class MathNode:
         """The structural digest of this expression.
 
         A short, process-independent content hash: two trees have the
-        same digest iff they are structurally equal (``==``), so the
-        digest serves as a hashable O(1) identity for indexes and
-        caches that would otherwise re-serialise the tree (the old
-        ``repr`` keys) or pin object ids.  Computed once per node and
-        cached; hash-consed subtrees share the cached value.
+        same digest iff they have the same ``repr``, so the digest
+        serves as a hashable O(1) identity for indexes and caches that
+        would otherwise re-serialise the tree (the old ``repr`` keys)
+        or pin object ids.  That is finer than ``==`` in the safe
+        direction: ``Number(0.0)`` and ``Number(-0.0)`` are ``==`` yet
+        digest apart; NaN literals, which ``==`` may call unequal,
+        share a digest, as they share a ``repr``.  Computed once per
+        node and cached; hash-consed subtrees share the cached value.
 
         Stability: the digest is deterministic across processes and
         machines for a given repo version (it hashes a canonical
@@ -386,6 +389,10 @@ class Number(MathNode):
         return (Number, (self.value, self.units))
 
     def _compute_digest(self) -> str:
+        if self.units == "":
+            # ``units=""`` is unequal to ``units=None`` (and the reader
+            # yields it from ``sbml:units=""``): a part of its own.
+            return _hash_parts(b"N", repr(self.value), "", "")
         return _hash_parts(b"N", repr(self.value), self.units or "")
 
     def is_integer(self) -> bool:

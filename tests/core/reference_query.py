@@ -1,5 +1,11 @@
 """Test-side reference query: one model against a prescreen's corpus.
 
+:func:`repr_fingerprint` is the oracle for the congruence fingerprint:
+the hash of the component's dataclass ``repr``, which the per-class
+formatters of :func:`~repro.core.signature._component_fingerprint`
+must partition components exactly like.  :func:`key_tables` resolves
+a signature's key owners one record at a time, the oracle for the
+vectorised pass in :meth:`~repro.core.signature.ModelSignature.build`.
 :func:`congruence` is the per-pair oracle for the prescreen's rule:
 one ``np.intersect1d`` per pair, independent of the row kernel
 (:func:`~repro.core.signature.pair_counts`) that the
@@ -16,6 +22,14 @@ path against it.
 import numpy as np
 
 from repro import ComposeOptions
+from repro.core.compose import ModelIndexSet
+from repro.core.signature import (
+    _ID_ATTR_SET,
+    _PHASE_ATTRS,
+    _PHASE_NAMES,
+    _component_fingerprint,
+    key_hash,
+)
 from repro.sbml import Model
 from repro.sbml.components import Parameter
 
@@ -39,6 +53,64 @@ def gated_corpus(models):
         Parameter("unclean_k", value=2.0),
     ]
     return [*models, Model(id="empty"), unclean]
+
+
+def repr_fingerprint(phase, component):
+    """Congruence fingerprint of one component from its dataclass
+    ``repr`` (which covers the id and every field, maths included:
+    the AST nodes are frozen dataclasses), ``0`` for a constant
+    parameter without a value."""
+    if (
+        phase == "parameters"
+        and component.constant
+        and component.value is None
+    ):
+        return 0
+    return key_hash("twin:" + phase, repr(component)) or 1
+
+
+def key_tables(model, options):
+    """``(key_hashes, key_fingerprints, key_primary)`` of a model's
+    signature, each key's owner resolved record by record: a key
+    recorded twice is poisoned (fingerprint ``0``, not primary)."""
+    index_set = ModelIndexSet.build(model, options)
+    fingerprints, primary = {}, {}
+
+    def record(hash_value, fingerprint, is_primary):
+        if hash_value in fingerprints:
+            fingerprints[hash_value] = 0
+            primary[hash_value] = False
+        else:
+            fingerprints[hash_value] = fingerprint
+            primary[hash_value] = is_primary and fingerprint != 0
+
+    for phase, attr in zip(_PHASE_NAMES, _PHASE_ATTRS):
+        collection = getattr(model, attr)
+        has_ids = attr in _ID_ATTR_SET
+        for component in collection:
+            if has_ids and component.id is not None:
+                record(
+                    key_hash("ids", component.id),
+                    _component_fingerprint(phase, component),
+                    True,
+                )
+        for position, keys in index_set.rows.get(phase, ()):
+            component = collection[position]
+            pending = not (has_ids and component.id is not None)
+            for key in dict.fromkeys(keys):
+                if not key.startswith("id:"):
+                    record(
+                        key_hash(phase, key),
+                        _component_fingerprint(phase, component),
+                        pending,
+                    )
+                    pending = False
+    hashes = sorted(fingerprints)
+    return (
+        np.array(hashes, dtype=np.uint64),
+        np.array([fingerprints[h] for h in hashes], dtype=np.uint64),
+        np.array([primary[h] for h in hashes], dtype=bool),
+    )
 
 
 def congruence(target, source):

@@ -295,13 +295,14 @@ class TestStoreFormat:
     def test_older_formats_are_counted_misses_rewritten_as_current(
         self, tmp_path
     ):
-        """The store reads one format: entries of formats 2–5 (format
-        5 also carried pattern tables, index rows and the SBML text)
-        are counted ``incompatible`` misses, recomputed and rewritten
-        in the current format, which round-trips every artifact."""
+        """The store reads one format: entries of formats 2–6 (format
+        5 also carried pattern tables, index rows and the SBML text;
+        format 6 signatures fingerprinted components by ``repr``) are
+        counted ``incompatible`` misses, recomputed and rewritten in
+        the current format, which round-trips every artifact."""
         model = _model()
         digest = model_digest(model)
-        for version in (2, 3, 4, 5):
+        for version in (2, 3, 4, 5, 6):
             store = ArtifactStore(tmp_path / f"format{version}")
             artifacts = compute_artifacts(model)
             path = store.path_for(digest)
@@ -313,7 +314,7 @@ class TestStoreFormat:
             assert store.stats()["incompatible"] == 1
             assert path.exists()  # left in place, not quarantined
             rewritten = store.get_or_compute(model, digest)
-            assert pickle.loads(path.read_bytes())["format"] == 6
+            assert pickle.loads(path.read_bytes())["format"] == 7
             hit = store.get(digest)
             assert hit is not None and store.stats()["hits"] == 1
             assert hit.used_ids == rewritten.used_ids

@@ -10,6 +10,7 @@ tombstones, compaction and crash recovery live in
 ``test_corpus_segments.py``.
 """
 
+import json
 import pickle
 
 import numpy as np
@@ -286,8 +287,27 @@ class TestPersistence:
         path = tmp_path / "corpus.idx"
         path.mkdir()
         (path / "manifest.json").write_text('{"format": 99}\n')
-        with pytest.raises(ValueError, match="format-2"):
+        with pytest.raises(
+            ValueError, match="format-99 corpus index; this version reads"
+        ):
             CorpusIndex.load(path)
+
+    def test_format_2_index_is_refused_with_the_rebuild_hint(
+        self, index, tmp_path
+    ):
+        """Format 2 fingerprinted components by ``repr``; its
+        fingerprints cannot meet format-3 ones, so it is refused."""
+        path = tmp_path / "corpus.idx"
+        index.save(path)
+        manifest = path / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["format"] = 2
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as excinfo:
+            CorpusIndex.load(path)
+        message = str(excinfo.value)
+        assert "format-2 corpus index" in message
+        assert "delete the directory and rerun `corpus index`" in message
 
     def test_save_layout_has_no_stragglers(self, index, tmp_path):
         path = tmp_path / "corpus.idx"

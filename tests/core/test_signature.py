@@ -2,10 +2,17 @@
 
 Byte-identity of the prescreened sweep lives in the conformance
 matrix (the eighth path); this file pins the signature layer itself —
-vector layout, the prune rule's kernel and gates against the per-pair
-oracle in ``reference_query.py``, the survivor algebra, and
-prescreens over stored or handed signatures.
+the congruence fingerprint against the ``repr`` oracle, vector
+layout, the prune rule's kernel and gates against the per-pair oracle
+in ``reference_query.py``, the survivor algebra, and prescreens over
+stored or handed signatures.
 """
+
+import dataclasses
+import importlib
+import os
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,26 +20,58 @@ from reference_query import (
     OPTION_SETS,
     congruence,
     gated_corpus,
+    key_tables,
     query_scores,
     query_survivors,
     query_tables,
+    repr_fingerprint,
 )
 
 from repro import ComposeOptions, ModelBuilder
+from repro.core import signature as signature_module
 from repro.core.artifact_store import ArtifactStore
+from repro.core.compose import ModelIndexSet
 from repro.core.match_all import match_all
 from repro.core.options import SEMANTICS_NONE
 from repro.core.signature import (
     COUNTS_LENGTH,
     ModelSignature,
     Prescreen,
+    _FORMATTERS,
+    _PHASE_ATTRS,
+    _PHASE_NAMES,
+    _component_fingerprint,
     gate,
     key_hash,
     pair_counts,
     source_run,
 )
-from repro.corpus import generate_corpus
+from repro.corpus import generate_corpus, semantic_suite
+from repro.mathml import parse_infix
+from repro.mathml.ast import Apply, Identifier, Lambda, MathNode, Number
 from repro.sbml import Model
+from repro.sbml.components import (
+    AlgebraicRule,
+    AssignmentRule,
+    Compartment,
+    CompartmentType,
+    Constraint,
+    Delay,
+    Event,
+    EventAssignment,
+    FunctionDefinition,
+    InitialAssignment,
+    KineticLaw,
+    ModifierSpeciesReference,
+    Parameter,
+    RateRule,
+    Reaction,
+    Species,
+    SpeciesReference,
+    SpeciesType,
+    Trigger,
+)
+from repro.units.definitions import Unit, UnitDefinition
 
 
 def _model(model_id="m", species=("A", "B"), value=0.5):
@@ -60,6 +99,223 @@ def _classify(target, source):
     row = (int(counts[0][0]), bool(blocked[0]), int(united[0]))
     assert row == congruence(target, source)
     return row
+
+
+def _component_classes():
+    """``{class: phase}`` for every class a model's phase lists hold
+    (a rule list holds the concrete rule classes)."""
+    hints = typing.get_type_hints(Model)
+    classes = {}
+    for phase, attr in zip(_PHASE_NAMES, _PHASE_ATTRS):
+        (pending,) = typing.get_args(hints[attr])
+        stack = [pending]
+        while stack:
+            cls = stack.pop()
+            subclasses = cls.__subclasses__()
+            if subclasses:
+                stack.extend(subclasses)
+            else:
+                classes[cls] = phase
+    return classes
+
+
+def _sbase(tag):
+    return dict(
+        id=tag,
+        name=f"{tag} name",
+        metaid=f"meta_{tag}",
+        notes=f"{tag} notes",
+        sbo_term="SBO:0000001",
+        annotations={"is": [f"urn:{tag}"]},
+    )
+
+
+def _full_components():
+    """One instance of each component class with every field set."""
+    law = KineticLaw(
+        math=parse_infix("k * A / (Km + A)"),
+        parameters=[Parameter(value=3.0, units="u", **_sbase("kl"))],
+        **_sbase("law"),
+    )
+    return [
+        FunctionDefinition(
+            math=Lambda(("x",), parse_infix("2 * x")), **_sbase("f")
+        ),
+        UnitDefinition("u", name="unit", units=[Unit("mole", 2, -3, 0.5)]),
+        CompartmentType(**_sbase("ct")),
+        SpeciesType(**_sbase("st")),
+        Compartment(
+            size=2.0,
+            units="litre",
+            spatial_dimensions=2,
+            compartment_type="ct",
+            outside="o",
+            constant=False,
+            **_sbase("c"),
+        ),
+        Species(
+            compartment="c",
+            initial_amount=1.0,
+            initial_concentration=2.0,
+            substance_units="mole",
+            has_only_substance_units=True,
+            boundary_condition=True,
+            constant=True,
+            species_type="st",
+            charge=-2,
+            **_sbase("A"),
+        ),
+        Parameter(value=1.0, units="u", constant=False, **_sbase("p")),
+        InitialAssignment(
+            symbol="p", math=parse_infix("2 * A"), **_sbase("ia")
+        ),
+        AlgebraicRule(math=parse_infix("A - B"), **_sbase("alg")),
+        AssignmentRule(
+            math=parse_infix("A + B"), _variable="p", **_sbase("asg")
+        ),
+        RateRule(math=parse_infix("k * A"), _variable="A", **_sbase("rr")),
+        Constraint(
+            math=parse_infix("A > 0"), message="keep A", **_sbase("con")
+        ),
+        Reaction(
+            reactants=[SpeciesReference("A", 2.0)],
+            products=[SpeciesReference("B", 1.0)],
+            modifiers=[ModifierSpeciesReference("C")],
+            kinetic_law=law,
+            reversible=False,
+            fast=True,
+            **_sbase("r"),
+        ),
+        Event(
+            trigger=Trigger(parse_infix("A > 1")),
+            delay=Delay(parse_infix("2 * t")),
+            assignments=[EventAssignment("A", parse_infix("A / 2"))],
+            **_sbase("e"),
+        ),
+    ]
+
+
+def _changed(value):
+    """A different value of the same kind."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "_"
+    if isinstance(value, dict):
+        return {**value, "isVersionOf": ["urn:other"]}
+    if isinstance(value, MathNode):
+        return Apply("plus", (value, Identifier("other")))
+    raise TypeError(f"no mutation for {value!r}")
+
+
+def _mutants(obj):
+    """``(field path, copy of obj with that one field changed)`` for
+    every dataclass field of ``obj`` and, recursively, of the
+    dataclasses it holds (a list through its first element, and one
+    element more)."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if isinstance(value, list):
+            variants = [
+                (f"[0].{path}", [mutant, *value[1:]])
+                for path, mutant in _mutants(value[0])
+            ]
+            variants.append(("+", [*value, value[0]]))
+        elif dataclasses.is_dataclass(value) and not isinstance(
+            value, MathNode
+        ):
+            variants = [
+                (f".{path}", mutant) for path, mutant in _mutants(value)
+            ]
+            variants.append(("=None", None))
+        else:
+            variants = [("", _changed(value))]
+            if not isinstance(value, dict):
+                variants.append(("=None", None))
+        for suffix, new in variants:
+            yield field.name + suffix, dataclasses.replace(
+                obj, **{field.name: new}
+            )
+
+
+def _twins(models, fingerprint):
+    """The twin partition: components grouped by fingerprint, each as
+    ``(model, collection, position)``."""
+    groups = {}
+    for number, model in enumerate(models):
+        for phase, attr in zip(_PHASE_NAMES, _PHASE_ATTRS):
+            for position, component in enumerate(getattr(model, attr)):
+                groups.setdefault(fingerprint(phase, component), []).append(
+                    (number, attr, position)
+                )
+    return sorted(groups.values())
+
+
+def _io_oracle_feature_models(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "sbml"))
+    return importlib.import_module("test_io_oracle")._feature_models()
+
+
+class TestFingerprint:
+    """The per-class formatters against the ``repr`` oracle."""
+
+    def test_formatters_cover_exactly_the_component_classes(self):
+        assert set(_FORMATTERS) == set(_component_classes())
+        assert {type(c) for c in _full_components()} == set(_FORMATTERS)
+
+    def test_every_field_moves_the_fingerprint(self):
+        classes = _component_classes()
+        checked = 0
+        for component in _full_components():
+            phase = classes[type(component)]
+            original = _component_fingerprint(phase, component)
+            assert original != 0
+            for path, mutant in _mutants(component):
+                assert repr(mutant) != repr(component), path
+                assert _component_fingerprint(phase, mutant) != original, (
+                    f"{type(component).__name__}.{path}"
+                )
+                checked += 1
+        # Every field of the 14 classes and of the 8 nested ones.
+        assert checked > 150
+
+    @pytest.mark.parametrize(
+        "corpus", ["seed-1", "seed-2", "seed-3", "semantic-suite", "features"]
+    )
+    def test_twin_partition_equals_the_repr_oracle(self, corpus, monkeypatch):
+        if corpus == "semantic-suite":
+            models = semantic_suite()
+        elif corpus == "features":
+            models = _io_oracle_feature_models(monkeypatch)
+        else:
+            models = generate_corpus(count=96, seed=int(corpus[-1]))
+        twins = _twins(models, _component_fingerprint)
+        assert twins == _twins(models, repr_fingerprint)
+        # The partition is not trivial: some components are twins.
+        assert any(len(group) > 1 for group in twins)
+
+    def test_rule_classes_are_not_twins(self):
+        """An assignment rule and a rate rule with equal fields differ
+        by class alone, as their ``repr``s do."""
+        math = parse_infix("k * A")
+        fingerprints = {
+            _component_fingerprint("rules", cls(math=math, _variable="A"))
+            for cls in (AssignmentRule, RateRule)
+        }
+        assert len(fingerprints) == 2
+
+    def test_empty_units_are_not_twins_of_no_units(self):
+        """``<cn sbml:units="">`` reads as ``units=""``, which ``==``
+        and ``repr`` tell apart from no units; so must the digest."""
+        left = InitialAssignment(symbol="p", math=Number(1.0))
+        right = InitialAssignment(symbol="p", math=Number(1.0, ""))
+        assert repr(left) != repr(right)
+        phase = "initialAssignments"
+        assert _component_fingerprint(phase, left) != _component_fingerprint(
+            phase, right
+        )
 
 
 class TestModelSignature:
@@ -131,6 +387,29 @@ class TestModelSignature:
         different = ModelSignature.build(_model("a", value=0.7))
         _, blocked, _ = _classify(left, different)
         assert blocked  # same parameter id, different value
+
+    def test_key_owners_match_the_record_by_record_oracle(self):
+        """The one ``np.unique``/``bincount`` pass resolves key owners
+        as recording them one by one does, keys with two owners
+        included: an id repeated across collections, and two species
+        sharing a name in one compartment."""
+        crowded = _model("crowded", species=("A", "B", "C"))
+        crowded.species[1].name = crowded.species[2].name = "twin name"
+        crowded.compartments.append(Compartment(id="k"))
+        models = [*gated_corpus(generate_corpus(count=4, seed=3)), crowded]
+        poisoned = 0
+        for options in OPTION_SETS:
+            for model in models:
+                signature = ModelSignature.build(model, options)
+                hashes, fingerprints, primary = key_tables(model, options)
+                assert np.array_equal(signature.key_hashes, hashes)
+                assert np.array_equal(signature.key_fingerprints, fingerprints)
+                assert np.array_equal(signature.key_primary, primary)
+            shared_id = key_hash("ids", "k")
+            signature = ModelSignature.build(crowded, options)
+            at = np.searchsorted(signature.key_hashes, np.uint64(shared_id))
+            poisoned += int(signature.key_fingerprints[at] == 0)
+        assert poisoned == len(OPTION_SETS)
 
     def test_empty_model_signature(self):
         signature = ModelSignature.build(Model(id="empty"))
@@ -262,6 +541,33 @@ class TestPrescreen:
                     screen.survivors()[i],
                 )
 
+    def test_prescreen_agrees_with_the_repr_oracle(self, corpus, monkeypatch):
+        """Built from the ``repr`` fingerprint and from the formatters,
+        the prescreen decides every pair alike under heavy, light and
+        structural options."""
+        models = gated_corpus(corpus)
+        for options in OPTION_SETS:
+            screen = Prescreen.build(models, options)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    signature_module, "_component_fingerprint", repr_fingerprint
+                )
+                oracle = Prescreen.build(models, options)
+            assert np.array_equal(screen.survivors(), oracle.survivors())
+            assert np.array_equal(screen.pair_blocked, oracle.pair_blocked)
+            assert np.array_equal(screen.pair_united, oracle.pair_united)
+            for mine, theirs in zip(screen.signatures, oracle.signatures):
+                assert np.array_equal(mine.key_hashes, theirs.key_hashes)
+                assert np.array_equal(mine.key_primary, theirs.key_primary)
+                assert np.array_equal(
+                    mine.key_fingerprints == 0, theirs.key_fingerprints == 0
+                )
+            # The oracle really built its own fingerprints.
+            assert not np.array_equal(
+                screen.signatures[0].key_fingerprints,
+                oracle.signatures[0].key_fingerprints,
+            )
+
     def test_query_rejects_mismatched_signature(self, corpus):
         screen = Prescreen.build(corpus)
         foreign = ModelSignature.build(
@@ -299,4 +605,29 @@ class TestPrescreen:
         # which only run the surviving pairs, derive none.
         assert sorted(built) == sorted(model.id for model in corpus)
         assert matrix.pruned > 0
+        assert [o.key() for o in matrix.outcomes] == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_binds_the_prescreen_rows(
+        self, corpus, monkeypatch, tmp_path, workers
+    ):
+        """The prescreen builds each model's index rows once, in this
+        process; neither the inline engine nor a forked local worker
+        builds them again."""
+        expected = [o.key() for o in match_all(corpus).outcomes]
+        log = tmp_path / "builds.log"
+        original = ModelIndexSet.build.__func__
+
+        def logging(cls, model, *args, **kwargs):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()} {model.id}\n")
+            return original(cls, model, *args, **kwargs)
+
+        monkeypatch.setattr(ModelIndexSet, "build", classmethod(logging))
+        matrix = match_all(corpus, workers=workers, prescreen=True)
+        builds = [line.split() for line in log.read_text().splitlines()]
+        assert {pid for pid, _ in builds} == {str(os.getpid())}
+        assert sorted(model for _, model in builds) == sorted(
+            model.id for model in corpus
+        )
         assert [o.key() for o in matrix.outcomes] == expected

@@ -17,6 +17,7 @@ import pickle
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from test_properties import expressions
 
 from repro.corpus.biomodels_like import generate_model
 from repro.mathml.ast import (
@@ -33,6 +34,30 @@ from repro.mathml.pattern import canonical_pattern
 from repro.mathml.parser import parse_mathml
 from repro.mathml.writer import write_mathml
 from repro.mathml import parse_infix
+
+
+#: Literals that ``==`` and ``repr`` treat differently, each also
+#: inside an application, a lambda and a piecewise.
+_EDGE_LITERALS = (
+    Number(1.0),
+    Number(1.0, ""),
+    Number(1.0, "mole"),
+    Number(0.0),
+    Number(-0.0),
+    Number(float("nan")),
+    Number(float("inf")),
+    Number(float("-inf")),
+)
+_EDGE_CASES = [
+    shape
+    for literal in _EDGE_LITERALS
+    for shape in (
+        literal,
+        Apply("times", (literal, Identifier("k"))),
+        Lambda(("x",), Apply("plus", (Identifier("x"), literal))),
+        Piecewise([(literal, parse_infix("x > 0"))], literal),
+    )
+]
 
 
 def _structural_clone(node):
@@ -132,6 +157,30 @@ class TestDigest:
         pw = Piecewise([(Number(1), parse_infix("x > 0"))], Number(0))
         pw_no_otherwise = Piecewise([(Number(1), parse_infix("x > 0"))])
         assert pw.digest() != pw_no_otherwise.digest()
+
+    def test_edge_cases_digest_apart_exactly_where_repr_differs(self):
+        # ``units=""`` and no units are unequal; ``0.0`` and ``-0.0``
+        # are ``==`` but render apart, and so digest apart.
+        for first in _EDGE_CASES:
+            for second in _EDGE_CASES:
+                assert (first.digest() == second.digest()) == (
+                    repr(first) == repr(second)
+                ), (first, second)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(expressions, st.sampled_from(_EDGE_CASES)),
+            min_size=2,
+            max_size=8,
+        )
+    )
+    def test_equal_digest_implies_equal_repr(self, nodes):
+        # What the signature's congruence fingerprint relies on: a
+        # digest is at least as fine as the tree's ``repr``.
+        reprs = {}
+        for node in nodes:
+            assert reprs.setdefault(node.digest(), repr(node)) == repr(node)
 
     def test_digest_stable_value(self):
         # The digest must be deterministic across processes: pin one

@@ -625,6 +625,32 @@ def test_unreadable_index_file_is_an_error_not_a_traceback(
         assert "options.pkl" in err and "rebuild" in err
 
 
+def test_older_format_index_names_its_format_and_the_recovery(
+    corpus_files, tmp_path, capsys
+):
+    index_file = tmp_path / "corpus.idx"
+    assert main(
+        ["corpus", "index", *map(str, corpus_files[:3]),
+         "--index", str(index_file)]
+    ) == 0
+    manifest = index_file / "manifest.json"
+    manifest.write_text(
+        manifest.read_text().replace('"format": 3', '"format": 2')
+    )
+    capsys.readouterr()
+    for argv in (
+        ["corpus", "query", str(corpus_files[0]),
+         "--index", str(index_file)],
+        ["corpus", "index", str(corpus_files[3]),
+         "--index", str(index_file)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "format-2 corpus index" in err
+        assert "delete the directory and rerun `corpus index`" in err
+
+
 def test_corpus_index_evict_and_store_pinning(
     corpus_files, tmp_path, capsys
 ):
