@@ -466,6 +466,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unit_definition_errors(paths, models):
+    """Yield ``(path, error)`` for each unit definition of the inputs
+    whose :meth:`~repro.units.UnitDefinition.canonical` raises a
+    :class:`UnitError`, in file and definition order."""
+    for path, model in zip(paths, models):
+        for definition in model.unit_definitions:
+            try:
+                definition.canonical()
+            except UnitError as exc:
+                yield path, exc
+
+
 @contextmanager
 def _unit_errors_name_the_file(paths, models):
     """Start a :class:`UnitError` from a unit definition that fails
@@ -474,13 +486,9 @@ def _unit_errors_name_the_file(paths, models):
     try:
         yield
     except UnitError as exc:
-        for path, model in zip(paths, models):
-            for definition in model.unit_definitions:
-                try:
-                    definition.canonical()
-                except UnitError as own:
-                    if str(own) == str(exc):
-                        raise UnitError(f"{path}: {exc}") from exc
+        for path, own in _unit_definition_errors(paths, models):
+            if str(own) == str(exc):
+                raise UnitError(f"{path}: {exc}") from exc
         raise
 
 
@@ -750,20 +758,24 @@ def _cmd_sweep(args) -> int:
         print(f"error: {problem}", file=sys.stderr)
         return 2
     models = [read_sbml_file(path).model for path in args.models]
+    # A unit with no finite value fails every pair that evaluates it,
+    # alike in every engine: refuse it here, where the path is known,
+    # rather than let supervised workers retry and quarantine it.
+    for path, exc in _unit_definition_errors(args.models, models):
+        raise UnitError(f"{path}: {exc}") from exc
     options = ComposeOptions(semantics=args.semantics)
     if args.chaos is not None:
         # Arm the deterministic fault spec for this run (and, via the
         # environment, for every worker process it spawns).
         chaos.install(chaos.ChaosSpec.load(args.chaos))
     try:
-        with _unit_errors_name_the_file(args.models, models):
-            if args.shard_id is None and (
-                args.workers != 1 or args.listen is not None
-            ):
-                return _cmd_sweep_supervised(args, models, options)
-            if args.out_dir is not None:
-                return _cmd_sweep_sharded(args, models, options)
-            return _cmd_sweep_unsharded(args, models, options)
+        if args.shard_id is None and (
+            args.workers != 1 or args.listen is not None
+        ):
+            return _cmd_sweep_supervised(args, models, options)
+        if args.out_dir is not None:
+            return _cmd_sweep_sharded(args, models, options)
+        return _cmd_sweep_unsharded(args, models, options)
     finally:
         if args.chaos is not None:
             chaos.uninstall()

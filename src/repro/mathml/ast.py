@@ -32,11 +32,6 @@ operations ... nodes can be indexed while being parsed"):
 * every node lazily caches a **structural digest** (:meth:`MathNode.digest`)
   — a process-independent content hash under which structurally equal
   trees compare and index in O(1) instead of re-serialising;
-* leaves (:class:`Number`, :class:`Identifier`, :class:`Constant`) and
-  small :class:`Apply` nodes are **hash-consed**: constructing a node
-  structurally equal to a recent one returns the *same* object, so
-  deep ``==`` comparisons short-circuit on identity and per-node
-  caches are shared across every model that mentions the expression;
 * :meth:`MathNode.substitute` and :meth:`MathNode.rename` are
   **copy-free**: when the bindings cannot touch the (cached) set of
   referenced names, the same node object comes back untouched.
@@ -46,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Iterator, Mapping, Optional, Tuple
 
 __all__ = [
     "MathNode",
@@ -64,9 +59,6 @@ __all__ = [
     "UNARY_FUNCTIONS",
     "KNOWN_OPERATORS",
     "CONSTANT_NAMES",
-    "intern_cache_sizes",
-    "clear_intern_caches",
-    "interning_disabled",
 ]
 
 
@@ -129,64 +121,6 @@ CONSTANT_NAMES = frozenset(
 )
 
 
-# ---------------------------------------------------------------------------
-# Hash-consing (interning) of small nodes
-# ---------------------------------------------------------------------------
-
-#: Per-type intern tables.  Bounded: once a table is full new nodes
-#: are simply not interned (correctness never depends on sharing), so
-#: a pathological corpus cannot grow the tables without limit.
-_INTERN_CAP = 1 << 16
-_NUMBER_INTERN: Dict[tuple, "Number"] = {}
-_IDENTIFIER_INTERN: Dict[str, "Identifier"] = {}
-_CONSTANT_INTERN: Dict[str, "Constant"] = {}
-_APPLY_INTERN: Dict[tuple, "Apply"] = {}
-
-#: Applies with at most this many leaf arguments are interned — the
-#: ``k*A`` / ``A+B`` shapes that dominate kinetic laws.  Larger or
-#: nested applications still share their interned leaves.
-_APPLY_INTERN_MAX_ARGS = 4
-
-#: Flipped by tests to build structurally equal but un-shared trees.
-_INTERN_ENABLED = True
-
-
-def intern_cache_sizes() -> Dict[str, int]:
-    """Current entry counts of the per-type intern tables."""
-    return {
-        "number": len(_NUMBER_INTERN),
-        "identifier": len(_IDENTIFIER_INTERN),
-        "constant": len(_CONSTANT_INTERN),
-        "apply": len(_APPLY_INTERN),
-    }
-
-
-def clear_intern_caches() -> None:
-    """Drop every interned node (already-built trees keep theirs)."""
-    _NUMBER_INTERN.clear()
-    _IDENTIFIER_INTERN.clear()
-    _CONSTANT_INTERN.clear()
-    _APPLY_INTERN.clear()
-
-
-class interning_disabled:
-    """Context manager building structurally equal but *unshared*
-    nodes — used by tests that pin the digest/equality invariants
-    across the hash-consing boundary, and available to workloads that
-    would rather re-allocate than grow the intern tables."""
-
-    def __enter__(self):
-        global _INTERN_ENABLED
-        self._previous = _INTERN_ENABLED
-        _INTERN_ENABLED = False
-        return self
-
-    def __exit__(self, *exc_info):
-        global _INTERN_ENABLED
-        _INTERN_ENABLED = self._previous
-        return False
-
-
 def _hash_parts(tag: bytes, *parts: str) -> str:
     """Digest a node's canonical serialisation: a type tag plus its
     payload strings / child digests, length-delimited so distinct
@@ -206,8 +140,7 @@ class MathNode:
     concrete classes below only add their payload fields.  The base
     slots hold lazily computed per-node caches: the structural digest
     and the referenced-name sets.  Nodes are immutable, so a cache
-    entry, once computed, is valid for the node's lifetime — and
-    hash-consing makes structurally equal nodes *share* the caches.
+    entry, once computed, is valid for the node's lifetime.
     """
 
     __slots__ = ("_digest", "_idents", "_names")
@@ -273,7 +206,7 @@ class MathNode:
         direction: ``Number(0.0)`` and ``Number(-0.0)`` are ``==`` yet
         digest apart; NaN literals, which ``==`` may call unequal,
         share a digest, as they share a ``repr``.  Computed once per
-        node and cached; hash-consed subtrees share the cached value.
+        node and cached.
 
         Stability: the digest is deterministic across processes and
         machines for a given repo version (it hashes a canonical
@@ -356,36 +289,12 @@ class Number(MathNode):
     value: float
     units: Optional[str] = None
 
-    def __new__(cls, value, units: Optional[str] = None):
-        # Hash-cons finite literals.  The key uses ``hex()`` so that
-        # -0.0 and 0.0 stay distinct objects (they render differently)
-        # and NaN never interns (it is unequal even to itself, and
-        # sharing it would let tuple-identity shortcuts disagree with
-        # structural ``==``).
-        if _INTERN_ENABLED and cls is Number:
-            try:
-                numeric = float(value)
-            except (TypeError, ValueError):
-                return object.__new__(cls)
-            if numeric == numeric and numeric not in (
-                float("inf"), float("-inf"),
-            ):
-                key = (numeric.hex(), units)
-                cached = _NUMBER_INTERN.get(key)
-                if cached is not None:
-                    return cached
-                self = object.__new__(cls)
-                if len(_NUMBER_INTERN) < _INTERN_CAP:
-                    _NUMBER_INTERN[key] = self
-                return self
-        return object.__new__(cls)
-
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
 
     def __reduce__(self):
         # Route pickle/deepcopy through the constructor so copies
-        # re-intern and drop the (recomputable) cache slots.
+        # drop the (recomputable) cache slots.
         return (Number, (self.value, self.units))
 
     def _compute_digest(self) -> str:
@@ -406,17 +315,6 @@ class Identifier(MathNode):
 
     name: str
 
-    def __new__(cls, name):
-        if _INTERN_ENABLED and cls is Identifier and type(name) is str:
-            cached = _IDENTIFIER_INTERN.get(name)
-            if cached is not None:
-                return cached
-            self = object.__new__(cls)
-            if len(_IDENTIFIER_INTERN) < _INTERN_CAP:
-                _IDENTIFIER_INTERN[name] = self
-            return self
-        return object.__new__(cls)
-
     def __reduce__(self):
         return (Identifier, (self.name,))
 
@@ -430,17 +328,6 @@ class Constant(MathNode):
 
     name: str
 
-    def __new__(cls, name):
-        if _INTERN_ENABLED and cls is Constant and type(name) is str:
-            cached = _CONSTANT_INTERN.get(name)
-            if cached is not None:
-                return cached
-            self = object.__new__(cls)
-            if name in CONSTANT_NAMES and len(_CONSTANT_INTERN) < _INTERN_CAP:
-                _CONSTANT_INTERN[name] = self
-            return self
-        return object.__new__(cls)
-
     def __post_init__(self):
         if self.name not in CONSTANT_NAMES:
             raise ValueError(f"unknown MathML constant: {self.name!r}")
@@ -450,25 +337,6 @@ class Constant(MathNode):
 
     def _compute_digest(self) -> str:
         return _hash_parts(b"C", self.name)
-
-
-def _is_interned_leaf(node) -> bool:
-    """Whether ``node`` is the interned instance for its content —
-    the precondition for :class:`Apply` interning: a digest-key hit
-    then guarantees the constructor was handed the *same* child
-    objects the cached node already holds, so the re-run ``__init__``
-    cannot change anything."""
-    node_type = type(node)
-    if node_type is Identifier:
-        return _IDENTIFIER_INTERN.get(node.name) is node
-    if node_type is Constant:
-        return _CONSTANT_INTERN.get(node.name) is node
-    if node_type is Number:
-        value = node.value
-        if value != value or value in (float("inf"), float("-inf")):
-            return False
-        return _NUMBER_INTERN.get((value.hex(), node.units)) is node
-    return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -482,35 +350,6 @@ class Apply(MathNode):
 
     op: str
     args: Tuple[MathNode, ...]
-
-    def __new__(cls, op, args):
-        # Hash-cons small, flat applications — the ``k*A`` shapes that
-        # dominate kinetic laws.  The key uses the children's
-        # *digests*, not the child objects: Number equality follows
-        # float ``==`` (where -0.0 == 0.0), so object-keyed lookups
-        # would conflate applies whose literals render differently —
-        # and the re-run ``__init__`` would then overwrite the shared
-        # node's args in place.  Digests distinguish exactly as the
-        # writer does.  Only all-*interned*-leaf argument tuples
-        # participate: an interned child guarantees the constructor
-        # hands back the same object on a key hit, so the ``__init__``
-        # re-run rewrites the cached node with identical objects
-        # (NaN literals never intern, which also keeps self-unequal
-        # trees out of the table).
-        if _INTERN_ENABLED and cls is Apply:
-            args = tuple(args)
-            if len(args) <= _APPLY_INTERN_MAX_ARGS and all(
-                _is_interned_leaf(arg) for arg in args
-            ):
-                key = (op, tuple(arg.digest() for arg in args))
-                cached = _APPLY_INTERN.get(key)
-                if cached is not None:
-                    return cached
-                self = object.__new__(cls)
-                if len(_APPLY_INTERN) < _INTERN_CAP:
-                    _APPLY_INTERN[key] = self
-                return self
-        return object.__new__(cls)
 
     def __init__(self, op: str, args):
         object.__setattr__(self, "op", op)

@@ -258,6 +258,31 @@ def _io_oracle_feature_models(monkeypatch):
     return importlib.import_module("test_io_oracle")._feature_models()
 
 
+def _log_builds(monkeypatch, owner, log):
+    """Patch the classmethod ``owner.build`` to append ``pid model.id``
+    to the file ``log`` per call, so a call in a forked worker shows
+    too; returns ``log``."""
+    original = owner.build.__func__
+
+    def logging(cls, model, *args, **kwargs):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {model.id}\n")
+        return original(cls, model, *args, **kwargs)
+
+    monkeypatch.setattr(owner, "build", classmethod(logging))
+    return log
+
+
+def _assert_built_once_here(log, corpus):
+    """``log`` holds one build per model of ``corpus``, every one made
+    in this process."""
+    builds = [line.split() for line in log.read_text().splitlines()]
+    assert {pid for pid, _ in builds} == {str(os.getpid())}
+    assert sorted(model for _, model in builds) == sorted(
+        model.id for model in corpus
+    )
+
+
 class TestFingerprint:
     """The per-class formatters against the ``repr`` oracle."""
 
@@ -589,21 +614,14 @@ class TestPrescreen:
             Prescreen(signatures, ComposeOptions(semantics=SEMANTICS_NONE))
 
     def test_screened_process_sweep_builds_each_signature_once(
-        self, corpus, monkeypatch
+        self, corpus, monkeypatch, tmp_path
     ):
+        """The prescreen derives each signature once, in this process;
+        the workers, which only run the surviving pairs, derive none."""
         expected = [o.key() for o in match_all(corpus).outcomes]
-        built = []
-        original = ModelSignature.build.__func__
-
-        def counting(cls, model, *args, **kwargs):
-            built.append(model.id)
-            return original(cls, model, *args, **kwargs)
-
-        monkeypatch.setattr(ModelSignature, "build", classmethod(counting))
+        log = _log_builds(monkeypatch, ModelSignature, tmp_path / "builds.log")
         matrix = match_all(corpus, workers=2, backend="process", prescreen=True)
-        # The prescreen derives each signature once; the workers,
-        # which only run the surviving pairs, derive none.
-        assert sorted(built) == sorted(model.id for model in corpus)
+        _assert_built_once_here(log, corpus)
         assert matrix.pruned > 0
         assert [o.key() for o in matrix.outcomes] == expected
 
@@ -615,19 +633,7 @@ class TestPrescreen:
         process; neither the inline engine nor a forked local worker
         builds them again."""
         expected = [o.key() for o in match_all(corpus).outcomes]
-        log = tmp_path / "builds.log"
-        original = ModelIndexSet.build.__func__
-
-        def logging(cls, model, *args, **kwargs):
-            with open(log, "a", encoding="utf-8") as handle:
-                handle.write(f"{os.getpid()} {model.id}\n")
-            return original(cls, model, *args, **kwargs)
-
-        monkeypatch.setattr(ModelIndexSet, "build", classmethod(logging))
+        log = _log_builds(monkeypatch, ModelIndexSet, tmp_path / "builds.log")
         matrix = match_all(corpus, workers=workers, prescreen=True)
-        builds = [line.split() for line in log.read_text().splitlines()]
-        assert {pid for pid, _ in builds} == {str(os.getpid())}
-        assert sorted(model for _, model in builds) == sorted(
-            model.id for model in corpus
-        )
+        _assert_built_once_here(log, corpus)
         assert [o.key() for o in matrix.outcomes] == expected

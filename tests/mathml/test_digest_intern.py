@@ -1,15 +1,14 @@
-"""Hash-consing, structural digests and copy-free substitution.
+"""Structural digests and copy-free substitution.
 
-The tentpole invariants of the interned math core:
+The invariants of the digest-indexed math core:
 
 * structurally equal trees — however and wherever constructed — have
   identical digests, identical canonical patterns and identical
-  ``math_key`` material, with or without hash-consing;
-* hash-consed construction returns the *same object* for small nodes;
+  ``math_key`` material;
 * ``substitute``/``rename`` preserve object identity whenever the
   bindings cannot touch the expression (the copy-free fast path);
 * pickling and deep-copying round-trip through the constructors, so
-  nodes re-intern on arrival and never carry stale caches.
+  copies never carry stale caches.
 """
 
 import copy
@@ -27,8 +26,6 @@ from repro.mathml.ast import (
     Lambda,
     Number,
     Piecewise,
-    intern_cache_sizes,
-    interning_disabled,
 )
 from repro.mathml.pattern import canonical_pattern
 from repro.mathml.parser import parse_mathml
@@ -61,55 +58,34 @@ _EDGE_CASES = [
 
 
 def _structural_clone(node):
-    """Rebuild a tree through the writer/parser round trip with
-    interning off: structurally equal, sharing nothing."""
-    with interning_disabled():
-        return parse_mathml(write_mathml(node))
+    """Rebuild a tree through the writer/parser round trip:
+    structurally equal, sharing nothing."""
+    return parse_mathml(write_mathml(node))
 
 
 class TestInterning:
-    def test_leaves_are_shared(self):
-        assert Identifier("glucose") is Identifier("glucose")
-        assert Number(2.5) is Number(2.5)
-        assert Number(1) is Number(1.0)
-        assert Constant("pi") is Constant("pi")
+    """Leaves and applications built separately: coercion, and the
+    literals ``==`` and the digest tell apart or conflate."""
 
     def test_units_distinguish_numbers(self):
-        assert Number(1.0, "mole") is not Number(1.0)
+        assert Number(1.0, "mole") != Number(1.0)
         assert Number(1.0, "mole") == Number(1.0, "mole")
 
-    def test_small_apply_shared(self):
-        first = Apply("times", (Identifier("k"), Identifier("A")))
-        second = Apply("times", [Identifier("k"), Identifier("A")])
-        assert first is second
-
-    def test_negative_zero_not_conflated(self):
-        # -0.0 == 0.0 numerically but renders differently; interning
-        # must never silently rewrite one into the other.
-        assert Number(-0.0) is not Number(0.0)
-
     def test_nan_never_interned(self):
-        # NaN compares unequal even to itself; a shared object would
-        # let identity shortcuts disagree with structural equality.
-        assert Number(float("nan")) is not Number(float("nan"))
-
-    def test_infinities_never_interned(self):
-        assert Number(float("inf")) is not Number(float("inf"))
-        assert Number(float("-inf")) is not Number(float("-inf"))
+        # NaN compares unequal even to itself, yet separately built
+        # NaN literals share a digest, as they share a ``repr``.
+        first, second = Number(float("nan")), Number(float("nan"))
+        assert first.digest() == second.digest()
 
     def test_number_coerces_string_values(self):
         # The constructor keeps accepting anything float() accepts.
-        assert Number("2.5") is Number(2.5)
+        assert Number("2.5") == Number(2.5)
 
     def test_apply_with_negative_zero_not_conflated(self):
-        # Number equality follows float == (-0.0 == 0.0), so an
-        # object-keyed apply table would collide these — and the
-        # re-run __init__ would overwrite the shared node's args in
-        # place, silently rewriting the first tree's literal.  The
-        # digest-based key keeps them apart.
+        # Number equality follows float == (-0.0 == 0.0), but the
+        # literals render differently and digest apart.
         positive = Apply("times", (Number(0.0), Identifier("x")))
         negative = Apply("times", (Number(-0.0), Identifier("x")))
-        assert positive is not negative
         assert repr(positive.args[0].value) == "0.0"
         assert repr(negative.args[0].value) == "-0.0"
         assert positive.digest() != negative.digest()
@@ -117,33 +93,19 @@ class TestInterning:
     def test_apply_with_nan_never_interned(self):
         first = Apply("times", (Number(float("nan")), Identifier("x")))
         second = Apply("times", (Number(float("nan")), Identifier("x")))
-        assert first is not second
+        assert first.digest() == second.digest()
 
     def test_large_apply_not_interned_but_equal(self):
         args = tuple(Identifier(f"x{i}") for i in range(6))
-        assert Apply("plus", args) is not Apply("plus", args)
         assert Apply("plus", args) == Apply("plus", args)
         assert Apply("plus", args).digest() == Apply("plus", args).digest()
-
-    def test_disabled_context_builds_fresh_objects(self):
-        shared = Identifier("x")
-        with interning_disabled():
-            fresh = Identifier("x")
-        assert fresh is not shared
-        assert fresh == shared
-        assert Identifier("x") is shared  # re-enabled afterwards
-
-    def test_cache_sizes_reported(self):
-        Identifier("a_size_probe")
-        sizes = intern_cache_sizes()
-        assert sizes["identifier"] >= 1
 
 
 class TestDigest:
     def test_equal_trees_equal_digest_across_interning(self):
         expr = parse_infix("k1 * S1 * (S2 + 2.5) / (Km + S1)")
         clone = _structural_clone(expr)
-        assert clone == expr and clone is not expr
+        assert clone == expr
         assert clone.digest() == expr.digest()
 
     def test_digest_distinguishes(self):
@@ -194,9 +156,6 @@ class TestDigest:
         clone = pickle.loads(pickle.dumps(expr))
         assert clone == expr
         assert clone.digest() == expr.digest()
-
-    def test_pickle_reinterns_leaves(self):
-        assert pickle.loads(pickle.dumps(Identifier("x"))) is Identifier("x")
 
     def test_deepcopy_equal(self):
         expr = parse_infix("k * A / (Km + A)")
@@ -265,10 +224,9 @@ def _model_math(seed: int, n_nodes: int):
 @settings(max_examples=50, deadline=None)
 def test_digest_and_pattern_invariant_under_interning(seed, n_nodes):
     """For BioModels-like expressions: a structurally equal tree built
-    *without* hash-consing has the same digest, the same canonical
-    pattern (the ``math_key`` material under heavy semantics) and the
-    same structural equality — interning is invisible to every
-    equality surface the engine uses."""
+    separately has the same digest, the same canonical pattern (the
+    ``math_key`` material under heavy semantics), the same name sets
+    and the same structural equality."""
     for math in _model_math(seed, n_nodes):
         clone = _structural_clone(math)
         assert clone == math

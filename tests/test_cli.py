@@ -818,16 +818,32 @@ def test_merge_zero_factor_unit_is_an_error_not_a_traceback(
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flags", [[], ["--prescreen"]], ids=["full", "screened"])
+@pytest.mark.parametrize(
+    "flags, out_dir",
+    [
+        ([], False),
+        (["--prescreen"], False),
+        (["--workers", "2"], False),
+        (["--workers", "2"], True),
+    ],
+    ids=["full", "screened", "supervised", "supervised-out-dir"],
+)
 def test_sweep_zero_factor_unit_error_names_the_file(
-    model_files, tmp_path, capsys, flags
+    model_files, tmp_path, capsys, flags, out_dir
 ):
+    # Every engine refuses the input before any pair runs: a supervised
+    # sweep neither strikes nor quarantines the pairs that touch it.
     zero = _zero_factor_model(tmp_path, -1)
+    quarantine = tmp_path / "qd" / "quarantine.json"
+    if out_dir:
+        flags = [*flags, "--out-dir", str(quarantine.parent)]
     assert main(["sweep", str(model_files[0]), str(zero), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {zero}: unit definition 'zero_unit': ")
     assert "(0 * 10^0 * litre)^-1" in err
     assert "Traceback" not in err
+    assert "quarantined" not in err
+    assert not quarantine.exists()
 
 
 @pytest.mark.parametrize("exponent", [0, 1])
