@@ -88,22 +88,23 @@ def bench_fig8_sharded_sweep(benchmark, corpus_sample):
     """The Figure 8 sweep as a 4-shard run — the deployment shape for
     corpora that don't fit (or shouldn't monopolise) one machine.
 
-    Asserts the tentpole invariant while timing it: the union of the
-    shard matrices equals the unsharded sweep on every run-invariant
-    field, and the per-shard cost estimates stay balanced.
+    The four shards run through one sweep, as ``sbmlcompose sweep
+    --shards 4`` runs them: one engine, so each model's artifacts are
+    derived once.  Asserts the tentpole invariant while timing it: the
+    union of the shard matrices equals the unsharded sweep on every
+    run-invariant field, and the per-shard cost estimates stay
+    balanced.
     """
-    from repro.core.match_all import MatchMatrix, match_all, match_all_sharded
+    from repro.core.match_all import MatchMatrix, _Sweep, match_all
     from repro.core.shards import partition_pairs
 
     shard_count = 4
+    sizes = [model.network_size() for model in corpus_sample]
+    shards = partition_pairs(sizes, shard_count)
 
     def sweep_sharded():
-        return [
-            match_all_sharded(
-                corpus_sample, shards=shard_count, shard_id=shard_id
-            )
-            for shard_id in range(shard_count)
-        ]
+        sweep = _Sweep(corpus_sample, None, 1, False)
+        return [sweep.run(shard.pairs) for shard in shards]
 
     parts = benchmark.pedantic(sweep_sharded, rounds=1, iterations=1)
     merged = MatchMatrix.union(parts)
@@ -111,8 +112,6 @@ def bench_fig8_sharded_sweep(benchmark, corpus_sample):
     assert [o.key() for o in merged.outcomes] == [
         o.key() for o in reference.outcomes
     ]
-    sizes = [model.network_size() for model in corpus_sample]
-    shards = partition_pairs(sizes, shard_count)
     mean_cost = sum(shard.cost for shard in shards) / shard_count
     emit("")
     emit(f"Figure 8 sharded sweep — {shard_count} shards")

@@ -4,7 +4,7 @@ sharded engine.
 The coordinator (:class:`repro.core.coordinator.SweepCoordinator`)
 adds leases, heartbeats, per-shard journal writes and worker IPC on
 top of the same :class:`~repro.core.match_all._PairEngine` the bare
-``match_all_sharded`` path runs.  All of that machinery sits *outside*
+pool's shard runs go through.  All of that machinery sits *outside*
 the per-pair hot path — journal writes are per shard attempt,
 heartbeats ride the worker's idle poll — so a healthy sweep (no
 faults injected) must pay only a small constant tax.  The target,
@@ -13,7 +13,11 @@ bare process pool driving the identical shard partition.
 
 Both sides do identical work: W processes, K shards, same corpus,
 same artifact-store-free engine, and both write the per-shard CSVs.
-The delta is exactly the supervision machinery.
+Each bare pool process builds one
+:class:`~repro.core.match_all._Sweep` in its initializer and runs
+every shard it is handed through it, so it derives each model's
+artifacts once, as a coordinator worker does.  The delta is exactly the supervision
+machinery.
 
 Run standalone::
 
@@ -32,8 +36,8 @@ from pathlib import Path
 
 from repro.core.artifact_store import corpus_fingerprint
 from repro.core.coordinator import CoordinatorConfig, SweepCoordinator
-from repro.core.match_all import match_all_sharded, write_outcomes_csv
-from repro.core.shards import shard_result_filename
+from repro.core.match_all import _Sweep, write_outcomes_csv
+from repro.core.shards import partition_pairs, shard_result_filename
 from repro.corpus import generate_corpus
 
 from benchmarks._common import emit, write_csv
@@ -45,27 +49,25 @@ from benchmarks._common import emit, write_csv
 TARGET_OVERHEAD = 0.03
 GATE_OVERHEAD = 3 * TARGET_OVERHEAD
 
-_CORPUS = None
+#: The pool process's sweep and shard layout, built by :func:`_pool_init`.
+_SWEEP = None
+_SHARDS = None
 
 
-def _pool_init(models):
-    global _CORPUS
-    _CORPUS = models
+def _pool_init(models, shard_count):
+    global _SWEEP, _SHARDS
+    # No store, like the supervised side's workers: both derive
+    # artifacts in memory from the corpus they were forked with, once
+    # per process, so the delta is exactly the supervision machinery.
+    _SWEEP = _Sweep(models, None, 1, False)
+    _SHARDS = partition_pairs(_SWEEP.sizes, shard_count)
 
 
 def _bare_shard(payload):
-    shard_id, shard_count, out_dir = payload
-    matrix = match_all_sharded(
-        _CORPUS,
-        shards=shard_count,
-        shard_id=shard_id,
-        # No store, like the supervised side's workers: both derive
-        # artifacts in memory from the corpus they were forked with,
-        # so the delta is exactly the supervision machinery.
-        workers=1,
-    )
+    shard_id, out_dir = payload
+    matrix = _SWEEP.run(_SHARDS[shard_id].pairs)
     write_outcomes_csv(
-        Path(out_dir) / shard_result_filename(shard_id, shard_count),
+        Path(out_dir) / shard_result_filename(shard_id, len(_SHARDS)),
         matrix.outcomes,
         deterministic=True,
     )
@@ -77,11 +79,11 @@ def bare_sweep(models, shards, workers, out_dir) -> float:
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     with multiprocessing.Pool(
-        workers, initializer=_pool_init, initargs=(models,)
+        workers, initializer=_pool_init, initargs=(models, shards)
     ) as pool:
         pool.map(
             _bare_shard,
-            [(shard_id, shards, str(out_dir)) for shard_id in range(shards)],
+            [(shard_id, str(out_dir)) for shard_id in range(shards)],
         )
     return time.perf_counter() - started
 

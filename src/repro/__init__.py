@@ -73,7 +73,6 @@ from repro.core import (
     compose_all,
     make_plan,
     match_all,
-    match_all_sharded,
     model_digest,
     partition_pairs,
     plan_names,
@@ -94,7 +93,6 @@ __all__ = [
     "ComposeSession",
     "compose_all",
     "match_all",
-    "match_all_sharded",
     "MatchMatrix",
     "PairOutcome",
     "ArtifactStore",

@@ -44,8 +44,10 @@ With ``--shards K`` the pair matrix is partitioned deterministically
 (:func:`~repro.core.shards.partition_pairs`) and each shard's results
 land as a separate CSV under ``--out-dir``, journaled by a
 :class:`~repro.core.shards.SweepCheckpoint` so a killed sweep resumes
-(``--resume``) from the first incomplete shard.  Pass ``--shard-id
-I`` to compute exactly one shard (e.g. one shard per machine).
+(``--resume``) from the first incomplete shard; the shards one
+process computes share one engine and one prescreen.  Pass
+``--shard-id I`` to compute exactly one shard (e.g. one shard per
+machine).
 ``sweep-merge`` unions the shard files back into one report that is
 byte-identical to an unsharded ``sweep --deterministic`` run of the
 same corpus.
@@ -108,7 +110,6 @@ import argparse
 import sys
 import tempfile
 import time
-from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
@@ -125,9 +126,9 @@ from repro.core.corpus_index import CorpusIndex
 from repro.core.match_all import (
     MatchMatrix,
     _PRIVATE_FINGERPRINT,
+    _Sweep,
     _synthesized_outcome,
     match_all,
-    match_all_sharded,
     match_query,
     read_outcomes_csv,
     write_outcomes,
@@ -466,30 +467,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _unit_definition_errors(paths, models):
-    """Yield ``(path, error)`` for each unit definition of the inputs
-    whose :meth:`~repro.units.UnitDefinition.canonical` raises a
-    :class:`UnitError`, in file and definition order."""
+def _refuse_unit_errors(paths, models) -> None:
+    """Raise the first :class:`UnitError` a unit definition of the
+    inputs raises when reduced, started with the path of its file.
+
+    A unit with no finite value fails every merge that evaluates it,
+    alike in every engine, and a merge that never evaluates it copies
+    it into its output: refuse it up front, where the path is known.
+    """
     for path, model in zip(paths, models):
         for definition in model.unit_definitions:
             try:
                 definition.canonical()
             except UnitError as exc:
-                yield path, exc
-
-
-@contextmanager
-def _unit_errors_name_the_file(paths, models):
-    """Start a :class:`UnitError` from a unit definition that fails
-    only once merged (where no path is known) with the path of the
-    first file holding a definition that fails with the same message."""
-    try:
-        yield
-    except UnitError as exc:
-        for path, own in _unit_definition_errors(paths, models):
-            if str(own) == str(exc):
                 raise UnitError(f"{path}: {exc}") from exc
-        raise
 
 
 def _cmd_merge(args) -> int:
@@ -497,15 +488,14 @@ def _cmd_merge(args) -> int:
         print("error: merge needs at least two models", file=sys.stderr)
         return 2
     models = [read_sbml_file(path).model for path in args.models]
+    _refuse_unit_errors(args.models, models)
     options = ComposeOptions(
         semantics=args.semantics,
         index=args.index,
     )
     if args.strict:
         options = options.strict()
-    session = ComposeSession(options)
-    with _unit_errors_name_the_file(args.models, models):
-        result = session.compose_all(models, plan=args.plan)
+    result = ComposeSession(options).compose_all(models, plan=args.plan)
     text = write_sbml(result.model)
     if args.output is not None:
         args.output.write_text(text, encoding="utf-8")
@@ -656,8 +646,10 @@ def _run_coordinator(args, models, options, out_dir: Path) -> int:
 
 def _cmd_sweep_sharded(args, models, options) -> int:
     """Shards computed in this process, one after another, each
-    checkpointed — or just ``--shard-id I``, on ``--workers``.  With
-    ``--prescreen``, one prescreen serves every shard."""
+    checkpointed — or just ``--shard-id I``, on ``--workers``.  Every
+    shard runs through one :class:`~repro.core.match_all._Sweep`, so
+    the prescreen, the engine and each model's artifacts are built
+    once per command, not once per shard."""
     checkpoint = SweepCheckpoint(
         args.out_dir,
         fingerprint=corpus_fingerprint(models, _sweep_extra(args)),
@@ -669,7 +661,10 @@ def _cmd_sweep_sharded(args, models, options) -> int:
     completed = checkpoint.begin(
         resume=args.resume or args.shard_id is not None
     )
-    screen = Prescreen.build(models, options) if args.prescreen else None
+    sweep = _Sweep(models, options, args.workers, args.prescreen)
+    shards = partition_pairs(
+        sweep.sizes, args.shards, include_self=not args.no_self
+    )
     shard_ids = (
         [args.shard_id] if args.shard_id is not None else range(args.shards)
     )
@@ -680,14 +675,10 @@ def _cmd_sweep_sharded(args, models, options) -> int:
                 file=sys.stderr,
             )
             continue
-        matrix = match_all_sharded(
-            models,
-            options,
-            shards=args.shards,
+        matrix = replace(
+            sweep.run(shards[shard_id].pairs),
             shard_id=shard_id,
-            workers=args.workers,
-            include_self=not args.no_self,
-            prescreen=screen,
+            shard_count=args.shards,
         )
         name = _shard_file(shard_id, args.shards)
         write_outcomes_csv(args.out_dir / name, matrix.outcomes)
@@ -758,11 +749,8 @@ def _cmd_sweep(args) -> int:
         print(f"error: {problem}", file=sys.stderr)
         return 2
     models = [read_sbml_file(path).model for path in args.models]
-    # A unit with no finite value fails every pair that evaluates it,
-    # alike in every engine: refuse it here, where the path is known,
-    # rather than let supervised workers retry and quarantine it.
-    for path, exc in _unit_definition_errors(args.models, models):
-        raise UnitError(f"{path}: {exc}") from exc
+    # Refused here, not retried and quarantined by supervised workers.
+    _refuse_unit_errors(args.models, models)
     options = ComposeOptions(semantics=args.semantics)
     if args.chaos is not None:
         # Arm the deterministic fault spec for this run (and, via the
@@ -786,7 +774,7 @@ def _cmd_sweep_unsharded(args, models, options) -> int:
         models,
         options,
         include_self=not args.no_self,
-        prescreen=args.prescreen or None,
+        prescreen=args.prescreen,
     )
     if args.output is not None:
         write_outcomes_csv(

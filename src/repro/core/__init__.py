@@ -15,11 +15,11 @@ Public API:
   session drives.
 * :class:`~repro.core.report.MergeReport` — warnings/conflicts log.
 * :func:`~repro.core.match_all.match_all` — batched all-pairs
-  matching over a corpus (the Figure 8 workload as an engine).
-* :func:`~repro.core.match_all.match_all_sharded` — one deterministic
-  shard of the all-pairs sweep, for corpora split over machines or
-  checkpointed runs; :mod:`~repro.core.shards` partitions the pair
-  matrix and journals sweep progress.
+  matching over a corpus (the Figure 8 workload as an engine);
+  :mod:`~repro.core.shards` partitions the pair matrix into
+  deterministic shards, for corpora split over machines or
+  checkpointed runs (``sbmlcompose sweep --shards``), and journals
+  sweep progress.
 * :class:`~repro.core.artifact_store.ArtifactStore` — on-disk,
   content-addressed per-model artifacts that corpus indexes adopt
   signatures from.
@@ -70,7 +70,6 @@ from repro.core.match_all import (
     MatchMatrix,
     PairOutcome,
     match_all,
-    match_all_sharded,
     match_query,
     read_outcomes_csv,
     write_outcomes_csv,
@@ -134,7 +133,6 @@ __all__ = [
     "Composer",
     "AccumState",
     "match_all",
-    "match_all_sharded",
     "match_query",
     "MatchMatrix",
     "PairOutcome",

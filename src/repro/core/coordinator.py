@@ -1,6 +1,7 @@
 """Fault-tolerant supervision for sharded all-pairs sweeps.
 
-``match_all_sharded`` makes the Figure 8 sweep *partitionable* and the
+:func:`~repro.core.shards.partition_pairs` makes the Figure 8 sweep
+*partitionable* and the
 :class:`~repro.core.shards.SweepCheckpoint` journal makes it
 *resumable*, but both assume a benign world: every worker finishes the
 shard it started, and any crash takes the whole run down for a human
@@ -45,11 +46,12 @@ can inject on demand:
   distinguished by exit code :data:`EXIT_QUARANTINED`.
 
 It is the one multi-worker sweep engine: ``match_all(...,
-workers=N)`` (and ``match_all_sharded``) runs it over
-a private temporary directory with one work unit per worker, and
-``sbmlcompose sweep --workers N`` runs it over ``--out-dir`` (or a
-private directory without one).  Every worker builds the inline
-sweep's engine and derives every per-model artifact in memory.  Local
+workers=N)`` (and ``sbmlcompose sweep --shard-id I --workers N``)
+runs it over a private temporary directory with one work unit per
+worker, and ``sbmlcompose sweep --workers N`` runs it over
+``--out-dir`` (or a private directory without one).  Every worker
+builds the inline sweep's engine and derives every per-model artifact
+in memory.  Local
 workers are handed the corpus the coordinator holds — inherited, not
 copied, where processes fork — and never parse or serialise a model.
 Remote workers receive a

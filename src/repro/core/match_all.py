@@ -28,13 +28,14 @@ structural identity search batches corpus-scale comparisons instead;
   quarantine) over a private temporary journal; the workers hold the
   corpus the sweep was called with and build the inline engine over
   it,
-* :func:`match_all` sweeps the whole pair matrix, while
-  :func:`match_all_sharded` computes one shard of a deterministic
-  partition (:func:`~repro.core.shards.partition_pairs`) so K
-  machines (or K sequential, individually checkpointed steps of one
-  machine — see ``sbmlcompose sweep --shards``) can split a corpus
-  that shouldn't monopolise one box.  The union of the K shard
-  matrices is *identical* to the unsharded sweep, pair for pair.
+* :func:`match_all` sweeps the whole pair matrix in one run of
+  :class:`_Sweep`, while ``sbmlcompose sweep --shards K`` runs each
+  shard of a deterministic partition
+  (:func:`~repro.core.shards.partition_pairs`) through one
+  :class:`_Sweep` — so K machines, or K sequential, individually
+  checkpointed steps of one machine, can split a corpus that
+  shouldn't monopolise one box.  The union of the K shard matrices is
+  *identical* to the unsharded sweep, pair for pair.
 
 The composed models themselves are never built — an all-pairs sweep
 is about the matching outcome (what united, what conflicted, how long
@@ -46,6 +47,7 @@ afterwards.
 
 from __future__ import annotations
 
+import csv
 import tempfile
 import threading
 import time
@@ -73,7 +75,6 @@ from repro.core.compose import (
     Composer,
     ModelIndexSet,
     SourceKeyMap,
-    index_options_key,
 )
 from repro.core.options import ComposeOptions
 from repro.core.pattern_cache import PatternCache
@@ -88,7 +89,6 @@ __all__ = [
     "PairOutcome",
     "MatchMatrix",
     "match_all",
-    "match_all_sharded",
     "match_query",
     "write_outcomes",
     "write_outcomes_csv",
@@ -243,12 +243,13 @@ def write_outcomes(
     *,
     deterministic: bool = False,
 ) -> None:
-    """Write an outcome table as CSV to an open text stream."""
-    handle.write(",".join(MatchMatrix.csv_header(deterministic)) + "\n")
-    for outcome in outcomes:
-        handle.write(
-            ",".join(str(cell) for cell in outcome.row(deterministic)) + "\n"
-        )
+    """Write an outcome table as CSV to an open text stream (one opened
+    with ``newline=""``, as the :mod:`csv` module asks).  A label
+    holding a comma, a quote or a line break is quoted; every other
+    cell is written bare."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(MatchMatrix.csv_header(deterministic))
+    writer.writerows(outcome.row(deterministic) for outcome in outcomes)
 
 
 def write_outcomes_csv(
@@ -263,16 +264,22 @@ def write_outcomes_csv(
     file that is byte-identical across runs and shardings of the same
     corpus — the format ``sweep-merge`` emits and CI diffs against.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         write_outcomes(handle, outcomes, deterministic=deterministic)
 
 
 def read_outcomes_csv(path: Union[str, Path]) -> List[PairOutcome]:
     """Read an outcome table written by :func:`write_outcomes_csv`
     (either column layout; a deterministic table reads back with
-    ``seconds=0.0``)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().strip().split(",")
+    ``seconds=0.0``).
+
+    Raises :class:`ValueError` naming ``path`` when the header is not
+    an outcome table's, and naming the line too when a row has the
+    wrong number of cells or a cell that is not a number.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        rows = csv.reader(handle)
+        header = next(rows, None)
         for layout in (False, True):
             if header == MatchMatrix.csv_header(layout):
                 deterministic = layout
@@ -280,30 +287,32 @@ def read_outcomes_csv(path: Union[str, Path]) -> List[PairOutcome]:
         else:
             raise ValueError(f"{path}: not a sweep outcome table")
         outcomes = []
-        for line in handle:
-            line = line.strip()
-            if not line:
+        for cells in rows:
+            if not cells:
                 continue
-            cells = line.split(",")
-            cursor = iter(cells)
-            i, j = int(next(cursor)), int(next(cursor))
-            left, right = next(cursor), next(cursor)
-            size = int(next(cursor))
-            seconds = 0.0 if deterministic else float(next(cursor))
-            outcomes.append(
-                PairOutcome(
-                    i=i,
-                    j=j,
-                    left=left,
-                    right=right,
-                    size=size,
-                    seconds=seconds,
-                    united=int(next(cursor)),
-                    added=int(next(cursor)),
-                    renamed=int(next(cursor)),
-                    conflicts=int(next(cursor)),
+            try:
+                if len(cells) != len(header):
+                    raise ValueError(
+                        f"{len(cells)} cells where the header has "
+                        f"{len(header)}"
+                    )
+                i, j, left, right, size, *rest = cells
+                seconds = 0.0 if deterministic else float(rest.pop(0))
+                outcomes.append(
+                    PairOutcome(
+                        int(i),
+                        int(j),
+                        left,
+                        right,
+                        int(size),
+                        seconds,
+                        *(int(cell) for cell in rest),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}: line {rows.line_num}: {exc}"
+                ) from None
     return outcomes
 
 
@@ -493,42 +502,6 @@ class _PairEngine:
         )
 
 
-def _resolve_prescreen(
-    prescreen: Union[None, bool, Prescreen],
-    models: Sequence[Model],
-    options: Optional[ComposeOptions],
-) -> Optional[Prescreen]:
-    """Normalize the ``prescreen=`` argument to a ready instance.
-
-    ``True`` builds one here.  A caller-supplied
-    :class:`~repro.core.signature.Prescreen` must cover exactly this
-    corpus and have been built under the same key-affecting options as
-    the sweep, or the synthesized outcomes could diverge from what the
-    full matcher would produce.
-    """
-    if prescreen is None or prescreen is False:
-        return None
-    if prescreen is True:
-        return Prescreen.build(models, options)
-    if not isinstance(prescreen, Prescreen):
-        raise TypeError(
-            f"prescreen must be None, a bool or a Prescreen, "
-            f"got {type(prescreen).__name__}"
-        )
-    if len(prescreen) != len(models):
-        raise ValueError(
-            f"prescreen covers {len(prescreen)} models, corpus has "
-            f"{len(models)}"
-        )
-    sweep_key = index_options_key(options or ComposeOptions())
-    if index_options_key(prescreen.options) != sweep_key:
-        raise ValueError(
-            "prescreen was built under different key options than "
-            "this sweep's"
-        )
-    return prescreen
-
-
 def _synthesized_outcome(
     i: int, j: int, left: str, right: str, size: int, counts: Tuple
 ) -> PairOutcome:
@@ -540,109 +513,121 @@ def _synthesized_outcome(
     return PairOutcome(i, j, left, right, size, 0.0, *counts)
 
 
-def _run_supervised(
-    models: Sequence[Model],
-    sizes: Sequence[int],
-    pairs: Sequence[Pair],
-    options: Optional[ComposeOptions],
-    workers: int,
-    screen: Optional[Prescreen],
-) -> Tuple[List[PairOutcome], int, int]:
-    """``(outcomes, pruned, quarantined)`` of ``pairs`` run on
-    ``workers`` supervised worker processes, in the order of ``pairs``
-    (quarantined pairs absent).
+class _Sweep:
+    """One sweep over ``models``: the engine behind every sweep entry
+    point.
 
-    The workers hold ``models`` themselves.  Only the sweep journal
-    lives in a private temporary directory, removed when the sweep
-    ends, also when it raises (:data:`_PRIVATE_FINGERPRINT`).
-    There is one work unit per worker, cut from ``pairs`` and balanced
-    on the cost of the pairs the prescreen lets through.
+    Everything the sweep's runs share is built once, here: the labels,
+    the size hints, the prescreen (``prescreen=True``) and, with one
+    worker, the inline :class:`_PairEngine`, so a model's artifacts,
+    bound indexes and patterns are derived once however many runs the
+    sweep makes.  :func:`match_all` makes one run of every pair;
+    ``sbmlcompose sweep --shards K`` makes one run per shard it owes.
     """
-    from repro.core.coordinator import CoordinatorConfig, SweepCoordinator
 
-    with tempfile.TemporaryDirectory(prefix="sbmlcompose-sweep-") as out_dir:
-        report = SweepCoordinator(
-            models,
-            options,
-            out_dir=out_dir,
-            fingerprint=_PRIVATE_FINGERPRINT,
-            partition=partition_pairs(
-                sizes,
-                workers,
-                pairs=pairs,
-                runs=screen.survivors() if screen is not None else None,
-            ),
-            prescreen=screen,
-            config=CoordinatorConfig(workers=workers),
-            progress=False,
-        ).run()
-    rows = {
-        (outcome.i, outcome.j): outcome
-        for matrix in report.matrices
-        for outcome in matrix.outcomes
-    }
-    return (
-        [rows[pair] for pair in pairs if pair in rows],
-        sum(matrix.pruned for matrix in report.matrices),
-        len(report.quarantined),
-    )
-
-
-def _sweep(
-    models: List[Model],
-    pairs: Sequence[Pair],
-    options: Optional[ComposeOptions],
-    workers: int,
-    prescreen: Union[None, bool, Prescreen],
-) -> MatchMatrix:
-    """The engine behind every sweep entry point: ``pairs`` of
-    ``models`` through the prescreen gate, inline with one worker or
-    supervised with more.  Surviving pairs are computed, pruned pairs
-    synthesized; rows come back in the order of ``pairs`` regardless,
-    so a screened sweep's CSV is row-for-row aligned with the full
-    sweep's."""
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    labels = stable_labels(models)
-    sizes = [model.network_size() for model in models]
-    started = time.perf_counter()
-    quarantined = 0
-    screen = _resolve_prescreen(prescreen, models, options)
-    if workers > 1:
-        outcomes, pruned, quarantined = _run_supervised(
-            models, sizes, pairs, options, workers, screen
+    def __init__(
+        self,
+        models: Sequence[Model],
+        options: Optional[ComposeOptions],
+        workers: int,
+        prescreen: bool,
+    ):
+        workers = int(workers)
+        if workers < 1:
+            raise ValueError("workers must be at least 1")
+        if not isinstance(prescreen, bool):
+            raise TypeError(
+                f"prescreen must be a bool, got {type(prescreen).__name__}"
+            )
+        self.models = list(models)
+        self.options = options
+        self.workers = workers
+        self.labels = stable_labels(self.models)
+        self.sizes = [model.network_size() for model in self.models]
+        self.screen = (
+            Prescreen.build(self.models, options) if prescreen else None
         )
-    else:
+        self.engine = None
+        if workers == 1:
+            self.engine = _PairEngine(
+                options,
+                self.models,
+                self.labels,
+                self.screen.index_sets if self.screen is not None else None,
+            )
+
+    def run(self, pairs: Sequence[Pair]) -> MatchMatrix:
+        """The rows of ``pairs``, given in canonical sweep order,
+        through the prescreen gate, inline with one worker or
+        supervised with more.  Surviving pairs are computed, pruned
+        pairs synthesized; rows come back in the order of ``pairs``
+        however the work was scheduled, so a screened sweep's CSV is
+        row-for-row aligned with the full sweep's."""
+        started = time.perf_counter()
+        if self.workers > 1:
+            matrix = self._run_supervised(pairs)
+        else:
+            matrix = self._run_inline(pairs)
+        matrix.seconds = time.perf_counter() - started
+        return matrix
+
+    def _run_inline(self, pairs: Sequence[Pair]) -> MatchMatrix:
+        screen = self.screen
         survivors = screen.survivors() if screen is not None else None
-        engine = _PairEngine(
-            options,
-            models,
-            labels,
-            screen.index_sets if screen is not None else None,
-        )
         outcomes = []
         pruned = 0
         for i, j in pairs:
             if survivors is None or survivors[i, j]:
-                outcomes.append(engine.run_pair(i, j))
+                outcomes.append(self.engine.run_pair(i, j))
             else:
-                size = sizes[i] + sizes[j]
+                size = self.sizes[i] + self.sizes[j]
                 counts = screen.synthesized_counts(i, j)
                 outcomes.append(
                     _synthesized_outcome(
-                        i, j, labels[i], labels[j], size, counts
+                        i, j, self.labels[i], self.labels[j], size, counts
                     )
                 )
                 pruned += 1
-    return MatchMatrix(
-        outcomes=outcomes,
-        seconds=time.perf_counter() - started,
-        model_count=len(models),
-        workers=workers,
-        pruned=pruned,
-        quarantined=quarantined,
-    )
+        return MatchMatrix(
+            outcomes=outcomes,
+            seconds=0.0,
+            model_count=len(self.models),
+            workers=1,
+            pruned=pruned,
+        )
+
+    def _run_supervised(self, pairs: Sequence[Pair]) -> MatchMatrix:
+        """``pairs`` on :attr:`workers` supervised worker processes
+        (quarantined pairs absent).
+
+        The workers hold the corpus themselves.  Only the sweep journal
+        lives in a private temporary directory, removed when the run
+        ends, also when it raises (:data:`_PRIVATE_FINGERPRINT`).
+        There is one work unit per worker, cut from ``pairs`` and
+        balanced on the cost of the pairs the prescreen lets through.
+        """
+        from repro.core.coordinator import CoordinatorConfig, SweepCoordinator
+
+        screen = self.screen
+        with tempfile.TemporaryDirectory(
+            prefix="sbmlcompose-sweep-"
+        ) as out_dir:
+            report = SweepCoordinator(
+                self.models,
+                self.options,
+                out_dir=out_dir,
+                fingerprint=_PRIVATE_FINGERPRINT,
+                partition=partition_pairs(
+                    self.sizes,
+                    self.workers,
+                    pairs=pairs,
+                    runs=screen.survivors() if screen is not None else None,
+                ),
+                prescreen=screen,
+                config=CoordinatorConfig(workers=self.workers),
+                progress=False,
+            ).run()
+        return MatchMatrix.union(report.matrices)
 
 
 def match_all(
@@ -652,7 +637,7 @@ def match_all(
     workers: int = 1,
     backend: str = "process",
     include_self: bool = True,
-    prescreen: Union[None, bool, Prescreen] = None,
+    prescreen: bool = False,
 ) -> MatchMatrix:
     """Compose every unordered pair of ``models``, batched.
 
@@ -677,73 +662,25 @@ def match_all(
     ``backend`` names the worker kind and accepts only ``"process"``.
     Outcomes are returned in pair order regardless of scheduling.
 
-    ``prescreen`` enables the vectorized structural prescreen
-    (:class:`~repro.core.signature.Prescreen`): ``True`` builds one
-    from the corpus, or pass a prebuilt instance covering exactly these
-    models under the same key options (``sweep --shards K
-    --prescreen`` builds one and hands it to every shard).  Pairs the
-    prescreen proves trivial skip the phase machinery and get
-    synthesized outcomes; every returned row — synthesized or computed
-    — is identical on its run-invariant fields
-    (:meth:`PairOutcome.key`) to the unscreened sweep's, which the
-    conformance matrix pins as its eighth path.
-    :attr:`MatchMatrix.pruned` counts the synthesized pairs.
+    ``prescreen=True`` routes the sweep through the vectorized
+    structural prescreen (:class:`~repro.core.signature.Prescreen`),
+    built here from the corpus.  Pairs the prescreen proves trivial
+    skip the phase machinery and get synthesized outcomes; every
+    returned row — synthesized or computed — is identical on its
+    run-invariant fields (:meth:`PairOutcome.key`) to the unscreened
+    sweep's, which the conformance matrix pins as its eighth path.
+    :attr:`MatchMatrix.pruned` counts the synthesized pairs, and
+    :attr:`MatchMatrix.seconds` includes the prescreen build.
     """
     if backend != "process":
         raise ValueError(
             f"unknown worker backend {backend!r}; sweep workers are "
             f"processes (backend='process')"
         )
-    models = list(models)
-    return _sweep(
-        models,
-        enumerate_pairs(len(models), include_self),
-        options,
-        workers,
-        prescreen,
-    )
-
-
-def match_all_sharded(
-    models: Sequence[Model],
-    options: Optional[ComposeOptions] = None,
-    *,
-    shards: int,
-    shard_id: int,
-    workers: int = 1,
-    include_self: bool = True,
-    prescreen: Union[None, bool, Prescreen] = None,
-) -> MatchMatrix:
-    """Compute one shard of the all-pairs sweep.
-
-    The pair matrix is partitioned deterministically
-    (:func:`~repro.core.shards.partition_pairs`, block-cyclic over the
-    upper triangle, cost-balanced from ``network_size()`` hints), and
-    only shard ``shard_id`` of ``shards`` is composed.  Every worker
-    derives the same partition from the corpus alone, so K machines
-    can each take one ``shard_id`` with no coordination; the union of
-    their matrices (:meth:`MatchMatrix.union`) is identical, pair for
-    pair, to one unsharded :func:`match_all` over the same corpus.
-
-    ``workers`` and ``prescreen`` are honoured exactly as in
-    :func:`match_all` — the prescreen's synthesis is deterministic and
-    per-pair, so every shard prunes the same pairs the unsharded
-    screened sweep would and shard unions stay byte-identical.
-    """
-    models = list(models)
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    if not 0 <= shard_id < shards:
-        raise ValueError(
-            f"shard_id must be in [0, {shards}), got {shard_id}"
-        )
-    sizes = [model.network_size() for model in models]
-    shard = partition_pairs(sizes, shards, include_self=include_self)[
-        shard_id
-    ]
-    matrix = _sweep(models, shard.pairs, options, workers, prescreen)
-    matrix.shard_id = shard_id
-    matrix.shard_count = shards
+    started = time.perf_counter()
+    sweep = _Sweep(models, options, workers, prescreen)
+    matrix = sweep.run(enumerate_pairs(len(sweep.models), include_self))
+    matrix.seconds = time.perf_counter() - started
     return matrix
 
 
@@ -765,7 +702,5 @@ def match_query(
     costs more than the pair itself.  Each row's run-invariant fields
     match what a full sweep over the same models would produce.
     """
-    models = [target] + list(sources)
-    return _sweep(
-        models, [(0, j) for j in range(1, len(models))], options, 1, None
-    )
+    pairs = [(0, j) for j in range(1, len(sources) + 1)]
+    return _Sweep([target, *sources], options, 1, False).run(pairs)

@@ -18,8 +18,8 @@ contiguous range splits would give the last shard nearly all the work,
 while dealing blocks round-robin gives every shard a slice of every
 cost regime.  Any shard layout ``(K, i)`` is reproducible from the
 corpus alone — no coordination state — so K machines can each run
-``match_all_sharded(corpus, shards=K, shard_id=i)`` and the union of
-their outputs is exactly one :func:`~repro.core.match_all.match_all`.
+``sbmlcompose sweep --shards K --shard-id i`` and the union of their
+outputs is exactly one :func:`~repro.core.match_all.match_all`.
 
 :class:`SweepCheckpoint` is the journal that makes a multi-shard sweep
 *resumable*: it records the corpus fingerprint and which shards have

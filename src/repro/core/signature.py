@@ -627,8 +627,8 @@ class Prescreen:
     ``survivors()[i, j]`` is ``True`` when the pair *must* run the
     full matcher, ``False`` when its outcome is provably known and may
     be synthesized (see the module docstring for the soundness
-    argument).  Feed an instance — or just ``prescreen=True`` — to
-    :func:`~repro.core.match_all.match_all` or ``match_all_sharded``.
+    argument).  ``match_all(..., prescreen=True)`` builds one, and
+    so does ``sbmlcompose sweep --prescreen``, once per command.
     """
 
     def __init__(

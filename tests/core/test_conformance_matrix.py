@@ -79,7 +79,6 @@ from repro import (
     ModelBuilder,
     compose_all,
     match_all,
-    match_all_sharded,
     write_sbml,
 )
 from repro.cli import main
@@ -87,8 +86,14 @@ from repro.core import compose
 from repro.core.artifact_store import corpus_fingerprint
 from repro.core.compose import ModelIndexSet
 from repro.core.index import OverlayIndex, make_index
-from repro.core.match_all import MatchMatrix, read_outcomes_csv, write_outcomes
+from repro.core.match_all import (
+    MatchMatrix,
+    _Sweep,
+    read_outcomes_csv,
+    write_outcomes,
+)
 from repro.core.options import ComposeOptions
+from repro.core.shards import partition_pairs
 from repro.core.signature import Prescreen
 from repro.corpus import generate_corpus
 from repro.corpus.biomodels_like import generate_model
@@ -176,18 +181,15 @@ def test_conformance(path, corpus_name, references):
     "shards,workers", [(2, 1), (5, 1), (2, 3), (2, 2)]
 )
 def test_sharded_sweep_conformance(corpus_name, shards, workers, corpora):
-    """The sweep path of the matrix: any shard layout and fanout
-    unions back to the unsharded engine, field for field."""
+    """The sweep path of the matrix: any shard layout and fanout,
+    every shard through one sweep, unions back to the unsharded
+    engine, field for field."""
     models = corpora[corpus_name]
     reference = match_all(models)
+    sweep = _Sweep(models, None, workers, False)
     parts = [
-        match_all_sharded(
-            models,
-            shards=shards,
-            shard_id=shard_id,
-            workers=workers,
-        )
-        for shard_id in range(shards)
+        sweep.run(shard.pairs)
+        for shard in partition_pairs(sweep.sizes, shards)
     ]
     merged = MatchMatrix.union(parts)
     assert [o.key() for o in merged.outcomes] == [
@@ -390,23 +392,20 @@ def test_disjoint_pair_decides_no_species_or_reaction_singly(monkeypatch):
 def test_prescreen_sweep_conformance(corpus_name, corpora):
     """The prescreened sweep — trivial pairs pruned by the twin
     congruence check and their rows synthesized from signatures — must
-    be byte-identical to the full sweep: in memory, and as one shared
-    ``Prescreen`` instance driving every shard of a sharded sweep."""
+    be byte-identical to the full sweep: in memory, and as one sweep's
+    prescreen driving every shard of a sharded sweep."""
     models = corpora[corpus_name]
     full = _deterministic_csv(match_all(models))
 
     screened = match_all(models, prescreen=True)
     assert _deterministic_csv(screened) == full
 
-    # One Prescreen shared across every shard of a sharded sweep: the
+    # One prescreen shared across every shard of a sharded sweep: the
     # pair matrix is scored once, each shard prunes its own slice, the
     # union equals the unsharded full sweep.
-    screen = Prescreen.build(models, ComposeOptions())
+    sweep = _Sweep(models, None, 1, True)
     parts = [
-        match_all_sharded(
-            models, shards=3, shard_id=shard_id, prescreen=screen
-        )
-        for shard_id in range(3)
+        sweep.run(shard.pairs) for shard in partition_pairs(sweep.sizes, 3)
     ]
     merged = MatchMatrix.union(parts)
     assert _deterministic_csv(merged) == full
@@ -443,7 +442,7 @@ def test_prescreen_never_prunes_a_matching_pair(seed):
         ) == screen.synthesized_counts(i, j), (i, j)
     # And the end-to-end restatement: the screened sweep's
     # run-invariant rows equal the full sweep's, pair for pair.
-    screened = match_all(models, prescreen=screen)
+    screened = match_all(models, prescreen=True)
     assert [o.key() for o in screened.outcomes] == [
         o.key() for o in full.outcomes
     ]
@@ -544,14 +543,9 @@ def test_digest_shipped_sweep_conformance(corpus_name, corpora):
 
     assert _deterministic_csv(match_all(models, workers=2)) == reference
     # Sharded union.
+    sweep = _Sweep(models, None, 2, False)
     parts = [
-        match_all_sharded(
-            models,
-            shards=2,
-            shard_id=shard_id,
-            workers=2,
-        )
-        for shard_id in range(2)
+        sweep.run(shard.pairs) for shard in partition_pairs(sweep.sizes, 2)
     ]
     assert _deterministic_csv(MatchMatrix.union(parts)) == reference
 
@@ -745,14 +739,10 @@ def test_digest_shipped_invariant_over_shards_and_workers(
     serial in-memory sweep."""
     models = generate_corpus(count=4, seed=seed)
     reference = _deterministic_csv(match_all(models))
+    sweep = _Sweep(models, None, workers, False)
     parts = [
-        match_all_sharded(
-            models,
-            shards=shards,
-            shard_id=shard_id,
-            workers=workers,
-        )
-        for shard_id in range(shards)
+        sweep.run(shard.pairs)
+        for shard in partition_pairs(sweep.sizes, shards)
     ]
     assert _deterministic_csv(MatchMatrix.union(parts)) == reference
 

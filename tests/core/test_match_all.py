@@ -1,15 +1,17 @@
 """The batched all-pairs matching engine."""
 
+import importlib
 import os
 
 import pytest
 from reference_sweep import reference_outcomes
 
-from repro import ModelBuilder, compose_all, match_all, match_all_sharded
+from repro import ModelBuilder, compose_all, match_all
 from repro.core import chaos
-from repro.core.match_all import MatchMatrix
+from repro.core.match_all import MatchMatrix, _Sweep
 from repro.core.options import ComposeOptions
-from repro.core.signature import ModelSignature
+from repro.core.shards import partition_pairs
+from repro.core.signature import ModelSignature, Prescreen
 from repro.errors import UnitError
 from repro.units.definitions import Unit, UnitDefinition
 
@@ -144,6 +146,20 @@ class TestMatchAll:
             ModelSignature.build(bad)
         assert str(raised.value).startswith(message)
 
+    def test_seconds_include_the_prescreen_build(self, corpus, monkeypatch):
+        """The sweep's own timer, which the CLI summary reports, counts
+        the prescreen build as well as the pairs."""
+        import time
+
+        build = Prescreen.build.__func__
+
+        def slow_build(cls, *args, **kwargs):
+            time.sleep(0.2)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Prescreen, "build", classmethod(slow_build))
+        assert match_all(corpus, prescreen=True).seconds >= 0.2
+
     def test_invalid_arguments(self, corpus):
         with pytest.raises(ValueError):
             match_all(corpus, workers=0)
@@ -152,6 +168,10 @@ class TestMatchAll:
         # Sweep workers are processes; there is no thread backend.
         with pytest.raises(ValueError):
             match_all(corpus, workers=2, backend="thread")
+        # The prescreen is a flag: the sweep builds its own.
+        for prescreen in (None, "yes", Prescreen.build(corpus)):
+            with pytest.raises(TypeError, match="prescreen must be a bool"):
+                match_all(corpus, prescreen=prescreen)
 
 
 class TestOverlayReads:
@@ -576,22 +596,17 @@ class TestLocalSweepsOpenNoStore:
 
         monkeypatch.setattr(ArtifactStore, "__init__", refuse)
 
-    @pytest.mark.parametrize("prescreen", [None, True])
+    @pytest.mark.parametrize("prescreen", [False, True])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_api_sweeps(self, corpus, workers, prescreen):
         expected = [o.key() for o in match_all(corpus).outcomes]
         matrix = match_all(corpus, workers=workers, prescreen=prescreen)
         assert matrix.quarantined == 0
         assert [o.key() for o in matrix.outcomes] == expected
+        sweep = _Sweep(corpus, None, workers, prescreen)
         parts = [
-            match_all_sharded(
-                corpus,
-                shards=2,
-                shard_id=shard_id,
-                workers=workers,
-                prescreen=prescreen,
-            )
-            for shard_id in range(2)
+            sweep.run(shard.pairs)
+            for shard in partition_pairs(sweep.sizes, 2)
         ]
         assert [o.key() for o in MatchMatrix.union(parts).outcomes] == (
             expected
@@ -602,14 +617,9 @@ class TestLocalSweepsOpenNoStore:
     def test_cli_out_dir_sweeps(
         self, corpus, tmp_path, capsys, workers, prescreen
     ):
-        from repro import write_sbml_file
         from repro.cli import main
 
-        files = []
-        for model in corpus:
-            path = tmp_path / f"{model.id}.xml"
-            write_sbml_file(model, path)
-            files.append(str(path))
+        files = _write_corpus(corpus, tmp_path / "models")
         out_dir = tmp_path / "sweep"
         sharded = tmp_path / "sharded.csv"
         assert main(
@@ -625,25 +635,99 @@ class TestLocalSweepsOpenNoStore:
         assert sharded.read_bytes() == inline.read_bytes()
 
 
-class TestMatchAllSharded:
-    def test_invalid_shard_arguments(self, corpus):
-        with pytest.raises(ValueError):
-            match_all_sharded(corpus, shards=0, shard_id=0)
-        with pytest.raises(ValueError):
-            match_all_sharded(corpus, shards=2, shard_id=2)
-        with pytest.raises(ValueError):
-            match_all_sharded(corpus, shards=2, shard_id=-1)
+def _write_corpus(models, directory):
+    from repro import write_sbml_file
 
-    def test_shard_metadata_and_summary(self, corpus):
-        matrix = match_all_sharded(corpus, shards=3, shard_id=1)
-        assert matrix.shard_id == 1
-        assert matrix.shard_count == 3
-        assert "shard 1/3" in matrix.summary()
+    directory.mkdir()
+    files = []
+    for model in models:
+        path = directory / f"{model.id}.xml"
+        write_sbml_file(model, path)
+        files.append(str(path))
+    return files
+
+
+class TestMatchAllSharded:
+    """Sharded sweeps: ``sweep --shards K --out-dir D`` runs every
+    shard it owes through one :class:`_Sweep`."""
+
+    def test_shard_metadata_and_summary(self, corpus, tmp_path, capsys):
+        from repro.cli import main
+
+        files = _write_corpus(corpus, tmp_path / "models")
+        assert main(
+            ["sweep", *files, "--shards", "3", "--shard-id", "1",
+             "--out-dir", str(tmp_path / "sweep")]
+        ) == 0
+        assert ", shard 1/3)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prescreen", [[], ["--prescreen"]])
+    def test_one_engine_derives_each_model_once(
+        self, tmp_path, monkeypatch, prescreen
+    ):
+        """Four shards, one engine: every model's artifacts and index
+        rows are derived once per command, not once per shard that
+        touches the model.  The models disagree on the value of ``k``,
+        so the prescreen lets every pair of two models through."""
+        from repro.cli import main
+        from repro.core.compose import ModelIndexSet
+
+        # The package re-exports the function under the module's name.
+        engine = importlib.import_module("repro.core.match_all")
+        corpus = [
+            _module_model(f"m{n}", ["A", "B"], "k", value=0.1 * n)
+            for n in range(1, 6)
+        ]
+        files = _write_corpus(corpus, tmp_path / "models")
+        artifacts, rows = [], []
+        compute = engine.compute_artifacts
+        build = ModelIndexSet.build.__func__
+
+        def counting_compute(model, *args, **kwargs):
+            artifacts.append(model.id)
+            return compute(model, *args, **kwargs)
+
+        def counting_build(cls, model, *args, **kwargs):
+            rows.append(model.id)
+            return build(cls, model, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "compute_artifacts", counting_compute)
+        monkeypatch.setattr(
+            ModelIndexSet, "build", classmethod(counting_build)
+        )
+        assert main(
+            ["sweep", *files, "--shards", "4", *prescreen,
+             "--out-dir", str(tmp_path / "sweep")]
+        ) == 0
+        ids = sorted(model.id for model in corpus)
+        assert sorted(artifacts) == ids
+        assert sorted(rows) == ids
 
     def test_union_rejects_overlap(self, corpus):
-        shard = match_all_sharded(corpus, shards=2, shard_id=0)
+        sweep = _Sweep(corpus, None, 1, False)
+        shard = sweep.run(partition_pairs(sweep.sizes, 2)[0].pairs)
         with pytest.raises(ValueError):
             MatchMatrix.union([shard, shard])
+
+    def test_csv_quotes_only_the_cells_that_need_it(self, tmp_path):
+        from repro.core.match_all import (
+            PairOutcome,
+            read_outcomes_csv,
+            write_outcomes_csv,
+        )
+
+        outcomes = [
+            PairOutcome(0, 1, "m1", "m2", 7, 0.0, 1, 2, 0, 0),
+            PairOutcome(0, 2, "m1", 'a,"b"\nc', 9, 0.0, 0, 3, 1, 0),
+        ]
+        path = tmp_path / "table.csv"
+        write_outcomes_csv(path, outcomes, deterministic=True)
+        assert path.read_bytes() == (
+            b"i,j,left,right,combined_size,united,added,renamed,conflicts\n"
+            b"0,1,m1,m2,7,1,2,0,0\n"
+            b'0,2,m1,"a,""b""\nc",9,0,3,1,0\n'
+        )
+        assert read_outcomes_csv(path) == outcomes
 
     def test_union_round_trips_through_csv(self, corpus, tmp_path):
         from repro.core.match_all import (

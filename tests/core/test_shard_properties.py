@@ -1,8 +1,9 @@
 """Property tests: sharding is invisible in the sweep's output.
 
 For any generated corpus, any shard count and any shard *completion
-order*, the union of ``match_all_sharded`` results equals the
-unsharded ``match_all`` on every run-invariant field.  The corpora
+order*, the union of the shard runs of one sweep — one engine, as
+``sweep --shards`` runs them — equals the unsharded ``match_all`` on
+every run-invariant field.  The corpora
 come from the BioModels-like generator so the property is exercised
 on the component mix the engine actually faces (overlapping species
 pools, mixed kinetics, rules, events), not just toy models.
@@ -11,7 +12,7 @@ pools, mixed kinetics, rules, events), not just toy models.
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.match_all import MatchMatrix, match_all, match_all_sharded
+from repro.core.match_all import MatchMatrix, _Sweep, match_all
 from repro.core.shards import enumerate_pairs, partition_pairs
 from repro.corpus.biomodels_like import generate_model
 
@@ -46,13 +47,12 @@ def test_shard_union_equals_match_all(run):
     seed, count, shard_count, order, include_self = run
     models = _corpus(seed, count)
     reference = match_all(models, include_self=include_self)
+    sweep = _Sweep(models, None, 1, False)
+    shards = partition_pairs(
+        sweep.sizes, shard_count, include_self=include_self
+    )
     parts = [
-        match_all_sharded(
-            models,
-            shards=shard_count,
-            shard_id=shard_id,
-            include_self=include_self,
-        )
+        sweep.run(shards[shard_id].pairs)
         for shard_id in order  # completion order must not matter
     ]
     merged = MatchMatrix.union(parts)

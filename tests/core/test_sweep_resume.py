@@ -9,10 +9,10 @@ byte-identical to a never-interrupted run.
 
 import pytest
 
-from repro import write_sbml_file
+from repro import read_sbml_file, write_sbml_file
 from repro.cli import main
-from repro.core.match_all import read_outcomes_csv
-from repro.core.shards import SweepCheckpoint
+from repro.core.match_all import _Sweep, read_outcomes_csv
+from repro.core.shards import SweepCheckpoint, partition_pairs
 from repro.corpus.curated import (
     drug_inhibition,
     glycolysis_lower,
@@ -79,20 +79,24 @@ def test_resume_skips_completed_and_matches_uninterrupted(
 
     # Resume: shard 0 must be skipped, shards 1 and 2 recomputed.
     recomputed = []
-    from repro.core.match_all import match_all_sharded as original_sharded
+    original_run = _Sweep.run
 
-    def tracking_sharded(*args, **kwargs):
-        recomputed.append(kwargs["shard_id"])
-        return original_sharded(*args, **kwargs)
+    def tracking_run(self, pairs):
+        recomputed.append(tuple(pairs))
+        return original_run(self, pairs)
 
     with monkeypatch.context() as patch:
-        patch.setattr("repro.cli.match_all_sharded", tracking_sharded)
+        patch.setattr(_Sweep, "run", tracking_run)
         code = main(
             ["sweep", *model_files, "--shards", str(SHARDS),
              "--out-dir", str(out_dir), "--resume"]
         )
     assert code == 0
-    assert recomputed == [1, 2]
+    shards = partition_pairs(
+        [read_sbml_file(path).model.network_size() for path in model_files],
+        SHARDS,
+    )
+    assert recomputed == [shards[1].pairs, shards[2].pairs]
     err = capsys.readouterr().err
     assert "shard 0/3: already complete, skipping" in err
     assert SweepCheckpoint.read_journal(out_dir)["completed"].keys() == {

@@ -412,6 +412,23 @@ def test_sweep_store_max_entries_is_a_usage_error(
     )
 
 
+def test_sweep_refuses_shard_arguments_out_of_range(
+    three_model_files, tmp_path, capsys
+):
+    """A shard layout is refused before any model is read: no shards,
+    or a shard id outside the layout, is a usage error (exit 2)."""
+    sweep = ["sweep", *map(str, three_model_files),
+             "--out-dir", str(tmp_path / "sweep")]
+    for flags, problem in (
+        (["--shards", "0"], "--shards must be at least 1"),
+        (["--shards", "2", "--shard-id", "2"], "--shard-id must be in [0, 2)"),
+        (["--shards", "2", "--shard-id", "-1"], "--shard-id must be in [0, 2)"),
+    ):
+        assert main([*sweep, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not (tmp_path / "sweep").exists()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_resume_needs_out_dir(three_model_files, capsys, workers):
     """Without an out-dir there is no journal to resume from; the
@@ -811,11 +828,18 @@ def test_merge_zero_factor_unit_is_an_error_not_a_traceback(
     model_files, tmp_path, capsys
 ):
     zero = _zero_factor_model(tmp_path, -1)
-    assert main(["merge", str(model_files[0]), str(zero)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {zero}: unit definition 'zero_unit': ")
-    assert "(0 * 10^0 * litre)^-1" in err
-    assert "Traceback" not in err
+    # Merged into an empty model, the unit is copied, never evaluated:
+    # it is refused up front all the same, as sweep refuses it.
+    empty = tmp_path / "empty.xml"
+    write_sbml_file(ModelBuilder("empty").build(), empty)
+    merged = tmp_path / "merged.xml"
+    for first in (model_files[0], empty):
+        assert main(["merge", str(first), str(zero), "-o", str(merged)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {zero}: unit definition 'zero_unit': ")
+        assert "(0 * 10^0 * litre)^-1" in err
+        assert "Traceback" not in err
+        assert not merged.exists()
 
 
 @pytest.mark.parametrize(
@@ -844,6 +868,87 @@ def test_sweep_zero_factor_unit_error_names_the_file(
     assert "Traceback" not in err
     assert "quarantined" not in err
     assert not quarantine.exists()
+
+
+#: A model id the reader accepts that holds every character a CSV cell
+#: must quote: a comma, a quote and a line break.
+_ODD_ID = 'a,"b"\nc'
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        [],
+        ["--workers", "2"],
+        ["--shards", "2", "--out-dir", "D"],
+        ["--shards", "2", "--out-dir", "D", "--workers", "2"],
+    ],
+    ids=["inline", "supervised", "sharded", "sharded-supervised"],
+)
+def test_sweep_csv_quotes_a_label_that_needs_it(
+    model_files, tmp_path, capsys, flags
+):
+    import csv
+
+    odd = tmp_path / "odd.xml"
+    write_sbml_file(
+        ModelBuilder(_ODD_ID).compartment("cell", size=1.0)
+        .species("A", 1.0).build(),
+        odd,
+    )
+    flags = [str(tmp_path / flag) if flag == "D" else flag for flag in flags]
+    table = tmp_path / "table.csv"
+    files = [str(model_files[0]), str(odd)]
+    assert main(
+        ["sweep", *files, *flags, "--deterministic", "-o", str(table)]
+    ) == 0
+    with open(table, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert {len(row) for row in rows} == {9}
+    assert [row[2:4] for row in rows[1:]] == [
+        ["a", "a"], ["a", _ODD_ID], [_ODD_ID, _ODD_ID]
+    ]
+    if "--out-dir" in flags:
+        merged = tmp_path / "merged.csv"
+        assert main(
+            ["sweep-merge", "--out-dir", str(tmp_path / "D"),
+             "-o", str(merged)]
+        ) == 0
+        assert merged.read_bytes() == table.read_bytes()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "damage, problem",
+    [
+        (lambda cells: cells[:3], "3 cells where the header has 10"),
+        (
+            lambda cells: cells[:5] + ["x"] + cells[6:],
+            "could not convert string to float: 'x'",
+        ),
+        (
+            lambda cells: cells[:6] + ["x"] + cells[7:],
+            "invalid literal for int() with base 10: 'x'",
+        ),
+    ],
+    ids=["cut", "seconds", "united"],
+)
+def test_sweep_merge_names_the_line_of_a_malformed_row(
+    three_model_files, tmp_path, capsys, damage, problem
+):
+    out_dir = tmp_path / "sweep"
+    assert main(
+        ["sweep", *map(str, three_model_files), "--shards", "2",
+         "--out-dir", str(out_dir)]
+    ) == 0
+    shard = out_dir / "shard-0001-of-0002.csv"
+    lines = shard.read_text(encoding="utf-8").splitlines()
+    lines[-1] = ",".join(damage(lines[-1].split(",")))
+    shard.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["sweep-merge", "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {shard}: line {len(lines)}: {problem}\n"
 
 
 @pytest.mark.parametrize("exponent", [0, 1])
