@@ -12,9 +12,12 @@ order.  Every plan executes serially.
 
 This benchmark measures all of it on a 10-model corpus chain (models
 in generation order, the order a real workload would hand them over
-in), plus the batched all-pairs engine on the subsampled corpus, and
-records the numbers machine-readably in ``BENCH_compose.json`` at the
-repo root so the perf trajectory is tracked across PRs.
+in), how each plan scales from 8 to 64 models of the 187-model corpus
+(``session_scaling``), plus the batched all-pairs engine on the
+subsampled corpus, and records the numbers machine-readably in
+``BENCH_compose.json`` at the repo root so the perf trajectory is
+tracked across PRs.  Every row is a median over alternating rounds,
+each reading divided by the calibration loop run beside it.
 
 Usage::
 
@@ -35,11 +38,12 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 from repro import Composer, ComposeSession, match_all
 from repro.corpus import corpus_by_size, generate_corpus
@@ -48,6 +52,10 @@ from benchmarks._common import emit, write_csv
 
 #: Number of models in the chain (the acceptance scenario).
 CHAIN_LENGTH = 10
+
+#: Model counts of the ``session_scaling`` rows, each a
+#: ``random.Random(0).sample`` of the 187-model corpus.
+SCALING_SIZES = (8, 16, 32, 64)
 
 #: Machine-readable results, tracked across PRs at the repo root.
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_compose.json"
@@ -83,40 +91,91 @@ def session_compose(models: Sequence[Model], plan: str) -> Model:
     return ComposeSession().compose_all(models, plan=plan).model
 
 
-def _best_of(fn: Callable[[], object], rounds: int) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
+def _alternating_rounds(runs, rounds: int):
+    """``{label: (seconds, calibration_s, seconds_per_calibration)}``,
+    each the median over ``rounds`` rounds, for every ``(label, run)``.
+
+    Each round runs every entry once, in turn, and the calibration
+    loop runs before the first and after each run, as between the
+    all-pairs rounds: a run's ``calibration_s`` is the mean of the
+    loop runs just before and just after it, so ``seconds /
+    calibration_s`` is its cost in calibration loops, which divides
+    out the speed the machine had meanwhile."""
+    readings = {label: [] for label, _ in runs}
+    calibrations = [_calibration_seconds(statistic=statistics.mean)]
+    for _ in range(max(1, rounds)):
+        for label, run in runs:
+            started = time.perf_counter()
+            run()
+            seconds = time.perf_counter() - started
+            calibrations.append(
+                _calibration_seconds(statistic=statistics.mean)
+            )
+            readings[label].append(
+                (seconds, statistics.mean(calibrations[-2:]))
+            )
+    return {
+        label: (
+            statistics.median(seconds for seconds, _ in timed),
+            statistics.median(calibration for _, calibration in timed),
+            statistics.median(
+                seconds / calibration for seconds, calibration in timed
+            ),
+        )
+        for label, timed in readings.items()
+    }
 
 
-def compare(models: Sequence[Model], rounds: int = 5):
-    """``(label, seconds, calibration_s, speedup-vs-naive)`` for each
-    strategy: its best of ``rounds`` wall times, and the calibration
-    loop beside it.
-
-    The loop runs before the first strategy and after each one, as
-    between the all-pairs rounds: a strategy's ``calibration_s`` is
-    the mean of the loop runs just before and just after its own
-    runs, so ``seconds / calibration_s`` is its cost in calibration
-    loops, which divides out the speed the machine had meanwhile."""
+def compare(models: Sequence[Model], rounds: int = 9):
+    """``(label, seconds, calibration_s, seconds_per_calibration,
+    speedup-vs-naive)`` for each strategy, as medians over ``rounds``
+    alternating rounds (:func:`_alternating_rounds`); the speedup
+    compares costs in calibration loops."""
     strategies = [("naive-cold-fold", lambda: naive_cold_fold(models))] + [
         (f"session-{plan}", lambda plan=plan: session_compose(models, plan))
         for plan in ("fold", "tree", "greedy")
     ]
-    calibrations = [_calibration_seconds(statistic=statistics.mean)]
-    timed = []
-    for label, run in strategies:
-        seconds = _best_of(run, rounds)
-        calibrations.append(_calibration_seconds(statistic=statistics.mean))
-        timed.append((label, seconds, statistics.mean(calibrations[-2:])))
-    naive = timed[0][1]
+    timed = _alternating_rounds(strategies, rounds)
+    naive = timed["naive-cold-fold"][2]
     return [
-        (label, seconds, calibration, naive / seconds)
-        for label, seconds, calibration in timed
+        (label, seconds, calibration, per_calibration, naive / per_calibration)
+        for label, (seconds, calibration, per_calibration) in timed.items()
     ]
+
+
+def session_scaling(rounds: int = 5, seed: int = 42) -> dict:
+    """Each plan over ``random.Random(0).sample`` of
+    :data:`SCALING_SIZES` models of ``generate_corpus(count=187,
+    seed=seed)``, in alternating rounds: a session's cost as its
+    accumulator grows."""
+    corpus = generate_corpus(count=187, seed=seed)
+    runs = [
+        (
+            (plan, size),
+            lambda plan=plan, sample=random.Random(0).sample(corpus, size): (
+                session_compose(sample, plan)
+            ),
+        )
+        for size in SCALING_SIZES
+        for plan in ("fold", "tree", "greedy")
+    ]
+    timed = _alternating_rounds(runs, rounds)
+    return {
+        "corpus": {"count": 187, "seed": seed},
+        "sample": "random.Random(0).sample(corpus, models)",
+        "rounds": max(1, rounds),
+        "plans": {
+            plan: {
+                str(size): {
+                    "seconds": round(timed[plan, size][0], 6),
+                    "calibration_s": round(timed[plan, size][1], 6),
+                    "seconds_per_calibration": round(timed[plan, size][2], 3),
+                }
+                for size in SCALING_SIZES
+            }
+            for plan in ("fold", "tree", "greedy")
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +211,9 @@ def bench_compose_all_speedup(benchmark):
     )
     emit("")
     emit(f"compose_all — {CHAIN_LENGTH}-model corpus chain")
-    for label, seconds, _, speedup in rows:
+    for label, seconds, _, _, speedup in rows:
         emit(f"  {label:>18}: {seconds * 1000:8.2f} ms  ({speedup:.2f}x)")
-    by_label = {label: speedup for label, _, _, speedup in rows}
+    by_label = {row[0]: row[-1] for row in rows}
     assert by_label["session-greedy"] > 1.0
 
 
@@ -245,7 +304,7 @@ def _read_committed_baseline() -> dict:
 
 
 def write_bench_json(
-    rows, allpairs: dict, rounds: int, smoke: bool
+    rows, scaling: dict, allpairs: dict, rounds: int, smoke: bool
 ) -> Path:
     """Record the run in BENCH_compose.json (pairs/sec, wall time per
     merge plan) for cross-PR tracking.
@@ -270,11 +329,12 @@ def write_bench_json(
             label: {
                 "seconds": round(seconds, 6),
                 "calibration_s": round(calibration, 6),
-                "seconds_per_calibration": round(seconds / calibration, 3),
+                "seconds_per_calibration": round(per_calibration, 3),
                 "speedup_vs_naive": round(speedup, 3),
             }
-            for label, seconds, calibration, speedup in rows
+            for label, seconds, calibration, per_calibration, speedup in rows
         },
+        "session_scaling": scaling,
         "allpairs": allpairs,
         **{
             section: committed[section]
@@ -288,7 +348,8 @@ def write_bench_json(
         },
         "notes": (
             "Every merge plan executes serially; the all-pairs row is "
-            "the single-worker sweep.  See docs/perf.md."
+            "the single-worker sweep.  Each row is the median over "
+            "alternating rounds.  See docs/perf.md."
         ),
     }
     BENCH_JSON.write_text(
@@ -299,7 +360,11 @@ def write_bench_json(
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument(
+        "--rounds", type=int, default=9,
+        help="alternating rounds for the strategy rows (default 9); "
+             "the session_scaling rows take min(rounds, 5)",
+    )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--stride", type=int, default=4,
@@ -340,12 +405,12 @@ def main(argv=None) -> int:
 
     rows = compare(models, rounds=args.rounds)
     print(f"\ncompose_all — {CHAIN_LENGTH}-model corpus chain "
-          f"(best of {args.rounds})")
+          f"(medians of {args.rounds} alternating rounds)")
     print(f"{'strategy':>18} {'ms':>10} {'per calib':>10} {'speedup':>9}")
-    for label, seconds, calibration, speedup in rows:
+    for label, seconds, _, per_calibration, speedup in rows:
         print(
             f"{label:>18} {seconds * 1000:>10.2f} "
-            f"{seconds / calibration:>10.3f} {speedup:>8.2f}x"
+            f"{per_calibration:>10.3f} {speedup:>8.2f}x"
         )
 
     write_csv(
@@ -353,9 +418,23 @@ def main(argv=None) -> int:
         ["strategy", "seconds", "calibration_s", "speedup_vs_naive"],
         [
             (label, f"{s:.6f}", f"{c:.6f}", f"{x:.3f}")
-            for label, s, c, x in rows
+            for label, s, c, _, x in rows
         ],
     )
+
+    scaling = session_scaling(rounds=min(args.rounds, 5), seed=args.seed)
+    print(f"\nsession scaling — random.Random(0).sample of the "
+          f"187-model corpus (medians of {scaling['rounds']} rounds)")
+    print(f"{'models':>8} " + " ".join(
+        f"{plan + ' s':>10} {'per calib':>10}" for plan in scaling["plans"]
+    ))
+    for size in SCALING_SIZES:
+        cells = [by_size[str(size)] for by_size in scaling["plans"].values()]
+        print(f"{size:>8} " + " ".join(
+            f"{cell['seconds']:>10.3f} "
+            f"{cell['seconds_per_calibration']:>10.3f}"
+            for cell in cells
+        ))
 
     baseline = _read_committed_baseline()
     allpairs = _allpairs_numbers(
@@ -373,7 +452,7 @@ def main(argv=None) -> int:
         f"{allpairs['rounds_pairs_per_calibration']})"
     )
 
-    path = write_bench_json(rows, allpairs, args.rounds, args.smoke)
+    path = write_bench_json(rows, scaling, allpairs, args.rounds, args.smoke)
     print(f"machine-readable results: {path}")
 
     if args.gate_allpairs:
@@ -400,7 +479,7 @@ def main(argv=None) -> int:
                 )
                 return 1
 
-    by_label = {label: speedup for label, _, _, speedup in rows}
+    by_label = {row[0]: row[-1] for row in rows}
     greedy = by_label["session-greedy"]
     print(f"\nsession-greedy speedup vs naive cold fold: {greedy:.2f}x "
           f"(acceptance bar: {ACCEPTANCE_SPEEDUP:.2f}x)")

@@ -77,18 +77,23 @@ __all__ = [
 class AccumState:
     """Derived per-model artifacts carried across fold/tree steps.
 
-    Composing ``second`` into ``first`` needs three things derived
-    from ``first`` — its used-id set, its unit registry and its
-    evaluated initial-value environment — and rebuilding them from the
-    accumulator on every step of an n-model fold is the remaining
-    O(n²) term of session execution.  A step that starts from a
-    carried ``AccumState`` skips the rebuild, and every step returns
-    the updated state for the model it produced: ``used_ids`` absorbs
-    the ids the merge claimed, ``registry`` is refreshed by the
+    Composing ``second`` into ``first`` needs things derived from
+    ``first`` — its used-id set, its unit registry, its evaluated
+    initial-value environment and the Figure 5 index of each phase —
+    and rebuilding them from the accumulator on every step would make
+    an n-model fold quadratic in the model count.  A step that starts
+    from a carried ``AccumState`` skips the rebuild, and every step
+    returns the updated state for the model it produced: ``used_ids``
+    absorbs the ids the merge claimed, ``registry`` is refreshed by the
     unit-definition phase, and ``initial`` absorbs the source model's
     environment under the final id mapping (united components keep the
     target's value, exactly as re-collection would read them off the
     merged model, since conflicts keep the first model's attribute).
+    ``indexes`` holds the accumulator's phase bases (``None`` under the
+    ``sorted`` and ``linear`` strategies, and in the states the
+    all-pairs engine builds): each is extended with the components
+    appended since its last use, at its next use as a target, so every
+    component is keyed once per plan (see :class:`_CarriedIndexes`).
     A merge never writes the state while its phases run, so the
     all-pairs engine hands every decide-only merge an input's
     precomputed artifacts as they are.
@@ -101,6 +106,7 @@ class AccumState:
     used_ids: Set[str]
     registry: UnitRegistry
     initial: Dict[str, float]
+    indexes: Optional["_CarriedIndexes"] = None
 
 
 class Composer:
@@ -161,9 +167,11 @@ class Composer:
           unit registry and evaluated initial values when the caller
           has already computed them (a session's per-input memo).
         * ``target_state`` supplies ``first``'s derived artifacts
-          (used ids, unit registry, initial values) from the previous
-          step instead of rebuilding them from the accumulator —
-          killing the per-step O(accumulator) re-collection.
+          (used ids, unit registry, initial values, phase bases) from
+          the previous step instead of rebuilding them from the
+          accumulator — killing the per-step O(accumulator)
+          re-collection.  Its ``indexes`` are probed like
+          ``target_indexes`` below.
         * ``source_owned`` marks ``second`` as an intermediate the
           caller will discard: its components are *moved* into the
           target instead of copied (tree plans merge two intermediates
@@ -222,6 +230,16 @@ class Composer:
             # Derived artifacts reference the original's component
             # objects; they are not carried across a copy.
             target_state = None
+        if target_indexes is None and target_state is not None:
+            target_indexes = target_state.indexes
+        # The phase bases the returned state carries: the target's own,
+        # or new ones that start empty and are built on first use.
+        carried = None
+        if carry_state and not decide_only and self.options.index == "hash":
+            if target_state is not None:
+                carried = target_state.indexes
+            if carried is None:
+                carried = _CarriedIndexes(target, self.options, self._cache)
         # An un-owned source is never mutated: every phase copies a
         # component before touching it, so reading `second` directly is
         # safe and skips a full model copy.  An owned source's
@@ -267,6 +285,7 @@ class Composer:
             decide_only=decide_only,
             indexes=target_indexes,
         )
+        state.carried = carried
         if (
             decide_only
             and target_indexes is not None
@@ -323,6 +342,7 @@ class Composer:
             used_ids=state.used_ids,
             registry=state.target_registry,
             initial=target_initial,
+            indexes=state.carried,
         )
 
 
@@ -359,7 +379,12 @@ class _MergeState:
         self._pattern_cache = pattern_cache
         self.source_owned = source_owned
         self.decide_only = decide_only
+        #: The target's phase bases to probe: a :class:`BoundIndexSet`
+        #: or a session's :class:`_CarriedIndexes`, else ``None``.
         self.indexes = indexes
+        #: The phase bases the returned :class:`AccumState` carries,
+        #: which take the probe keys of appended components as rows.
+        self.carried: Optional[_CarriedIndexes] = None
         #: The source's :class:`SourceKeyMap` when this merge claims
         #: misses in bulk (see :func:`_merge_in_runs`), else ``None``.
         self.source_keys: Optional[SourceKeyMap] = None
@@ -395,21 +420,37 @@ class _MergeState:
             setattr(duplicate, name, value)
         return duplicate
 
-    def append(self, duplicate, source_id: Optional[str], adder) -> None:
+    def append(
+        self,
+        duplicate,
+        source_id: Optional[str],
+        adder,
+        keys: Optional[List[str]] = None,
+    ) -> None:
         """Materialise an added component: ``duplicate`` (adopted, its
         references already rewritten) takes the id :meth:`claim_id`
-        decides for ``source_id`` and is appended through ``adder``."""
+        decides for ``source_id`` and is appended through ``adder``.
+
+        ``keys`` are the keys the phase probed the component with.
+        While the mapping table is still empty after the claim they
+        are exactly the appended component's unmapped keys (its id and
+        every reference resolved to themselves), so they become its
+        row in the carried base instead of being built again."""
         duplicate.id = self.claim_id(source_id)
         adder(duplicate)
+        carried = self.carried
+        if keys is not None and carried is not None and not self.mapping._table:
+            carried.reused[id(duplicate)] = keys
 
     def phase_index(self, name: str) -> ComponentIndex:
         """The Figure 5 lookup index for one phase's target side.
 
-        With a prebuilt :class:`BoundIndexSet` attached, returns a
+        With target bases attached — a sweep's :class:`BoundIndexSet`
+        or a session's :class:`_CarriedIndexes` — returns a
         copy-on-write :class:`~repro.core.index.OverlayIndex` over the
-        shared frozen base — inserts made while merging this phase's
-        source components land in the overlay's private delta, never
-        in the base another pair may be reading.  The base is only
+        phase's base — inserts made while merging this phase's source
+        components land in the overlay's private delta, never in the
+        base another pair or a later step reads.  The base is only
         valid when its (empty-mapping) keys equal what a fresh build
         would produce *right now*: always true for the phases whose
         target keys never consult the mapping, and true for the rest
@@ -426,7 +467,7 @@ class _MergeState:
             return OverlayIndex(bound.for_phase(name), self.options.index)
         index = make_index(self.options.index)
         components = getattr(self.target, _PHASE_LISTS[name])
-        for position, keys in _ROW_BUILDERS[name](self, self.target):
+        for position, keys in _rows(self, name, self.target):
             index.add(keys, components[position])
         return index
 
@@ -634,14 +675,10 @@ def _try_evaluate(
 # ---------------------------------------------------------------------------
 
 
-def _rows_function_definitions(
-    state: "_MergeState", model: Model
-) -> Iterator[Tuple[int, Tuple[str, ...]]]:
-    for position, fd in enumerate(model.function_definitions):
-        keys = [f"id:{fd.id}"]
-        if fd.math is not None:
-            keys.append(state.math_key(fd.math))
-        yield position, tuple(keys)
+def _row_function_definition(state: "_MergeState", fd) -> Tuple[str, ...]:
+    if fd.math is None:
+        return (f"id:{fd.id}",)
+    return (f"id:{fd.id}", state.math_key(fd.math))
 
 
 def _compose_function_definitions(state: _MergeState) -> None:
@@ -686,11 +723,8 @@ def _unit_key(definition: UnitDefinition) -> str:
     return f"unit:{canonical.factor:.12e}:{canonical.dims}"
 
 
-def _rows_unit_definitions(
-    state: "_MergeState", model: Model
-) -> Iterator[Tuple[int, Tuple[str, ...]]]:
-    for position, ud in enumerate(model.unit_definitions):
-        yield position, (f"id:{ud.id}", _unit_key(ud))
+def _row_unit_definition(state: "_MergeState", ud) -> Tuple[str, ...]:
+    return (f"id:{ud.id}", _unit_key(ud))
 
 
 def _compose_unit_definitions(state: _MergeState) -> None:
@@ -724,29 +758,10 @@ def _compose_unit_definitions(state: _MergeState) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _rows_keys_for(
-    state: "_MergeState", components
-) -> Iterator[Tuple[int, Tuple[str, ...]]]:
-    """Index rows for any phase keyed by :meth:`_MergeState.keys_for`
+def _row_keys_for(state: "_MergeState", component) -> Tuple[str, ...]:
+    """The index row of any phase keyed by :meth:`_MergeState.keys_for`
     (compartment types, species types, compartments, parameters)."""
-    for position, component in enumerate(components):
-        yield position, tuple(state.keys_for(component))
-
-
-def _rows_compartment_types(state, model):
-    return _rows_keys_for(state, model.compartment_types)
-
-
-def _rows_species_types(state, model):
-    return _rows_keys_for(state, model.species_types)
-
-
-def _rows_compartments(state, model):
-    return _rows_keys_for(state, model.compartments)
-
-
-def _rows_parameters(state, model):
-    return _rows_keys_for(state, model.parameters)
+    return tuple(state.keys_for(component))
 
 
 def _compose_simple_named(state: _MergeState, kind: str, phase: str, source_list, adder):
@@ -847,11 +862,8 @@ def _check_compartment_conflicts(state: _MergeState, first, second) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _rows_species(
-    state: "_MergeState", model: Model
-) -> Iterator[Tuple[int, Tuple[str, ...]]]:
-    for position, species in enumerate(model.species):
-        yield position, tuple(_species_keys(state, species, mapped=False))
+def _row_species(state: "_MergeState", species: Species) -> Tuple[str, ...]:
+    return tuple(_species_keys(state, species, mapped=False))
 
 
 def _compose_species(state: _MergeState) -> None:
@@ -875,7 +887,7 @@ def _merge_species(state: _MergeState, index, species: Species) -> None:
             species_type=state.resolve_ref(species.species_type),
             substance_units=state.resolve_ref(species.substance_units),
         )
-        state.append(duplicate, species.id, state.target.add_species)
+        state.append(duplicate, species.id, state.target.add_species, keys)
     state.report.added["species"] += 1
 
 
@@ -1091,11 +1103,8 @@ def _claim_clash_id(state: _MergeState, parameter, match) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _rows_initial_assignments(
-    state: "_MergeState", model: Model
-) -> Iterator[Tuple[int, Tuple[str, ...]]]:
-    for position, ia in enumerate(model.initial_assignments):
-        yield position, (f"symbol:{ia.symbol}",)
+def _row_initial_assignment(state: "_MergeState", ia) -> Tuple[str, ...]:
+    return (f"symbol:{ia.symbol}",)
 
 
 def _compose_initial_assignments(state: _MergeState) -> None:
@@ -1180,11 +1189,8 @@ def _rule_kind(rule) -> str:
     return "algebraicRule"
 
 
-def _rows_rules(
-    state: "_MergeState", model: Model
-) -> Iterator[Tuple[int, Tuple[str, ...]]]:
-    for position, rule in enumerate(model.rules):
-        yield position, tuple(_rule_keys(state, rule, mapped=False))
+def _row_rule(state: "_MergeState", rule) -> Tuple[str, ...]:
+    return tuple(_rule_keys(state, rule, mapped=False))
 
 
 def _compose_rules(state: _MergeState) -> None:
@@ -1262,12 +1268,12 @@ def _build_rule_keys(state: _MergeState, rule, mapped: bool) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-def _rows_constraints(
-    state: "_MergeState", model: Model
-) -> Iterator[Tuple[int, Tuple[str, ...]]]:
-    for position, constraint in enumerate(model.constraints):
-        if constraint.math is not None:
-            yield position, (state.math_key(constraint.math),)
+def _row_constraint(
+    state: "_MergeState", constraint
+) -> Optional[Tuple[str, ...]]:
+    if constraint.math is None:
+        return None  # nothing to key on: the constraint has no row
+    return (state.math_key(constraint.math),)
 
 
 def _compose_constraints(state: _MergeState) -> None:
@@ -1382,14 +1388,11 @@ def _law_comparison_math(
     return state._pattern_cache.law_comparison_math(law.math, locals_items)
 
 
-def _rows_reactions(
-    state: "_MergeState", model: Model
-) -> Iterator[Tuple[int, Tuple[str, ...]]]:
-    for position, reaction in enumerate(model.reactions):
-        yield position, (
-            f"id:{reaction.id}",
-            _reaction_signature(state, reaction, mapped=False),
-        )
+def _row_reaction(state: "_MergeState", reaction: Reaction) -> Tuple[str, ...]:
+    return (
+        f"id:{reaction.id}",
+        _reaction_signature(state, reaction, mapped=False),
+    )
 
 
 def _compose_reactions(state: _MergeState) -> None:
@@ -1410,6 +1413,7 @@ def _merge_reaction(state: _MergeState, index, reaction: Reaction) -> None:
             _rewrite_reaction(state, reaction),
             reaction.id,
             state.target.add_reaction,
+            keys,
         )
     state.report.added["reaction"] += 1
 
@@ -1541,11 +1545,12 @@ def _rewrite_reaction(state: _MergeState, reaction: Reaction) -> Reaction:
     for modifier in duplicate.modifiers:
         modifier.species = state.resolve_ref(modifier.species)
     law = duplicate.kinetic_law
-    if law is not None and law.math is not None:
+    flat = state._flat()
+    # With nothing mapped, every rewrite below is the identity.
+    if flat and law is not None and law.math is not None:
         # Restrict the mapping to the names the law actually uses —
         # O(law) instead of O(mapping) per reaction — minus the local
         # parameters, which shadow globals and must not be rewritten.
-        flat = state._flat()
         relevant = {
             name: flat[name]
             for name in law.math.referenced_names()
@@ -1607,14 +1612,8 @@ def _build_event_key(state: _MergeState, event: Event, mapped: bool) -> str:
     return f"event:{trigger}|{delay}|{assignments}"
 
 
-def _rows_events(
-    state: "_MergeState", model: Model
-) -> Iterator[Tuple[int, Tuple[str, ...]]]:
-    for position, event in enumerate(model.events):
-        yield position, (
-            f"id:{event.id}",
-            _event_key(state, event, mapped=False),
-        )
+def _row_event(state: "_MergeState", event: Event) -> Tuple[str, ...]:
+    return (f"id:{event.id}", _event_key(state, event, mapped=False))
 
 
 def _compose_events(state: _MergeState) -> None:
@@ -1683,24 +1682,37 @@ _PHASE_LISTS = {
     "events": "events",
 }
 
-#: Target-side index rows per phase — the single source of truth for
-#: how each phase keys its target components, shared by the fresh
-#: per-merge build and the per-model artifact build so the two can
-#: never drift apart.
-_ROW_BUILDERS = {
-    "functionDefinitions": _rows_function_definitions,
-    "unitDefinitions": _rows_unit_definitions,
-    "compartmentTypes": _rows_compartment_types,
-    "speciesTypes": _rows_species_types,
-    "compartments": _rows_compartments,
-    "species": _rows_species,
-    "parameters": _rows_parameters,
-    "initialAssignments": _rows_initial_assignments,
-    "rules": _rows_rules,
-    "constraints": _rows_constraints,
-    "reactions": _rows_reactions,
-    "events": _rows_events,
+#: Target-side index row of one component, per phase — the single
+#: source of truth for how each phase keys its target components,
+#: shared by the fresh per-merge build, the per-model artifact build
+#: and the session's carried bases so they can never drift apart.
+_ROW_KEYS = {
+    "functionDefinitions": _row_function_definition,
+    "unitDefinitions": _row_unit_definition,
+    "compartmentTypes": _row_keys_for,
+    "speciesTypes": _row_keys_for,
+    "compartments": _row_keys_for,
+    "species": _row_species,
+    "parameters": _row_keys_for,
+    "initialAssignments": _row_initial_assignment,
+    "rules": _row_rule,
+    "constraints": _row_constraint,
+    "reactions": _row_reaction,
+    "events": _row_event,
 }
+
+
+def _rows(
+    state: "_MergeState", name: str, model: Model
+) -> Iterator[Tuple[int, Tuple[str, ...]]]:
+    """``(position, keys)`` of every component of ``model`` that one
+    phase indexes (a constraint without math has no row)."""
+    row = _ROW_KEYS[name]
+    for position, component in enumerate(getattr(model, _PHASE_LISTS[name])):
+        keys = row(state, component)
+        if keys is not None:
+            yield position, keys
+
 
 #: Phases whose target-side keys never consult the live id mapping:
 #: function definitions are indexed before any source component is
@@ -1759,7 +1771,7 @@ class _PhaseKeys:
         self.positions: Dict[str, int] = {}
         #: ``(key, position)`` of every later component sharing a key.
         self.shared: List[Tuple[str, int]] = []
-        for position, keys in _ROW_BUILDERS[name](state, state.source):
+        for position, keys in _rows(state, name, state.source):
             for key in keys:
                 if self.positions.setdefault(key, position) != position:
                     self.shared.append((key, position))
@@ -1976,6 +1988,58 @@ class BoundIndexSet:
         return base
 
 
+class _CarriedIndexes:
+    """A session accumulator's phase bases, carried from step to step.
+
+    Each base is a :class:`~repro.core.index.HashIndex` over one
+    phase's components of the accumulator, keyed under the empty
+    mapping — the rows a :class:`ModelIndexSet` holds, for a model
+    that grows by appends.  :meth:`for_phase` is what
+    :meth:`_MergeState.phase_index` probes under the same validity
+    rule as a sweep's :class:`BoundIndexSet`, and it extends the base
+    first with the components appended since the base was last used.
+    A component's row is its probe keys when the step that appended it
+    left them in :attr:`reused` (:meth:`_MergeState.append`), and comes
+    from the row builders otherwise.  Steps never write a base: the
+    phases that insert while merging do so through an
+    :class:`~repro.core.index.OverlayIndex`.
+    """
+
+    __slots__ = ("_model", "_keyer", "_bases", "_covered", "reused")
+
+    def __init__(
+        self, model: Model, options: ComposeOptions, pattern_cache: PatternCache
+    ):
+        self._model = model
+        self._keyer = _index_keyer(model, options, pattern_cache)
+        self._bases: Dict[str, HashIndex] = {}
+        #: Per phase, how many components of the list the base holds.
+        self._covered: Dict[str, int] = {}
+        #: ``id(component)`` -> the keys an appended component was
+        #: probed with, until its base takes them as its row.
+        self.reused: Dict[int, List[str]] = {}
+
+    def for_phase(self, name: str) -> HashIndex:
+        """The base for one phase, holding every component the
+        accumulator has now."""
+        base = self._bases.get(name)
+        if base is None:
+            base = self._bases[name] = HashIndex()
+        components = getattr(self._model, _PHASE_LISTS[name])
+        start = self._covered.get(name, 0)
+        if start < len(components):
+            row, keyer, reused = _ROW_KEYS[name], self._keyer, self.reused
+            for position in range(start, len(components)):
+                component = components[position]
+                keys = reused.pop(id(component), None)
+                if keys is None:
+                    keys = row(keyer, component)
+                if keys is not None:
+                    base.add(keys, component)
+            self._covered[name] = len(components)
+        return base
+
+
 class ModelIndexSet:
     """Per-model phase-index artifact (paper Figure 5 line 5, hoisted).
 
@@ -2018,10 +2082,7 @@ class ModelIndexSet:
         if pattern_cache is None:
             pattern_cache = PatternCache()
         keyer = _index_keyer(model, options, pattern_cache)
-        rows = {
-            name: list(builder(keyer, model))
-            for name, builder in _ROW_BUILDERS.items()
-        }
+        rows = {name: list(_rows(keyer, name, model)) for name in _ROW_KEYS}
         return cls(rows, index_options_key(options))
 
     def matches(self, options: ComposeOptions) -> bool:

@@ -237,6 +237,23 @@ class MatchMatrix:
         )
 
 
+class _LineFeedRows:
+    """A :mod:`csv` writer target that ends each row with ``\n``.
+
+    The writer terminates rows with ``\r\n``: Python 3.10-3.12 quote
+    a cell holding ``\r`` only when the terminator holds it too, as
+    3.13 always does.  The writer hands over one whole row per call,
+    so the ``\r`` is cut from each row here."""
+
+    __slots__ = ("_write",)
+
+    def __init__(self, handle):
+        self._write = handle.write
+
+    def write(self, row: str):
+        return self._write(row[:-2] + "\n")
+
+
 def write_outcomes(
     handle,
     outcomes: Sequence[PairOutcome],
@@ -245,9 +262,9 @@ def write_outcomes(
 ) -> None:
     """Write an outcome table as CSV to an open text stream (one opened
     with ``newline=""``, as the :mod:`csv` module asks).  A label
-    holding a comma, a quote or a line break is quoted; every other
-    cell is written bare."""
-    writer = csv.writer(handle, lineterminator="\n")
+    holding a comma, a quote, a line feed or a carriage return is
+    quoted; every other cell is written bare."""
+    writer = csv.writer(_LineFeedRows(handle), lineterminator="\r\n")
     writer.writerow(MatchMatrix.csv_header(deterministic))
     writer.writerows(outcome.row(deterministic) for outcome in outcomes)
 

@@ -29,8 +29,9 @@ Performance notes: the session folds *in place* — the accumulator
 model is mutated rather than re-copied on every step (inputs are never
 mutated), turning the O(n²) copying of a naive ``compose(acc, m)``
 loop into O(n); the accumulator's derived artifacts (used ids, unit
-registry, initial values) are carried incrementally between steps
-instead of being re-derived from the growing model; and intermediate
+registry, initial values and phase indexes) are carried
+incrementally between steps instead of being re-derived from the
+growing model, so each component is keyed once per plan; and intermediate
 results merging into intermediate results *move* their components
 instead of copying them.  Every plan executes serially, in one
 thread.  See ``benchmarks/bench_compose_all.py`` and ``docs/perf.md``
@@ -433,7 +434,11 @@ class ComposeSession:
         Target ids are never renamed by a step, so the target side
         passes through; each source id either united into an existing
         entry (its origins accumulate) or is added under its (possibly
-        renamed) id.  Within one step's report every mapping value is
+        renamed) id.  Both dicts, and their entries, belong to the plan
+        nodes this step consumes (each was built by the same
+        :meth:`_execute` call), so the source side is folded into
+        ``target_prov`` in place and its entries move across instead
+        of being copied.  Within one step's report every mapping value is
         already final — unites map to target ids (never renamed) and
         renames are recorded fully resolved — so resolution is exactly
         one hop.  Chain-walking here would be wrong: with mappings
@@ -442,22 +447,20 @@ class ComposeSession:
         renamed to ``glc_m2``), a walk would misattribute the united
         species to the renamed parameter.
         """
-        merged = dict(target_prov)
+        mappings = report.mappings
         for source_id, entry in source_prov.items():
-            final = report.mappings.get(source_id, source_id)
-            existing = merged.get(final)
+            final = mappings.get(source_id, source_id)
+            existing = target_prov.get(final)
             if existing is not None:
                 for origin in entry.origins:
                     if origin not in existing.origins:
                         existing.origins.append(origin)
             else:
-                history = list(entry.history)
-                if not history or history[-1] != final:
-                    history.append(final)
-                merged[final] = ProvenanceEntry(
-                    id=final, origins=list(entry.origins), history=history
-                )
-        return merged
+                if not entry.history or entry.history[-1] != final:
+                    entry.history.append(final)
+                entry.id = final
+                target_prov[final] = entry
+        return target_prov
 
     @staticmethod
     def _merged_report(

@@ -226,6 +226,29 @@ class TestReactionMatching:
         assert any("conversion" in w.message for w in report.warnings)
         assert not any(c.attribute == "kineticLaw" for c in report.conflicts)
 
+    def test_adopted_law_follows_a_renamed_parameter(self):
+        # ``k`` clashes by value, so the second model's ``k`` is renamed
+        # and its global law must read the new id; a law whose local
+        # parameter shadows ``k`` keeps it.
+        a = base("a").species("A", 1.0).parameter("k", 0.1)
+        a = a.reaction("rA", ["A"], [], formula="k * A").build()
+        b = base("b").species("B", 1.0).parameter("k", 0.2)
+        b = b.reaction("rB", ["B"], [], formula="k * B")
+        b = b.reaction(
+            "rL", [], ["B"], formula="k * cell", local_parameters={"k": 3.0}
+        ).build()
+        merged, report = compose_all([a, b]).pair()
+        assert report.renamed == {"k": "k_m2"}
+        assert merged.get_reaction("rB").kinetic_law.math == parse_infix(
+            "k_m2 * B"
+        )
+        assert merged.get_reaction("rL").kinetic_law.math == parse_infix(
+            "k * cell"
+        )
+        assert merged.get_reaction("rA").kinetic_law.math == parse_infix(
+            "k * A"
+        )
+
 
 class TestRules:
     def test_identical_assignment_rules_united(self):

@@ -17,6 +17,13 @@ Equality strength per path:
 * serialized model bytes — identical for every path that folds in
   input order (fold/tree).  The greedy plan reorders inputs, so its
   component *order* may differ while ids/content match;
+* the **carried-index session** — every plan probes the phase bases
+  its accumulator carries from step to step; merged bytes, each
+  step's report, the merged report and provenance are identical to a
+  test-side reference (``reference_session.reference_compose_all``)
+  that rebuilds every phase index fresh on every step, on the
+  corpora below and (a hypothesis property) on models whose colliding
+  ids rename mid-plan;
 * the sharded sweep — the union of any shard layout and worker count
   equals the unsharded sweep on every run-invariant field;
 * the **prebuilt-index sweep** (the seventh path) — the engine, which
@@ -72,6 +79,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from reference_session import reference_compose_all
 from reference_sweep import reference_outcomes
 from test_compose_properties import models as colliding_models
 
@@ -174,6 +182,61 @@ def test_conformance(path, corpus_name, references):
     # its ids/mappings/provenance matched above.
     if path != "greedy":
         assert xml == ref["fold_xml"]
+
+
+def _report_view(report):
+    return (
+        repr(report.duplicates),
+        repr(report.renamed),
+        repr(report.conflicts),
+        repr(report.warnings),
+        repr(report.mappings),
+        report.summary(),
+    )
+
+
+def _session_view(result):
+    return {
+        "xml": write_sbml(result.model),
+        "steps": [
+            (step.index, step.left, step.right, _report_view(step.report))
+            for step in result.steps
+        ],
+        "report": _report_view(result.report),
+        "provenance": {
+            key: (entry.id, entry.origins, entry.history)
+            for key, entry in result.provenance.items()
+        },
+    }
+
+
+@pytest.mark.parametrize("corpus_name", ["chain", "curated"])
+@pytest.mark.parametrize("path", PATHS)
+def test_carried_index_session_conformance(path, corpus_name, corpora):
+    """Sessions probing carried phase bases must equal the reference
+    that rebuilds every phase index on every step."""
+    models = corpora[corpus_name]
+    assert _session_view(compose_all(models, plan=path)) == _session_view(
+        reference_compose_all(models, plan=path)
+    )
+
+
+@given(
+    path=st.sampled_from(PATHS),
+    models=st.lists(colliding_models(collide=True), min_size=2, max_size=6),
+)
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_carried_index_session_matches_reference_with_renames(path, models):
+    """Colliding ids rename mid-plan, so the phases whose keys consult
+    the mapping fall back to a fresh build in some steps and probe the
+    carried base in others."""
+    assert _session_view(compose_all(models, plan=path)) == _session_view(
+        reference_compose_all(models, plan=path)
+    )
 
 
 @pytest.mark.parametrize("corpus_name", ["chain", "curated"])

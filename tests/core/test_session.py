@@ -194,3 +194,121 @@ class TestComposeSession:
         # Session still works after a full reset.
         result = session.compose(a, b)
         assert sorted(s.id for s in result.model.species) == ["A", "B", "C"]
+
+
+def _clashing_model(step):
+    """A model whose species ``A`` (in a compartment of its own) and
+    parameter ``kf`` (with another value) rename against every other
+    such model, so a step that adopts it records a mapping."""
+    return (
+        ModelBuilder(f"c{step}")
+        .compartment("cell", size=1.0)
+        .compartment(f"room{step}", size=2.0)
+        .species("A", 1.0, compartment=f"room{step}")
+        .species(f"S{step}", 1.0)
+        .parameter("kf", 0.1 * step)
+        .reaction(f"r{step}", ["A"], [f"S{step}"], formula="kf * A")
+        .build()
+    )
+
+
+class TestCarriedIndexes:
+    """Sessions carry the accumulator's phase bases between steps and
+    extend them with what each step appends."""
+
+    @staticmethod
+    def _models():
+        # Renames land in some steps and not in others.
+        models = []
+        for step in range(1, 7):
+            models.append(_clashing_model(step))
+            models.append(_chain_model(f"d{step}", [f"X{step}", f"Y{step}"]))
+        return models
+
+    @staticmethod
+    def _spy_fresh_builds(monkeypatch):
+        from repro.core import compose
+
+        fresh = []
+        rows = compose._rows
+
+        def spy(state, name, model):
+            fresh.append(name)
+            return rows(state, name, model)
+
+        monkeypatch.setattr(compose, "_rows", spy)
+        return fresh
+
+    def test_each_component_keyed_once(self, monkeypatch):
+        from repro import Composer
+
+        models = self._models()
+        fresh = self._spy_fresh_builds(monkeypatch)
+        composer = Composer()
+        merged, report, state = composer.compose_step(models[0], models[1])
+        renamed_steps = 0
+        for model in models[2:]:
+            merged, report, state = composer.compose_step(
+                merged, model, copy_target=False, target_state=state
+            )
+            renamed_steps += bool(report.renamed)
+        assert 0 < renamed_steps < len(models) - 2
+        # Species and reactions are built fresh in the first step only.
+        assert fresh.count("species") == fresh.count("reactions") == 1
+        # Over the whole plan each base took one row per component of
+        # the merged model, each row keyed to its own component.
+        for name, components in (
+            ("species", merged.species),
+            ("reactions", merged.reactions),
+        ):
+            base = state.indexes.for_phase(name)
+            assert len(base) == len(components)
+            assert [base.find_one(f"id:{c.id}") for c in components] == (
+                components
+            )
+
+    def test_probe_keys_become_rows(self, monkeypatch):
+        from repro.core import compose
+
+        # Disjoint inputs: only the first model's species, copied in
+        # the first step and never probed, need their rows built.
+        models = [_chain_model(f"m{i}", [f"A{i}", f"B{i}"]) for i in range(8)]
+        built = []
+        row = compose._ROW_KEYS["species"]
+
+        def spy(state, species):
+            built.append(species.id)
+            return row(state, species)
+
+        monkeypatch.setitem(compose._ROW_KEYS, "species", spy)
+        result = ComposeSession().compose_all(models)
+        assert len(result.model.species) == 16
+        # Once by the first step's fresh build, once into the base.
+        assert built == ["A0", "B0", "A0", "B0"]
+
+    @pytest.mark.parametrize("plan", ["fold", "tree", "greedy"])
+    def test_plans_build_fresh_only_where_the_target_is_an_input(
+        self, plan, monkeypatch
+    ):
+        models = self._models()
+        fresh = self._spy_fresh_builds(monkeypatch)
+        result = ComposeSession().compose_all(models, plan=plan)
+        # A step whose target is an input model copies it and builds
+        # fresh; every other step probes the carried base.
+        first_steps = sum(
+            1 for step in result.steps if "(" not in step.left
+        )
+        assert fresh.count("species") == first_steps
+        assert fresh.count("reactions") == first_steps
+
+    @pytest.mark.parametrize("strategy", ["sorted", "linear"])
+    def test_other_strategies_build_fresh_every_step(
+        self, strategy, monkeypatch
+    ):
+        models = self._models()
+        fresh = self._spy_fresh_builds(monkeypatch)
+        result = ComposeSession(ComposeOptions(index=strategy)).compose_all(
+            models
+        )
+        assert fresh.count("species") == len(result.steps)
+        assert fresh.count("reactions") == len(result.steps)

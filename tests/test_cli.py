@@ -873,6 +873,10 @@ def test_sweep_zero_factor_unit_error_names_the_file(
 #: A model id the reader accepts that holds every character a CSV cell
 #: must quote: a comma, a quote and a line break.
 _ODD_ID = 'a,"b"\nc'
+#: A model id holding a bare carriage return and nothing else a CSV
+#: cell must quote (Python 3.10-3.12's writer leaves it bare unless
+#: the line terminator holds ``\r``).
+_CR_ID = "a\rb"
 
 
 @pytest.mark.parametrize(
@@ -890,15 +894,17 @@ def test_sweep_csv_quotes_a_label_that_needs_it(
 ):
     import csv
 
-    odd = tmp_path / "odd.xml"
-    write_sbml_file(
-        ModelBuilder(_ODD_ID).compartment("cell", size=1.0)
-        .species("A", 1.0).build(),
-        odd,
-    )
+    files = [str(model_files[0])]
+    for odd_id in (_ODD_ID, _CR_ID):
+        odd = tmp_path / f"odd{len(files)}.xml"
+        write_sbml_file(
+            ModelBuilder(odd_id).compartment("cell", size=1.0)
+            .species("A", 1.0).build(),
+            odd,
+        )
+        files.append(str(odd))
     flags = [str(tmp_path / flag) if flag == "D" else flag for flag in flags]
     table = tmp_path / "table.csv"
-    files = [str(model_files[0]), str(odd)]
     assert main(
         ["sweep", *files, *flags, "--deterministic", "-o", str(table)]
     ) == 0
@@ -906,8 +912,10 @@ def test_sweep_csv_quotes_a_label_that_needs_it(
         rows = list(csv.reader(handle))
     assert {len(row) for row in rows} == {9}
     assert [row[2:4] for row in rows[1:]] == [
-        ["a", "a"], ["a", _ODD_ID], [_ODD_ID, _ODD_ID]
+        ["a", "a"], ["a", _ODD_ID], ["a", _CR_ID],
+        [_ODD_ID, _ODD_ID], [_ODD_ID, _CR_ID], [_CR_ID, _CR_ID],
     ]
+    assert b'"a\rb"' in table.read_bytes()
     if "--out-dir" in flags:
         merged = tmp_path / "merged.csv"
         assert main(
